@@ -185,10 +185,3 @@ def k0(x):
         out[large] = _k0_asym_double(flat[large])
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
-
-def k0_d1(x, h=None):
-    """First derivative of K0 by central differences of the evaluator."""
-    x = float(x)
-    if h is None:
-        h = 1e-6 * max(1.0, x)
-    return (k0(x + h) - k0(x - h)) / (2.0 * h)

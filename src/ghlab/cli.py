@@ -13,9 +13,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +31,10 @@ class CheckResult:
     passed: bool
     details: dict
 
+    def __post_init__(self):
+        # numpy comparisons give np.bool_, which the JSON report cannot hold
+        self.passed = bool(self.passed)
+
     def line(self):
         status = "PASS" if self.passed else "FAIL"
         info = " ".join(f"{k}={v}" for k, v in sorted(self.details.items()))
@@ -48,26 +50,6 @@ class RunConfig:
     @property
     def seed(self):
         return self.params["seed"]
-
-    @property
-    def threads(self):
-        return self.params["threads"]
-
-
-def _threads(value):
-    if value:
-        return int(value)
-    env = os.environ.get("GHLAB_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
-def _pool_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _config_hash(params):
@@ -143,18 +125,15 @@ def _cmd_verify_flat(p, meta):
     checks = []
     mags = rng.uniform(0.5, 2.0, size=(p["samples"], n + 1))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(p["samples"], n + 1))
-    zs = mags * np.exp(1j * phases)
-    dets = _pool_map(
-        lambda z: (lambda s: abs(np.linalg.det(s.V) - np.linalg.det(s.W)))(
-            flat_solution(n, z)), list(zs), p["threads"])
-    worst = float(max(dets))
+    samples = [flat_solution(n, z) for z in mags * np.exp(1j * phases)]
+    worst = float(max(abs(np.linalg.det(s.V) - np.linalg.det(s.W))
+                      for s in samples))
     checks.append(CheckResult("flat-det-identity", worst < 1e-12,
                               {"maxResidual": f"{worst:.3e}",
                                "samples": p["samples"]}))
     if n == 1:
         sol = flat_gh_solution()
-        pts = np.array([[s.u[0], s.eta.real, s.eta.imag]
-                        for s in (flat_solution(1, z) for z in zs)])
+        pts = np.array([[s.u[0], s.eta.real, s.eta.imag] for s in samples])
         rep = verify_closed(sol, pts, step=p["step"], tolerance=p["tol"])
         checks.append(CheckResult(
             "flat-closedness", rep.passed,
@@ -431,7 +410,6 @@ def _build_parser():
         sp.add_argument("--out", help="JSON report path")
         sp.add_argument("--csv", help="CSV output path")
         sp.add_argument("--svg", help="SVG output path")
-        sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("verify-flat", help="flat-metric identity suite")
@@ -540,8 +518,8 @@ _RUNNERS = {
 def _resolve_config(args):
     cmd = args.command
     params = dict(_DEFAULTS[cmd])
-    params.update({"seed": GHLAB_SEED, "threads": None, "out": None,
-                   "csv": None, "svg": None})
+    params.update({"seed": GHLAB_SEED, "out": None, "csv": None,
+                   "svg": None})
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -564,7 +542,6 @@ def _resolve_config(args):
     for key in params:
         if hasattr(args, key) and getattr(args, key) is not None:
             params[key] = getattr(args, key)
-    params["threads"] = _threads(params["threads"])
     return cmd, params
 
 
@@ -660,7 +637,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     hash_src = {k: v for k, v in params.items()
-                if k not in ("out", "csv", "svg", "threads")}
+                if k not in ("out", "csv", "svg")}
     meta = {"version": __version__, "configHash": _config_hash(hash_src)}
     from .decay import DecayError
     from .ghcore import GHError

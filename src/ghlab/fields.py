@@ -35,6 +35,15 @@ def _tensor_stencil(orders, steps):
     return points
 
 
+def fd_step(base, orders):
+    """Step for a finite-difference partial of the given multi-index.
+
+    ``base`` is widened 1, 1, 10, 100 times for total order 0, 1, 2 and 3 or
+    more, to keep roundoff noise of the high-order stencils in check.
+    """
+    return base * (1.0, 1.0, 10.0, 100.0)[min(sum(orders), 3)]
+
+
 def fd_partial(f, pts, orders, steps, richardson=True, return_err=False):
     """Mixed central-difference partial of f at a batch of points.
 
@@ -118,10 +127,39 @@ class NumericScalarField:
     def partial_value(self, orders, pts):
         if sum(orders) == 0:
             return self.value(pts)
-        # widen the step for high orders to keep roundoff noise in check
-        total = sum(orders)
-        scale = {1: 1.0, 2: 10.0, 3: 100.0}[min(total, 3)]
-        return fd_partial(self.value, pts, orders, self.steps * scale)
+        return fd_partial(self.value, pts, orders, fd_step(self.steps, orders))
+
+
+def shifted(orders, *axes):
+    """The multi-index ``orders`` with one added on each of ``axes``."""
+    out = list(orders)
+    for a in axes:
+        out[a] += 1
+    return tuple(out)
+
+
+def unit(n, *axes):
+    """Multi-index of length n that is one on each of ``axes``.
+
+    ``unit(3, 1)`` is (0, 1, 0) and ``unit(3, 0, 0)`` is (2, 0, 0).
+    """
+    return shifted((0,) * n, *axes)
+
+
+def block_table(pts, rows, cols, entry, symmetric=False, dtype=float):
+    """Batched (N, rows, cols) table with ``[:, i, j] = entry(i, j, pts)``.
+
+    With ``symmetric`` only the entries with i <= j are evaluated and the
+    others are mirrored from them.
+    """
+    pts = np.atleast_2d(pts)
+    out = np.empty((pts.shape[0], rows, cols), dtype=dtype)
+    for i in range(rows):
+        for j in range(i if symmetric else 0, cols):
+            out[:, i, j] = entry(i, j, pts)
+            if symmetric:
+                out[:, j, i] = out[:, i, j]
+    return out
 
 
 def wirtinger_expansion(n, l, alpha, beta, gamma):

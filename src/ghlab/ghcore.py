@@ -30,7 +30,11 @@ import numpy as np
 from .fields import (
     NumericScalarField,
     SymbolicScalarField,
+    block_table,
     fd_partial,
+    fd_step,
+    shifted,
+    unit,
     wirtinger_expansion,
 )
 
@@ -174,47 +178,31 @@ class PotentialField:
         return out
 
 
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
-
-
 # ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
 
-class GHSolution:
-    """Evaluator bundle (V, W, connection, curvature) over a base domain.
+class BlockSolution:
+    """Batched block tables V (n x n) and W (l x l) over a base domain.
 
-    ``V``/``W`` are batched callables pts -> (N, n, n) / (N, l, l); partial
-    providers are optional closed forms, with finite differences over the
-    tables as the fallback.  ``connection`` gives the d eta_p coefficient of
-    each A_j (the d etabar coefficient is forced by reality and computed as
-    its own table when a potential is present).
+    ``V``/``W`` are callables pts -> (N, n, n) / (N, l, l).  The partial
+    providers ``V_partial``/``W_partial`` (orders, pts) -> table are optional
+    closed forms; without one, partials are finite differences of the table
+    with the shared ``fd_step`` policy.  Subclasses set the dtype of W.
     """
 
+    w_dtype = float
+
     def __init__(self, n, l, V, W, domain=None, potential=None,
-                 connection=None, V_partial=None, W_partial=None,
-                 connection_partial=None, discriminant=None, fd_steps=1e-4,
-                 name=""):
+                 V_partial=None, W_partial=None, fd_steps=1e-4, name=""):
         self.n, self.l = int(n), int(l)
         self._V, self._W = V, W
         self.domain = domain if domain is not None else WholeSpace()
         self.potential = potential
-        self._connection = connection
         self._V_partial = V_partial
         self._W_partial = W_partial
-        self._connection_partial = connection_partial
-        self.discriminant = discriminant
         self.fd_steps = fd_steps
         self.name = name
-
-    @property
-    def ncoords(self):
-        return self.n + 2 * self.l
-
-    # -- tables ------------------------------------------------------------
 
     def V(self, pts):
         return np.asarray(self._V(np.atleast_2d(pts)), dtype=float)
@@ -222,20 +210,52 @@ class GHSolution:
     def W(self, pts):
         pts = np.atleast_2d(pts)
         if self.l == 0:
-            return np.ones((pts.shape[0], 0, 0), dtype=complex)
-        return np.asarray(self._W(pts), dtype=complex)
+            return np.ones((pts.shape[0], 0, 0), dtype=self.w_dtype)
+        return np.asarray(self._W(pts), dtype=self.w_dtype)
+
+    def _partial(self, provider, table, orders, pts):
+        if provider is not None:
+            return provider(orders, pts)
+        return fd_partial(table, pts, orders, fd_step(self.fd_steps, orders))
 
     def V_partial(self, orders, pts):
-        if self._V_partial is not None:
-            return self._V_partial(orders, pts)
-        scale = {0: 1.0, 1: 1.0, 2: 10.0, 3: 100.0}[min(sum(orders), 3)]
-        return fd_partial(self.V, pts, orders, self.fd_steps * scale)
+        return self._partial(self._V_partial, self.V, orders, pts)
 
     def W_partial(self, orders, pts):
-        if self._W_partial is not None:
-            return self._W_partial(orders, pts)
-        scale = {0: 1.0, 1: 1.0, 2: 10.0, 3: 100.0}[min(sum(orders), 3)]
-        return fd_partial(self.W, pts, orders, self.fd_steps * scale)
+        return self._partial(self._W_partial, self.W, orders, pts)
+
+
+def at_zero_orders(partial, ncoords):
+    """The table pts -> partial((0, ..., 0), pts) of a partial provider."""
+    zero = (0,) * ncoords
+    return lambda pts: partial(zero, pts)
+
+
+class GHSolution(BlockSolution):
+    """Evaluator bundle (V, W, connection, curvature) over a base domain.
+
+    W is hermitian.  ``connection`` gives the d eta_p coefficient of each A_j
+    (the d etabar coefficient is forced by reality and computed as its own
+    table when a potential is present); its partials follow the same
+    provider-or-finite-difference rule as V and W.
+    """
+
+    w_dtype = complex
+
+    def __init__(self, n, l, V, W, domain=None, potential=None,
+                 connection=None, V_partial=None, W_partial=None,
+                 connection_partial=None, discriminant=None, fd_steps=1e-4,
+                 name=""):
+        super().__init__(n, l, V, W, domain=domain, potential=potential,
+                         V_partial=V_partial, W_partial=W_partial,
+                         fd_steps=fd_steps, name=name)
+        self._connection = connection
+        self._connection_partial = connection_partial
+        self.discriminant = discriminant
+
+    @property
+    def ncoords(self):
+        return self.n + 2 * self.l
 
     def connection(self, pts):
         if self._connection is None:
@@ -245,76 +265,32 @@ class GHSolution:
     def connection_partial(self, orders, pts):
         if self._connection is None:
             return None
-        if self._connection_partial is not None:
-            return self._connection_partial(orders, pts)
-        scale = {0: 1.0, 1: 1.0, 2: 10.0, 3: 100.0}[min(sum(orders), 3)]
-        return fd_partial(self.connection, pts, orders, self.fd_steps * scale)
-
-    # -- factories ----------------------------------------------------------
+        return self._partial(self._connection_partial, self.connection,
+                             orders, pts)
 
     @classmethod
     def from_potential(cls, phi, discriminant=None, name=""):
-        n, l = phi.n, phi.l
-
-        def V(pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    mi = tuple(a + b for a, b in
-                               zip(_unit(phi.ncoords, i), _unit(phi.ncoords, j)))
-                    out[:, i, j] = out[:, j, i] = phi.real_partial(mi, pts)
-            return out
-
-        def W(pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], l, l), dtype=complex)
-            for p in range(l):
-                for q in range(l):
-                    out[:, p, q] = -4.0 * phi.wirtinger(
-                        (0,) * n, _unit(l, p), _unit(l, q), pts)
-            return out
+        n, l, nc = phi.n, phi.l, phi.ncoords
 
         def V_partial(orders, pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    mi = tuple(a + b + c for a, b, c in
-                               zip(orders, _unit(phi.ncoords, i),
-                                   _unit(phi.ncoords, j)))
-                    out[:, i, j] = out[:, j, i] = phi.real_partial(mi, pts)
-            return out
+            return block_table(pts, n, n, lambda i, j, x: phi.real_partial(
+                shifted(orders, i, j), x), symmetric=True)
 
         def W_partial(orders, pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], l, l), dtype=complex)
-            for p in range(l):
-                for q in range(l):
-                    out[:, p, q] = -4.0 * phi.wirtinger(
-                        (0,) * n, _unit(l, p), _unit(l, q), pts, extra=orders)
-            return out
-
-        def connection(pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, l), dtype=complex)
-            for j in range(n):
-                for p in range(l):
-                    out[:, j, p] = 1j * phi.wirtinger(
-                        _unit(n, j), _unit(l, p), (0,) * l, pts)
-            return out
+            return block_table(pts, l, l, lambda p, q, x: -4.0 * phi.wirtinger(
+                (0,) * n, unit(l, p), unit(l, q), x, extra=orders),
+                dtype=complex)
 
         def connection_partial(orders, pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, l), dtype=complex)
-            for j in range(n):
-                for p in range(l):
-                    out[:, j, p] = 1j * phi.wirtinger(
-                        _unit(n, j), _unit(l, p), (0,) * l, pts, extra=orders)
-            return out
+            return block_table(pts, n, l, lambda j, p, x: 1j * phi.wirtinger(
+                unit(n, j), unit(l, p), (0,) * l, x, extra=orders),
+                dtype=complex)
 
-        return cls(n, l, V, W, domain=phi.domain, potential=phi,
-                   connection=connection if l else None,
+        return cls(n, l, at_zero_orders(V_partial, nc),
+                   at_zero_orders(W_partial, nc), domain=phi.domain,
+                   potential=phi,
+                   connection=at_zero_orders(connection_partial, nc)
+                   if l else None,
                    V_partial=V_partial, W_partial=W_partial,
                    connection_partial=connection_partial if l else None,
                    discriminant=discriminant, name=name or phi.name)
@@ -358,9 +334,9 @@ def connection_form(phi, point):
     for j in range(n):
         for p in range(l):
             d_eta[j, p] = 1j * phi.wirtinger(
-                _unit(n, j), _unit(l, p), (0,) * l, pts)[0]
+                unit(n, j), unit(l, p), (0,) * l, pts)[0]
             d_eta_bar[j, p] = -1j * phi.wirtinger(
-                _unit(n, j), (0,) * l, _unit(l, p), pts)[0]
+                unit(n, j), (0,) * l, unit(l, p), pts)[0]
     return d_eta, d_eta_bar
 
 
@@ -388,15 +364,15 @@ def curvature_tables(source, pts):
     uebar = np.zeros((N, n, n, l), dtype=complex)
     eebar = np.zeros((N, n, l, l), dtype=complex)
     for p in range(l):
-        vx = sol.V_partial(_unit(nc, n + p), pts)
-        vy = sol.V_partial(_unit(nc, n + l + p), pts)
+        vx = sol.V_partial(unit(nc, n + p), pts)
+        vy = sol.V_partial(unit(nc, n + l + p), pts)
         deta = 0.5 * (vx - 1j * vy)      # dV/d eta_p, (N, n, n)
         detabar = 0.5 * (vx + 1j * vy)
         for j in range(n):
             ue[:, j, :, p] = 1j * deta[:, :, j]
             uebar[:, j, :, p] = -1j * detabar[:, :, j]
     for j in range(n):
-        wu = sol.W_partial(_unit(nc, j), pts)
+        wu = sol.W_partial(unit(nc, j), pts)
         eebar[:, j, :, :] = 0.5j * wu
     return {"ue": ue, "uebar": uebar, "eebar": eebar}
 
@@ -562,18 +538,13 @@ def potential_identity_residual(sol, pts):
     worst = 0.0
     for i in range(n):
         for j in range(n):
-            mi = tuple(x + y for x, y in zip(_unit(nc, i), _unit(nc, j)))
-            wuu = sol.W_partial(mi, pts)
+            wuu = sol.W_partial(unit(nc, i, j), pts)
             for p in range(l):
                 for q in range(l):
-                    xx = tuple(x + y for x, y in
-                               zip(_unit(nc, n + p), _unit(nc, n + q)))
-                    yy = tuple(x + y for x, y in
-                               zip(_unit(nc, n + l + p), _unit(nc, n + l + q)))
-                    xy = tuple(x + y for x, y in
-                               zip(_unit(nc, n + p), _unit(nc, n + l + q)))
-                    yx = tuple(x + y for x, y in
-                               zip(_unit(nc, n + l + p), _unit(nc, n + q)))
+                    xx = unit(nc, n + p, n + q)
+                    yy = unit(nc, n + l + p, n + l + q)
+                    xy = unit(nc, n + p, n + l + q)
+                    yx = unit(nc, n + l + p, n + q)
                     vterm = (sol.V_partial(xx, pts) + sol.V_partial(yy, pts)
                              + 1j * (sol.V_partial(xy, pts)
                                      - sol.V_partial(yx, pts)))

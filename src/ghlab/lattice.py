@@ -284,12 +284,11 @@ def validate_dual_pair(tau, sigma):
     return DualSimplexPair(tau, sigma, tau.certificate, fiber, base)
 
 
-def wall_complex(simplex, certificate=None, basis=None):
+def wall_complex(simplex, basis=None):
     """Normal-fan wall arrangement of a simplex in quotient coordinates.
 
-    The fan is built from vertex differences only, so the certificate is
-    accepted for interface compatibility but not needed.  ``basis`` overrides
-    the canonical HNF basis of the saturated difference lattice (rows are
+    The fan is built from vertex differences only.  ``basis`` overrides the
+    canonical HNF basis of the saturated difference lattice (rows are
     ambient lattice vectors).
     """
     if not isinstance(simplex, LatticeSimplex):

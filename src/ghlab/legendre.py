@@ -31,8 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
-from .fields import NumericScalarField, SymbolicScalarField, fd_partial
-from .ghcore import ResidualReport, WholeSpace
+from .fields import (
+    NumericScalarField,
+    SymbolicScalarField,
+    block_table,
+    shifted,
+    unit,
+)
+from .ghcore import BlockSolution, ResidualReport, at_zero_orders
 from .lattice import wall_complex
 
 
@@ -56,24 +62,19 @@ class LoopHitsSingularity(LegendreError):
     pass
 
 
-def _unit(n, i):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
+class SplitMASolution(BlockSolution):
+    """Blocks (V, B, W) of a split potential, table- or potential-backed.
 
-
-class SplitMASolution:
-    """Blocks (V, B, W) of a split potential, table- or potential-backed."""
+    W is real symmetric; B is zero when no table is given.
+    """
 
     def __init__(self, n, l, V, W, B=None, potential=None, V_partial=None,
                  W_partial=None, domain=None, singular_points=None,
                  charges=None, wall_pair=None, fd_steps=1e-4, name=""):
-        self.n, self.l = int(n), int(l)
-        self._V, self._W, self._B = V, W, B
-        self.potential = potential
-        self._V_partial = V_partial
-        self._W_partial = W_partial
-        self.domain = domain if domain is not None else WholeSpace()
+        super().__init__(n, l, V, W, domain=domain, potential=potential,
+                         V_partial=V_partial, W_partial=W_partial,
+                         fd_steps=fd_steps, name=name)
+        self._B = B
         self.singular_points = [np.asarray(p, dtype=float)
                                 for p in (singular_points or [])]
         self.charges = [np.asarray(c, dtype=float) for c in (charges or [])]
@@ -81,8 +82,6 @@ class SplitMASolution:
             self.charges = [np.ones((self.n, self.l))
                             for _ in self.singular_points]
         self.wall_pair = wall_pair    # (fiber complex, base complex) or None
-        self.fd_steps = fd_steps
-        self.name = name
 
     @property
     def dim(self):
@@ -96,84 +95,25 @@ class SplitMASolution:
             K = SymbolicScalarField(K, symbols)
         d = n + l
 
-        def V(pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    mi = tuple(a + b for a, b in zip(_unit(d, i), _unit(d, j)))
-                    out[:, i, j] = out[:, j, i] = K.partial_value(mi, pts)
-            return out
+        def hessian_block(sign, rows, cols, r0, c0, symmetric):
+            def partial(orders, pts):
+                return block_table(pts, rows, cols, lambda i, j, x: sign * (
+                    K.partial_value(shifted(orders, r0 + i, c0 + j), x)),
+                    symmetric=symmetric)
+            return partial
 
-        def W(pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], l, l))
-            for p in range(l):
-                for q in range(p, l):
-                    mi = tuple(a + b for a, b in
-                               zip(_unit(d, n + p), _unit(d, n + q)))
-                    val = -K.partial_value(mi, pts)
-                    out[:, p, q] = out[:, q, p] = val
-            return out
-
-        def B(pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, l))
-            for i in range(n):
-                for p in range(l):
-                    mi = tuple(a + b for a, b in
-                               zip(_unit(d, i), _unit(d, n + p)))
-                    out[:, i, p] = K.partial_value(mi, pts)
-            return out
-
-        def V_partial(orders, pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    mi = tuple(a + b + c for a, b, c in
-                               zip(orders, _unit(d, i), _unit(d, j)))
-                    out[:, i, j] = out[:, j, i] = K.partial_value(mi, pts)
-            return out
-
-        def W_partial(orders, pts):
-            pts = np.atleast_2d(pts)
-            out = np.empty((pts.shape[0], l, l))
-            for p in range(l):
-                for q in range(p, l):
-                    mi = tuple(a + b + c for a, b, c in
-                               zip(orders, _unit(d, n + p), _unit(d, n + q)))
-                    val = -K.partial_value(mi, pts)
-                    out[:, p, q] = out[:, q, p] = val
-            return out
-
-        return cls(n, l, V, W, B=B, potential=K, V_partial=V_partial,
-                   W_partial=W_partial, domain=domain, name=name, **kw)
-
-    # -- tables -------------------------------------------------------------
-
-    def V(self, pts):
-        return np.asarray(self._V(np.atleast_2d(pts)), dtype=float)
-
-    def W(self, pts):
-        return np.asarray(self._W(np.atleast_2d(pts)), dtype=float)
+        V_partial = hessian_block(1.0, n, n, 0, 0, True)
+        W_partial = hessian_block(-1.0, l, l, n, n, True)
+        B = at_zero_orders(hessian_block(1.0, n, l, 0, n, False), d)
+        return cls(n, l, at_zero_orders(V_partial, d),
+                   at_zero_orders(W_partial, d), B=B, potential=K,
+                   V_partial=V_partial, W_partial=W_partial, domain=domain,
+                   name=name, **kw)
 
     def B(self, pts):
         if self._B is None:
             return np.zeros((np.atleast_2d(pts).shape[0], self.n, self.l))
         return np.asarray(self._B(np.atleast_2d(pts)), dtype=float)
-
-    def V_partial(self, orders, pts):
-        if self._V_partial is not None:
-            return self._V_partial(orders, pts)
-        scale = {0: 1.0, 1: 1.0, 2: 10.0}[min(sum(orders), 2)]
-        return fd_partial(self.V, pts, orders, self.fd_steps * scale)
-
-    def W_partial(self, orders, pts):
-        if self._W_partial is not None:
-            return self._W_partial(orders, pts)
-        scale = {0: 1.0, 1: 1.0, 2: 10.0}[min(sum(orders), 2)]
-        return fd_partial(self.W, pts, orders, self.fd_steps * scale)
 
     def gradient_s(self, pts):
         """(K_{s_1}, ..., K_{s_n}) - needs a potential."""
@@ -182,7 +122,7 @@ class SplitMASolution:
         pts = np.atleast_2d(pts)
         out = np.empty((pts.shape[0], self.n))
         for i in range(self.n):
-            out[:, i] = self.potential.partial_value(_unit(self.dim, i), pts)
+            out[:, i] = self.potential.partial_value(unit(self.dim, i), pts)
         return out
 
     def min_singular_distance(self, pts):
@@ -525,8 +465,8 @@ def beta_holonomy(sol, loop, nodes=12, guard=1e-6):
         if sol.min_segment_distance(a, b) < guard:
             raise LoopHitsSingularity("loop passes through the singular support")
         w = 0.5 * gl_w   # d t in [0,1]
-        dWs = [sol.W_partial(_unit(d, i), pts) for i in range(n)]
-        dVt = [sol.V_partial(_unit(d, n + q), pts) for q in range(l)]
+        dWs = [sol.W_partial(unit(d, i), pts) for i in range(n)]
+        dVt = [sol.V_partial(unit(d, n + q), pts) for q in range(l)]
         for i in range(n):
             for q in range(l):
                 integrand = np.zeros(nodes)

@@ -260,8 +260,7 @@ def amoeba_contains(P, x, tol=1e-6, sweep=720):
 
 def spine(pair):
     """Wall complex of sigma in the stored base-lattice coordinates."""
-    return wall_complex(pair.sigma, certificate=pair.tau.vertices[0],
-                        basis=pair.base_basis)
+    return wall_complex(pair.sigma, basis=pair.base_basis)
 
 
 def laurent_from_pair(pair, coefficients=None):

@@ -98,19 +98,22 @@ class TestCriterion3TaubNut:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         pts *= rng.uniform(0.5, 2.0, size=(1000, 1))
         lap = float(np.max(np.abs(taub_nut_laplacian(2.0, pts))))
-        # the closed-form constructor uses one function for both blocks
-        # (exact); the potential route derives them independently as
-        # d^2/du^2 and -4 d^2/(d eta d etabar), agreeing to roundoff
-        closed_gap = float(np.max(np.abs(taub_nut_V(2.0, 1.0, pts)
-                                         - taub_nut_V(2.0, 1.0, pts))))
         sol = taub_nut(2.0, 1.0)
         keep = pts[sol.domain.contains(pts)]
+        # the potential route, V = Phi_uu, against the closed form ell/(2r) + a
+        exact = taub_nut_V(2.0, 1.0, keep)
+        closed_gap = float(np.max(np.abs(sol.V(keep)[:, 0, 0] - exact)
+                                  / exact))
+        # V = d^2/du^2 and W = -4 d^2/(d eta d etabar) are derived
+        # independently from the potential and agree to roundoff
         route_gap = float(np.max(np.abs(sol.V(keep)[:, 0, 0]
                                         - sol.W(keep)[:, 0, 0].real)))
-        ok = lap < 1e-8 and closed_gap == 0.0 and route_gap < 1e-12
+        ok = lap < 1e-8 and closed_gap <= 1e-12 and route_gap < 1e-12
         report(3, ok, f"|Delta V| max {lap:.2e} (tol 1e-8) at 1000 annulus "
-                      f"points; det V - det W: {closed_gap} exact (closed "
-                      f"form), {route_gap:.2e} via the two potential routes")
+                      f"points; potential-route V vs ell/(2r) + a: "
+                      f"{closed_gap:.2e} relative (tol 1e-12) at {len(keep)} "
+                      f"points; det V - det W: {route_gap:.2e} via the two "
+                      f"potential routes")
 
 
 class TestCriterion4Bessel:

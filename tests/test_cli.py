@@ -45,6 +45,26 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [
+    ["verify-flat", "--samples", "20", "--grid", "8"],
+    ["verify-taubnut", "--samples", "100"],
+    ["ov", "--modes", "8", "--helmholtz-modes", "2"],
+    ["ronkin", "--range", "-1:1:0.5", "--nodes", "64"],
+    ["amoeba"],
+    ["legendre", "--grid", "3", "--samples", "20"],
+    ["holonomy", "--segments", "16"],
+    ["decay"],
+    ["collapse", "--lambdas", "1,5", "--nodes", "64"],
+], ids=lambda args: args[0])
+def test_json_report_of_every_command(tmp_path, capsys, args):
+    out = tmp_path / "rep.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert "configHash" in rep
+    for check in rep.get("checks", []):
+        assert type(check["pass"]) is bool
+
+
 class TestConfigMerging:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -142,7 +162,3 @@ class TestEntryPoint:
              "--point", "1"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "contains=False" in proc.stdout
-
-    def test_threads_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("GHLAB_THREADS", "2")
-        assert run_cli(["verify-flat", "--samples", "8", "--grid", "8"]) == 0

@@ -149,6 +149,32 @@ class TestBlockIdentities:
         assert inverse_minor_residual(M, [0], [0]) < 1e-15
 
 
+class TestTableOnlyFallback:
+    """Blocks given as tables only: partials come from finite differences."""
+
+    @pytest.mark.parametrize("order, tol", [(1, 1e-9), (2, 1e-7), (3, 1e-7)])
+    def test_fd_partials_match_potential(self, order, tol):
+        sol = harmonic_exp_solution()
+        table_only = SplitMASolution(1, 1, sol.V, sol.W, B=sol.B)
+        pts = np.random.default_rng(11).uniform(-0.5, 0.5, size=(16, 2))
+        worst = 0.0
+        for orders in ((k, order - k) for k in range(order + 1)):
+            for fd, exact in ((table_only.V_partial, sol.V_partial),
+                              (table_only.W_partial, sol.W_partial)):
+                worst = max(worst, float(np.max(np.abs(
+                    fd(orders, pts) - exact(orders, pts)))))
+        assert worst < tol
+
+    def test_holonomy_of_table_only_singular_family(self):
+        sol = singular_2d(h=1.0)
+        table_only = SplitMASolution(
+            1, 1, sol.V, sol.W, singular_points=sol.singular_points,
+            charges=sol.charges)
+        rep = beta_holonomy(table_only, circle_loop(radius=1.0, segments=64))
+        assert rep.windings == [1]
+        assert abs(rep.holonomy[0, 0] + 1.0) < 1e-6
+
+
 class TestDual:
     def test_self_dual_quadratic(self):
         sol = SplitMASolution.from_potential(S ** 2 / 2 - T ** 2 / 2, 1, 1,
