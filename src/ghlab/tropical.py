@@ -1,10 +1,14 @@
 """Laurent polynomials, Ronkin functions, amoebas and tropical limits.
 
 The Ronkin function is the torus-fiber average of kappa*log|P|,
-    N(x) = kappa / (2 pi)^l * integral over [0,2pi)^l of log|P(e^{x+i theta})|,
-computed by tensor trapezoid quadrature with seeded grid jitter and node
-doubling.  ``kappa`` in {1, 2} selects the normalization (kappa=1 makes the
-tropical slopes equal to the exponent vectors literally).
+    N(x) = kappa / (2 pi)^l * integral over [0,2pi)^l of log|P(e^{x+i theta})|.
+Jensen's formula gives the average over the last variable exactly from the
+roots r_k of the fiber polynomial sum_k a_k w^k,
+    log|a_d| + sum_k max(x_l, log|r_k|),
+so one variable needs no quadrature, and two variables leave a continuous
+periodic average over theta_1 (trapezoid rule with node doubling).
+``kappa`` in {1, 2} selects the normalization (kappa=1 makes the tropical
+slopes equal to the exponent vectors literally).
 """
 
 from __future__ import annotations
@@ -15,16 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import GHLAB_SEED
 from .lattice import wall_complex
 
 
 class TropicalError(Exception):
     pass
-
-
-class SingularFiber(TropicalError):
-    """A zero of P sits on a quadrature node even after jitter retries."""
 
 
 class RootFindingFailure(TropicalError):
@@ -92,34 +91,94 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Ronkin function
+# fiber roots and Jensen's formula
 # ---------------------------------------------------------------------------
 
-def _log_abs_on_torus(P, x, nodes, offsets):
-    """Mean of log|P| on the torus |z_k| = e^{x_k} with jittered nodes."""
-    l = P.nvars
-    axes = [2.0 * np.pi * np.arange(nodes) / nodes + offsets[k] for k in range(l)]
-    if l == 1:
-        theta = axes[0][:, None]
-    else:
-        t0, t1 = np.meshgrid(axes[0], axes[1], indexing="ij")
-        theta = np.stack([t0, t1], axis=-1).reshape(-1, 2)
-    z = np.exp(np.asarray(x, dtype=float) + 1j * theta)
-    vals = np.abs(P.evaluate(z))
-    scale = float(np.max(vals)) if vals.size else 1.0
-    if scale == 0.0 or np.min(vals) < 1e-13 * max(scale, 1e-300):
-        return None
-    return float(np.mean(np.log(vals)))
+def _fiber_roots(P, x1, theta):
+    """Coefficients and roots of P in its last variable, batched over theta_1.
 
+    Row j of ``coeffs`` holds a_0..a_d with P(e^{x1 + i theta_j}, w) =
+    w^emin * sum_k a_k w^k; a one-variable P gives one row, P itself.  The
+    roots come from stacked companion matrices and one ``eigvals`` call, each
+    row normalized by its larger end coefficient (the reversed polynomial
+    when |a_0| > |a_d|), so a vanishing a_d gives a root at infinity, not a
+    division by zero.  Numerically split multiple roots (a cluster of width
+    about eps^{1/m}) are found by overlapping Newton inclusion disks of radius
+    d*|p(r)|/|p'(r)| and replaced by the well-conditioned cluster centroid.
+    Returns (emin, coeffs (N, d+1), roots (N, d)).
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    last = P.exponents()[:, -1]
+    emin, d = int(last.min()), int(last.max() - last.min())
+    coeffs = np.zeros((theta.size, d + 1), dtype=complex)
+    for e, c in P.terms:
+        coeffs[:, e[-1] - emin] += (c * np.exp(e[0] * (x1 + 1j * theta))
+                                    if P.nvars == 2 else c)
+    flip = np.abs(coeffs[:, 0]) > np.abs(coeffs[:, -1])
+    poly = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
+    lead = poly[:, -1:]
+    if d and not np.all(lead):
+        raise RootFindingFailure("P vanishes at both ends of a fiber")
+    if d <= 1:
+        s = -poly[:, :d] / lead
+    else:
+        comp = np.zeros((theta.size, d, d), dtype=complex)
+        comp[:, 0, :] = -poly[:, -2::-1] / lead
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        s = np.linalg.eigvals(comp)
+    # Horner for p(s), p'(s) and the term scale sum_k |a_k s^k|
+    p, dp, mag = np.repeat(lead, d, axis=1), np.zeros_like(s), np.abs(lead)
+    for k in range(d - 1, -1, -1):
+        dp = dp * s + p
+        p = p * s + poly[:, k:k + 1]
+        mag = mag * np.abs(s) + np.abs(poly[:, k:k + 1])
+    res = np.abs(p)
+    if not np.all(res <= 1e-10 * mag):
+        raise RootFindingFailure(
+            f"root residual {float(np.max(res / mag)):.2e} too large")
+    if d > 1:
+        rad = d * res / np.maximum(np.abs(dp), np.finfo(float).tiny)
+        near = (np.abs(s[:, :, None] - s[:, None, :])
+                <= rad[:, :, None] + rad[:, None, :])
+        for _ in range((d - 1).bit_length()):
+            near = near @ near
+        s = (near @ s[..., None])[..., 0] / near.sum(axis=-1)
+    inv = np.divide(1.0, s, out=np.full(s.shape, np.inf, dtype=complex),
+                    where=s != 0)
+    return emin, coeffs, np.where(flip[:, None], inv, s)
+
+
+def _fiber_log_mean(coeffs, roots, x):
+    """Jensen's formula per row: the mean of log|sum_k a_k w^k| on |w| = e^x.
+
+    With a_d anchoring, log|a_d| + sum_k max(x, log|r_k|); where |a_0| is the
+    larger end coefficient the same value is log|a_0| + sum_k max(0, x -
+    log|r_k|), in which a root at infinity contributes 0 instead of inf - inf.
+    """
+    with np.errstate(divide="ignore"):
+        logr = np.log(np.abs(roots))
+        top = np.log(np.abs(coeffs[:, -1]))
+        bottom = np.log(np.abs(coeffs[:, 0]))
+    lead = top >= bottom
+    terms = np.where(lead[:, None], np.maximum(x, logr),
+                     np.maximum(0.0, x - logr))
+    return np.where(lead, top, bottom) + terms.sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Ronkin function
+# ---------------------------------------------------------------------------
 
 def ronkin(P, x, nodes=64, kappa=1, tol=1e-6, max_doublings=5):
     """Torus average of kappa*log|P| at log-modulus x.
 
-    Node doubling continues until two successive estimates agree to ``tol``
-    or the doubling budget is spent (the last estimate is returned; on
-    singular fibers the quadrature error is dominated by the jittered nodes
-    nearest the zero set and decays roughly like log(n)/n^2).  Deterministic:
-    jitter offsets come from a fixed seed.
+    One variable: Jensen's formula, exact up to rounding (``nodes``, ``tol``
+    and ``max_doublings`` are unused).  Two variables: Jensen's formula in z2,
+    averaged over theta_1 by the trapezoid rule on ``nodes`` points, doubled
+    until two successive estimates differ by less than ``tol`` or
+    ``max_doublings`` doublings are spent (the last estimate is returned).
+    The theta_1 integrand is continuous and periodic with kinks where a root
+    crosses |z2| = e^{x2}, so the error decays like nodes^-2.
     """
     if P.nvars > 2:
         raise ValueError("ronkin supports at most 2 variables")
@@ -128,28 +187,18 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6, max_doublings=5):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size != P.nvars:
         raise ValueError("x has wrong length")
-    rng = np.random.default_rng(GHLAB_SEED)
-    offsets = rng.uniform(0.0, 2.0 * np.pi, size=P.nvars)
-    cap = 2048 if P.nvars == 2 else 1 << 16
 
     def estimate(n):
-        val = _log_abs_on_torus(P, x, n, offsets)
-        retries = 0
-        while val is None and retries < 3:
-            retries += 1
-            jitter = rng.uniform(0.0, 2.0 * np.pi, size=P.nvars)
-            val = _log_abs_on_torus(P, x, n, jitter)
-        if val is None:
-            raise SingularFiber(f"zero of P on the fiber log|z| = {x}")
-        return val
+        emin, coeffs, roots = _fiber_roots(
+            P, x[0], 2.0 * np.pi * np.arange(n) / n)
+        return emin * x[-1] + float(np.mean(
+            _fiber_log_mean(coeffs, roots, x[-1])))
 
+    if P.nvars == 1:
+        return kappa * estimate(1)
     prev = estimate(nodes)
-    n = nodes
-    for _ in range(max_doublings):
-        if n * 2 > cap:
-            break
-        n *= 2
-        cur = estimate(n)
+    for k in range(1, max_doublings + 1):
+        cur = estimate(nodes << k)
         if abs(cur - prev) < tol:
             return kappa * cur
         prev = cur
@@ -181,81 +230,57 @@ def tropical_limit(P, t, kappa=1, include_coefficients=True):
 # amoeba membership
 # ---------------------------------------------------------------------------
 
-def _laurent_roots_1d(P, scale=1.0):
-    """Roots of a one-variable Laurent polynomial (companion matrix)."""
-    exps = P.exponents()[:, 0]
-    emin, emax = int(exps.min()), int(exps.max())
-    deg = emax - emin
-    if deg == 0:
-        return np.array([])
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for e, c in P.terms:
-        coeffs[e[0] - emin] = c
-    roots = np.roots(coeffs[::-1])
-    # residual check relative to the term scale at each root
-    for r in roots:
-        if r == 0:
-            continue
-        mags = np.abs(P.coefficients()) * np.abs(r) ** (exps - emin)
-        res = abs(np.polyval(coeffs[::-1], r))
-        if res > 1e-10 * max(mags.sum(), 1e-300) * scale:
-            raise RootFindingFailure(f"root residual {res:.2e} too large")
-    return roots
+def _amoeba_gap(P, x, tol=1e-6, sweep=720):
+    """Distance in log|z_l| from x to the zero set over the fiber, and a zero.
+
+    The gap is min |log|z_l| - x_l| over zeros z of P with log|z_k| = x_k
+    for k < l: exact in one variable, a ``sweep``-angle scan of theta_1 with
+    golden-section refinement of the best angle in two.  The witness is the
+    zero attaining it, as an (l,) complex array (None when P has no zeros
+    in its last variable).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if P.nvars > 2:
+        raise ValueError("amoeba_contains supports at most 2 variables")
+    if np.ptp(P.exponents()[:, -1]) == 0:
+        return math.inf, None
+
+    def nearest(theta):
+        _, _, roots = _fiber_roots(P, x[0], theta)
+        with np.errstate(divide="ignore"):
+            gaps = np.abs(np.log(np.abs(roots)) - x[-1])
+        j, k = np.unravel_index(np.argmin(gaps), gaps.shape)
+        z = [np.exp(x[0] + 1j * theta[j])] if P.nvars == 2 else []
+        return float(gaps[j, k]), np.array(z + [roots[j, k]]), theta[j]
+
+    thetas = 2.0 * np.pi * np.arange(sweep if P.nvars == 2 else 1) / sweep
+    best = nearest(thetas)
+    if best[0] <= tol or P.nvars == 1:
+        return best[:2]
+    # golden-section refinement around the best angle
+    a = best[2] - 2.0 * np.pi / sweep
+    b = best[2] + 2.0 * np.pi / sweep
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = nearest(np.array([c])), nearest(np.array([d]))
+    for _ in range(60):
+        if fc[0] < fd[0]:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = nearest(np.array([c]))
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = nearest(np.array([d]))
+        best = min(best, fc, fd, key=lambda t: t[0])
+        if best[0] <= tol:
+            break
+    return best[:2]
 
 
 def amoeba_contains(P, x, tol=1e-6, sweep=720):
     """Does the torus fiber log|z| = x meet the zero set of P?"""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if P.nvars == 1:
-        roots = _laurent_roots_1d(P)
-        roots = roots[np.abs(roots) > 0]
-        if roots.size == 0:
-            return False
-        return bool(np.min(np.abs(np.log(np.abs(roots)) - x[0])) <= tol)
-    if P.nvars != 2:
-        raise ValueError("amoeba_contains supports at most 2 variables")
-
-    def gap(theta):
-        z1 = np.exp(x[0] + 1j * theta)
-        sub = {}
-        for e, c in P.terms:
-            sub.setdefault(e[1], 0.0)
-            sub[e[1]] += c * z1 ** e[0]
-        terms = [((k,), v) for k, v in sub.items() if abs(v) > 1e-14]
-        if not terms:
-            return 0.0   # identically zero in z2: fiber certainly meets
-        Q = LaurentPoly.make(terms)
-        roots = _laurent_roots_1d(Q)
-        roots = roots[np.abs(roots) > 0]
-        if roots.size == 0:
-            return math.inf
-        return float(np.min(np.abs(np.log(np.abs(roots)) - x[1])))
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, sweep, endpoint=False)
-    gaps = np.array([gap(t) for t in thetas])
-    k = int(np.argmin(gaps))
-    best = gaps[k]
-    if best <= tol:
-        return True
-    # golden-section refinement around the best angle
-    a = thetas[k] - 2.0 * np.pi / sweep
-    b = thetas[k] + 2.0 * np.pi / sweep
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = gap(c), gap(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = gap(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = gap(d)
-        best = min(best, fc, fd)
-        if best <= tol:
-            return True
-    return bool(best <= tol)
+    return bool(_amoeba_gap(P, x, tol=tol, sweep=sweep)[0] <= tol)
 
 
 def spine(pair):
@@ -297,52 +322,31 @@ def ronkin_hessian_mass(P, box, nodes=64, kappa=1, step=0.05, face_res=17,
     """Total second-derivative mass of N over a box.
 
     Returns the (l x l) matrix approximating the integral of Hess N, computed
-    as boundary differences of finite-difference gradients; for l = 1 this is
-    the slope jump across the box.
+    as boundary differences of finite-difference gradients (trapezoid rule on
+    ``face_res`` points along each face); for l = 1 this is the slope jump
+    across the interval.
     """
     l = P.nvars
     if l > 2:
         raise ValueError("supports at most 2 variables")
+    box = np.asarray(box, dtype=float).reshape(l, 2)
+    e = step * np.eye(l)
 
-    def NV(x):
-        return ronkin(P, x, nodes=nodes, kappa=kappa, tol=tol)
+    def grad(x):
+        return [(ronkin(P, x + e[q], nodes=nodes, kappa=kappa, tol=tol)
+                 - ronkin(P, x - e[q], nodes=nodes, kappa=kappa, tol=tol))
+                / (2.0 * step) for q in range(l)]
 
-    if l == 1:
-        a, b = float(box[0]), float(box[1])
-        slope_b = (NV(b + step) - NV(b - step)) / (2.0 * step)
-        slope_a = (NV(a + step) - NV(a - step)) / (2.0 * step)
-        return np.array([[slope_b - slope_a]])
-
-    (a1, b1), (a2, b2) = box
-    out = np.zeros((2, 2))
-
-    def grad_component(x, q):
-        e = np.zeros(2)
-        e[q] = step
-        return (NV(np.asarray(x) + e) - NV(np.asarray(x) - e)) / (2.0 * step)
-
-    for p in range(2):
-        lo = [a1, a2][p]
-        hi = [b1, b2][p]
-        other = 1 - p
-        olo, ohi = [(a1, b1), (a2, b2)][other]
-        ts = np.linspace(olo, ohi, face_res)
-        w = np.full(face_res, (ohi - olo) / (face_res - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        for q in range(2):
-            hi_vals = []
-            lo_vals = []
-            for t in ts:
-                xhi = [0.0, 0.0]
-                xhi[p] = hi
-                xhi[other] = t
-                xlo = [0.0, 0.0]
-                xlo[p] = lo
-                xlo[other] = t
-                hi_vals.append(grad_component(xhi, q))
-                lo_vals.append(grad_component(xlo, q))
-            out[p, q] = float(np.dot(w, hi_vals) - np.dot(w, lo_vals))
+    out = np.zeros((l, l))
+    for p in range(l):
+        face = np.zeros((face_res if l == 2 else 1, l))
+        if l == 2:
+            face[:, 1 - p] = np.linspace(*box[1 - p], face_res)
+        for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
+            face[:, p] = end
+            g = np.array([grad(x) for x in face])
+            out[p] += sign * (np.trapezoid(g, face[:, 1 - p], axis=0)
+                              if l == 2 else g[0])
     return out
 
 

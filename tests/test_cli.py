@@ -37,6 +37,46 @@ class TestExitCodes:
     def test_insufficient_grid_is_config_error(self, capsys):
         assert run_cli(["decay", "--rrange", "0.5:3:0.5"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["amoeba", "--poly", "1+z1+z2+z3", "--point", "0,0,0"],
+        ["collapse", "--poly", "1+z1+z2"],
+        ["decay", "--gate-modes", "4,x"],
+        ["ov", "--flux-radii", "-0.3", "0.5"],
+    ], ids=["amoeba-3-vars", "collapse-2-vars", "decay-gate-modes",
+            "ov-radius"])
+    def test_unsupported_input_is_config_error(self, capsys, args):
+        assert run_cli(args) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"points": [[1, 0], [0, 1], [-1, 0]]}),
+        json.dumps({"loop": [[1, 0, 0], [0, 1, 0], [-1, 0, 0]]}),
+        json.dumps({"loop": [[1, 0], [0, "a"], [-1, 0]]}),
+    ], ids=["malformed", "no-loop", "3-d", "not-numeric"])
+    def test_bad_loop_file_is_config_error(self, tmp_path, capsys, text):
+        loop = tmp_path / "loop.json"
+        loop.write_text(text)
+        assert run_cli(["holonomy", "--loop-file", str(loop)]) == 2
+        assert "loop" in capsys.readouterr().err
+
+    def test_loop_file_is_used(self, tmp_path, capsys):
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps({"loop": [[0.5, 0], [0, 0.5], [-0.5, 0],
+                                             [0, -0.5]]}))
+        assert run_cli(["holonomy", "--loop-file", str(loop)]) == 0
+        assert "windings=[1]" in capsys.readouterr().out
+
+    def test_program_fault_is_not_config_error(self, monkeypatch):
+        from ghlab import cli
+
+        def broken(p, meta):
+            raise ValueError("bug")
+
+        monkeypatch.setitem(cli._RUNNERS, "amoeba", broken)
+        with pytest.raises(ValueError, match="bug"):
+            run_cli(["amoeba"])
+
     def test_failing_check_is_one(self, capsys):
         # gate the decay fit on mode 1, whose true slope is 1.29
         code = run_cli(["decay", "--rrange", "0.5:3:0.25", "--gate-modes",
@@ -63,6 +103,40 @@ def test_json_report_of_every_command(tmp_path, capsys, args):
     assert "configHash" in rep
     for check in rep.get("checks", []):
         assert type(check["pass"]) is bool
+
+
+@pytest.mark.parametrize("poly,point", [
+    ("1+z1+z2", "0,0"), ("1+z1+z2", "3,0"), ("1+z", "0"), ("1+z", "1"),
+])
+def test_amoeba_membership_is_certified(monkeypatch, capsys, poly, point):
+    from ghlab import tropical
+
+    args = ["amoeba", "--poly", poly, "--point", point]
+    assert run_cli(args) == 0
+    real = tropical.amoeba_contains
+    monkeypatch.setattr(tropical, "amoeba_contains",
+                        lambda *a, **kw: not real(*a, **kw))
+    assert run_cli(args) == 1
+    assert "FAIL amoeba-membership" in capsys.readouterr().out
+
+
+def test_contractible_holonomy_catches_wrong_dv_dt(monkeypatch, capsys):
+    from ghlab import legendre
+
+    real = legendre.singular_2d
+
+    def mutated(*a, **kw):
+        # scale the dV/dt term of beta by 3
+        sol = real(*a, **kw)
+        V_partial = sol.V_partial
+        sol.V_partial = lambda orders, pts: (
+            3.0 if tuple(orders) == (0, 1) else 1.0) * V_partial(orders, pts)
+        return sol
+
+    assert run_cli(["holonomy"]) == 0
+    monkeypatch.setattr(legendre, "singular_2d", mutated)
+    assert run_cli(["holonomy"]) == 1
+    assert "FAIL holonomy-contractible" in capsys.readouterr().out
 
 
 class TestConfigMerging:
