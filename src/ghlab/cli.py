@@ -279,14 +279,14 @@ def _fiber_windings(P, x, tol, nodes=256):
 
 
 def _cmd_amoeba(p, meta):
-    from .tropical import _amoeba_gap, amoeba_contains
+    from .tropical import _amoeba_gap
 
     P, x, tol = p["poly"], np.asarray(p["point"]), p["tol"]
-    inside = amoeba_contains(P, x, tol=tol)
+    gap, z = _amoeba_gap(P, x, tol=tol)
+    inside = bool(gap <= tol)
     details = {"point": p["point"], "contains": inside}
     if inside:
         # certificate: a zero of P on the fiber, to tol in log-modulus
-        z = _amoeba_gap(P, x, tol=tol)[1]
         ok = z is not None
         if ok:
             scale = sum(abs(c) * np.prod(np.abs(z) ** np.array(e))

@@ -1,14 +1,11 @@
 """Laurent polynomials, Ronkin functions, amoebas and tropical limits.
 
-The Ronkin function is the torus-fiber average of kappa*log|P|,
-    N(x) = kappa / (2 pi)^l * integral over [0,2pi)^l of log|P(e^{x+i theta})|.
-Jensen's formula gives the average over the last variable exactly from the
-roots r_k of the fiber polynomial sum_k a_k w^k,
-    log|a_d| + sum_k max(x_l, log|r_k|),
-so one variable needs no quadrature, and two variables leave a continuous
-periodic average over theta_1 (trapezoid rule with node doubling).
-``kappa`` in {1, 2} selects the normalization (kappa=1 makes the tropical
-slopes equal to the exponent vectors literally).
+The Ronkin function N(x) is the average of kappa*log|P(e^{x+i theta})| over
+the torus.  Jensen's formula gives the average over the last variable
+exactly from the roots r_k of the fiber polynomial sum_k a_k w^k, as
+log|a_d| + sum_k max(x_l, log|r_k|); two variables leave a periodic average
+over theta_1.  ``kappa`` in {1, 2} selects the normalization (kappa=1 makes
+the tropical slopes equal to the exponent vectors literally).
 """
 
 from __future__ import annotations
@@ -38,13 +35,10 @@ class LaurentPoly:
 
     @classmethod
     def make(cls, terms, nvars=None):
-        canon = []
-        for e, c in terms:
-            e = tuple(int(k) for k in np.atleast_1d(e))
-            c = complex(c)
-            if c == 0:
-                raise ValueError("zero coefficient")
-            canon.append((e, c))
+        canon = [(tuple(int(k) for k in np.atleast_1d(e)), complex(c))
+                 for e, c in terms]
+        if any(c == 0 for _, c in canon):
+            raise ValueError("zero coefficient")
         if not canon:
             raise ValueError("polynomial needs at least one term")
         if len({e for e, _ in canon}) != len(canon):
@@ -74,11 +68,6 @@ class LaurentPoly:
             out = out + term
         return out
 
-    def shift(self, rho):
-        """Multiply by z^rho (shifts every exponent; changes N by a linear map)."""
-        return LaurentPoly.make([(tuple(a + b for a, b in zip(e, rho)), c)
-                                 for e, c in self.terms])
-
     def to_json(self):
         return json.dumps({"terms": [
             {"exp": list(e), "re": c.real, "im": c.imag} for e, c in self.terms]})
@@ -97,15 +86,13 @@ class LaurentPoly:
 def _fiber_roots(P, x1, theta):
     """Coefficients and roots of P in its last variable, batched over theta_1.
 
-    Row j of ``coeffs`` holds a_0..a_d with P(e^{x1 + i theta_j}, w) =
-    w^emin * sum_k a_k w^k; a one-variable P gives one row, P itself.  The
-    roots come from stacked companion matrices and one ``eigvals`` call, each
-    row normalized by its larger end coefficient (the reversed polynomial
-    when |a_0| > |a_d|), so a vanishing a_d gives a root at infinity, not a
-    division by zero.  Numerically split multiple roots (a cluster of width
-    about eps^{1/m}) are found by overlapping Newton inclusion disks of radius
-    d*|p(r)|/|p'(r)| and replaced by the well-conditioned cluster centroid.
-    Returns (emin, coeffs (N, d+1), roots (N, d)).
+    Returns (emin (N,), coeffs (N, d+1), roots (N, d)) with P(e^{x1 + i
+    theta_j}, w) = w^emin_j * sum_k coeffs[j, k] w^k (one row, P itself, in
+    one variable).  Roots come from stacked companion matrices normalized by
+    the larger end coefficient, so a vanishing a_d gives a root at infinity.
+    A multiple root splits into a cluster of width ~eps^{1/m}; clusters of
+    overlapping Newton inclusion disks d*|p(r)|/|p'(r)| (|p(r)| at least its
+    rounding level) are replaced by their well-conditioned centroid.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     last = P.exponents()[:, -1]
@@ -114,11 +101,17 @@ def _fiber_roots(P, x1, theta):
     for e, c in P.terms:
         coeffs[:, e[-1] - emin] += (c * np.exp(e[0] * (x1 + 1j * theta))
                                     if P.nvars == 2 else c)
+    # a row vanishing at both ends is w^s times a row with a_0 != 0
+    shift = np.where((coeffs[:, 0] == 0) & (coeffs[:, -1] == 0),
+                     np.argmax(coeffs != 0, axis=1), 0)
+    if shift.any():
+        coeffs = np.take_along_axis(
+            coeffs, (np.arange(d + 1) + shift[:, None]) % (d + 1), axis=1)
     flip = np.abs(coeffs[:, 0]) > np.abs(coeffs[:, -1])
     poly = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
     lead = poly[:, -1:]
     if d and not np.all(lead):
-        raise RootFindingFailure("P vanishes at both ends of a fiber")
+        raise RootFindingFailure("P vanishes on a whole fiber")
     if d <= 1:
         s = -poly[:, :d] / lead
     else:
@@ -137,7 +130,9 @@ def _fiber_roots(P, x1, theta):
         raise RootFindingFailure(
             f"root residual {float(np.max(res / mag)):.2e} too large")
     if d > 1:
-        rad = d * res / np.maximum(np.abs(dp), np.finfo(float).tiny)
+        # |p(s)| is known only to the rounding level eps * mag of Horner
+        rad = (d * np.maximum(res, np.finfo(float).eps * mag)
+               / np.maximum(np.abs(dp), np.finfo(float).tiny))
         near = (np.abs(s[:, :, None] - s[:, None, :])
                 <= rad[:, :, None] + rad[:, None, :])
         for _ in range((d - 1).bit_length()):
@@ -145,15 +140,14 @@ def _fiber_roots(P, x1, theta):
         s = (near @ s[..., None])[..., 0] / near.sum(axis=-1)
     inv = np.divide(1.0, s, out=np.full(s.shape, np.inf, dtype=complex),
                     where=s != 0)
-    return emin, coeffs, np.where(flip[:, None], inv, s)
+    return emin + shift, coeffs, np.where(flip[:, None], inv, s)
 
 
 def _fiber_log_mean(coeffs, roots, x):
     """Jensen's formula per row: the mean of log|sum_k a_k w^k| on |w| = e^x.
 
-    With a_d anchoring, log|a_d| + sum_k max(x, log|r_k|); where |a_0| is the
-    larger end coefficient the same value is log|a_0| + sum_k max(0, x -
-    log|r_k|), in which a root at infinity contributes 0 instead of inf - inf.
+    Where |a_0| > |a_d| it is log|a_0| + sum_k max(0, x - log|r_k|), in which
+    a root at infinity contributes 0 instead of inf - inf.
     """
     with np.errstate(divide="ignore"):
         logr = np.log(np.abs(roots))
@@ -165,6 +159,36 @@ def _fiber_log_mean(coeffs, roots, x):
     return np.where(lead, top, bottom) + terms.sum(axis=1)
 
 
+def _split_content(P):
+    """Split a two-variable P = q(z1) * Q(z1, z2), q monic; (roots of q, Q).
+
+    Over a root of q, P vanishes on the whole z2-line: no fiber root shows
+    it, and it puts a log singularity into the theta_1 average.  The roots
+    of the sparsest z2-coefficient at which all of them vanish to 1e-10 of
+    their term scale are divided out.
+    """
+    e = P.exponents()
+    if np.unique(e[:, 1], return_counts=True)[1].min() < 2:
+        return [], P   # a z2-coefficient is a monomial in z1
+    lo = e.min(axis=0)
+    A = np.zeros(tuple(e.max(axis=0) - lo + 1), dtype=complex)
+    A[tuple((e - lo).T)] = P.coefficients()
+    col = min((c for c in map(np.trim_zeros, A.T) if c.size), key=len)
+    _, _, candidates = _fiber_roots(
+        LaurentPoly.make([((i,), c) for i, c in enumerate(col) if c]), 0, 0)
+    content = []
+    for r in candidates[0]:
+        pw = r ** np.arange(A.shape[0])
+        if np.all(np.abs(pw @ A) <= 1e-10 * (np.abs(pw) @ np.abs(A))):
+            for i in range(A.shape[0] - 1, 0, -1):   # synthetic division
+                A[i - 1] += r * A[i]
+            A = A[1:]
+            content.append(complex(r))
+    return content, (LaurentPoly.make(
+        [((i + lo[0], k + lo[1]), A[i, k]) for i, k in zip(*np.nonzero(A))])
+        if content else P)
+
+
 # ---------------------------------------------------------------------------
 # Ronkin function
 # ---------------------------------------------------------------------------
@@ -172,13 +196,12 @@ def _fiber_log_mean(coeffs, roots, x):
 def ronkin(P, x, nodes=64, kappa=1, tol=1e-6, max_doublings=5):
     """Torus average of kappa*log|P| at log-modulus x.
 
-    One variable: Jensen's formula, exact up to rounding (``nodes``, ``tol``
-    and ``max_doublings`` are unused).  Two variables: Jensen's formula in z2,
-    averaged over theta_1 by the trapezoid rule on ``nodes`` points, doubled
-    until two successive estimates differ by less than ``tol`` or
-    ``max_doublings`` doublings are spent (the last estimate is returned).
-    The theta_1 integrand is continuous and periodic with kinks where a root
-    crosses |z2| = e^{x2}, so the error decays like nodes^-2.
+    One variable: Jensen's formula, exact up to rounding.  Two variables:
+    a factor q(z1) of P is split off (its N is exact), and Jensen's formula
+    in z2 for the rest, continuous in theta_1 with kinks where a root
+    crosses |z2| = e^{x2}, is averaged by the trapezoid rule on ``nodes``
+    points, doubled until two estimates differ by less than ``tol`` or
+    after ``max_doublings`` doublings; the error decays like nodes^-2.
     """
     if P.nvars > 2:
         raise ValueError("ronkin supports at most 2 variables")
@@ -188,21 +211,25 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6, max_doublings=5):
     if x.size != P.nvars:
         raise ValueError("x has wrong length")
 
-    def estimate(n):
+    def mean(P, n, offset=0.0):
         emin, coeffs, roots = _fiber_roots(
-            P, x[0], 2.0 * np.pi * np.arange(n) / n)
-        return emin * x[-1] + float(np.mean(
-            _fiber_log_mean(coeffs, roots, x[-1])))
+            P, x[0], 2.0 * np.pi * (np.arange(n) + offset) / n)
+        return float(np.mean(emin * x[-1]
+                             + _fiber_log_mean(coeffs, roots, x[-1])))
 
     if P.nvars == 1:
-        return kappa * estimate(1)
-    prev = estimate(nodes)
-    for k in range(1, max_doublings + 1):
-        cur = estimate(nodes << k)
+        return kappa * mean(P, 1)
+    # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
+    content, P = _split_content(P)
+    base = sum(max(x[0], math.log(abs(r))) for r in content)
+    n, prev, cur = nodes, math.inf, mean(P, nodes)
+    for _ in range(max_doublings):
         if abs(cur - prev) < tol:
-            return kappa * cur
-        prev = cur
-    return kappa * prev
+            break
+        # doubling adds the midpoints; the old nodes keep their mean
+        prev, cur = cur, 0.5 * (cur + mean(P, n, 0.5))
+        n *= 2
+    return kappa * (base + cur)
 
 
 def ronkin_rescaled(P, t, lam, nodes=64, kappa=1, tol=1e-6):
@@ -216,9 +243,8 @@ def ronkin_rescaled(P, t, lam, nodes=64, kappa=1, tol=1e-6):
 def tropical_limit(P, t, kappa=1, include_coefficients=True):
     """Piecewise-linear limit kappa * max_i(<e_i, t> + log|c_i|).
 
-    With ``include_coefficients=False`` the coefficient offsets are dropped;
-    that is the limit of the rescaled Ronkin family N(lam t)/lam, whose
-    corner locus passes through the spine.
+    With ``include_coefficients=False`` the offsets log|c_i| are dropped:
+    the limit of N(lam t)/lam, whose corner locus passes through the spine.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     vals = [float(np.dot(e, t)) + (math.log(abs(c)) if include_coefficients else 0.0)
@@ -231,19 +257,27 @@ def tropical_limit(P, t, kappa=1, include_coefficients=True):
 # ---------------------------------------------------------------------------
 
 def _amoeba_gap(P, x, tol=1e-6, sweep=720):
-    """Distance in log|z_l| from x to the zero set over the fiber, and a zero.
+    """Distance in log-modulus from x to the zero set of P, and a zero.
 
-    The gap is min |log|z_l| - x_l| over zeros z of P with log|z_k| = x_k
-    for k < l: exact in one variable, a ``sweep``-angle scan of theta_1 with
-    golden-section refinement of the best angle in two.  The witness is the
-    zero attaining it, as an (l,) complex array (None when P has no zeros
-    in its last variable).
+    Over the fiber log|z_k| = x_k (k < l) the gap is min |log|z_l| - x_l|
+    over the zeros: exact in one variable, a ``sweep``-angle scan of theta_1
+    refined by zooming in on the best angle in two.  Each root r of a factor
+    q(z1) of P adds the zero (r, e^{x_2}) at gap |log|r| - x_1|.  The
+    witness is the zero attaining the gap, as an (l,) complex array (None
+    when P has no zeros).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if P.nvars > 2:
         raise ValueError("amoeba_contains supports at most 2 variables")
-    if np.ptp(P.exponents()[:, -1]) == 0:
-        return math.inf, None
+    best = (math.inf, None)
+    if P.nvars == 2:
+        content, P = _split_content(P)
+        for r in content:
+            gap = abs(math.log(abs(r)) - x[0])
+            if gap < best[0]:
+                best = (gap, np.array([r, np.exp(x[1])]))
+    if best[0] <= tol or np.ptp(P.exponents()[:, -1]) == 0:
+        return best
 
     def nearest(theta):
         _, _, roots = _fiber_roots(P, x[0], theta)
@@ -253,29 +287,17 @@ def _amoeba_gap(P, x, tol=1e-6, sweep=720):
         z = [np.exp(x[0] + 1j * theta[j])] if P.nvars == 2 else []
         return float(gaps[j, k]), np.array(z + [roots[j, k]]), theta[j]
 
-    thetas = 2.0 * np.pi * np.arange(sweep if P.nvars == 2 else 1) / sweep
-    best = nearest(thetas)
-    if best[0] <= tol or P.nvars == 1:
-        return best[:2]
-    # golden-section refinement around the best angle
-    a = best[2] - 2.0 * np.pi / sweep
-    b = best[2] + 2.0 * np.pi / sweep
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = nearest(np.array([c])), nearest(np.array([d]))
-    for _ in range(60):
-        if fc[0] < fd[0]:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = nearest(np.array([c]))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = nearest(np.array([d]))
-        best = min(best, fc, fd, key=lambda t: t[0])
-        if best[0] <= tol:
+    h = 2.0 * np.pi / sweep
+    found = nearest(h * np.arange(sweep if P.nvars == 2 else 1))
+    for _ in range(10 if P.nvars == 2 else 0):
+        if found[0] <= tol:
             break
-    return best[:2]
+        # zoom: 33 angles across +-h about the best one, then h / 16 (h
+        # reaches the rounding level of theta after 10 rounds)
+        found = min(found, nearest(found[2] + np.linspace(-h, h, 33)),
+                    key=lambda t: t[0])
+        h /= 16.0
+    return min(best, found[:2], key=lambda t: t[0])
 
 
 def amoeba_contains(P, x, tol=1e-6, sweep=720):
@@ -291,17 +313,14 @@ def spine(pair):
 def laurent_from_pair(pair, coefficients=None):
     """The pair's polynomial sum_i c_i z^{v_i - rho} in base coordinates.
 
-    Each shifted vertex v_i - rho annihilates tau, so it has integer
-    coordinates in the stored base basis; the shift by rho changes the
-    Ronkin function by a linear map only, and is applied explicitly for
-    reproducibility.
+    Each v_i - rho annihilates tau, so it is integral in the stored base
+    basis; the shift by rho changes the Ronkin function by a linear map.
     """
     from .lattice import integer_solve
 
     if pair.l == 0:
         return LaurentPoly.make([((0,), 1.0)])
-    basis_T = [[b[k] for b in pair.base_basis]
-               for k in range(len(pair.base_basis[0]))]
+    basis_T = [list(col) for col in zip(*pair.base_basis)]
     exps = []
     for v in pair.sigma.vertices:
         shifted = [a - b for a, b in zip(v, pair.rho)]
@@ -345,7 +364,8 @@ def ronkin_hessian_mass(P, box, nodes=64, kappa=1, step=0.05, face_res=17,
         for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
             face[:, p] = end
             g = np.array([grad(x) for x in face])
-            out[p] += sign * (np.trapezoid(g, face[:, 1 - p], axis=0)
+            # trapezoid rule along the face
+            out[p] += sign * (np.diff(face[:, 1 - p]) @ (g[1:] + g[:-1]) / 2.0
                               if l == 2 else g[0])
     return out
 
@@ -365,16 +385,13 @@ class RonkinGrid:
     nodes: int
 
     def to_csv_rows(self):
-        rows = []
-        for p, v, t in zip(self.points, self.values, self.limits):
-            rows.append(list(map(float, p)) +
-                        [float(self.lam), float(v), float(t), abs(float(v - t))])
-        return rows
+        return [list(map(float, p)) +
+                [float(self.lam), float(v), float(t), abs(float(v - t))]
+                for p, v, t in zip(self.points, self.values, self.limits)]
 
     def header(self):
-        l = self.points.shape[1]
-        cols = [f"t{k+1}" for k in range(l)]
-        return cols + ["lambda", "N_lambda", "N_inf", "abs_err"]
+        return ([f"t{k + 1}" for k in range(self.points.shape[1])]
+                + ["lambda", "N_lambda", "N_inf", "abs_err"])
 
 
 def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1,
@@ -411,13 +428,8 @@ def parse_laurent(text):
     token = re.compile(
         r"(?P<sign>[+-])|(?P<num>\d+(?:\.\d*)?|\.\d+)|(?P<var>z\d*)"
         r"|(?P<pow>\^-?\d+)|(?P<mul>\*)")
-    pos = 0
-    sign = 1.0
-    sign_pending = False
-    terms = []
-    cur_coef = None
-    cur_exp = {}
-    started = False
+    pos, sign, sign_pending, terms = 0, 1.0, False, []
+    cur_coef, cur_exp, started = None, {}, False
 
     def flush():
         nonlocal cur_coef, cur_exp, started, sign, sign_pending
@@ -464,13 +476,8 @@ def parse_laurent(text):
             last_var = None
     flush()
     nv = max((max(e.keys()) + 1 for e, _ in terms if e), default=1)
-    canon = []
+    merged = {}   # duplicate exponent vectors add up
     for e, c in terms:
         vec = tuple(e.get(k, 0) for k in range(nv))
-        canon.append((vec, c))
-    # merge duplicate exponent vectors
-    merged = {}
-    for e, c in canon:
-        merged[e] = merged.get(e, 0.0) + c
-    merged = {e: c for e, c in merged.items() if c != 0}
-    return LaurentPoly.make(list(merged.items()))
+        merged[vec] = merged.get(vec, 0.0) + c
+    return LaurentPoly.make([(e, c) for e, c in merged.items() if c != 0])

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -113,11 +114,25 @@ def test_amoeba_membership_is_certified(monkeypatch, capsys, poly, point):
 
     args = ["amoeba", "--poly", poly, "--point", point]
     assert run_cli(args) == 0
-    real = tropical.amoeba_contains
-    monkeypatch.setattr(tropical, "amoeba_contains",
-                        lambda *a, **kw: not real(*a, **kw))
+    real = tropical._amoeba_gap
+
+    def flipped(P, x, tol, **kw):
+        # the same witness with the opposite answer
+        gap, z = real(P, x, tol=tol, **kw)
+        return (math.inf if gap <= tol else 0.0), z
+
+    monkeypatch.setattr(tropical, "_amoeba_gap", flipped)
     assert run_cli(args) == 1
     assert "FAIL amoeba-membership" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("poly", ["1+z1+z2+z1*z2", "1-z1+z2-z1*z2"])
+def test_amoeba_factor_in_z1_alone(capsys, poly):
+    # the factor 1 +- z1 vanishes on the fiber circle |z1| = 1, so every
+    # point (0, y) is in the amoeba, with the witness (-+1, e^y)
+    assert run_cli(["amoeba", "--poly", poly, "--point", "0,0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS amoeba-membership (contains=True" in out
 
 
 def test_contractible_holonomy_catches_wrong_dv_dt(monkeypatch, capsys):

@@ -140,6 +140,38 @@ class TestRonkin2D:
         assert math.isfinite(val)
         assert abs(val - MAHLER_1ZW) < 1e-5
 
+    def test_fiber_vanishing_at_both_ends(self):
+        # the z2^0 and z2^2 coefficients 1 - z1 vanish exactly at theta_1 = 0
+        # but z2^1 does not; z1 -> -z1 leaves N unchanged and moves the zero
+        # to theta_1 = pi, where it vanishes only to rounding
+        P = parse_laurent("1-z1+z2+z2^2-z1*z2^2")
+        Q = parse_laurent("1+z1+z2+z2^2+z1*z2^2")
+        for x in [(0.0, 0.0), (0.0, 0.2), (0.1, -0.3)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ronkin(P, x, tol=1e-9)
+            assert abs(got - ronkin(Q, x, tol=1e-9)) < 1e-12
+            assert amoeba_contains(P, x) == amoeba_contains(Q, x)
+
+    @pytest.mark.parametrize("text,want", [
+        ("1+z1+z2+z1*z2", lambda x1, x2: max(x1, 0) + max(x2, 0)),
+        ("1-z1+z2-z1*z2", lambda x1, x2: max(x1, 0) + max(x2, 0)),
+        ("1+2*z1+z1^2+z2+2*z1*z2+z1^2*z2",
+         lambda x1, x2: 2 * max(x1, 0) + max(x2, 0)),
+        ("z2+z1*z2", lambda x1, x2: max(x1, 0) + x2),
+        ("1+z1+z2^2+z1*z2^2", lambda x1, x2: max(x1, 0) + max(2 * x2, 0)),
+    ], ids=["plus", "minus", "square", "no-z2-term", "zero-z2-column"])
+    @pytest.mark.parametrize("x", [(0.0, 0.5), (0.0, -0.5), (0.3, 0.2),
+                                   (-0.4, 0.1)])
+    def test_factor_in_z1_alone(self, text, want, x):
+        # P = q(z1) Q vanishes on the whole z2-line over each root of q
+        # (z1 = -1 or 1, on the fiber circle at x1 = 0), so N_P = N_q + N_Q
+        # is a sum of one-variable Ronkin functions
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = ronkin(parse_laurent(text), x, tol=1e-9)
+        assert abs(val - want(*x)) < 1e-12
+
     def test_linear_region(self):
         # far outside the amoeba N is the dominant-term linear function
         assert abs(ronkin(P2, (4.0, 0.0), nodes=64) - 4.0) < 1e-6
@@ -225,6 +257,17 @@ class TestAmoeba:
         assert not amoeba_contains(P2, (5.0, 0.0), tol=1e-6)
         assert not amoeba_contains(P2, (-3.0, -3.0), tol=1e-6)
 
+    @pytest.mark.parametrize("text", ["1+z1+z2+z1*z2", "1-z1+z2-z1*z2",
+                                      "z2+z1*z2", "1+z1+z2^2+z1*z2^2"])
+    def test_factor_in_z1_alone(self, text):
+        # the root z1 = -1 or 1 of the factor puts {0} x R in the amoeba
+        P = parse_laurent(text)
+        assert amoeba_contains(P, (0.0, 0.5))
+        assert amoeba_contains(P, (0.0, -3.0))
+        assert amoeba_contains(P, (1e-7, 2.0))
+        assert not amoeba_contains(P, (0.5, 0.5))
+        assert amoeba_contains(P, (0.5, 0.0)) == (text[0] == "1")
+
     def test_spine_matches_sigma_fan(self):
         tau = LatticeSimplex([(0, 0, 1), (1, 0, 1)])
         sigma = LatticeSimplex([(0, 0, 1), (0, 1, 1)])
@@ -275,6 +318,15 @@ class TestHessianMass:
         assert m.shape == (2, 2)
         assert m[0, 0] > 0.5 and m[1, 1] > 0.5
         assert abs(m[0, 1] - m[1, 0]) < 1e-4
+
+    def test_2d_mass_with_factor_in_z1_alone(self):
+        # (1 - z1)(1 + z2): N = max(x1, 0) + max(x2, 0), whose Hessian has
+        # mass 1 per unit length on each axis; the faces x2 = +-1 pass
+        # through x1 = 0, whose fiber meets the root z1 = 1 of the factor
+        # exactly at theta_1 = 0
+        P = parse_laurent("1-z1+z2-z1*z2")
+        m = ronkin_hessian_mass(P, ((-1.0, 1.0), (-1.0, 1.0)))
+        assert np.allclose(m, 2.0 * np.eye(2), atol=1e-12)
 
 
 class TestGridAndParse:
