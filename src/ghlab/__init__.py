@@ -11,3 +11,16 @@ collapse behavior of the periodic families.
 __version__ = "0.1.0"
 
 GHLAB_SEED = 20210817
+
+
+class GHLabError(Exception):
+    """A domain error, reported by the command line as exit 2; any other
+    exception is a program fault."""
+
+
+class NotPositive(GHLabError):
+    """A quantity that must be positive (V, a Hessian block) is not."""
+
+
+class QuadratureFailure(GHLabError):
+    """A quadrature met a non-finite integrand."""

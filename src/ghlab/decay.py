@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import GHLabError
 from .ghcore import DomainViolation
 from .tropical import ronkin_rescaled, tropical_limit
 
 
-class DecayError(Exception):
+class DecayError(GHLabError):
     pass
 
 

@@ -44,13 +44,13 @@ def fd_step(base, orders):
     return base * (1.0, 1.0, 10.0, 100.0)[min(sum(orders), 3)]
 
 
-def fd_partial(f, pts, orders, steps, richardson=True, return_err=False):
+def fd_partial(f, pts, orders, steps, return_err=False):
     """Mixed central-difference partial of f at a batch of points.
 
     ``orders`` is a multi-index over the coordinate axes, ``steps`` the
-    per-axis step sizes.  With ``richardson`` the O(h^2) estimate is
-    extrapolated once; ``return_err`` additionally returns the absolute
-    disagreement of the two grids (an error indicator).
+    per-axis step sizes.  The O(h^2) estimate is Richardson-extrapolated
+    once; ``return_err`` additionally returns the absolute disagreement of
+    the two grids (an error indicator).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     orders = tuple(int(o) for o in orders)
@@ -72,7 +72,7 @@ def fd_partial(f, pts, orders, steps, richardson=True, return_err=False):
         return total
 
     coarse = estimate(1.0)
-    if not richardson or sum(orders) == 0:
+    if sum(orders) == 0:
         if return_err:
             return coarse, np.zeros_like(np.abs(coarse))
         return coarse

@@ -13,10 +13,11 @@ eta_p = x_p + i y_p.  From a potential Phi:
                + dV^{ij}/d eta_p    du_i ^ d eta_p
                - dV^{ij}/d etabar_q du_i ^ d etabar_q )
 
-The verifiers work on the real coordinate frame (du, dx, dy): curvature and
-Kahler-form component tables are converted to real components, and exterior
-derivatives / flux integrals are taken there by central finite differences
-with one Richardson level and by quadrature.
+The verifiers work on the real coordinate frame (du, dx, dy): every 2-form
+(the F_j, the Kahler form) is an (N, m, nc, nc) float array, antisymmetric
+in its last two axes, with nc = n + 2l coordinates.  Exterior derivatives
+and flux integrals are taken there by central finite differences with one
+Richardson level and by quadrature.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import GHLabError
 from .fields import (
     NumericScalarField,
     SymbolicScalarField,
@@ -39,7 +41,7 @@ from .fields import (
 )
 
 
-class GHError(Exception):
+class GHError(GHLabError):
     pass
 
 
@@ -235,9 +237,8 @@ class GHSolution(BlockSolution):
     """Evaluator bundle (V, W, connection, curvature) over a base domain.
 
     W is hermitian.  ``connection`` gives the d eta_p coefficient of each A_j
-    (the d etabar coefficient is forced by reality and computed as its own
-    table when a potential is present); its partials follow the same
-    provider-or-finite-difference rule as V and W.
+    (the d etabar coefficient is its conjugate, forced by reality); its
+    partials follow the same provider-or-finite-difference rule as V and W.
     """
 
     w_dtype = complex
@@ -325,19 +326,12 @@ def derive_vw(phi, point, pd_tol=0.0, asym_tol=1e-8):
 
 
 def connection_form(phi, point):
-    """Coefficient tables of A_j: (d eta coefficients, d etabar coefficients)."""
+    """Coefficient tables of A_j: (d eta coefficients, their conjugates)."""
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     phi.domain.require(pts)
-    n, l = phi.n, phi.l
-    d_eta = np.empty((n, l), dtype=complex)
-    d_eta_bar = np.empty((n, l), dtype=complex)
-    for j in range(n):
-        for p in range(l):
-            d_eta[j, p] = 1j * phi.wirtinger(
-                unit(n, j), unit(l, p), (0,) * l, pts)[0]
-            d_eta_bar[j, p] = -1j * phi.wirtinger(
-                unit(n, j), (0,) * l, unit(l, p), pts)[0]
-    return d_eta, d_eta_bar
+    a = GHSolution.from_potential(phi).connection(pts)
+    a = np.zeros((phi.n, 0), dtype=complex) if a is None else a[0]
+    return a, a.conj()
 
 
 def _as_solution(source):
@@ -350,117 +344,83 @@ def _as_solution(source):
     raise TypeError(f"cannot interpret {type(source).__name__} as a GH solution")
 
 
-def curvature_tables(source, pts):
-    """Complex-frame curvature components, batched.
+# ---------------------------------------------------------------------------
+# real-frame 2-forms: (N, m, nc, nc) arrays, antisymmetric in the last two
+# axes, over the coordinates (u, x, y)
+# ---------------------------------------------------------------------------
 
-    Returns dict with ``ue[N,j,i,p]`` (du_i ^ d eta_p), ``uebar[N,j,i,q]``
-    (du_i ^ d etabar_q) and ``eebar[N,j,p,q]`` (d eta_p ^ d etabar_q).
+def _add_base_block(upper, c, n, l):
+    """Add sum_{p,q} c_pq d eta_p ^ d etabar_q, c of shape (N, m, l, l).
+
+    d eta_p ^ d etabar_q = dx_p^dx_q + dy_p^dy_q - i (dx_p^dy_q + dx_q^dy_p),
+    written into the entries above the diagonal of ``upper``.
+    """
+    x, y = slice(n, n + l), slice(n + l, n + 2 * l)
+    ct = np.swapaxes(c, -1, -2)
+    pair = np.triu(c - ct, 1)
+    upper[..., x, x] += pair
+    upper[..., y, y] += pair
+    upper[..., x, y] += -1j * (c + ct)
+
+
+def _antisymmetric(upper):
+    """The real 2-form with the entries ``upper`` above the diagonal; an
+    imaginary part above 1e-9 of a component's scale (>= 1) is a GHError."""
+    scale = np.max(np.abs(upper), axis=(0, 1), initial=1.0)
+    bad = np.argwhere(np.max(np.abs(upper.imag), axis=(0, 1), initial=0.0)
+                      > 1e-9 * scale)
+    if bad.size:
+        raise GHError(f"2-form component {tuple(map(int, bad[0]))} is not real")
+    real = upper.real
+    return real - np.swapaxes(real, -1, -2)
+
+
+def curvature_form(source, pts):
+    """The curvature 2-forms F_j as an (N, n, nc, nc) array, batched.
+
+    F_j[u_i, x_p] = dV^{ij}/dy_p and F_j[u_i, y_p] = -dV^{ij}/dx_p; the base
+    block is (i/2) dW^{pq}/du_j d eta_p ^ d etabar_q.
     """
     sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, l, nc = sol.n, sol.l, sol.ncoords
-    N = pts.shape[0]
-    ue = np.zeros((N, n, n, l), dtype=complex)
-    uebar = np.zeros((N, n, n, l), dtype=complex)
-    eebar = np.zeros((N, n, l, l), dtype=complex)
+    upper = np.zeros((pts.shape[0], n, nc, nc), dtype=complex)
     for p in range(l):
-        vx = sol.V_partial(unit(nc, n + p), pts)
-        vy = sol.V_partial(unit(nc, n + l + p), pts)
-        deta = 0.5 * (vx - 1j * vy)      # dV/d eta_p, (N, n, n)
-        detabar = 0.5 * (vx + 1j * vy)
-        for j in range(n):
-            ue[:, j, :, p] = 1j * deta[:, :, j]
-            uebar[:, j, :, p] = -1j * detabar[:, :, j]
-    for j in range(n):
-        wu = sol.W_partial(unit(nc, j), pts)
-        eebar[:, j, :, :] = 0.5j * wu
-    return {"ue": ue, "uebar": uebar, "eebar": eebar}
+        # V^{ij} is indexed [N, i, j]; the form index j goes first
+        vx = np.swapaxes(sol.V_partial(unit(nc, n + p), pts), 1, 2)
+        vy = np.swapaxes(sol.V_partial(unit(nc, n + l + p), pts), 1, 2)
+        upper[:, :, :n, n + p] = vy
+        upper[:, :, :n, n + l + p] = -vx
+    wu = np.stack([sol.W_partial(unit(nc, j), pts) for j in range(n)], axis=1)
+    _add_base_block(upper, 0.5j * wu, n, l)
+    return _antisymmetric(upper)
 
 
 def curvature(source, point):
-    """Pointwise curvature component tables for each F_j."""
+    """The curvature 2-forms F_j at one point, an (n, nc, nc) array."""
     sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     sol.domain.require(pts)
-    t = curvature_tables(sol, pts)
-    return {k: v[0] for k, v in t.items()}
+    return curvature_form(sol, pts)[0]
 
 
-def _hermitian_pair_components(table, n, l, comp, scale=1.0):
-    """Fold sum_{p,q} c_pq d eta_p ^ d etabar_q into real components.
+def kahler_form(source, pts):
+    """The basic part of the Kahler form as an (N, 1, nc, nc) array.
 
-    ``table`` has shape (N, m, l, l) (m slots, e.g. one per fiber index j).
-    Adds into ``comp`` dict keyed by global coordinate index pairs.
+    omega[u_j, x_p] = 2 Re A_jp and omega[u_j, y_p] = -2 Im A_jp from the
+    d eta coefficients of the connection; the base block is (i/2) W.
     """
-    for p in range(l):
-        for q in range(l):
-            c = scale * table[:, :, p, q]
-            if p < q:
-                _acc(comp, (n + p, n + q), c)
-                _acc(comp, (n + l + p, n + l + q), c)
-            elif q < p:
-                _acc(comp, (n + q, n + p), -c)
-                _acc(comp, (n + l + q, n + l + p), -c)
-            # dx_p ^ dy_q piece and the mirrored dy_p ^ dx_q piece
-            _acc(comp, (n + p, n + l + q), -1j * c)
-            _acc(comp, (n + q, n + l + p), -1j * c)
-
-
-def _acc(comp, key, val):
-    if key in comp:
-        comp[key] = comp[key] + val
-    else:
-        comp[key] = val.copy() if hasattr(val, "copy") else val
-
-
-def curvature_real_components(source, pts):
-    """Real-frame components of the curvature 2-forms.
-
-    Returns dict {(a, b): array (N, n)} over global coordinate index pairs
-    a < b, one value per fiber index j.
-    """
-    sol = _as_solution(source)
-    t = curvature_tables(sol, pts)
-    n, l = sol.n, sol.l
-    comp = {}
-    for i in range(n):
-        for p in range(l):
-            a = t["ue"][:, :, i, p]
-            b = t["uebar"][:, :, i, p]
-            _acc(comp, (i, n + p), a + b)
-            _acc(comp, (i, n + l + p), 1j * (a - b))
-    _hermitian_pair_components(t["eebar"], n, l, comp)
-    return _realify(comp)
-
-
-def kahler_real_components(source, pts):
-    """Real-frame components of the basic part of the Kahler form."""
     sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     alpha = sol.connection(pts)
     if alpha is None:
         raise GHError("solution exposes no connection coefficients")
-    n, l = sol.n, sol.l
-    comp = {}
-    for j in range(n):
-        for p in range(l):
-            a = alpha[:, None, j, p]
-            _acc(comp, (j, n + p), 2.0 * a.real + 0j)
-            _acc(comp, (j, n + l + p), -2.0 * a.imag + 0j)
-    w = sol.W(pts)[:, None, :, :]
-    _hermitian_pair_components(w, n, l, comp, scale=0.5j)
-    return _realify(comp)
-
-
-def _realify(comp):
-    out = {}
-    for key, val in comp.items():
-        v = np.asarray(val)
-        scale = np.max(np.abs(v), initial=1.0)
-        if np.max(np.abs(v.imag), initial=0.0) > 1e-9 * scale:
-            raise GHError(f"2-form component {key} is not real")
-        out[key] = v.real
-    return out
+    n, l, nc = sol.n, sol.l, sol.ncoords
+    upper = np.zeros((pts.shape[0], 1, nc, nc), dtype=complex)
+    upper[:, 0, :n, n:n + l] = 2.0 * alpha.real
+    upper[:, 0, :n, n + l:] = -2.0 * alpha.imag
+    _add_base_block(upper, 0.5j * sol.W(pts)[:, None], n, l)
+    return _antisymmetric(upper)
 
 
 # ---------------------------------------------------------------------------
@@ -487,43 +447,30 @@ class ResidualReport:
         return json.dumps(d, sort_keys=True)
 
 
-def _component_stack(component_fn, keys):
-    def stacked(pts):
-        comp = component_fn(pts)
-        return np.stack([comp[k] for k in keys], axis=1)  # (N, K, m)
-    return stacked
+def _d_residual(form, sol, pts, step, tolerance):
+    """Max over the batch of |dF| for the 2-form array F = form(sol, pts).
 
-
-def _d_residual(component_fn, pts, ncoords, step, tolerance):
-    """Max exterior-derivative residual of a 2-form given by components."""
+    dF_abc = d_a F_bc - d_b F_ac + d_c F_ab for a < b < c, with each partial
+    a finite difference of the whole array.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    sample = component_fn(pts[:1])
-    keys = sorted(sample.keys())
-    stacked = _component_stack(component_fn, keys)
+    nc = pts.shape[1]
     partials = []
     max_disagree = 0.0
-    for k in range(ncoords):
-        orders = [0] * ncoords
-        orders[k] = 1
-        val, err = fd_partial(stacked, pts, orders, step, return_err=True)
+    for k in range(nc):
+        val, err = fd_partial(lambda q: form(sol, q), pts, unit(nc, k), step,
+                              return_err=True)
         partials.append(val)
         max_disagree = max(max_disagree, float(np.max(err, initial=0.0)))
     if max_disagree > 10.0 * tolerance:
         raise StepTooLarge(
             f"Richardson disagreement {max_disagree:.2e} > 10 x {tolerance:.1e}")
-    kindex = {key: idx for idx, key in enumerate(keys)}
     worst = 0.0
     argmax = pts[0]
-    for a, b, c in itertools.combinations(range(ncoords), 3):
-        r = None
-        for coef, axis, pair in ((1.0, a, (b, c)), (-1.0, b, (a, c)),
-                                 (1.0, c, (a, b))):
-            if pair in kindex:
-                term = coef * partials[axis][:, kindex[pair]]
-                r = term if r is None else r + term
-        if r is None:
-            continue
-        mags = np.max(np.abs(r), axis=tuple(range(1, r.ndim)))
+    for a, b, c in itertools.combinations(range(nc), 3):
+        r = (partials[a][..., b, c] - partials[b][..., a, c]
+             + partials[c][..., a, b])
+        mags = np.max(np.abs(r), axis=1)
         k = int(np.argmax(mags))
         if mags[k] > worst:
             worst = float(mags[k])
@@ -559,13 +506,10 @@ def verify_closed(source, grid_pts, step=1e-4, tolerance=1e-6):
     sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
     sol.domain.require(pts)
-    nc = sol.ncoords
-    df, arg_f = _d_residual(lambda q: curvature_real_components(sol, q),
-                            pts, nc, step, tolerance)
+    df, arg_f = _d_residual(curvature_form, sol, pts, step, tolerance)
     domega = None
     if sol.connection(pts[:1]) is not None:
-        domega, _ = _d_residual(lambda q: kahler_real_components(sol, q),
-                                pts, nc, step, tolerance)
+        domega, _ = _d_residual(kahler_form, sol, pts, step, tolerance)
     ident = potential_identity_residual(sol, pts)
     worst = max(df, ident if domega is None else max(domega, ident))
     return ResidualReport(
@@ -589,7 +533,7 @@ def verify_compat(source, grid_pts, tolerance=1e-10):
         step=0.0, tolerance=tolerance, passed=bool(r[k] <= tolerance))
 
 
-def _sphere_grid(radius, nphi, ntheta):
+def _sphere_grid(nphi, ntheta):
     nodes, weights = np.polynomial.legendre.leggauss(nphi)
     phi = 0.5 * np.pi * (nodes + 1.0)
     wphi = 0.5 * np.pi * weights
@@ -618,7 +562,7 @@ def chern_flux(source, wall_point, radius, nodes=(32, 64), normal=None,
     normal = np.asarray(normal, dtype=float)
     normal = normal / np.linalg.norm(normal)
     nphi, ntheta = nodes
-    phi, wphi, theta, wtheta = _sphere_grid(radius, nphi, ntheta)
+    phi, wphi, theta, wtheta = _sphere_grid(nphi, ntheta)
     P, T = np.meshgrid(phi, theta, indexing="ij")
     WP, WT = np.meshgrid(wphi, wtheta, indexing="ij")
     N = P.size
@@ -640,10 +584,11 @@ def chern_flux(source, wall_point, radius, nodes=(32, 64), normal=None,
     tt = np.zeros((N, nc))
     tt[:, n] = -radius * np.sin(P).ravel() * np.sin(T).ravel()
     tt[:, n + sol.l] = radius * np.sin(P).ravel() * np.cos(T).ravel()
-    comp = curvature_real_components(sol, pts)
-    integrand = np.zeros((N, sol.n))
-    for (a, b), val in comp.items():
-        integrand += val * (tp[:, a] * tt[:, b] - tp[:, b] * tt[:, a])[:, None]
+    F = curvature_form(sol, pts)
+    integrand = np.zeros((N, n))
+    for a, b in itertools.combinations(range(nc), 2):
+        integrand += F[:, :, a, b] * (tp[:, a] * tt[:, b]
+                                      - tp[:, b] * tt[:, a])[:, None]
     w = (WP * WT).ravel()
     return (integrand * w[:, None]).sum(axis=0) / (2.0 * np.pi)
 

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import GHLabError, QuadratureFailure
 
-class LatticeError(Exception):
+
+class LatticeError(GHLabError):
     pass
 
 
@@ -35,10 +37,6 @@ class PairingViolation(LatticeError):
 
 
 class DegenerateSimplex(LatticeError):
-    pass
-
-
-class QuadratureFailure(LatticeError):
     pass
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy as sp
 
+from . import GHLabError, NotPositive
 from .fields import (
     NumericScalarField,
     SymbolicScalarField,
@@ -42,7 +43,7 @@ from .ghcore import BlockSolution, ResidualReport, at_zero_orders
 from .lattice import wall_complex
 
 
-class LegendreError(Exception):
+class LegendreError(GHLabError):
     pass
 
 
@@ -51,10 +52,6 @@ class SingularHessian(LegendreError):
 
 
 class NotHarmonic(LegendreError):
-    pass
-
-
-class NotPositive(LegendreError):
     pass
 
 

@@ -32,6 +32,7 @@ import mpmath as mp
 import numpy as np
 import sympy as sp
 
+from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0, k0_mp
 from .fields import SymbolicScalarField
 from .ghcore import (
@@ -40,10 +41,11 @@ from .ghcore import (
     PotentialField,
     RadialDomain,
     WholeSpace,
+    _sphere_grid,
 )
 
 
-class SolutionError(Exception):
+class SolutionError(GHLabError):
     pass
 
 
@@ -52,14 +54,6 @@ class OnDiscriminant(SolutionError):
 
 
 class NotConvex(SolutionError):
-    pass
-
-
-class NotPositive(SolutionError):
-    pass
-
-
-class QuadratureFailure(SolutionError):
     pass
 
 
@@ -376,17 +370,14 @@ def ov_total_flux(sol, radius, nodes=(256, 64), center=None, surface="torus",
                          Y.ravel()], axis=-1)
         area = radius * (2.0 * np.pi / na) * (2.0 * np.pi / ny)
     elif surface == "sphere":
-        gl, glw = np.polynomial.legendre.leggauss(na)
-        phi = 0.5 * np.pi * (gl + 1.0)
-        wphi = 0.5 * np.pi * glw
-        theta = 2.0 * np.pi * np.arange(ny) / ny
+        phi, wphi, theta, wtheta = _sphere_grid(na, ny)
         P, T = np.meshgrid(phi, theta, indexing="ij")
-        WP = np.meshgrid(wphi, np.full(ny, 2.0 * np.pi / ny), indexing="ij")
+        WP, WT = np.meshgrid(wphi, wtheta, indexing="ij")
         nrm = np.stack([np.sin(P).ravel() * np.cos(T).ravel(),
                         np.sin(P).ravel() * np.sin(T).ravel(),
                         np.cos(P).ravel()], axis=-1)
         base = np.stack([center[0], center[1], 0.0]) + radius * nrm
-        area = (radius ** 2 * np.sin(P) * WP[0] * WP[1]).ravel()
+        area = (radius ** 2 * np.sin(P) * WP * WT).ravel()
     else:
         raise ValueError("surface must be 'torus' or 'sphere'")
     vplus = sol.value(base + h * nrm)

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import GHLabError
 from .lattice import wall_complex
 
 
-class TropicalError(Exception):
+class TropicalError(GHLabError):
     pass
 
 

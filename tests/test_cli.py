@@ -154,6 +154,17 @@ def test_contractible_holonomy_catches_wrong_dv_dt(monkeypatch, capsys):
     assert "FAIL holonomy-contractible" in capsys.readouterr().out
 
 
+def test_collapse_field_check_catches_wrong_mode_sum(monkeypatch, capsys):
+    from ghlab import solutions
+
+    assert run_cli(["collapse"]) == 0
+    assert "PASS collapse-field-nonincreasing" in capsys.readouterr().out
+    real = solutions.k0
+    monkeypatch.setattr(solutions, "k0", lambda x: 1.01 * real(x))
+    assert run_cli(["collapse"]) == 1
+    assert "FAIL collapse-field-nonincreasing" in capsys.readouterr().out
+
+
 class TestConfigMerging:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -251,3 +262,14 @@ class TestEntryPoint:
              "--point", "1"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "contains=False" in proc.stdout
+
+    def test_ronkin_and_amoeba_load_no_sympy_or_mpmath(self):
+        code = ("import sys\n"
+                "from ghlab import cli\n"
+                "assert cli.main(['ronkin']) == 0\n"
+                "assert cli.main(['amoeba']) == 0\n"
+                "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

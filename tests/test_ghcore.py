@@ -6,12 +6,14 @@ from ghlab.fields import SymbolicScalarField, fd_partial, wirtinger_expansion
 from ghlab.ghcore import (
     BoxDomain,
     DomainViolation,
+    GHError,
     GHSolution,
     NotPositiveDefinite,
     PotentialField,
     completeness_probe,
     connection_form,
     curvature,
+    curvature_form,
     derive_vw,
     potential_identity_residual,
     verify_closed,
@@ -97,14 +99,19 @@ class TestConnectionAndCurvature:
         assert np.allclose(d_eta_bar, 0.0)
 
     def test_connection_reality(self):
+        # the d etabar coefficient -i Phi_{u etabar}, computed on its own,
+        # is the conjugate of the d eta coefficient
         phi = coupled_potential()
-        d_eta, d_eta_bar = connection_form(phi, [0.7, -0.2, 0.4])
+        pt = [0.7, -0.2, 0.4]
+        d_eta, d_eta_bar = connection_form(phi, pt)
+        own = -1j * phi.wirtinger((1,), (0,), (1,), [pt])[0]
+        assert np.allclose(d_eta_bar[0, 0], own, atol=1e-12)
         assert np.allclose(d_eta_bar, np.conj(d_eta), atol=1e-12)
 
     def test_quadratic_curvature_vanishes(self):
-        t = curvature(quadratic_potential(), [0.3, -0.1, 0.6])
-        for key in ("ue", "uebar", "eebar"):
-            assert np.allclose(t[key], 0.0, atol=1e-14)
+        F = curvature(quadratic_potential(), [0.3, -0.1, 0.6])
+        assert F.shape == (1, 3, 3)
+        assert np.allclose(F, 0.0, atol=1e-14)
 
     def test_curvature_closed_form_vs_fd(self):
         phi = coupled_potential()
@@ -114,8 +121,16 @@ class TestConnectionAndCurvature:
         pts = rng.uniform(-0.8, 0.8, size=(5, 3))
         exact = curvature(sol, pts[0])
         approx = curvature(fd_sol, pts[0])
-        for key in exact:
-            assert np.max(np.abs(exact[key] - approx[key])) < 1e-6
+        assert np.max(np.abs(exact)) > 1e-3
+        assert np.max(np.abs(exact - approx)) < 1e-6
+
+    def test_complex_base_block_is_not_real(self):
+        # W = 1 + i u is not hermitian: (i/2) dW/du d eta ^ d etabar has the
+        # imaginary dx ^ dy component -i (i/2)(2i) = i
+        fake = GHSolution(1, 1, lambda pts: np.ones((len(pts), 1, 1)),
+                          lambda pts: (1.0 + 1j * pts[:, 0])[:, None, None])
+        with pytest.raises(GHError, match=r"component \(1, 2\) is not real"):
+            curvature_form(fake, [[0.1, 0.2, 0.3]])
 
 
 class TestVerifiers:
@@ -146,10 +161,10 @@ class TestVerifiers:
         phi = PotentialField.from_sympy(expr, (u, x, y), n=1, l=1)
         pts = np.array([[0.3, 0.4, 0.1]])
         sol = GHSolution.from_potential(phi)
-        from ghlab.ghcore import curvature_real_components, _component_stack
 
-        keys = sorted(curvature_real_components(sol, pts).keys())
-        f = _component_stack(lambda q: curvature_real_components(sol, q), keys)
+        def f(q):
+            return curvature_form(sol, q)
+
         errs = []
         for h in (2e-3, 1e-3):
             _, e = fd_partial(f, pts, (1, 0, 0), h, return_err=True)

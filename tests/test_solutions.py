@@ -133,8 +133,31 @@ class TestTaubNut:
         from ghlab.ghcore import curvature
 
         sol = taub_nut(1.0, 0.0)
-        t = curvature(sol, [1.0, 0.0, 0.0])
-        assert abs(t["ue"][0, 0, 0]) < 1e-12
+        F = curvature(sol, [1.0, 0.0, 0.0])
+        assert abs((F[0, 0, 1] - 1j * F[0, 0, 2]) / 2) < 1e-12
+
+    def test_curvature_is_star_dv(self):
+        # F = *dV on (u, x, y): F[u,x] = V_y, F[u,y] = -V_x, F[x,y] = V_u,
+        # with the closed-form gradient of V = ell/(2r) + a
+        from ghlab.ghcore import curvature_form
+
+        ell, a = 2.0, 1.0
+        sol = taub_nut(ell, a)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-2.0, 2.0, size=(600, 3))
+        pts = pts[sol.domain.contains(pts)]
+        assert len(pts) >= 300
+        F = curvature_form(sol, pts)[:, 0]
+        r = np.linalg.norm(pts, axis=1)
+        grad = -0.5 * ell * pts / r[:, None] ** 3     # (V_u, V_x, V_y)
+        star = np.zeros_like(F)
+        star[:, 0, 1], star[:, 0, 2], star[:, 1, 2] = \
+            grad[:, 2], -grad[:, 1], grad[:, 0]
+        star = star - np.swapaxes(star, 1, 2)
+        assert np.array_equal(F, -np.swapaxes(F, 1, 2))
+        err = np.max(np.abs(F - star), axis=(1, 2)) / np.linalg.norm(grad,
+                                                                      axis=1)
+        assert np.max(err) <= 1e-12
 
 
 class TestFlux:
