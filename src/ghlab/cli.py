@@ -41,17 +41,6 @@ class CheckResult:
         return f"{status} {self.name}" + (f" ({info})" if info else "")
 
 
-@dataclass
-class RunConfig:
-    """A resolved run: the command plus its validated parameters."""
-    command: str
-    params: dict
-
-    @property
-    def seed(self):
-        return self.params["seed"]
-
-
 def _config_hash(params):
     blob = json.dumps(params, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -62,37 +51,71 @@ def _require(cond, fieldname, message):
         raise ConfigError(f"config field '{fieldname}': {message}")
 
 
-def _parse_range(text, fieldname):
-    parts = text.split(":")
-    _require(len(parts) == 3, fieldname, "expected lo:hi:step")
-    try:
-        lo, hi, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"config field '{fieldname}': {exc}") from None
-    _require(step > 0, fieldname, "step must be positive")
-    _require(hi > lo, fieldname, "hi must exceed lo")
+# ---------------------------------------------------------------------------
+# field converters: each takes a flag's text or a config-file value alike
+# and returns the checked value, or raises ValueError or TypeError
+# ---------------------------------------------------------------------------
+
+def _check(cond, message):
+    if not cond:
+        raise ValueError(message)
+
+
+def _field(kind, ok=lambda v: True, message="", many=False):
+    """Converter applying ``kind`` to the text of a value, or with ``many``
+    to each item of a list or comma-separated text; ``ok`` must then hold.
+
+    Converting the text refuses null, booleans and 64.5 for an integer,
+    just as the same text given as a flag would be refused.
+    """
+    def convert(val):
+        if many:
+            items = val if isinstance(val, list) else str(val).split(",")
+            val = [kind(str(v)) for v in items]
+        else:
+            val = kind(str(val))
+        _check(ok(val), message)
+        return val
+    return convert
+
+
+def _count(lo):
+    return _field(int, lambda v: v >= lo, f"must be >= {lo}")
+
+
+_REAL = _field(float)
+_ONE_OR_TWO = _field(int, lambda v: v in (1, 2), "must be 1 or 2")
+_POSITIVE = _field(float, lambda v: v > 0, "must be positive")
+_RADII = _field(float, lambda v: len(v) == 2 and min(v) > 0,
+                "expected two positive radii", many=True)
+
+
+def _range(val):
+    """'lo:hi:step' as the grid np.linspace(lo, hi, n)."""
+    parts = str(val).split(":")
+    _check(len(parts) == 3, "expected lo:hi:step")
+    lo, hi, step = (float(p) for p in parts)
+    _check(step > 0, "step must be positive")
+    _check(hi > lo, "hi must exceed lo")
     n = int(round((hi - lo) / step)) + 1
-    _require(n >= 2, fieldname, "resolution must be >= 2 per axis")
+    _check(n >= 2, "resolution must be >= 2 per axis")
     return np.linspace(lo, hi, n)
 
 
-def _parse_lambdas(text, fieldname):
-    try:
-        vals = [float(v) for v in str(text).split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"config field '{fieldname}': {exc}") from None
-    _require(all(v > 0 for v in vals), fieldname, "lambdas must be positive")
-    _require(vals == sorted(vals), fieldname, "lambdas must be ascending")
-    return vals
+def _poly(max_vars):
+    def convert(val):
+        from .tropical import parse_laurent
+
+        P = parse_laurent(str(val))
+        _check(P.nvars <= max_vars,
+               f"has {P.nvars} variables, at most {max_vars} allowed")
+        return P
+    return convert
 
 
-def _poly(text, fieldname):
-    from .tropical import parse_laurent
-
-    try:
-        return parse_laurent(text)
-    except ValueError as exc:
-        raise ConfigError(f"config field '{fieldname}': {exc}") from None
+def _path(val):
+    _check(val is None or isinstance(val, str), "expected a path or null")
+    return val
 
 
 def _write_json(path, payload):
@@ -116,6 +139,7 @@ def _write_csv(path, header, rows, meta):
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_flat(p, meta):
+    """Flat-metric identity suite."""
     from .ghcore import chern_flux, verify_closed, verify_compat
     from .lattice import LatticeSimplex, wall_complex
     from .solutions import flat_gh_solution, flat_solution
@@ -158,6 +182,7 @@ def _cmd_verify_flat(p, meta):
 
 
 def _cmd_verify_taubnut(p, meta):
+    """Taub-NUT harmonicity suite."""
     from .ghcore import verify_closed, verify_compat
     from .solutions import taub_nut, taub_nut_laplacian
 
@@ -181,6 +206,7 @@ def _cmd_verify_taubnut(p, meta):
 
 
 def _cmd_ov(p, meta):
+    """Periodic Fourier-Bessel family checks."""
     from .solutions import ooguri_vafa, ov_total_flux
 
     sol = ooguri_vafa(1.0, p["modes"], p["a"])
@@ -218,12 +244,11 @@ def _cmd_ov(p, meta):
 
 
 def _cmd_ronkin(p, meta):
-    from .tropical import ronkin_grid
+    """Ronkin function grid sweep."""
+    from .tropical import ronkin_grid, tropical_limit
 
     P = p["poly"]
-    _require(P.nvars == 1, "poly", "ronkin grid sweep expects one variable")
-    grid = ronkin_grid(P, p["range"][:, None], lam=p["lam"],
-                       nodes=p["nodes"], kappa=p["kappa"])
+    grid = ronkin_grid(P, p["range"][:, None], lam=p["lam"], kappa=p["kappa"])
     if p["csv"]:
         _write_csv(p["csv"], grid.header(), grid.to_csv_rows(), meta)
     vals = grid.values
@@ -232,8 +257,6 @@ def _cmd_ronkin(p, meta):
     checks = [CheckResult("ronkin-convexity", convex > -1e-5,
                           {"minSecondDifference": f"{convex:.3e}",
                            "points": len(vals)})]
-    from .tropical import tropical_limit
-
     # always-valid lower bound: N dominates the extreme Newton-polytope
     # terms (Jensen); the log(#terms) two-sided envelope needs |c| = 1
     exps = P.exponents()[:, 0]
@@ -279,9 +302,12 @@ def _fiber_windings(P, x, tol, nodes=256):
 
 
 def _cmd_amoeba(p, meta):
+    """Amoeba membership query."""
     from .tropical import _amoeba_gap
 
     P, x, tol = p["poly"], np.asarray(p["point"]), p["tol"]
+    _require(len(x) == P.nvars, "point",
+             "length must match the number of variables")
     gap, z = _amoeba_gap(P, x, tol=tol)
     inside = bool(gap <= tol)
     details = {"point": p["point"], "contains": inside}
@@ -305,6 +331,7 @@ def _cmd_amoeba(p, meta):
 
 
 def _cmd_legendre(p, meta):
+    """Partial Legendre transform checks."""
     import sympy as sp
 
     from .legendre import (SplitMASolution, block_determinant_residual,
@@ -316,8 +343,6 @@ def _cmd_legendre(p, meta):
         "cross": s ** 2 / 2 + sp.Float(p["b"]) * s * t - t ** 2 / 2,
         "harmonic": sp.exp(s) * sp.cos(t),
     }
-    _require(p["family"] in fams, "family",
-             f"unknown family (choose from {sorted(fams)})")
     sol = SplitMASolution.from_potential(fams[p["family"]], 1, 1,
                                          symbols=(s, t))
     axis = np.linspace(-0.5, 0.5, p["grid"])
@@ -343,6 +368,7 @@ def _cmd_legendre(p, meta):
 
 
 def _cmd_holonomy(p, meta):
+    """Loop holonomy of the singular family."""
     from .legendre import beta_holonomy, circle_loop, singular_2d
 
     sol = singular_2d(h=p["h"])
@@ -389,9 +415,13 @@ def _load_loop(path):
 
 
 def _cmd_decay(p, meta):
+    """Exponential decay fit."""
     from .decay import decay_fit
     from .solutions import ooguri_vafa
 
+    _require(p["nodes"] > 2 * p["modes"], "nodes", "need nodes > 2*modes")
+    _require(all(1 <= m <= p["modes"] for m in p["gate_modes"]),
+             "gate_modes", "modes out of range")
     sol = ooguri_vafa(1.0, p["modes"], p["a"])
     rs = p["rrange"]
     grid = np.stack([rs, np.zeros_like(rs)], axis=-1)
@@ -413,6 +443,7 @@ def _cmd_decay(p, meta):
 
 
 def _cmd_collapse(p, meta):
+    """Collapse surrogate measurements."""
     import mpmath as mp
 
     from .decay import fiber_diameter, ronkin_collapse
@@ -471,109 +502,49 @@ def _cmd_collapse(p, meta):
 # argument handling
 # ---------------------------------------------------------------------------
 
-def _build_parser():
-    ap = argparse.ArgumentParser(
-        prog="ghlab",
-        description="numerical laboratory for fibered Ricci-flat model "
-                    "metrics, Ronkin functions and Legendre transforms")
-    ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command")
+# every field of every subcommand, declared once as name -> (default,
+# converter); the parser, the defaults, config-file merging and the checks
+# of single fields are all derived from these tables (the checks across
+# fields are the first lines of the amoeba and decay runners).  A list
+# default takes that many values after its flag.
+_COMMON = {"seed": (GHLAB_SEED, _count(0)), "out": (None, _path),
+           "csv": (None, _path), "svg": (None, _path)}
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file (flags override)")
-        sp.add_argument("--out", help="JSON report path")
-        sp.add_argument("--csv", help="CSV output path")
-        sp.add_argument("--svg", help="SVG output path")
-        sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("verify-flat", help="flat-metric identity suite")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    sp.add_argument("--flux-radii", nargs=2, type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("verify-taubnut", help="Taub-NUT harmonicity suite")
-    sp.add_argument("--ell", type=float, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("ov", help="periodic Fourier-Bessel family checks")
-    sp.add_argument("--modes", type=int, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--helmholtz-modes", type=int, default=None)
-    sp.add_argument("--flux-radii", nargs=2, type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("ronkin", help="Ronkin function grid sweep")
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--range", default=None, help="lo:hi:step")
-    sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--kappa", type=int, choices=(1, 2), default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("amoeba", help="amoeba membership query")
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--point", default=None, help="comma-separated")
-    sp.add_argument("--tol", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("legendre", help="partial Legendre transform checks")
-    sp.add_argument("--family", default=None)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("holonomy", help="loop holonomy of the singular family")
-    sp.add_argument("--loop-file", default=None)
-    sp.add_argument("--radius", type=float, default=None)
-    sp.add_argument("--segments", type=int, default=None)
-    sp.add_argument("--h", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("decay", help="exponential decay fit")
-    sp.add_argument("--modes", type=int, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    sp.add_argument("--rrange", default=None, help="lo:hi:step")
-    sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--gate-modes", default=None,
-                    help="comma-separated modes for the pass gate")
-    sp.add_argument("--rms-limit", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("collapse", help="collapse surrogate measurements")
-    sp.add_argument("--poly", default=None)
-    sp.add_argument("--lambdas", default=None, help="comma-separated")
-    sp.add_argument("--trange", default=None, help="lo:hi:step")
-    sp.add_argument("--nodes", type=int, default=None)
-    sp.add_argument("--a", type=float, default=None)
-    common(sp)
-    return ap
-
-
-_DEFAULTS = {
-    "verify-flat": {"n": 1, "grid": 32, "samples": 200, "step": 1e-4,
-                    "tol": 1e-6, "flux_radii": [0.4, 0.7]},
-    "verify-taubnut": {"ell": 2.0, "a": 1.0, "samples": 1000, "tol": 1e-6},
-    "ov": {"modes": 40, "a": 5.0, "helmholtz_modes": 10,
-           "flux_radii": [0.3, 0.5]},
-    "ronkin": {"poly": "1+z", "range": "-3:3:0.1", "nodes": 128, "kappa": 1,
-               "lam": 1.0},
-    "amoeba": {"poly": "1+z1+z2", "point": "0,0", "tol": 1e-6},
-    "legendre": {"family": "harmonic", "b": 0.5, "grid": 9, "samples": 1000,
-                 "tol": 1e-6},
-    "holonomy": {"loop_file": None, "radius": 1.0, "segments": 64, "h": 1.0},
-    "decay": {"modes": 8, "a": 4.0, "rrange": "0.5:3:0.25", "nodes": 128,
-              "gate_modes": "4,5,6,7,8", "rms_limit": 0.1},
-    "collapse": {"poly": "1+z+0.25*z^2", "lambdas": "1,5,25",
-                 "trange": "-2:2:0.25", "nodes": 128, "a": 4.0},
+_COMMANDS = {
+    "verify-flat": {"n": (1, _ONE_OR_TWO), "grid": (32, _count(2)),
+                    "samples": (200, _count(1)), "step": (1e-4, _POSITIVE),
+                    "tol": (1e-6, _POSITIVE),
+                    "flux_radii": ([0.4, 0.7], _RADII)},
+    "verify-taubnut": {"ell": (2.0, _POSITIVE),
+                       "a": (1.0, _field(float, lambda v: v >= 0,
+                                         "must be nonnegative")),
+                       "samples": (1000, _count(1)), "tol": (1e-6, _POSITIVE)},
+    "ov": {"modes": (40, _count(1)), "a": (5.0, _REAL),
+           "helmholtz_modes": (10, _count(1)),
+           "flux_radii": ([0.3, 0.5], _RADII)},
+    "ronkin": {"poly": ("1+z", _poly(1)), "range": ("-3:3:0.1", _range),
+               "kappa": (1, _ONE_OR_TWO), "lam": (1.0, _POSITIVE)},
+    "amoeba": {"poly": ("1+z1+z2", _poly(2)),
+               "point": ("0,0", _field(float, many=True)),
+               "tol": (1e-6, _POSITIVE)},
+    "legendre": {"family": ("harmonic", _field(
+                     str, lambda v: v in ("quadratic", "cross", "harmonic"),
+                     "choose from quadratic, cross, harmonic")),
+                 "b": (0.5, _REAL), "grid": (9, _count(2)),
+                 "samples": (1000, _count(1)), "tol": (1e-6, _POSITIVE)},
+    "holonomy": {"loop_file": (None, _path), "radius": (1.0, _POSITIVE),
+                 "segments": (64, _count(3)), "h": (1.0, _REAL)},
+    "decay": {"modes": (8, _count(1)), "a": (4.0, _REAL),
+              "rrange": ("0.5:3:0.25", _range), "nodes": (128, _count(1)),
+              "gate_modes": ("4,5,6,7,8", _field(int, bool, "no modes",
+                                                 many=True)),
+              "rms_limit": (0.1, _POSITIVE)},
+    "collapse": {"poly": ("1+z+0.25*z^2", _poly(1)),
+                 "lambdas": ("1,5,25", _field(
+                     float, lambda v: min(v) > 0 and v == sorted(v),
+                     "lambdas must be positive and ascending", many=True)),
+                 "trange": ("-2:2:0.25", _range), "nodes": (128, _count(16)),
+                 "a": (4.0, _POSITIVE)},
 }
 
 _RUNNERS = {
@@ -589,11 +560,32 @@ _RUNNERS = {
 }
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _build_parser():
+    ap = argparse.ArgumentParser(
+        prog="ghlab",
+        description="numerical laboratory for fibered Ricci-flat model "
+                    "metrics, Ronkin functions and Legendre transforms")
+    ap.add_argument("--version", action="version", version=__version__)
+    sub = ap.add_subparsers(dest="command")
+    for cmd, table in _COMMANDS.items():
+        sp = sub.add_parser(cmd, help=_RUNNERS[cmd].__doc__)
+        sp.add_argument("--config", help="JSON config file (flags override)")
+        for key, (default, _) in {**table, **_COMMON}.items():
+            sp.add_argument(_flag(key), help=f"default: {default}", nargs=(
+                len(default) if isinstance(default, list) else None))
+    return ap
+
+
 def _resolve_config(args):
+    """Defaults, then the config file, then the flags, each value converted
+    and checked by its field's converter."""
     cmd = args.command
-    params = dict(_DEFAULTS[cmd])
-    params.update({"seed": GHLAB_SEED, "out": None, "csv": None,
-                   "svg": None})
+    fields = {**_COMMANDS[cmd], **_COMMON}
+    raw = {key: default for key, (default, _) in fields.items()}
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -610,94 +602,31 @@ def _resolve_config(args):
                         f"config field 'command': file says {val!r}, "
                         f"invoked {cmd!r}")
                 continue
-            if norm not in params:
+            if norm not in raw:
                 raise ConfigError(f"config field '{key}': unknown field")
-            params[norm] = val
-    for key in params:
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    return cmd, params
-
-
-def _validate(cmd, p):
-    if cmd == "verify-flat":
-        _require(p["n"] in (1, 2), "n", "must be 1 or 2")
-        _require(p["grid"] >= 2, "grid", "resolution must be >= 2")
-        _require(p["samples"] >= 1, "samples", "must be >= 1")
-        _require(p["tol"] > 0, "tol", "tolerance must be positive")
-        _require(p["step"] > 0, "step", "step must be positive")
-        p["flux_radii"] = [float(r) for r in p["flux_radii"]]
-        _require(all(r > 0 for r in p["flux_radii"]), "flux_radii",
-                 "radii must be positive")
-    elif cmd == "verify-taubnut":
-        _require(p["ell"] > 0, "ell", "must be positive")
-        _require(p["a"] >= 0, "a", "must be nonnegative")
-        _require(p["tol"] > 0, "tol", "tolerance must be positive")
-    elif cmd == "ov":
-        _require(p["modes"] >= 1, "modes", "must be >= 1")
-        _require(p["helmholtz_modes"] >= 1, "helmholtz_modes", "must be >= 1")
-        p["flux_radii"] = [float(r) for r in p["flux_radii"]]
-        _require(all(r > 0 for r in p["flux_radii"]), "flux_radii",
-                 "radii must be positive")
-    elif cmd == "ronkin":
-        p["poly"] = _poly(p["poly"], "poly")
-        p["range"] = _parse_range(p["range"], "range")
-        _require(p["nodes"] >= 16, "nodes", "must be >= 16")
-        _require(p["kappa"] in (1, 2), "kappa", "must be 1 or 2")
-        _require(p["lam"] > 0, "lam", "must be positive")
-    elif cmd == "amoeba":
-        p["poly"] = _poly(p["poly"], "poly")
-        _require(p["poly"].nvars <= 2, "poly", "at most 2 variables")
+            raw[norm] = val
+    raw.update({key: getattr(args, key) for key in fields
+                if getattr(args, key) is not None})
+    params = {}
+    for key, val in raw.items():
         try:
-            p["point"] = [float(v) for v in str(p["point"]).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"config field 'point': {exc}") from None
-        _require(len(p["point"]) == p["poly"].nvars, "point",
-                 "length must match the number of variables")
-        _require(p["tol"] > 0, "tol", "tolerance must be positive")
-    elif cmd == "legendre":
-        _require(p["grid"] >= 2, "grid", "resolution must be >= 2")
-        _require(p["samples"] >= 1, "samples", "must be >= 1")
-        _require(p["tol"] > 0, "tol", "tolerance must be positive")
-    elif cmd == "holonomy":
-        _require(p["radius"] > 0, "radius", "must be positive")
-        _require(p["segments"] >= 3, "segments", "must be >= 3")
-    elif cmd == "decay":
-        _require(p["modes"] >= 1, "modes", "must be >= 1")
-        p["rrange"] = _parse_range(p["rrange"], "rrange")
-        _require(p["nodes"] > 2 * p["modes"], "nodes", "need nodes > 2*modes")
-        try:
-            gate = [int(v) for v in str(p["gate_modes"]).split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"config field 'gate_modes': {exc}") from None
-        _require(all(1 <= m <= p["modes"] for m in gate), "gate_modes",
-                 "modes out of range")
-        p["gate_modes"] = gate
-        _require(p["rms_limit"] > 0, "rms_limit", "must be positive")
-    elif cmd == "collapse":
-        p["poly"] = _poly(p["poly"], "poly")
-        _require(p["poly"].nvars == 1, "poly", "collapse expects one variable")
-        p["lambdas"] = _parse_lambdas(p["lambdas"], "lambdas")
-        p["trange"] = _parse_range(p["trange"], "trange")
-        _require(p["nodes"] >= 16, "nodes", "must be >= 16")
-        _require(p["a"] > 0, "a", "must be positive")
-    return p
+            params[key] = fields[key][1](val)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"config field '{key}': {exc}") from None
+    return params
 
 
 def _merge_negative_values(argv):
-    """Join flags with values like '-3:3:0.1' that argparse mistakes for
-    options (ranges and points may start with a minus sign)."""
-    joinable = {"--range", "--rrange", "--trange", "--point", "--lambdas"}
+    """Join each single-valued flag with a following value that starts with
+    a minus sign ('--range -3:3:0.1'), which argparse takes for an option."""
+    single = {"--config"} | {
+        _flag(key) for table in (_COMMON, *_COMMANDS.values())
+        for key, (default, _) in table.items()
+        if not isinstance(default, list)}
     out = []
-    skip = False
-    for k, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in joinable and k + 1 < len(argv) and \
-                argv[k + 1].startswith("-"):
-            out.append(f"{tok}={argv[k + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in single and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -710,17 +639,12 @@ def main(argv=None):
     if not args.command:
         ap.print_help()
         return 2
+    cmd = args.command
     try:
-        cmd, params = _resolve_config(args)
-        run = RunConfig(command=cmd, params=_validate(cmd, params))
-        params = run.params
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    hash_src = {k: v for k, v in params.items()
-                if k not in ("out", "csv", "svg")}
-    meta = {"version": __version__, "configHash": _config_hash(hash_src)}
-    try:
+        params = _resolve_config(args)
+        hash_src = {k: v for k, v in params.items()
+                    if k not in ("out", "csv", "svg")}
+        meta = {"version": __version__, "configHash": _config_hash(hash_src)}
         checks = _RUNNERS[cmd](params, meta)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -41,31 +41,36 @@ def _field_values(fieldobj, pts):
     return np.asarray(fieldobj(pts), dtype=float)
 
 
-def fourier_modes(fieldobj, point, M, nodes=256, period=2.0 * math.pi,
-                  alias_tol=1e-10):
-    """Fourier coefficients in the periodic coordinate at one base point.
+def _spectra(fieldobj, base, M, nodes=256, period=2.0 * math.pi,
+             alias_tol=1e-10):
+    """(rows, nodes) Fourier spectra in the periodic coordinate over (u, x)
+    base rows, from one field call and one FFT along the last axis.
 
     Trapezoid quadrature over one period (exact for band-limited fields when
-    ``nodes > 2M``); raises AliasingDetected when the energy in the cutoff
-    bin exceeds ``alias_tol`` of the total.
+    ``nodes > 2M``); raises AliasingDetected when, in any row, the energy in
+    the cutoff bin exceeds ``alias_tol`` of the total.
     """
     if nodes <= 2 * M:
         raise ValueError("need nodes > 2M to resolve the requested modes")
-    u, x = float(point[0]), float(point[1])
-    ys = period * np.arange(nodes) / nodes
-    pts = np.stack([np.full(nodes, u), np.full(nodes, x), ys], axis=-1)
-    vals = _field_values(fieldobj, pts)
-    spec = np.fft.fft(vals) / nodes
-    total = float(np.sum(np.abs(spec) ** 2))
-    cutoff = float(np.abs(spec[nodes // 2]) ** 2)
-    if total > 0 and cutoff / total > alias_tol:
+    base = np.atleast_2d(np.asarray(base, dtype=float))
+    u, x = np.repeat(base[:, :2], nodes, axis=0).T
+    ys = np.tile(period * np.arange(nodes) / nodes, len(base))
+    vals = _field_values(fieldobj, np.stack([u, x, ys], axis=-1))
+    spec = np.fft.fft(vals.reshape(-1, nodes), axis=-1) / nodes
+    total = np.sum(np.abs(spec) ** 2, axis=-1)
+    frac = np.abs(spec[:, nodes // 2]) ** 2 / np.where(total > 0, total,
+                                                        np.inf)
+    if np.max(frac) > alias_tol:
         raise AliasingDetected(
-            f"cutoff-bin energy fraction {cutoff / total:.2e}")
-    out = {0: complex(spec[0])}
-    for m in range(1, M + 1):
-        out[m] = complex(spec[m])
-        out[-m] = complex(spec[-m % nodes])
-    return out
+            f"cutoff-bin energy fraction {np.max(frac):.2e}")
+    return spec
+
+
+def fourier_modes(fieldobj, point, M, nodes=256, period=2.0 * math.pi,
+                  alias_tol=1e-10):
+    """Modes -M..M of the field at one base point, as {m: coefficient}."""
+    spec = _spectra(fieldobj, [point], M, nodes, period, alias_tol)[0]
+    return {m: complex(spec[m]) for m in range(-M, M + 1)}
 
 
 def synthesize(modes, period=2.0 * math.pi):
@@ -149,10 +154,9 @@ def decay_fit(fieldobj, point_grid, M, lam=1.0, beta_fn=None, nodes=256,
         raise InsufficientPoints(
             f"only {pts.shape[0]} usable points (need {min_points})")
     modes = list(modes) if modes is not None else list(range(1, M + 1))
-    mode_table = {p_idx: fourier_modes(fieldobj, pts[p_idx], M, nodes=nodes)
-                  for p_idx in range(pts.shape[0])}
-    magnitudes = {m: np.array([abs(mode_table[i][m])
-                               for i in range(pts.shape[0])])
+    spec = _spectra(fieldobj, pts, M, nodes=nodes)
+    # hypot is abs() of a Python complex; np.abs can differ in the last bit
+    magnitudes = {m: np.hypot(spec[:, m].real, spec[:, m].imag)
                   for m in modes}
     fits = {}
     for m in modes:

@@ -8,7 +8,18 @@ array of shape (N, d) of real coordinates, and field values have shape
 from __future__ import annotations
 
 import numpy as np
-import sympy as sp
+
+
+class _LazySympy:
+    """sympy, imported on first use: only a SymbolicScalarField needs it."""
+
+    def __getattr__(self, name):
+        return getattr(__import__("sympy"), name)
+
+
+# a module-level name rather than a local import: perfbench/tracer.py counts
+# the symbolic builds by wrapping sp.diff and sp.lambdify through it
+sp = _LazySympy()
 
 # stencils: offset -> coefficient/h^order, all O(h^2) accurate
 _STENCILS = {

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-import sympy as sp
 
 from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0, k0_mp
@@ -127,6 +126,8 @@ def taub_nut(ell, a, rmin=0.05, rmax=10.0, branch_margin=0.25):
         raise ValueError("ell must be positive")
     if a < 0:
         raise ValueError("a must be nonnegative")
+    import sympy as sp
+
     u, x, y = sp.symbols("u x y", real=True)
     r = sp.sqrt(u ** 2 + x ** 2 + y ** 2)
     expr = sp.Rational(1, 2) * ell * (u * sp.log(u + r) - r) \

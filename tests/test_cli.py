@@ -90,7 +90,7 @@ class TestExitCodes:
     ["verify-flat", "--samples", "20", "--grid", "8"],
     ["verify-taubnut", "--samples", "100"],
     ["ov", "--modes", "8", "--helmholtz-modes", "2"],
-    ["ronkin", "--range", "-1:1:0.5", "--nodes", "64"],
+    ["ronkin", "--range", "-1:1:0.5"],
     ["amoeba"],
     ["legendre", "--grid", "3", "--samples", "20"],
     ["holonomy", "--segments", "16"],
@@ -168,12 +168,12 @@ def test_collapse_field_check_catches_wrong_mode_sum(monkeypatch, capsys):
 class TestConfigMerging:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"command": "ronkin", "range": "-1:1:0.5",
-                                   "nodes": 64}))
+        cfg.write_text(json.dumps({"command": "ronkin", "range": "-1:1:0.5"}))
         out_json = tmp_path / "rep.json"
-        code = run_cli(["ronkin", "--config", str(cfg), "--nodes", "128",
+        code = run_cli(["ronkin", "--config", str(cfg), "--range", "-2:2:0.5",
                         "--out", str(out_json)])
         assert code == 0
+        assert "points=9" in capsys.readouterr().out
         rep = json.loads(out_json.read_text())
         assert rep["command"] == "ronkin"
         assert "configHash" in rep and "version" in rep
@@ -183,13 +183,69 @@ class TestConfigMerging:
         cfg.write_text(json.dumps({"command": "decay"}))
         assert run_cli(["ronkin", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("cmd,values", [
+        ("legendre", {"samples": "ten"}),
+        ("amoeba", {"tol": None}),
+        ("ov", {"flux_radii": 0.5}),
+        ("collapse", {"nodes": 64.5}),
+        ("decay", {"gate_modes": []}),
+    ], ids=["samples-text", "tol-null", "radii-scalar", "nodes-fraction",
+            "no-gate-modes"])
+    def test_bad_file_value_is_config_error(self, tmp_path, capsys, cmd,
+                                            values):
+        # a file value is converted and checked just like a flag's text
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run_cli([cmd, "--config", str(cfg)]) == 2
+        (key,) = values
+        assert f"config error: config field '{key}'" in \
+            capsys.readouterr().err
+
+    @staticmethod
+    def config_hash(monkeypatch, args):
+        # the resolved config's hash, without running the checks
+        from ghlab import cli
+
+        seen = []
+        monkeypatch.setitem(cli._RUNNERS, args[0],
+                            lambda p, meta: seen.append(meta["configHash"])
+                            or [])
+        assert run_cli(args) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("cmd", [
+        "verify-flat", "verify-taubnut", "ov", "ronkin", "amoeba", "legendre",
+        "holonomy", "decay", "collapse"])
+    def test_file_of_defaults_is_a_bare_run(self, tmp_path, monkeypatch,
+                                            cmd):
+        from ghlab import cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            key: default for key, (default, _) in
+            {**cli._COMMANDS[cmd], **cli._COMMON}.items()}))
+        assert self.config_hash(monkeypatch, [cmd, "--config", str(cfg)]) \
+            == self.config_hash(monkeypatch, [cmd])
+
+    @pytest.mark.parametrize("cmd,key,text,value", [
+        ("verify-flat", "samples", "20", 20),
+        ("ov", "a", "1", 1),
+        ("decay", "gate_modes", "4,5", [4, 5]),
+    ])
+    def test_flag_and_file_value_hash_alike(self, tmp_path, monkeypatch, cmd,
+                                            key, text, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        flag = "--" + key.replace("_", "-")
+        assert self.config_hash(monkeypatch, [cmd, "--config", str(cfg)]) \
+            == self.config_hash(monkeypatch, [cmd, flag, text])
+
 
 class TestGoldenOutputs:
     def test_ronkin_csv_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         ja, jb = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["ronkin", "--poly", "1+z", "--range", "-2:2:0.5",
-                "--nodes", "64"]
+        args = ["ronkin", "--poly", "1+z", "--range", "-2:2:0.5"]
         assert run_cli(args + ["--csv", str(a), "--out", str(ja)]) == 0
         assert run_cli(args + ["--csv", str(b), "--out", str(jb)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -200,12 +256,12 @@ class TestGoldenOutputs:
         # the generally valid clause and the check must still pass
         assert run_cli(["ronkin", "--poly",
                         "1+2*z+1.5*z^2+0.5*z^3+0.0625*z^4",
-                        "--range", "-2:2:0.25", "--nodes", "64"]) == 0
+                        "--range", "-2:2:0.25"]) == 0
 
     def test_ronkin_matches_corner_formula(self, tmp_path):
         out = tmp_path / "r.csv"
         assert run_cli(["ronkin", "--poly", "1+z", "--range", "-3:3:0.5",
-                        "--nodes", "128", "--csv", str(out)]) == 0
+                        "--csv", str(out)]) == 0
         rows = [line.split(",") for line in
                 out.read_text().splitlines()[2:]]
         for row in rows:
@@ -273,3 +329,15 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_decay_ov_and_collapse_load_no_sympy(self):
+        # none of them builds a symbolic field
+        code = ("import sys\n"
+                "from ghlab import cli\n"
+                "for cmd in ('decay', 'ov', 'collapse'):\n"
+                "    assert cli.main([cmd]) == 0\n"
+                "print('sympy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
