@@ -149,15 +149,15 @@ def _cmd_verify_flat(p, meta):
     checks = []
     mags = rng.uniform(0.5, 2.0, size=(p["samples"], n + 1))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(p["samples"], n + 1))
-    samples = [flat_solution(n, z) for z in mags * np.exp(1j * phases)]
-    worst = float(max(abs(np.linalg.det(s.V) - np.linalg.det(s.W))
-                      for s in samples))
+    flat = flat_solution(n, mags * np.exp(1j * phases))
+    worst = float(np.max(np.abs(np.linalg.det(flat.V)
+                                - np.linalg.det(flat.W))))
     checks.append(CheckResult("flat-det-identity", worst < 1e-12,
                               {"maxResidual": f"{worst:.3e}",
                                "samples": p["samples"]}))
     if n == 1:
         sol = flat_gh_solution()
-        pts = np.array([[s.u[0], s.eta.real, s.eta.imag] for s in samples])
+        pts = np.stack([flat.u[:, 0], flat.eta.real, flat.eta.imag], axis=1)
         rep = verify_closed(sol, pts, step=p["step"], tolerance=p["tol"])
         checks.append(CheckResult(
             "flat-closedness", rep.passed,
@@ -332,19 +332,11 @@ def _cmd_amoeba(p, meta):
 
 def _cmd_legendre(p, meta):
     """Partial Legendre transform checks."""
-    import sympy as sp
-
     from .legendre import (SplitMASolution, block_determinant_residual,
-                           verify_classical_ma)
+                           model_potential, verify_classical_ma)
 
-    s, t = sp.symbols("s t", real=True)
-    fams = {
-        "quadratic": s ** 2 / 2 - t ** 2 / 2,
-        "cross": s ** 2 / 2 + sp.Float(p["b"]) * s * t - t ** 2 / 2,
-        "harmonic": sp.exp(s) * sp.cos(t),
-    }
-    sol = SplitMASolution.from_potential(fams[p["family"]], 1, 1,
-                                         symbols=(s, t))
+    sol = SplitMASolution.from_potential(
+        model_potential(p["family"], p["b"]), 1, 1)
     axis = np.linspace(-0.5, 0.5, p["grid"])
     g1, g2 = np.meshgrid(axis, axis)
     rep = verify_classical_ma(sol, np.stack([g1.ravel(), g2.ravel()], -1),

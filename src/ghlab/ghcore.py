@@ -175,6 +175,8 @@ class PotentialField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros(pts.shape[0], dtype=complex)
         for mi, co in self._expansions[key].items():
+            if not co:
+                continue
             full = mi if extra is None else tuple(a + b for a, b in zip(mi, extra))
             out += co * self.real_partial(full, pts)
         return out

@@ -29,14 +29,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from . import GHLabError, NotPositive
 from .fields import (
+    JetScalarField,
     NumericScalarField,
     SymbolicScalarField,
     block_table,
+    cos,
+    exp,
+    is_sympy_expr,
+    log,
     shifted,
+    sp,
     unit,
 )
 from .ghcore import BlockSolution, ResidualReport, at_zero_orders
@@ -87,7 +92,8 @@ class SplitMASolution(BlockSolution):
     @classmethod
     def from_potential(cls, K, n, l, symbols=None, domain=None, name="",
                        **kw):
-        """Build the blocks from a potential: sympy expr or scalar field."""
+        """Build the blocks from a potential: a scalar field, or a sympy
+        expression in ``symbols``."""
         if symbols is not None:
             K = SymbolicScalarField(K, symbols)
         d = n + l
@@ -144,42 +150,58 @@ class SplitMASolution(BlockSolution):
         return best
 
 
+def model_potential(family, b=0.5):
+    """A split potential K(s, t) with det V = det W, as a jet field.
+
+    ``family`` is "quadratic" (s^2/2 - t^2/2), "cross" (that plus b s t) or
+    "harmonic" (e^s cos t).
+    """
+    families = {
+        "quadratic": lambda s, t: s ** 2 / 2 - t ** 2 / 2,
+        "cross": lambda s, t: s ** 2 / 2 + b * s * t - t ** 2 / 2,
+        "harmonic": lambda s, t: exp(s) * cos(t),
+    }
+    return JetScalarField(families[family], 2)
+
+
 # ---------------------------------------------------------------------------
 # partial Legendre transform
 # ---------------------------------------------------------------------------
 
-def partial_legendre(sol, point, cond_limit=1e12):
-    """New coordinates y and the Hessian of the transformed potential."""
-    pt = np.atleast_2d(np.asarray(point, dtype=float))
-    sol.domain.require(pt)
-    if sol.min_singular_distance(pt) < 1e-9:
+def _legendre_hessians(sol, pts, cond_limit=1e12):
+    """New coordinates y and Hess Psi over an (N, n + l) batch."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    sol.domain.require(pts)
+    if sol.min_singular_distance(pts) < 1e-9:
         raise SingularHessian("point on the singular support")
-    V = sol.V(pt)[0]
-    B = sol.B(pt)[0]
-    W = sol.W(pt)[0]
-    if np.linalg.cond(V) > cond_limit:
+    V, B, W = sol.V(pts), sol.B(pts), sol.W(pts)
+    if np.max(np.linalg.cond(V)) > cond_limit:
         raise SingularHessian("fiber block is numerically singular")
-    y = np.concatenate([sol.gradient_s(pt)[0], pt[0, sol.n:]])
+    y = np.concatenate([sol.gradient_s(pts), pts[:, sol.n:]], axis=1)
     Vi = np.linalg.inv(V)
     VB = Vi @ B
-    top = np.hstack([Vi, -VB])
-    bottom = np.hstack([-VB.T, W + B.T @ Vi @ B])
-    return y, np.vstack([top, bottom])
+    BT = np.swapaxes(B, 1, 2)
+    top = np.concatenate([Vi, -VB], axis=2)
+    bottom = np.concatenate([-np.swapaxes(VB, 1, 2), W + BT @ Vi @ B], axis=2)
+    return y, np.concatenate([top, bottom], axis=1)
+
+
+def partial_legendre(sol, point, cond_limit=1e12):
+    """New coordinates y and the Hessian of the transformed potential."""
+    y, H = _legendre_hessians(sol, point, cond_limit)
+    return y[0], H[0]
 
 
 def verify_classical_ma(sol, grid_pts, tolerance=1e-8):
     """Max |det Hess Psi - 1| over the grid."""
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
-    worst, arg = 0.0, pts[0]
-    for p in pts:
-        _, H = partial_legendre(sol, p)
-        r = abs(np.linalg.det(H) - 1.0)
-        if r > worst:
-            worst, arg = r, p
+    _, H = _legendre_hessians(sol, pts)
+    r = np.abs(np.linalg.det(H) - 1.0)
+    k = int(np.argmax(r))
     return ResidualReport(
         check="classical-monge-ampere", grid=f"{pts.shape[0]} pts",
-        max_residual=float(worst), argmax_point=list(map(float, arg)),
-        step=0.0, tolerance=tolerance, passed=bool(worst <= tolerance))
+        max_residual=float(r[k]), argmax_point=list(map(float, pts[k])),
+        step=0.0, tolerance=tolerance, passed=bool(r[k] <= tolerance))
 
 
 def block_determinant_residual(A, B, C, D):
@@ -239,10 +261,8 @@ def dual_transform(sol):
         newWp = lambda orders, pts: sol.V_partial(swap_orders(orders), swap(pts))
 
     potential = None
-    if isinstance(sol.potential, SymbolicScalarField):
-        syms = sol.potential.symbols
-        potential = SymbolicScalarField(-sol.potential.expr,
-                                        syms[n:] + syms[:n])
+    if isinstance(sol.potential, JetScalarField):
+        potential = sol.potential.swapped(n)
     elif sol.potential is not None:
         inner = sol.potential
         potential = NumericScalarField(
@@ -268,18 +288,20 @@ def dual_transform(sol):
 def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
     """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured disk.
 
-    ``h`` is a constant, a sympy expression in two real symbols, or a
-    callable on (N, 2) arrays; it is validated to be harmonic by finite
-    differences, and V is required to stay positive on the annulus.
+    ``h`` is a constant, a sympy expression in at most two real symbols
+    (taken in name order), or a callable on (N, 2) arrays.  It must be
+    harmonic on sample points of the annulus, with an exact Laplacian for a
+    constant or an expression and a finite-difference one for a callable,
+    and V is required to stay positive there.
     """
-    s_sym, t_sym = sp.symbols("s t", real=True)
     if isinstance(h, (int, float)):
-        h_field = SymbolicScalarField(sp.Float(float(h)), (s_sym, t_sym))
-    elif isinstance(h, sp.Expr):
-        h_field = SymbolicScalarField(h, tuple(sorted(h.free_symbols,
-                                                      key=str)) or (s_sym, t_sym))
-        if len(h_field.symbols) == 1:
-            h_field = SymbolicScalarField(h, (h_field.symbols[0], t_sym))
+        h_field = JetScalarField(lambda s, t: float(h), 2)
+    elif is_sympy_expr(h):
+        syms = sorted(h.free_symbols, key=str)
+        if len(syms) > 2:
+            raise ValueError("h must be a function of at most two symbols")
+        h_field = SymbolicScalarField(
+            h, syms + [sp.Dummy() for _ in range(2 - len(syms))])
     elif callable(h):
         h_field = NumericScalarField(h, 2, steps=1e-4)
     else:
@@ -293,27 +315,14 @@ def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
     lap = (h_field.partial_value((2, 0), samples)
            + h_field.partial_value((0, 2), samples))
     if np.max(np.abs(lap)) > harmonic_tol:
-        raise NotHarmonic(f"FD Laplacian of h reaches {np.max(np.abs(lap)):.2e}")
+        raise NotHarmonic(f"Laplacian of h reaches {np.max(np.abs(lap)):.2e}")
 
-    def radial_part(orders, pts):
-        pts = np.atleast_2d(pts)
-        s, t = pts[:, 0], pts[:, 1]
-        r2 = s * s + t * t
-        c = -1.0 / (4.0 * np.pi)
-        table = {
-            (0, 0): lambda: c * np.log(r2),
-            (1, 0): lambda: c * 2.0 * s / r2,
-            (0, 1): lambda: c * 2.0 * t / r2,
-            (2, 0): lambda: c * 2.0 * (t * t - s * s) / r2 ** 2,
-            (0, 2): lambda: c * 2.0 * (s * s - t * t) / r2 ** 2,
-            (1, 1): lambda: c * (-4.0) * s * t / r2 ** 2,
-        }
-        if tuple(orders) not in table:
-            raise ValueError(f"radial partial {orders} not implemented")
-        return table[tuple(orders)]()
+    radial = JetScalarField(
+        lambda s, t: -1.0 / (4.0 * np.pi) * log(s * s + t * t), 2)
 
     def value_partial(orders, pts):
-        return radial_part(orders, pts) + h_field.partial_value(orders, pts)
+        return (radial.partial_value(orders, pts)
+                + h_field.partial_value(orders, pts))
 
     vals = value_partial((0, 0), samples)
     if np.min(vals) <= 0.0:

@@ -19,8 +19,11 @@ The periodic family on R x R x S^1 sums the cylinder harmonics
     V = a - log(rho)/(2 pi) + sum_{0 < |m| <= M} c_m K0(|m| rho) e^{i m y} / (2 pi),
 
 with rho the distance to the source in the (u, x) plane.  The 1/(2 pi) on
-the higher modes is forced by the delta-function Fourier expansion, and is
-validated by the total-flux check.
+the higher modes is forced by the delta-function Fourier expansion.  The
+total-flux checks cannot see it: a closed surface around the source
+integrates every mode m != 0 to zero.  With unit coefficients the mode sum
+is the Poisson dual of the image sum of 1/(2r) over the sources at
+y = 2 pi k; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0, k0_mp
-from .fields import SymbolicScalarField
+from .fields import JetScalarField, SymbolicScalarField, log, sqrt
 from .ghcore import (
     Domain,
     GHSolution,
@@ -62,7 +65,11 @@ class NotConvex(SolutionError):
 
 @dataclass
 class FlatSample:
-    """Closed-form fibration data of the flat metric at one z."""
+    """Closed-form fibration data of the flat metric at z in C^{n+1}.
+
+    For one point z the fields have the shapes noted; for an (N, n + 1)
+    batch every field gains a leading axis of length N.
+    """
     z: np.ndarray
     u: np.ndarray              # (n,)
     eta: complex
@@ -75,28 +82,33 @@ class FlatSample:
 def flat_solution(n, z, guard=1e-8):
     """Evaluate the flat-metric fibration data at z in C^{n+1}.
 
-    Fails with OnDiscriminant when two or more coordinates (nearly) vanish,
-    where the fibration coordinates degenerate.
+    ``z`` is one point or an (N, n + 1) batch.  Fails with OnDiscriminant,
+    naming the first such row, when two or more coordinates of a point
+    (nearly) vanish, where the fibration coordinates degenerate.
     """
     if n not in (1, 2):
         raise ValueError("flat_solution supports n in {1, 2}")
     z = np.asarray(z, dtype=complex)
-    if z.size != n + 1:
+    if z.ndim not in (1, 2) or z.shape[-1] != n + 1:
         raise ValueError(f"need {n + 1} coordinates")
-    mags = np.abs(z)
-    if np.sum(mags < guard) >= 2:
-        raise OnDiscriminant("two or more coordinates vanish")
+    zs = np.atleast_2d(z)
+    mags = np.abs(zs)
+    bad = np.flatnonzero(np.sum(mags < guard, axis=1) >= 2)
+    if bad.size:
+        raise OnDiscriminant(
+            f"two or more coordinates vanish in row {bad[0]}: {zs[bad[0]]}")
     rho = mags ** 2
-    u = 0.5 * (rho[1:] - rho[0])
-    eta = complex(np.prod(z))
-    if n == 1:
-        vinv = np.array([[rho[0] + rho[1]]])
-    else:
-        vinv = np.full((n, n), rho[0]) + np.diag(rho[1:])
+    u = 0.5 * (rho[:, 1:] - rho[:, :1])
+    eta = np.prod(zs, axis=1)
+    vinv = rho[:, :1, None] + rho[:, 1:, None] * np.eye(n)
     V = np.linalg.inv(vinv)
-    winv = abs(eta) ** 2 * np.sum(1.0 / rho)
-    W = np.array([[1.0 / winv]])
-    ang = np.array([-W[0, 0] * abs(eta) ** 2 / rho[j] for j in range(1, n + 1)])
+    eta2 = np.hypot(eta.real, eta.imag) ** 2
+    winv = eta2 * np.sum(1.0 / rho, axis=1)
+    W = (1.0 / winv)[:, None, None]
+    ang = -W[:, 0] * eta2[:, None] / rho[:, 1:]
+    if z.ndim == 1:
+        return FlatSample(z=z, u=u[0], eta=complex(eta[0]), V=V[0], W=W[0],
+                          angular_coefficient=ang[0])
     return FlatSample(z=z, u=u, eta=eta, V=V, W=W, angular_coefficient=ang)
 
 
@@ -126,15 +138,15 @@ def taub_nut(ell, a, rmin=0.05, rmax=10.0, branch_margin=0.25):
         raise ValueError("ell must be positive")
     if a < 0:
         raise ValueError("a must be nonnegative")
-    import sympy as sp
 
-    u, x, y = sp.symbols("u x y", real=True)
-    r = sp.sqrt(u ** 2 + x ** 2 + y ** 2)
-    expr = sp.Rational(1, 2) * ell * (u * sp.log(u + r) - r) \
-        + sp.Rational(1, 2) * a * u ** 2 - sp.Rational(1, 4) * a * (x ** 2 + y ** 2)
+    def potential(u, x, y):
+        r = sqrt(u ** 2 + x ** 2 + y ** 2)
+        return 0.5 * ell * (u * log(u + r) - r) + 0.5 * a * u ** 2 \
+            - 0.25 * a * (x ** 2 + y ** 2)
+
     domain = RadialDomain(rmin, rmax) & _BranchGuard(branch_margin)
-    phi = PotentialField.from_sympy(expr, (u, x, y), n=1, l=1, domain=domain,
-                                    name=f"taub-nut(ell={ell}, a={a})")
+    phi = PotentialField(JetScalarField(potential, 3), n=1, l=1,
+                         domain=domain, name=f"taub-nut(ell={ell}, a={a})")
     sol = GHSolution.from_potential(
         phi, discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1))
     sol.ell, sol.a = float(ell), float(a)

@@ -341,3 +341,19 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_symbolic_commands_run_with_sympy_blocked(self):
+        # a None entry in sys.modules makes every import of sympy fail; the
+        # built-in potentials are jet functions and need no sympy
+        code = ("import sys\n"
+                "sys.modules['sympy'] = None\n"
+                "import ghlab.legendre\n"
+                "from ghlab import cli\n"
+                "for cmd in ('verify-flat', 'verify-taubnut', 'legendre',\n"
+                "            'holonomy'):\n"
+                "    assert cli.main([cmd]) == 0, cmd\n"
+                "print('done')\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "done"

@@ -109,6 +109,23 @@ class TestPartialLegendre:
         rep = verify_classical_ma(sol, np.stack([g1.ravel(), g2.ravel()], -1))
         assert rep.max_residual < 1e-8
 
+    def test_batched_check_matches_pointwise_transform(self):
+        # the batched residual is the worst of the one-point transforms,
+        # and a W off by a factor shows in it at the right grid point
+        sol = cross_term_solution(0.3)
+        pts = np.random.default_rng(17).uniform(-0.5, 0.5, size=(12, 2))
+        eps = 1e-3 * (1.0 + pts[:, 0])
+        bad = SplitMASolution(
+            1, 1, sol.V,
+            lambda q: (1 + 1e-3 * (1.0 + q[:, 0]))[:, None, None] * sol.W(q),
+            B=sol.B, potential=sol.potential)
+        rep = verify_classical_ma(bad, pts)
+        pointwise = [abs(np.linalg.det(partial_legendre(bad, p)[1]) - 1.0)
+                     for p in pts]
+        assert rep.max_residual == pytest.approx(max(pointwise), rel=1e-12)
+        assert rep.max_residual == pytest.approx(max(eps), rel=1e-6)
+        assert rep.argmax_point == list(pts[int(np.argmax(eps))])
+
     def test_negative_control_det_mismatch(self):
         # scale W only: det Hess Psi = det W / det V departs by the factor
         sol = cross_term_solution(0.3)

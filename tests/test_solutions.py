@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import sympy as sp
@@ -49,6 +50,25 @@ class TestFlatClosedForms:
             flat_solution(1, [0.0, 1e-12])
         # a single small coordinate is fine
         flat_solution(2, [1e-12, 1.0, 1.0])
+
+    def test_batch_matches_one_point_calls(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 2):
+            z = rng.uniform(0.5, 2.0, size=(30, n + 1)) \
+                * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(30, n + 1)))
+            batch = flat_solution(n, z)
+            assert batch.V.shape == (30, n, n) and batch.W.shape == (30, 1, 1)
+            for k in (0, 17, 29):
+                one = flat_solution(n, z[k])
+                for name in ("u", "eta", "V", "W", "angular_coefficient"):
+                    np.testing.assert_array_equal(getattr(batch, name)[k],
+                                                  getattr(one, name))
+
+    def test_discriminant_guard_names_the_row(self):
+        z = np.ones((4, 3), dtype=complex)
+        z[2, 1:] = 1e-12
+        with pytest.raises(OnDiscriminant, match="row 2"):
+            flat_solution(2, z)
 
     def test_gh_coordinates_match_potential_blocks(self):
         # V, W from the potential at the mapped point equal the closed forms
@@ -236,6 +256,45 @@ class TestOoguriVafa:
     def test_positivity_guard(self):
         with pytest.raises(NotPositive):
             ooguri_vafa(1.0, 3, a=-1.0)
+
+    @staticmethod
+    def image_sum(a, rho, y):
+        """The Poisson dual of the unit-coefficient mode sum: the sources
+        1/(2r) at y = 2 pi n, with each image's constant subtracted."""
+        rho, y = mp.mpf(rho), mp.mpf(y)
+
+        def image(n):
+            return 1 / mp.sqrt(rho ** 2 + (y - 2 * mp.pi * n) ** 2)
+
+        pairs = mp.nsum(lambda n: image(n) + image(-n) - 1 / (mp.pi * n),
+                        [1, mp.inf])
+        return float(a + (image(0) + pairs) / 2
+                     + (mp.euler - mp.log(4 * mp.pi)) / (2 * mp.pi))
+
+    @staticmethod
+    def mode_tail(M, rho):
+        """(1/pi) sum_{m > M} K0(m rho), summed until the terms are gone."""
+        total, m = mp.mpf(0), M + 1
+        while True:
+            term = mp.besselk(0, m * rho)
+            total += term
+            if term < 1e-20 * total:
+                return float(total / mp.pi)
+            m += 1
+
+    @pytest.mark.parametrize("M,rhos", [(40, (0.5, 1.0, 2.0)),
+                                        (10, (1.0, 2.0))])
+    def test_poisson_dual_image_sum(self, M, rhos):
+        # V_M differs from the image sum by the cut modes alone,
+        # -(1/pi) sum_{m > M} cos(m y) K0(m rho); this fixes the 1/(2 pi)
+        # and the K0 of every higher mode, which no flux check sees
+        sol = ooguri_vafa(1.0, M, a=5.0)
+        for rho in rhos:
+            allowed = self.mode_tail(M, rho) + 1e-13
+            for y, phi in ((0.0, 0.7), (1.1, 2.0), (math.pi, -1.2)):
+                pt = [[rho * math.cos(phi), rho * math.sin(phi), y]]
+                gap = sol.value(pt)[0] - self.image_sum(5.0, rho, y)
+                assert abs(gap) <= allowed, (M, rho, y, gap, allowed)
 
     def test_helmholtz_residual_extended_precision(self):
         sol = ooguri_vafa(1.0, 10, a=4.0)
