@@ -41,8 +41,14 @@ class CheckResult:
         return f"{status} {self.name}" + (f" ({info})" if info else "")
 
 
+def _hashable(value):
+    # a grid by its exact values: str() of an array rounds to 8 digits and
+    # abbreviates above 1000 points, so distinct grids would share a hash
+    return value.tolist() if isinstance(value, np.ndarray) else str(value)
+
+
 def _config_hash(params):
-    blob = json.dumps(params, sort_keys=True, default=str).encode()
+    blob = json.dumps(params, sort_keys=True, default=_hashable).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -195,6 +201,9 @@ def _cmd_verify_taubnut(p, meta):
                           {"maxResidual": f"{lap:.3e}"})]
     sol = taub_nut(p["ell"], p["a"])
     keep = pts[sol.domain.contains(pts)]
+    # a check over no points would pass vacuously
+    _require(len(keep), "samples",
+             f"none of the {p['samples']} samples lies in {sol.domain}")
     sub = keep[:min(len(keep), 64)]
     rep = verify_closed(sol, sub, step=1e-4, tolerance=p["tol"])
     checks.append(CheckResult("taubnut-closedness", rep.passed,

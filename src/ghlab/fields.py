@@ -13,9 +13,12 @@ support +, -, *, / and ``**``, and ``log``, ``exp``, ``sqrt``, ``sin`` and
 A ``JetScalarField`` evaluates a plain Python function of the coordinates
 once on the jets of the box of the requested multi-index and reads that
 partial off the top coefficient; a sympy expression becomes such a function
-through one ``lambdify`` into the jet namespace.
+through one ``lambdify`` into the jet namespace.  ``hessian_block`` tables
+the mixed second partials of such a field over two groups of axes, which is
+all a block solution needs of its potential.
 
-Finite differences are central with one Richardson level.
+Finite differences are central with one Richardson level, at the one fixed
+step ``fd_step`` of each multi-index.
 """
 
 from __future__ import annotations
@@ -129,8 +132,9 @@ class Jet:
             return Jet(self.c * self._per_point(other))
         n, shape = self.c.shape[0], self.c.shape[1:]
         left, right, starts = _product_plan(shape)
-        a = self.c.reshape(n, -1)
-        b = other.c.reshape(n, -1)
+        # an explicit width: -1 cannot be resolved for an empty batch
+        a = self.c.reshape(n, math.prod(shape))
+        b = other.c.reshape(n, math.prod(shape))
         prod = np.add.reduceat(a[:, left] * b[:, right], starts, axis=1)
         return Jet(prod.reshape(self.c.shape))
 
@@ -252,13 +256,13 @@ def _tensor_stencil(orders, steps):
     return points
 
 
-def fd_step(base, orders):
-    """Step for a finite-difference partial of the given multi-index.
+def fd_step(orders):
+    """Step of every finite-difference partial of the given multi-index.
 
-    ``base`` is widened 1, 1, 10, 100 times for total order 0, 1, 2 and 3 or
-    more, to keep roundoff noise of the high-order stencils in check.
+    1e-4, widened 1, 1, 10, 100 times for total order 0, 1, 2 and 3 or more,
+    to keep roundoff noise of the high-order stencils in check.
     """
-    return base * (1.0, 1.0, 10.0, 100.0)[min(sum(orders), 3)]
+    return 1e-4 * (1.0, 1.0, 10.0, 100.0)[min(sum(orders), 3)]
 
 
 def fd_partial(f, pts, orders, steps, return_err=False):
@@ -355,10 +359,9 @@ class SymbolicScalarField(JetScalarField):
 class NumericScalarField:
     """Scalar field from a plain callable; partials by finite differences."""
 
-    def __init__(self, func, dim, steps=1e-4):
+    def __init__(self, func, dim):
         self.func = func
         self.dim = dim
-        self.steps = np.broadcast_to(np.asarray(steps, dtype=float), (dim,))
 
     def value(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -367,7 +370,7 @@ class NumericScalarField:
     def partial_value(self, orders, pts):
         if sum(orders) == 0:
             return self.value(pts)
-        return fd_partial(self.value, pts, orders, fd_step(self.steps, orders))
+        return fd_partial(self.value, pts, orders, fd_step(orders))
 
 
 def shifted(orders, *axes):
@@ -386,50 +389,20 @@ def unit(n, *axes):
     return shifted((0,) * n, *axes)
 
 
-def block_table(pts, rows, cols, entry, symmetric=False, dtype=float):
-    """Batched (N, rows, cols) table with ``[:, i, j] = entry(i, j, pts)``.
+def hessian_block(field, orders, rows, cols, pts):
+    """Batched (N, len(rows), len(cols)) table of d^(orders + e_r + e_c) of a
+    scalar field over the axes r in ``rows`` and c in ``cols``.
 
-    With ``symmetric`` only the entries with i <= j are evaluated and the
-    others are mirrored from them.
+    A diagonal block (``rows == cols``) is evaluated on and above its
+    diagonal and mirrored, so it is exactly symmetric.
     """
+    rows, cols = list(rows), list(cols)
     pts = np.atleast_2d(pts)
-    out = np.empty((pts.shape[0], rows, cols), dtype=dtype)
-    for i in range(rows):
-        for j in range(i if symmetric else 0, cols):
-            out[:, i, j] = entry(i, j, pts)
-            if symmetric:
-                out[:, j, i] = out[:, i, j]
+    out = np.empty((pts.shape[0], len(rows), len(cols)))
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if rows == cols and j < i:
+                out[:, i, j] = out[:, j, i]
+            else:
+                out[:, i, j] = field.partial_value(shifted(orders, r, c), pts)
     return out
-
-
-def wirtinger_expansion(n, l, alpha, beta, gamma):
-    """Real-coordinate expansion of d^alpha_u d^beta_eta d^gamma_etabar.
-
-    Coordinates are ordered (u_1..u_n, x_1..x_l, y_1..y_l) with
-    eta_p = x_p + i y_p, so d/d eta = (d/dx - i d/dy)/2 and
-    d/d etabar = (d/dx + i d/dy)/2.  Returns {real multi-index: complex}.
-    """
-    d = n + 2 * l
-    terms = {tuple([0] * d): 1.0 + 0.0j}
-
-    def apply(factors):
-        nonlocal terms
-        new = {}
-        for mi, co in terms.items():
-            for axis, c in factors:
-                key = list(mi)
-                key[axis] += 1
-                key = tuple(key)
-                new[key] = new.get(key, 0.0j) + co * c
-        terms = new
-
-    for i, m in enumerate(alpha):
-        for _ in range(m):
-            apply([(i, 1.0 + 0.0j)])
-    for p, m in enumerate(beta):
-        for _ in range(m):
-            apply([(n + p, 0.5 + 0.0j), (n + l + p, -0.5j)])
-    for q, m in enumerate(gamma):
-        for _ in range(m):
-            apply([(n + q, 0.5 + 0.0j), (n + l + q, 0.5j)])
-    return terms

@@ -13,6 +13,14 @@ eta_p = x_p + i y_p.  From a potential Phi:
                + dV^{ij}/d eta_p    du_i ^ d eta_p
                - dV^{ij}/d etabar_q du_i ^ d etabar_q )
 
+Each block is a slice of the real Hessian H of the potential (or, for a
+partial of a block, of the same partial of the potential), with
+d/d eta = (d/dx - i d/dy)/2:
+
+    V^{ij}  = H_{u_i u_j}
+    W^{pq}  = -(H_{x_p x_q} + H_{y_p y_q} + i (H_{x_p y_q} - H_{y_p x_q}))
+    A_{jp}  = (H_{u_j y_p} + i H_{u_j x_p}) / 2     (d eta_p coefficient)
+
 The verifiers work on the real coordinate frame (du, dx, dy): every 2-form
 (the F_j, the Kahler form) is an (N, m, nc, nc) float array, antisymmetric
 in its last two axes, with nc = n + 2l coordinates.  Exterior derivatives
@@ -32,12 +40,10 @@ from . import GHLabError
 from .fields import (
     NumericScalarField,
     SymbolicScalarField,
-    block_table,
     fd_partial,
     fd_step,
-    shifted,
+    hessian_block,
     unit,
-    wirtinger_expansion,
 )
 
 
@@ -135,7 +141,7 @@ class RadialDomain(Domain):
 # ---------------------------------------------------------------------------
 
 class PotentialField:
-    """Real potential on the (u, x, y) chart with mixed Wirtinger partials."""
+    """Real potential on the (u, x, y) chart."""
 
     def __init__(self, scalar_field, n, l, domain=None, name=""):
         self.field = scalar_field
@@ -145,16 +151,14 @@ class PotentialField:
             raise ValueError("scalar field dimension does not match (n, l)")
         self.domain = domain if domain is not None else WholeSpace()
         self.name = name
-        self._expansions = {}
 
     @classmethod
     def from_sympy(cls, expr, symbols, n, l, domain=None, name=""):
         return cls(SymbolicScalarField(expr, symbols), n, l, domain, name)
 
     @classmethod
-    def from_callable(cls, func, n, l, domain=None, steps=1e-4, name=""):
-        return cls(NumericScalarField(func, n + 2 * l, steps), n, l, domain,
-                   name)
+    def from_callable(cls, func, n, l, domain=None, name=""):
+        return cls(NumericScalarField(func, n + 2 * l), n, l, domain, name)
 
     @property
     def ncoords(self):
@@ -162,24 +166,6 @@ class PotentialField:
 
     def value(self, pts):
         return self.field.value(pts)
-
-    def real_partial(self, orders, pts):
-        return self.field.partial_value(orders, pts)
-
-    def wirtinger(self, alpha, beta, gamma, pts, extra=None):
-        """d^alpha_u d^beta_eta d^gamma_etabar Phi, batched over pts."""
-        key = (tuple(alpha), tuple(beta), tuple(gamma))
-        if key not in self._expansions:
-            self._expansions[key] = wirtinger_expansion(
-                self.n, self.l, *key)
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for mi, co in self._expansions[key].items():
-            if not co:
-                continue
-            full = mi if extra is None else tuple(a + b for a, b in zip(mi, extra))
-            out += co * self.real_partial(full, pts)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +178,19 @@ class BlockSolution:
     ``V``/``W`` are callables pts -> (N, n, n) / (N, l, l).  The partial
     providers ``V_partial``/``W_partial`` (orders, pts) -> table are optional
     closed forms; without one, partials are finite differences of the table
-    with the shared ``fd_step`` policy.  Subclasses set the dtype of W.
+    at the fixed ``fd_step``.  Subclasses set the dtype of W.
     """
 
     w_dtype = float
 
     def __init__(self, n, l, V, W, domain=None, potential=None,
-                 V_partial=None, W_partial=None, fd_steps=1e-4, name=""):
+                 V_partial=None, W_partial=None, name=""):
         self.n, self.l = int(n), int(l)
         self._V, self._W = V, W
         self.domain = domain if domain is not None else WholeSpace()
         self.potential = potential
         self._V_partial = V_partial
         self._W_partial = W_partial
-        self.fd_steps = fd_steps
         self.name = name
 
     def V(self, pts):
@@ -220,7 +205,7 @@ class BlockSolution:
     def _partial(self, provider, table, orders, pts):
         if provider is not None:
             return provider(orders, pts)
-        return fd_partial(table, pts, orders, fd_step(self.fd_steps, orders))
+        return fd_partial(table, pts, orders, fd_step(orders))
 
     def V_partial(self, orders, pts):
         return self._partial(self._V_partial, self.V, orders, pts)
@@ -247,11 +232,9 @@ class GHSolution(BlockSolution):
 
     def __init__(self, n, l, V, W, domain=None, potential=None,
                  connection=None, V_partial=None, W_partial=None,
-                 connection_partial=None, discriminant=None, fd_steps=1e-4,
-                 name=""):
+                 connection_partial=None, discriminant=None, name=""):
         super().__init__(n, l, V, W, domain=domain, potential=potential,
-                         V_partial=V_partial, W_partial=W_partial,
-                         fd_steps=fd_steps, name=name)
+                         V_partial=V_partial, W_partial=W_partial, name=name)
         self._connection = connection
         self._connection_partial = connection_partial
         self.discriminant = discriminant
@@ -273,21 +256,27 @@ class GHSolution(BlockSolution):
 
     @classmethod
     def from_potential(cls, phi, discriminant=None, name=""):
+        """The blocks as slices of the real Hessian of the potential (see
+        the module docstring)."""
         n, l, nc = phi.n, phi.l, phi.ncoords
+        u, x, y = range(n), range(n, n + l), range(n + l, nc)
+
+        def H(orders, rows, cols, pts):
+            return hessian_block(phi.field, orders, rows, cols, pts)
 
         def V_partial(orders, pts):
-            return block_table(pts, n, n, lambda i, j, x: phi.real_partial(
-                shifted(orders, i, j), x), symmetric=True)
+            return H(orders, u, u, pts)
 
         def W_partial(orders, pts):
-            return block_table(pts, l, l, lambda p, q, x: -4.0 * phi.wirtinger(
-                (0,) * n, unit(l, p), unit(l, q), x, extra=orders),
-                dtype=complex)
+            W = -(H(orders, x, x, pts) + H(orders, y, y, pts)).astype(complex)
+            if l > 1:
+                # H_{y_p x_q} = H_{x_q y_p}; the term vanishes for p = q
+                xy = H(orders, x, y, pts)
+                W -= 1j * (xy - np.swapaxes(xy, 1, 2))
+            return W
 
         def connection_partial(orders, pts):
-            return block_table(pts, n, l, lambda j, p, x: 1j * phi.wirtinger(
-                unit(n, j), unit(l, p), (0,) * l, x, extra=orders),
-                dtype=complex)
+            return 0.5 * (H(orders, u, y, pts) + 1j * H(orders, u, x, pts))
 
         return cls(n, l, at_zero_orders(V_partial, nc),
                    at_zero_orders(W_partial, nc), domain=phi.domain,
@@ -303,26 +292,19 @@ class GHSolution(BlockSolution):
 # pointwise operations
 # ---------------------------------------------------------------------------
 
-def derive_vw(phi, point, pd_tol=0.0, asym_tol=1e-8):
-    """(V, W) at one point, with symmetry and positivity checks."""
-    import warnings
+def derive_vw(phi, point):
+    """(V, W) at one point; both must be positive definite.
 
+    V is exactly symmetric and W exactly hermitian by construction.
+    """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     phi.domain.require(pts)
     sol = GHSolution.from_potential(phi)
     V = sol.V(pts)[0]
     W = sol.W(pts)[0]
-    if np.max(np.abs(V - V.T), initial=0.0) > asym_tol:
-        warnings.warn("V asymmetry beyond tolerance; symmetrizing",
-                      RuntimeWarning, stacklevel=2)
-    if W.size and np.max(np.abs(W - W.conj().T), initial=0.0) > asym_tol:
-        warnings.warn("W hermiticity beyond tolerance; averaging",
-                      RuntimeWarning, stacklevel=2)
-    V = 0.5 * (V + V.T)
-    W = 0.5 * (W + W.conj().T)
-    if np.linalg.eigvalsh(V).min() <= pd_tol:
+    if np.linalg.eigvalsh(V).min() <= 0.0:
         raise NotPositiveDefinite("V is not positive definite")
-    if W.size and np.linalg.eigvalsh(W).min() <= pd_tol:
+    if W.size and np.linalg.eigvalsh(W).min() <= 0.0:
         raise NotPositiveDefinite("W is not positive definite")
     return V, W
 

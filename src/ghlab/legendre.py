@@ -35,12 +35,11 @@ from .fields import (
     JetScalarField,
     NumericScalarField,
     SymbolicScalarField,
-    block_table,
     cos,
     exp,
+    hessian_block,
     is_sympy_expr,
     log,
-    shifted,
     sp,
     unit,
 )
@@ -72,10 +71,9 @@ class SplitMASolution(BlockSolution):
 
     def __init__(self, n, l, V, W, B=None, potential=None, V_partial=None,
                  W_partial=None, domain=None, singular_points=None,
-                 charges=None, wall_pair=None, fd_steps=1e-4, name=""):
+                 charges=None, wall_pair=None, name=""):
         super().__init__(n, l, V, W, domain=domain, potential=potential,
-                         V_partial=V_partial, W_partial=W_partial,
-                         fd_steps=fd_steps, name=name)
+                         V_partial=V_partial, W_partial=W_partial, name=name)
         self._B = B
         self.singular_points = [np.asarray(p, dtype=float)
                                 for p in (singular_points or [])]
@@ -93,23 +91,25 @@ class SplitMASolution(BlockSolution):
     def from_potential(cls, K, n, l, symbols=None, domain=None, name="",
                        **kw):
         """Build the blocks from a potential: a scalar field, or a sympy
-        expression in ``symbols``."""
+        expression in ``symbols``.  They are slices of its real Hessian H:
+        V = H_ss, B = H_st and W = -H_tt."""
         if symbols is not None:
             K = SymbolicScalarField(K, symbols)
         d = n + l
+        s, t = range(n), range(n, d)
 
-        def hessian_block(sign, rows, cols, r0, c0, symmetric):
-            def partial(orders, pts):
-                return block_table(pts, rows, cols, lambda i, j, x: sign * (
-                    K.partial_value(shifted(orders, r0 + i, c0 + j), x)),
-                    symmetric=symmetric)
-            return partial
+        def V_partial(orders, pts):
+            return hessian_block(K, orders, s, s, pts)
 
-        V_partial = hessian_block(1.0, n, n, 0, 0, True)
-        W_partial = hessian_block(-1.0, l, l, n, n, True)
-        B = at_zero_orders(hessian_block(1.0, n, l, 0, n, False), d)
+        def W_partial(orders, pts):
+            return -hessian_block(K, orders, t, t, pts)
+
+        def B_partial(orders, pts):
+            return hessian_block(K, orders, s, t, pts)
+
         return cls(n, l, at_zero_orders(V_partial, d),
-                   at_zero_orders(W_partial, d), B=B, potential=K,
+                   at_zero_orders(W_partial, d),
+                   B=at_zero_orders(B_partial, d), potential=K,
                    V_partial=V_partial, W_partial=W_partial, domain=domain,
                    name=name, **kw)
 
@@ -266,8 +266,7 @@ def dual_transform(sol):
     elif sol.potential is not None:
         inner = sol.potential
         potential = NumericScalarField(
-            lambda pts: -inner.value(swap(pts)), n + l,
-            steps=getattr(inner, "steps", 1e-4))
+            lambda pts: -inner.value(swap(pts)), n + l)
 
     wall_pair = None
     if sol.wall_pair is not None:
@@ -278,7 +277,7 @@ def dual_transform(sol):
         singular_points=[np.concatenate([p[n:], p[:n]])
                          for p in sol.singular_points],
         charges=[c.T for c in sol.charges], wall_pair=wall_pair,
-        fd_steps=sol.fd_steps, name=f"dual({sol.name})" if sol.name else "")
+        name=f"dual({sol.name})" if sol.name else "")
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
         h_field = SymbolicScalarField(
             h, syms + [sp.Dummy() for _ in range(2 - len(syms))])
     elif callable(h):
-        h_field = NumericScalarField(h, 2, steps=1e-4)
+        h_field = NumericScalarField(h, 2)
     else:
         raise TypeError("h must be a number, sympy expression or callable")
 

@@ -317,45 +317,13 @@ class PeriodicFourierSolution:
             1, 1, V, W, domain=self.domain, connection=None,
             discriminant=lambda pts: self._radii(
                 np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]),
-            fd_steps=1e-4, name=f"ooguri-vafa(M={self.M})")
+            name=f"ooguri-vafa(M={self.M})")
         return sol
 
 
 def ooguri_vafa(lam, M, a, source=(0.0, 0.0), domain=None):
     """Construct the periodic family; errors if V is not positive."""
     return PeriodicFourierSolution(lam, M, a, source=source, domain=domain)
-
-
-def solution_from_config(cfg):
-    """Build a solution family from its JSON-style config dict.
-
-    Schema: {"family": ..., "n": ..., "l": ..., "lambda": ..., "M": ...,
-    "a": ..., "ell": ..., "domain": {"rmin": ..., "rmax": ...}}; unknown
-    keys are rejected.
-    """
-    known = {"family", "n", "l", "lambda", "M", "a", "ell", "domain"}
-    extra = set(cfg) - known
-    if extra:
-        raise ValueError(f"unknown config fields: {sorted(extra)}")
-    family = cfg.get("family")
-    dom = cfg.get("domain", {})
-    if family == "flat":
-        if cfg.get("n", 1) != 1:
-            raise ValueError("only the n = 1 flat family has a fibration-"
-                             "coordinate solution object")
-        return flat_gh_solution(rmax=dom.get("rmax", 10.0))
-    if family == "taub-nut":
-        return taub_nut(cfg.get("ell", 1.0), cfg.get("a", 0.0),
-                        rmin=dom.get("rmin", 0.05),
-                        rmax=dom.get("rmax", 10.0))
-    if family == "ooguri-vafa":
-        domain = None
-        if dom:
-            domain = RadialDomain(dom.get("rmin", 0.1), dom.get("rmax", 6.0),
-                                  axes=(0, 1))
-        return ooguri_vafa(cfg.get("lambda", 1.0), cfg.get("M", 20),
-                           cfg.get("a", 4.0), domain=domain)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def ov_total_flux(sol, radius, nodes=(256, 64), center=None, surface="torus",

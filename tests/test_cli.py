@@ -78,6 +78,14 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="bug"):
             run_cli(["amoeba"])
 
+    @pytest.mark.parametrize("seed", ["10", "15"])
+    def test_no_sample_in_domain_is_config_error(self, capsys, seed):
+        # the one sample lies outside the Taub-NUT domain: a check over no
+        # points must not pass
+        assert run_cli(["verify-taubnut", "--samples", "1", "--seed",
+                        seed]) == 2
+        assert "config field 'samples'" in capsys.readouterr().err
+
     def test_failing_check_is_one(self, capsys):
         # gate the decay fit on mode 1, whose true slope is 1.29
         code = run_cli(["decay", "--rrange", "0.5:3:0.25", "--gate-modes",
@@ -239,6 +247,15 @@ class TestConfigMerging:
         flag = "--" + key.replace("_", "-")
         assert self.config_hash(monkeypatch, [cmd, "--config", str(cfg)]) \
             == self.config_hash(monkeypatch, [cmd, flag, text])
+
+    @pytest.mark.parametrize("cmd,a,b", [
+        ("ronkin", "--range=0:1:0.25", "--range=0:1.000000001:0.25"),
+        ("ronkin", "--range=-3:3:0.005", "--range=-3:3.0000000001:0.005"),
+    ], ids=["8-digit-rounding", "over-1000-points"])
+    def test_distinct_grids_hash_apart(self, monkeypatch, cmd, a, b):
+        # the grids differ (in their last point), so must their hashes
+        assert self.config_hash(monkeypatch, [cmd, a]) \
+            != self.config_hash(monkeypatch, [cmd, b])
 
 
 class TestGoldenOutputs:

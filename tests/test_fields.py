@@ -157,6 +157,12 @@ class TestJetAlgebra:
         assert f.partial_value((0, 2), pts)[0] == pytest.approx(
             2.0 ** 0.9 * math.log(2.0) ** 2)
 
+    def test_empty_batch(self):
+        # a product of jets over zero points keeps its coefficient box
+        x, y = Jet.variables(np.zeros((0, 2)), (2, 1))
+        assert (x * y).c.shape == (0, 3, 2)
+        assert taub_nut(2, 1).V(np.zeros((0, 3))).shape == (0, 1, 1)
+
     def test_dual_of_jet_potential_is_exact(self):
         sol = SplitMASolution.from_potential(model_potential("harmonic"), 1, 1)
         dual = dual_transform(sol)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ghlab.fields import SymbolicScalarField, fd_partial, wirtinger_expansion
+from ghlab.fields import SymbolicScalarField, fd_partial
 from ghlab.ghcore import (
     BoxDomain,
     DomainViolation,
@@ -49,16 +49,6 @@ class TestFiniteDifferences:
             approx = fd_partial(f.value, pts, orders, steps[sum(orders)])
             assert np.max(np.abs(exact - approx)) < 1e-6
 
-    def test_wirtinger_expansion_basic(self):
-        # d/d eta of x^2 + y^2 = (dx - i dy)/2 (x^2+y^2) = x - i y = etabar
-        exp = wirtinger_expansion(0, 1, (), (1,), (0,))
-        assert exp == {(1, 0): 0.5, (0, 1): -0.5j}
-        exp2 = wirtinger_expansion(0, 1, (), (1,), (1,))
-        # d2/(d eta d etabar) = (dxx + dyy)/4
-        assert exp2[(2, 0)] == pytest.approx(0.25)
-        assert exp2[(0, 2)] == pytest.approx(0.25)
-        assert exp2[(1, 1)] == pytest.approx(0.0)
-
 
 class TestDeriveVW:
     def test_quadratic_identity_blocks(self):
@@ -84,7 +74,7 @@ class TestDeriveVW:
     def test_fd_backed_potential_agrees_with_symbolic(self):
         sym = coupled_potential()
         num = PotentialField.from_callable(
-            lambda pts: sym.value(pts), n=1, l=1, steps=1e-4)
+            lambda pts: sym.value(pts), n=1, l=1)
         pt = [0.4, -0.3, 0.8]
         Vs, Ws = derive_vw(sym, pt)
         Vn, Wn = derive_vw(num, pt)
@@ -99,12 +89,15 @@ class TestConnectionAndCurvature:
         assert np.allclose(d_eta_bar, 0.0)
 
     def test_connection_reality(self):
-        # the d etabar coefficient -i Phi_{u etabar}, computed on its own,
-        # is the conjugate of the d eta coefficient
+        # the d etabar coefficient -i Phi_{u etabar}, from sp.diff, is the
+        # conjugate of the d eta coefficient
         phi = coupled_potential()
         pt = [0.7, -0.2, 0.4]
         d_eta, d_eta_bar = connection_form(phi, pt)
-        own = -1j * phi.wirtinger((1,), (0,), (1,), [pt])[0]
+        u, x, y = phi.field.symbols
+        phi_u = sp.diff(phi.field.expr, u)
+        own = -sp.I * (sp.diff(phi_u, x) + sp.I * sp.diff(phi_u, y)) / 2
+        own = complex(own.subs(dict(zip((u, x, y), pt))))
         assert np.allclose(d_eta_bar[0, 0], own, atol=1e-12)
         assert np.allclose(d_eta_bar, np.conj(d_eta), atol=1e-12)
 
@@ -131,6 +124,74 @@ class TestConnectionAndCurvature:
                           lambda pts: (1.0 + 1j * pts[:, 0])[:, None, None])
         with pytest.raises(GHError, match=r"component \(1, 2\) is not real"):
             curvature_form(fake, [[0.1, 0.2, 0.3]])
+
+
+class TestTwoByTwoBlocks:
+    """n = l = 2: every block coupled, including the i-term of W off its
+    diagonal and the n x l connection, against sp.diff Wirtinger oracles."""
+
+    SYMS = sp.symbols("u1 u2 x1 x2 y1 y2", real=True)
+
+    @classmethod
+    def potential(cls):
+        u1, u2, x1, x2, y1, y2 = cls.SYMS
+        return ((u1 ** 2 + u2 ** 2) / 2 + u1 * u2 / 4 + u1 * x1 * y2
+                - u2 * x2 * y1 + sp.exp(u1 / 3) * sp.cos(x2 - y1) / 5
+                + u2 * (x1 ** 2 - y2 ** 2) / 3
+                + sp.log(3 + x1 * x2 + y1 ** 2) * u1 / 7
+                + sp.sin(u2 + y2) * x1 / 6)
+
+    @classmethod
+    def oracles(cls, expr):
+        """V^{ij}, W^{pq} = -4 Phi_{eta_p etabar_q} and the d eta_p
+        coefficient i Phi_{u_j eta_p} of A_j, as sympy matrices."""
+        u, x, y = cls.SYMS[:2], cls.SYMS[2:4], cls.SYMS[4:]
+
+        def d_eta(f, p):
+            return (sp.diff(f, x[p]) - sp.I * sp.diff(f, y[p])) / 2
+
+        def d_etabar(f, q):
+            return (sp.diff(f, x[q]) + sp.I * sp.diff(f, y[q])) / 2
+
+        V = sp.Matrix(2, 2, lambda i, j: sp.diff(expr, u[i], u[j]))
+        W = sp.Matrix(2, 2, lambda p, q: -4 * d_etabar(d_eta(expr, p), q))
+        A = sp.Matrix(2, 2, lambda j, p: sp.I * d_eta(sp.diff(expr, u[j]), p))
+        return V, W, A
+
+    @classmethod
+    def evaluate(cls, matrix, pts):
+        f = sp.lambdify(cls.SYMS, matrix, "numpy")
+        return np.array([np.array(f(*pt), dtype=complex) for pt in pts])
+
+    def test_blocks_and_partials_match_wirtinger_oracles(self):
+        expr = self.potential()
+        sol = GHSolution.from_potential(
+            PotentialField.from_sympy(expr, self.SYMS, n=2, l=2))
+        pts = np.random.default_rng(8).uniform(-0.5, 0.5, size=(12, 6))
+        V, W, A = self.oracles(expr)
+        # one first partial of each block, along u1, x2 and y1
+        cases = [(sol.V(pts), V), (sol.W(pts), W), (sol.connection(pts), A),
+                 (sol.V_partial((0, 0, 0, 1, 0, 0), pts),
+                  V.diff(self.SYMS[3])),
+                 (sol.W_partial((1, 0, 0, 0, 0, 0), pts),
+                  W.diff(self.SYMS[0])),
+                 (sol.connection_partial((0, 0, 0, 0, 1, 0), pts),
+                  A.diff(self.SYMS[4]))]
+        for got, oracle in cases:
+            ref = self.evaluate(oracle, pts)
+            assert np.max(np.abs(ref)) > 1e-2
+            assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) \
+                < 1e-12
+        # the i-term off the diagonal of W is present and W is hermitian
+        W_num = sol.W(pts)
+        assert np.min(np.abs(W_num[:, 0, 1].imag)) > 1e-3
+        assert np.array_equal(W_num, np.conj(np.swapaxes(W_num, 1, 2)))
+
+    def test_closed(self):
+        phi = PotentialField.from_sympy(self.potential(), self.SYMS, 2, 2)
+        pts = np.random.default_rng(9).uniform(-0.5, 0.5, size=(8, 6))
+        rep = verify_closed(phi, pts, step=1e-4, tolerance=1e-6)
+        assert rep.passed, rep.to_json()
 
 
 class TestVerifiers:

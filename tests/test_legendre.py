@@ -298,13 +298,15 @@ class TestBetaHolonomy:
         assert rep.max_abs_error < 1e-6
 
     def test_gauss_green_oracle(self):
-        # oracle: parametrize the unit circle; the closed form reduces to
-        # -(1/2pi) oint (s dt - t ds)/r^2 with integrand cos^2 + sin^2 = 1,
-        # so the loop integral is exactly -1 for h = const
-        ang = np.linspace(0, 2 * np.pi, 4001)
-        integrand = np.cos(ang) ** 2 + np.sin(ang) ** 2
-        val = -np.trapezoid(integrand, ang) / (2 * np.pi)
-        assert abs(val + 1.0) < 1e-12
+        # for h = const, beta = -(1/2pi) (s dt - t ds)/r^2; on an off-centre
+        # ellipse its loop integral, summed here by the periodic trapezoid
+        # rule, is the oracle for the holonomy along the inscribed polygon
+        ang = 2 * np.pi * np.arange(200) / 200
+        s, t = 0.2 + 1.5 * np.cos(ang), 0.5 * np.sin(ang)
+        ds, dt = -1.5 * np.sin(ang), 0.5 * np.cos(ang)
+        oracle = -np.sum((s * dt - t * ds) / (s ** 2 + t ** 2)) / 200
+        rep = beta_holonomy(singular_2d(h=1.0), np.stack([s, t], axis=-1))
+        assert abs(rep.holonomy[0, 0] - oracle) < 1e-9
 
     def test_non_enclosing_loop(self):
         sol = singular_2d(h=1.0)

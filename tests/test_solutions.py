@@ -95,9 +95,13 @@ class TestFlatClosedForms:
         sol = flat_gh_solution()
         pt = np.array([[0.4, 0.5, -0.7]])
         alpha = sol.connection(pt)[0, 0, 0]
-        # d etabar coefficient is the conjugate (A real); recompute directly
-        phi = sol.potential
-        bar = -1j * phi.wirtinger((1,), (0,), (1,), pt)[0]
+        # d etabar coefficient is the conjugate (A real); recompute it as
+        # -i Phi_{u etabar} by sp.diff of the flat potential
+        u, x, y = sp.symbols("u x y", real=True)
+        r = sp.sqrt(u ** 2 + x ** 2 + y ** 2)
+        phi_u = sp.diff((u * sp.log(u + r) - r) / 2, u)
+        bar = -sp.I * (sp.diff(phi_u, x) + sp.I * sp.diff(phi_u, y)) / 2
+        bar = complex(bar.subs(dict(zip((u, x, y), pt[0]))))
         assert abs(bar - np.conj(alpha)) < 1e-12
 
 
@@ -338,19 +342,6 @@ class TestOoguriVafa:
         sol = ooguri_vafa(1.0, 20, a=5.0)
         flux = ov_total_flux(sol, 0.3, center=(2.0, 2.0))
         assert abs(flux) < 1e-4
-
-    def test_solution_from_config(self):
-        from ghlab.solutions import solution_from_config
-
-        sol = solution_from_config({"family": "taub-nut", "ell": 2.0,
-                                    "a": 0.5, "domain": {"rmax": 5.0}})
-        assert sol.ell == 2.0
-        ov = solution_from_config({"family": "ooguri-vafa", "M": 6, "a": 3.0})
-        assert ov.M == 6
-        with pytest.raises(ValueError):
-            solution_from_config({"family": "taub-nut", "bogus": 1})
-        with pytest.raises(ValueError):
-            solution_from_config({"family": "unknown"})
 
     def test_completeness_probe_flat(self):
         # flat C^2: (V^{-1}) = 2r grows linearly, integral grows like log
