@@ -7,7 +7,7 @@ Three branches, all in-house:
   evaluated in double precision (cancellation loses ~2*x/ln(10) digits, which
   stays below 1e-12 relative here).
 * ``4 < x < 32``: Chebyshev interpolant of log(K0) + x + log(x)/2 in 1/x,
-  built once at first use from the same ascending series evaluated with
+  a stored table fitted from the same ascending series evaluated with
   mpmath extended-precision arithmetic (precision scaled with x so the
   cancellation is absorbed).  mpmath is used as a bignum engine only.
 * ``x >= 32``: Poincare asymptotic series
@@ -31,7 +31,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _SERIES_MAX = 4.0
 _ASYM_MIN = 32.0
-_CHEB_DEGREE = 48
 
 
 class NonpositiveArgument(ValueError):
@@ -123,47 +122,50 @@ def _k0_asym_double(x):
     return pref * s
 
 
-_cheb_coeffs = None
-
-
-def _build_cheb():
-    """Chebyshev fit of g(s) = log K0(x) + x + log(x)/2 with s linear in 1/x."""
-    global _cheb_coeffs
-    n = _CHEB_DEGREE
-    lo, hi = 1.0 / _ASYM_MIN, 1.0 / _SERIES_MAX
-    # Chebyshev nodes of the first kind in s = 1/x
-    j = np.arange(n + 1)
-    xc = np.cos(np.pi * (j + 0.5) / (n + 1))
-    svals = 0.5 * (hi - lo) * xc + 0.5 * (hi + lo)
-    g = np.empty(n + 1)
-    for i, s in enumerate(svals):
-        x = 1.0 / s
-        with mp.workdps(40 + int(x)):
-            val = mp.log(k0_mp(x)) + x + mp.log(x) / 2
-        g[i] = float(val)
-    # discrete cosine fit at the nodes
-    coeffs = np.empty(n + 1)
-    for k in range(n + 1):
-        coeffs[k] = (2.0 / (n + 1)) * np.sum(
-            g * np.cos(np.pi * k * (j + 0.5) / (n + 1)))
-    coeffs[0] *= 0.5
-    _cheb_coeffs = (coeffs, lo, hi)
+# Chebyshev coefficients of g(s) = log K0(x) + x + log(x)/2, s = 1/x on
+# [1/32, 1/4], fitted at the 49 first-kind nodes from k0_mp by a discrete
+# cosine sum (tests/test_bessel.py rebuilds them bit for bit).
+_CHEB_LO, _CHEB_HI = 1.0 / _ASYM_MIN, 1.0 / _SERIES_MAX
+_CHEB_COEFFS = np.array([
+    0.2095597917547311, -0.012111911755778965, 0.0002611274859010987,
+    -1.074864614806056e-05, 6.149302437332059e-07, -4.351214930428274e-08,
+    3.590813477626557e-09, -3.3376959926049004e-10, 3.4154487628135675e-11,
+    -3.786438283096843e-12, 4.4939902139742797e-13, -5.6506953311508345e-14,
+    7.42603257797745e-15, -1.1396779211968442e-15, 1.325470345725952e-16,
+    1.6200193114428304e-16, 7.023859951710173e-17, -1.586032892321652e-17,
+    1.314141539352226e-16, 2.832201593431522e-17, -1.2801551202310477e-16,
+    1.1102230246251564e-16, 1.8126090197961738e-17, 9.742773481404435e-17,
+    -2.2657612747452172e-17, -1.0309213800090738e-16, 3.058777720906043e-17,
+    -1.9258970835334348e-17, 3.8631229734405954e-16, -2.7075847233205345e-16,
+    7.93016446160826e-17, -1.2461687011098694e-17, 1.7219785688063652e-16,
+    -1.3028127329785e-17, -6.5140636648925e-16, -2.2657612747452172e-17,
+    3.5119299758550866e-17, -1.2688263138573217e-16, 1.0705722023171151e-16,
+    -2.1694664205685454e-16, 2.79255077112348e-16, 3.228709816511935e-17,
+    -1.3028127329784999e-16, 1.7814548022684272e-16, -1.6653345369377346e-16,
+    2.3393985161744366e-16, -1.4302618046829185e-16, 2.313200651435195e-16,
+    3.49068846390435e-17,
+])
+# Clenshaw runs on blocks this long, so that its buffers stay in cache
+_CHEB_BLOCK = 8192
 
 
 def _k0_cheb(x):
-    """Chebyshev middle branch, vectorized (Clenshaw recurrence)."""
-    if _cheb_coeffs is None:
-        _build_cheb()
-    coeffs, lo, hi = _cheb_coeffs
-    x = np.asarray(x, dtype=float)
-    s = 1.0 / x
-    t = (2.0 * s - (lo + hi)) / (hi - lo)
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for c in coeffs[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + c, b1
-    g = t * b1 - b2 + coeffs[0]
-    return np.exp(g - x) / np.sqrt(x)
+    """Chebyshev middle branch on a float array (Clenshaw recurrence)."""
+    lo, hi = _CHEB_LO, _CHEB_HI
+    out = np.empty_like(x)
+    for start in range(0, x.size, _CHEB_BLOCK):
+        xb = x[start:start + _CHEB_BLOCK]
+        t = (2.0 * (1.0 / xb) - (lo + hi)) / (hi - lo)
+        t2 = 2.0 * t
+        b1, b2, tmp = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+        for c in _CHEB_COEFFS[:0:-1]:
+            np.multiply(t2, b1, out=tmp)
+            tmp -= b2
+            tmp += c
+            b1, b2, tmp = tmp, b1, b2
+        g = t * b1 - b2 + _CHEB_COEFFS[0]
+        out[start:start + _CHEB_BLOCK] = np.exp(g - xb) / np.sqrt(xb)
+    return out
 
 
 def k0(x):

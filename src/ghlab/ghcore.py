@@ -489,6 +489,8 @@ def verify_closed(source, grid_pts, step=1e-4, tolerance=1e-6):
     mixed fourth-derivative identity, all over a point batch."""
     sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
+    if pts.size == 0:
+        raise GHError("the point batch is empty: there is no point to check")
     sol.domain.require(pts)
     df, arg_f = _d_residual(curvature_form, sol, pts, step, tolerance)
     domega = None
@@ -507,6 +509,8 @@ def verify_compat(source, grid_pts, tolerance=1e-10):
     """Max of |det W / det V - 1| over the grid (Ricci-flatness scalar)."""
     sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
+    if pts.size == 0:
+        raise GHError("the point batch is empty: there is no point to check")
     detv = np.linalg.det(sol.V(pts))
     detw = np.abs(np.linalg.det(sol.W(pts))) if sol.l else np.ones(pts.shape[0])
     r = np.abs(detw / detv - 1.0)

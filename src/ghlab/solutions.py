@@ -254,17 +254,19 @@ class PeriodicFourierSolution:
         return self.coefficient(m) * k0(abs(m) * rho) / (2.0 * np.pi)
 
     def value(self, pts):
-        """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order."""
+        """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order;
+        K0 is evaluated per distinct radius, e^{i m y} per distinct y."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         u, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
-        rho = self._radii(u, x)
+        rho, rho_of = np.unique(self._radii(u, x), return_inverse=True)
+        y, y_of = np.unique(y, return_inverse=True)
         out = self.zero_mode(u, x).astype(float).copy()
         for m in range(1, self.M + 1):
             c = self.coeffs.get(m, 0.0 + 0.0j)
             if c == 0:
                 continue
-            out += 2.0 * np.real(c * np.exp(1j * m * y)) * k0(m * rho) \
-                / (2.0 * np.pi)
+            out += 2.0 * np.real(c * np.exp(1j * m * y))[y_of] \
+                * k0(m * rho)[rho_of] / (2.0 * np.pi)
         return out
 
     def _check_positive(self):
@@ -299,9 +301,9 @@ class PeriodicFourierSolution:
             def g(t):
                 return c * k0_mp(abs(m) * t, dps=dps + 10)
 
-            g0 = g(rho_mp)
-            gp = (g(rho_mp + h) - g(rho_mp - h)) / (2 * h)
-            gpp = (g(rho_mp + h) - 2 * g0 + g(rho_mp - h)) / (h * h)
+            g0, gplus, gminus = g(rho_mp), g(rho_mp + h), g(rho_mp - h)
+            gp = (gplus - gminus) / (2 * h)
+            gpp = (gplus - 2 * g0 + gminus) / (h * h)
             res = gpp + gp / rho_mp - m * m * g0
         return float(res)
 

@@ -89,3 +89,54 @@ class TestShapeProperties:
             with mp.workdps(50):
                 ref = mp.besselk(0, mp.mpf(x))
             assert abs(float(k0_mp(x) - ref)) / float(ref) < 1e-14
+
+
+def build_cheb_table(degree=48, lo=1.0 / 32.0, hi=1.0 / 4.0):
+    """The fit behind bessel._CHEB_COEFFS: g(s) = log K0(x) + x + log(x)/2
+    at the first-kind Chebyshev nodes in s = 1/x, from k0_mp, then a
+    discrete cosine sum."""
+    n = degree
+    j = np.arange(n + 1)
+    xc = np.cos(np.pi * (j + 0.5) / (n + 1))
+    svals = 0.5 * (hi - lo) * xc + 0.5 * (hi + lo)
+    g = np.empty(n + 1)
+    for i, s in enumerate(svals):
+        x = 1.0 / s
+        with mp.workdps(40 + int(x)):
+            val = mp.log(k0_mp(x)) + x + mp.log(x) / 2
+        g[i] = float(val)
+    coeffs = np.empty(n + 1)
+    for k in range(n + 1):
+        coeffs[k] = (2.0 / (n + 1)) * np.sum(
+            g * np.cos(np.pi * k * (j + 0.5) / (n + 1)))
+    coeffs[0] *= 0.5
+    return coeffs
+
+
+class TestChebyshevBranch:
+    def test_stored_table_is_the_mpmath_fit(self):
+        from ghlab.bessel import _CHEB_COEFFS, _CHEB_HI, _CHEB_LO
+
+        assert (_CHEB_LO, _CHEB_HI) == (1.0 / 32.0, 1.0 / 4.0)
+        assert np.array_equal(_CHEB_COEFFS, build_cheb_table())
+
+    def test_blocked_batch_equals_unblocked_recurrence(self):
+        # three full Clenshaw blocks and a ragged tail, all mid-range; the
+        # oracle is the one-pass recurrence on the whole batch, and scalar
+        # calls at both sides of every block boundary
+        from ghlab.bessel import _CHEB_BLOCK, _CHEB_COEFFS, _CHEB_HI, _CHEB_LO
+
+        xs = np.random.default_rng(9).uniform(4.001, 31.999,
+                                              3 * _CHEB_BLOCK + 5)
+        lo, hi = _CHEB_LO, _CHEB_HI
+        t = (2.0 * (1.0 / xs) - (lo + hi)) / (hi - lo)
+        b1, b2 = np.zeros_like(t), np.zeros_like(t)
+        for c in _CHEB_COEFFS[:0:-1]:
+            b1, b2 = 2.0 * t * b1 - b2 + c, b1
+        g = t * b1 - b2 + _CHEB_COEFFS[0]
+        got = k0(xs)
+        assert np.array_equal(got, np.exp(g - xs) / np.sqrt(xs))
+        edges = [0, xs.size - 1] + [i for b in (1, 2, 3)
+                                    for i in (b * _CHEB_BLOCK - 1,
+                                              b * _CHEB_BLOCK)]
+        assert all(got[i] == k0(float(xs[i])) for i in edges)

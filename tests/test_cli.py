@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -299,6 +300,36 @@ class TestGoldenOutputs:
         polylines = [e for e in tree.iter()
                      if e.tag.endswith("polyline")]
         assert len(polylines) == 3
+
+    # sha256 of each artifact at default settings; a change that only makes
+    # the periodic K0 path faster must leave these bytes as they are
+    PERIODIC_GOLDEN = {
+        "ov": {"out": "5f087c0cc7859f2b2850fef41766b903"
+                      "74240d2aaf8b397bd882dca15354c031",
+               "csv": "a4e0ec87d76faf214412872de495df07"
+                      "5019f6e68e6eabc81f63df9ea27a081e"},
+        "decay": {"out": "dc7b69e4f6adc3fa5ec91019b86c2c31"
+                         "47300b90128e2cbb68fe2ffa513c0e11",
+                  "csv": "b3abffb1dc84aad1b3bb52bd8a4f64de"
+                         "341fa0c0704763abb1cd9ea24b1fed79",
+                  "svg": "dc0d1c14e11643bf595942512eac64ee"
+                         "df0abd59a95687044472fc606b1c4976"},
+        "collapse": {"out": "05bd84f0b7964f38e013e1332826e43d"
+                            "072fd4912aa7173b24da2c498ba901c6",
+                     "csv": "616125bb4168b1518218d16fef683bd8"
+                            "d13d19143117370e62a9be1388d81001"},
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(PERIODIC_GOLDEN))
+    def test_periodic_artifacts_match_golden_hashes(self, tmp_path, cmd):
+        want = self.PERIODIC_GOLDEN[cmd]
+        paths = {kind: tmp_path / f"{cmd}.{kind}" for kind in want}
+        args = [cmd] + [a for kind, path in paths.items()
+                        for a in (f"--{kind}", str(path))]
+        assert run_cli(args) == 0
+        got = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
+               for kind, path in paths.items()}
+        assert got == want
 
     def test_holonomy_report_contents(self, tmp_path):
         out = tmp_path / "h.json"

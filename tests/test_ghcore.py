@@ -258,6 +258,11 @@ class TestVerifiers:
                            pts)
         assert abs(r1.max_residual - r2.max_residual) < 1e-12
 
+    @pytest.mark.parametrize("verify", [verify_closed, verify_compat])
+    def test_empty_batch_is_refused(self, verify):
+        with pytest.raises(GHError, match="empty"):
+            verify(quadratic_potential(), np.zeros((0, 3)))
+
 
 class TestCompletenessProbe:
     def test_constant_v_linear_growth(self):

@@ -11,6 +11,7 @@ from ghlab.solutions import (
     NotConvex,
     NotPositive,
     OnDiscriminant,
+    PeriodicFourierSolution,
     flat_gh_solution,
     flat_solution,
     ooguri_vafa,
@@ -342,6 +343,68 @@ class TestOoguriVafa:
         sol = ooguri_vafa(1.0, 20, a=5.0)
         flux = ov_total_flux(sol, 0.3, center=(2.0, 2.0))
         assert abs(flux) < 1e-4
+
+    @staticmethod
+    def per_point_value(sol, pts):
+        """The mode sum with K0 and e^{i m y} at every point."""
+        from ghlab.bessel import k0
+
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        u, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
+        rho = sol._radii(u, x)
+        out = sol.zero_mode(u, x).astype(float).copy()
+        for m in range(1, sol.M + 1):
+            c = sol.coeffs.get(m, 0.0 + 0.0j)
+            if c == 0:
+                continue
+            out += 2.0 * np.real(c * np.exp(1j * m * y)) * k0(m * rho) \
+                / (2.0 * np.pi)
+        return out
+
+    def test_value_on_torus_grid_equals_per_point_sum(self):
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        alpha = 2.0 * np.pi * np.arange(32) / 32
+        A, Y = np.meshgrid(alpha, 2.0 * np.pi * np.arange(16) / 16,
+                           indexing="ij")
+        for radius in (0.3, 1.7, 6.5):
+            pts = np.stack([radius * np.cos(A).ravel(),
+                            radius * np.sin(A).ravel(), Y.ravel()], -1)
+            assert np.array_equal(sol.value(pts),
+                                  self.per_point_value(sol, pts))
+
+    def test_value_with_repeats_and_complex_coefficients(self):
+        # radii across all three K0 branches, each (rho, y) drawn from a
+        # small pool so both repeat; complex coefficients and a zero one
+        rng = np.random.default_rng(21)
+        coeffs = {m: complex(*rng.normal(size=2)) for m in range(1, 13)}
+        coeffs[7] = 0.0
+        sol = PeriodicFourierSolution(1.0, 12, 3.0, source=(0.2, -0.1),
+                                      coeffs=coeffs, check_positive=False)
+        rhos = rng.uniform(0.05, 4.0, 40)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 40)
+        ys = rng.uniform(0.0, 2.0 * np.pi, 25)
+        i, k = rng.integers(0, 40, 3000), rng.integers(0, 25, 3000)
+        pts = np.stack([0.2 + rhos[i] * np.cos(ang[i]),
+                        -0.1 + rhos[i] * np.sin(ang[i]), ys[k]], -1)
+        assert np.array_equal(sol.value(pts), self.per_point_value(sol, pts))
+
+    def test_flux_evaluates_k0_once_per_distinct_radius(self, monkeypatch):
+        # each of the two torus layers has 256 radii, one per angle, shared
+        # by the 64 fiber points above it
+        import ghlab.solutions as solmod
+        from ghlab.bessel import k0
+
+        seen = []
+
+        def counting_k0(x):
+            seen.append(np.size(x))
+            return k0(x)
+
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        monkeypatch.setattr(solmod, "k0", counting_k0)
+        flux = ov_total_flux(sol, 0.5)
+        assert abs(flux + 2 * np.pi) < 0.01 * 2 * np.pi
+        assert sum(seen) <= 2 * 40 * 256, sum(seen)
 
     def test_completeness_probe_flat(self):
         # flat C^2: (V^{-1}) = 2r grows linearly, integral grows like log
