@@ -224,16 +224,15 @@ def _cmd_ov(p, meta):
         mshow = min(p["modes"], 8)
         header = ["u", "x", "y", "V"] + sum(
             ([f"re_V{m}", f"im_V{m}"] for m in range(1, mshow + 1)), [])
-        rows = []
-        for r in np.linspace(0.25, 2.0, 8):
-            for y in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-                u, x = r, 0.0
-                row = [u, x, y, float(sol.value([[u, x, y]])[0])]
-                for m in range(1, mshow + 1):
-                    vm = complex(sol.mode_value(m, u, x))
-                    row += [vm.real, vm.imag]
-                rows.append(row)
-        _write_csv(p["csv"], header, rows, meta)
+        # the 8 x 8 (r, y) grid in row order, on the line x = 0
+        u = np.repeat(np.linspace(0.25, 2.0, 8), 8)
+        y = np.tile(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False), 8)
+        x = np.zeros_like(u)
+        cols = [u, x, y, sol.value(np.stack([u, x, y], axis=-1))]
+        for m in range(1, mshow + 1):
+            vm = sol.mode_value(m, u, x)
+            cols += [vm.real, vm.imag]
+        _write_csv(p["csv"], header, np.stack(cols, axis=-1).tolist(), meta)
     worst = 0.0
     for m in range(1, p["helmholtz_modes"] + 1):
         for rho in (0.1, 0.5, 2.0):
@@ -647,6 +646,11 @@ def main(argv=None):
                     if k not in ("out", "csv", "svg")}
         meta = {"version": __version__, "configHash": _config_hash(hash_src)}
         checks = _RUNNERS[cmd](params, meta)
+        if params["out"] and cmd != "holonomy":
+            _write_json(params["out"], {
+                "command": cmd, **meta,
+                "checks": [{"name": c.name, "pass": c.passed,
+                            "details": c.details} for c in checks]})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -658,11 +662,6 @@ def main(argv=None):
         return 2
     for c in checks:
         print(c.line())
-    if params.get("out") and cmd != "holonomy":
-        _write_json(params["out"], {
-            "command": cmd, **meta,
-            "checks": [{"name": c.name, "pass": c.passed,
-                        "details": c.details} for c in checks]})
     return 0 if all(c.passed for c in checks) else 1
 
 

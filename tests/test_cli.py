@@ -95,7 +95,8 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("args", [
+# every command, at settings small enough for a quick run
+QUICK_RUNS = [
     ["verify-flat", "--samples", "20", "--grid", "8"],
     ["verify-taubnut", "--samples", "100"],
     ["ov", "--modes", "8", "--helmholtz-modes", "2"],
@@ -105,7 +106,10 @@ class TestExitCodes:
     ["holonomy", "--segments", "16"],
     ["decay"],
     ["collapse", "--lambdas", "1,5", "--nodes", "64"],
-], ids=lambda args: args[0])
+]
+
+
+@pytest.mark.parametrize("args", QUICK_RUNS, ids=lambda args: args[0])
 def test_json_report_of_every_command(tmp_path, capsys, args):
     out = tmp_path / "rep.json"
     assert run_cli(args + ["--out", str(out)]) == 0
@@ -113,6 +117,15 @@ def test_json_report_of_every_command(tmp_path, capsys, args):
     assert "configHash" in rep
     for check in rep.get("checks", []):
         assert type(check["pass"]) is bool
+
+
+@pytest.mark.parametrize("args", QUICK_RUNS, ids=lambda args: args[0])
+def test_json_report_into_missing_directory_is_io_error(tmp_path, capsys,
+                                                        args):
+    out = tmp_path / "missing" / "rep.json"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("poly,point", [
@@ -330,6 +343,54 @@ class TestGoldenOutputs:
         got = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
                for kind, path in paths.items()}
         assert got == want
+
+    def test_ov_csv_matches_bessel_oracle(self, tmp_path):
+        # V = a - log r/(2 pi) + (1/pi) sum_{m <= 40} cos(m y) K0(m r) and
+        # V^m = K0(m r)/(2 pi) on the line x = 0, from mpmath alone
+        import mpmath as mp
+
+        path = tmp_path / "ov.csv"
+        assert run_cli(["ov", "--csv", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+        assert len(rows) == 64 and len(header) == 4 + 2 * 8
+        bessel = {}
+
+        def k0(m, r):
+            if (m, r) not in bessel:
+                bessel[m, r] = float(mp.besselk(0, m * r))
+            return bessel[m, r]
+
+        for u, x, y, v, *modes in rows:
+            assert x == 0.0
+            want = 5.0 - math.log(u) / (2.0 * math.pi) + sum(
+                math.cos(m * y) * k0(m, u) for m in range(1, 41)) / math.pi
+            assert abs(v - want) < 1e-11
+            for m in range(1, 9):
+                re_vm, im_vm = modes[2 * m - 2:2 * m]
+                assert abs(re_vm - k0(m, u) / (2.0 * math.pi)) < 1e-11
+                assert im_vm == 0.0
+
+    def test_ov_csv_is_one_batched_evaluation(self, tmp_path, monkeypatch,
+                                              capsys):
+        # one k0 call per mode of the value sum and one per shown mode; a
+        # per-row loop over the 64 grid points makes 3,072
+        from ghlab import solutions
+
+        calls = []
+        k0 = solutions.k0
+
+        def counting_k0(x):
+            calls.append(1)
+            return k0(x)
+
+        monkeypatch.setattr(solutions, "k0", counting_k0)
+        assert run_cli(["ov"]) == 0
+        baseline = len(calls)
+        calls.clear()
+        assert run_cli(["ov", "--csv", str(tmp_path / "ov.csv")]) == 0
+        assert len(calls) - baseline <= 40 + 8
 
     def test_holonomy_report_contents(self, tmp_path):
         out = tmp_path / "h.json"
