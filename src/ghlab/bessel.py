@@ -124,7 +124,9 @@ def _k0_asym_double(x):
 
 # Chebyshev coefficients of g(s) = log K0(x) + x + log(x)/2, s = 1/x on
 # [1/32, 1/4], fitted at the 49 first-kind nodes from k0_mp by a discrete
-# cosine sum (tests/test_bessel.py rebuilds them bit for bit).
+# cosine sum (tests/test_bessel.py rebuilds them bit for bit).  Only the
+# first 15 (degree 14) are kept: the rest are rounding noise of the fit, and
+# without them the branch is both faster and closer to mpmath's K0.
 _CHEB_LO, _CHEB_HI = 1.0 / _ASYM_MIN, 1.0 / _SERIES_MAX
 _CHEB_COEFFS = np.array([
     0.2095597917547311, -0.012111911755778965, 0.0002611274859010987,
@@ -132,18 +134,6 @@ _CHEB_COEFFS = np.array([
     3.590813477626557e-09, -3.3376959926049004e-10, 3.4154487628135675e-11,
     -3.786438283096843e-12, 4.4939902139742797e-13, -5.6506953311508345e-14,
     7.42603257797745e-15, -1.1396779211968442e-15, 1.325470345725952e-16,
-    1.6200193114428304e-16, 7.023859951710173e-17, -1.586032892321652e-17,
-    1.314141539352226e-16, 2.832201593431522e-17, -1.2801551202310477e-16,
-    1.1102230246251564e-16, 1.8126090197961738e-17, 9.742773481404435e-17,
-    -2.2657612747452172e-17, -1.0309213800090738e-16, 3.058777720906043e-17,
-    -1.9258970835334348e-17, 3.8631229734405954e-16, -2.7075847233205345e-16,
-    7.93016446160826e-17, -1.2461687011098694e-17, 1.7219785688063652e-16,
-    -1.3028127329785e-17, -6.5140636648925e-16, -2.2657612747452172e-17,
-    3.5119299758550866e-17, -1.2688263138573217e-16, 1.0705722023171151e-16,
-    -2.1694664205685454e-16, 2.79255077112348e-16, 3.228709816511935e-17,
-    -1.3028127329784999e-16, 1.7814548022684272e-16, -1.6653345369377346e-16,
-    2.3393985161744366e-16, -1.4302618046829185e-16, 2.313200651435195e-16,
-    3.49068846390435e-17,
 ])
 # Clenshaw runs on blocks this long, so that its buffers stay in cache
 _CHEB_BLOCK = 8192

