@@ -205,11 +205,12 @@ def verify_classical_ma(sol, grid_pts, tolerance=1e-8):
 
 
 def block_determinant_residual(A, B, C, D):
-    """Relative residual of det [[A,B],[C,D]] = det A * det(D - C A^{-1} B)."""
+    """Relative residual of det [[A,B],[C,D]] = det A * det(D - C A^{-1} B),
+    one per entry of a stack of blocks (leading axes)."""
     M = np.block([[A, B], [C, D]])
     lhs = np.linalg.det(M)
     rhs = np.linalg.det(A) * np.linalg.det(D - C @ np.linalg.inv(A) @ B)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+    return abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-30)
 
 
 def inverse_minor_residual(M, rows, cols):
@@ -460,26 +461,31 @@ def beta_holonomy(sol, loop, nodes=12, guard=1e-6):
         raise ValueError("loop vertices have wrong dimension")
     if sol.min_singular_distance(loop) < guard:
         raise LoopHitsSingularity("loop passes through the singular support")
+    ends = np.roll(loop, -1, axis=0)
+    if any(sol.min_segment_distance(a, b) < guard for a, b in zip(loop, ends)):
+        raise LoopHitsSingularity("loop passes through the singular support")
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    w = 0.5 * gl_w   # d t in [0,1]
+    # the Gauss nodes of every segment in one batch
+    directions = ends - loop
+    ts = 0.5 * (gl_x + 1.0)
+    pts = (loop[:, None] + ts[:, None] * directions[:, None]).reshape(-1, d)
+    shape = (len(loop), nodes)
+    dWs = [sol.W_partial(unit(d, i), pts).reshape(shape + (l, l))
+           for i in range(n)]
+    dVt = [sol.V_partial(unit(d, n + q), pts).reshape(shape + (n, n))
+           for q in range(l)]
     hol = np.zeros((n, l))
-    segments = zip(loop, np.roll(loop, -1, axis=0))
-    for a, b in segments:
-        direction = b - a
-        ts = 0.5 * (gl_x + 1.0)
-        pts = a[None, :] + ts[:, None] * direction[None, :]
-        if sol.min_segment_distance(a, b) < guard:
-            raise LoopHitsSingularity("loop passes through the singular support")
-        w = 0.5 * gl_w   # d t in [0,1]
-        dWs = [sol.W_partial(unit(d, i), pts) for i in range(n)]
-        dVt = [sol.V_partial(unit(d, n + q), pts) for q in range(l)]
-        for i in range(n):
-            for q in range(l):
-                integrand = np.zeros(nodes)
-                for p in range(l):
-                    integrand += dWs[i][:, p, q] * direction[n + p]
-                for j in range(n):
-                    integrand -= dVt[q][:, i, j] * direction[j]
-                hol[i, q] += float(np.dot(w, integrand))
+    for i in range(n):
+        for q in range(l):
+            integrand = np.zeros(shape)
+            for p in range(l):
+                integrand += dWs[i][..., p, q] * directions[:, None, n + p]
+            for j in range(n):
+                integrand -= dVt[q][..., i, j] * directions[:, None, j]
+            # segment by segment, in loop order
+            for row in integrand:
+                hol[i, q] += float(np.dot(w, row))
     windings = []
     expected = np.zeros((n, l))
     if n == 1 and l == 1 and sol.singular_points:

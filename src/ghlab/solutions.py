@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from . import GHLabError, NotPositive, QuadratureFailure
@@ -284,13 +283,14 @@ class PeriodicFourierSolution:
                 "increase the harmonic shift a")
 
     def helmholtz_residual(self, m, rho, dps=40):
-        """(d^2/drho^2 + (1/rho) d/drho - m^2) V^m at radius rho.
+        """(d^2/drho^2 + (1/rho) d/drho - m^2) V^m at radius rho, on k0_mp.
 
-        Evaluated with extended-precision central differences: the double
-        noise floor of a second difference of K0-sized values is ~5e-7,
-        above the 1e-8 contract, so the stencil runs on the arbitrary
-        precision evaluator.
+        The identity for the extended-precision K0: second-order central
+        differences at ``dps`` digits.  ``ghlab ov`` checks the double
+        precision ``mode_value`` instead, with a 6th-order stencil.
         """
+        import mpmath as mp
+
         if m == 0:
             raise ValueError("zero mode satisfies the logarithmic equation")
         c = abs(self.coefficient(m)) / (2.0 * np.pi)

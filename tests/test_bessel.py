@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ghlab.bessel import EULER_GAMMA, NonpositiveArgument, k0, k0_mp
+from ghlab.bessel import (EULER_GAMMA, NonpositiveArgument, k0, k0_integral,
+                          k0_mp)
 
 
 def k0_integral_oracle(x):
@@ -70,6 +71,8 @@ class TestBranches:
             k0(-1.0)
         with pytest.raises(NonpositiveArgument):
             k0_mp(-2.0)
+        with pytest.raises(NonpositiveArgument):
+            k0_integral(np.array([1.0, 0.0]))
 
 
 class TestShapeProperties:
@@ -89,6 +92,33 @@ class TestShapeProperties:
             with mp.workdps(50):
                 ref = mp.besselk(0, mp.mpf(x))
             assert abs(float(k0_mp(x) - ref)) / float(ref) < 1e-14
+
+
+def mpmath_k0(xs):
+    with mp.workdps(30):
+        return np.array([float(mp.besselk(0, mp.mpf(float(x)))) for x in xs])
+
+
+class TestDoublePrecisionReferences:
+    def test_integral_oracle_matches_mpmath(self):
+        # the trapezoid rule that gives ghlab collapse its exact target
+        xs = np.geomspace(0.5, 100.0, 120)
+        ref = mpmath_k0(xs)
+        assert np.max(np.abs(k0_integral(xs) - ref) / ref) <= 1e-14
+
+    def test_asymptotic_branch_matches_mpmath(self):
+        xs = np.linspace(32.0, 700.0, 300)
+        ref = mpmath_k0(xs)
+        assert np.max(np.abs(k0(xs) - ref) / ref) <= 1e-15
+
+    def test_asymptotic_branch_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([rng.uniform(0.05, 32.0, 40),
+                             32.0 + rng.exponential(40.0, 60), [32.0]])
+        rng.shuffle(xs)
+        got = k0(xs)
+        large = np.flatnonzero(xs >= 32.0)
+        assert all(got[i] == k0(xs[i:i + 1])[0] for i in large)
 
 
 def build_cheb_table(degree=48, lo=1.0 / 32.0, hi=1.0 / 4.0):

@@ -182,9 +182,26 @@ def test_collapse_field_check_catches_wrong_mode_sum(monkeypatch, capsys):
     assert run_cli(["collapse"]) == 0
     assert "PASS collapse-field-nonincreasing" in capsys.readouterr().out
     real = solutions.k0
-    monkeypatch.setattr(solutions, "k0", lambda x: 1.01 * real(x))
-    assert run_cli(["collapse"]) == 1
-    assert "FAIL collapse-field-nonincreasing" in capsys.readouterr().out
+    # the exact target is an independent K0 good to rounding, so a relative
+    # fault of 1e-9 shows as well as one of 1e-2
+    for scale in (1.01, 1.0 + 1e-9):
+        monkeypatch.setattr(solutions, "k0", lambda x, s=scale: s * real(x))
+        assert run_cli(["collapse"]) == 1
+        assert "FAIL collapse-field-nonincreasing" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", [0, 14])
+def test_ov_helmholtz_check_catches_perturbed_k0_table(monkeypatch, capsys,
+                                                       entry):
+    # the check differentiates the double-precision V^m that V is summed
+    # from; its stencils at m rho = 4 straddle the series/Chebyshev switch
+    from ghlab import bessel
+
+    coeffs = bessel._CHEB_COEFFS.copy()
+    coeffs[entry] += 1e-9
+    monkeypatch.setattr(bessel, "_CHEB_COEFFS", coeffs)
+    assert run_cli(["ov"]) == 1
+    assert "FAIL ov-helmholtz" in capsys.readouterr().out
 
 
 class TestConfigMerging:
@@ -314,11 +331,13 @@ class TestGoldenOutputs:
                      if e.tag.endswith("polyline")]
         assert len(polylines) == 3
 
-    # sha256 of each artifact at default settings; a change that only makes
-    # the periodic K0 path faster must leave these bytes as they are
+    # sha256 of each artifact at default settings.  The reports print every
+    # check's numbers, so these bytes move only with what a check computes;
+    # a change that only makes the periodic K0 path faster leaves them as
+    # they are
     PERIODIC_GOLDEN = {
-        "ov": {"out": "2af301b235eaa8f7474e0b8c174f67e7"
-                      "2d64901e2529d0c2d34b5810f4eaad1d",
+        "ov": {"out": "f851c9dd3454f9b2f4c264bb094e6bd3"
+                      "528909a14d1e8eaea0fb7d7b09e6e79c",
                "csv": "a4e0ec87d76faf214412872de495df07"
                       "5019f6e68e6eabc81f63df9ea27a081e"},
         "decay": {"out": "dc7b69e4f6adc3fa5ec91019b86c2c31"
@@ -440,16 +459,19 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_decay_ov_and_collapse_load_no_sympy(self):
-        # none of them builds a symbolic field
+        # none of them builds a symbolic field, and every K0 they take is a
+        # double-precision one; verify-flat and verify-taubnut load the
+        # same solutions module
         code = ("import sys\n"
                 "from ghlab import cli\n"
-                "for cmd in ('decay', 'ov', 'collapse'):\n"
+                "for cmd in ('decay', 'ov', 'collapse', 'verify-flat',\n"
+                "            'verify-taubnut'):\n"
                 "    assert cli.main([cmd]) == 0\n"
-                "print('sympy' in sys.modules)\n")
+                "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_symbolic_commands_run_with_sympy_blocked(self):
         # a None entry in sys.modules makes every import of sympy fail; the
