@@ -7,9 +7,12 @@ array of shape (N, d) of real coordinates, and field values have shape
 Exact partials come from truncated Taylor jets.  A ``Jet`` holds the
 coefficients c[a] = d^a f / a! of a function over the point batch, for every
 multi-index a in a box a <= o; the box is closed under products, since the
-a-coefficient of a product needs only the b <= a of its factors.  Jets
-support +, -, *, / and ``**``, and ``log``, ``exp``, ``sqrt``, ``sin`` and
-``cos`` by univariate Taylor composition (Horner's rule in h = g - g(x0)).
+a-coefficient of a product needs only the b <= a of its factors.  The
+coefficients are stored coefficient-major, as one (N,) row per multi-index,
+so a product gathers and sums whole rows and an (N,) array broadcasts
+against a jet as it is.  Jets support +, -, *, / and ``**``, and ``log``,
+``exp``, ``sqrt``, ``sin`` and ``cos`` by univariate Taylor composition
+(Horner's rule in h = g - g(x0)).
 A ``JetScalarField`` evaluates a plain Python function of the coordinates
 once on the jets of the box of the requested multi-index and reads that
 partial off the top coefficient; a sympy expression becomes such a function
@@ -18,7 +21,10 @@ the mixed second partials of such a field over two groups of axes, which is
 all a block solution needs of its potential.
 
 Finite differences are central with one Richardson level, at the one fixed
-step ``fd_step`` of each multi-index.
+step ``fd_step`` of each multi-index.  ``fd_partial`` stacks the shifted
+copies of every stencil point of both grids, for one multi-index or several,
+and evaluates the function once on the stack, in slices of at most
+``FD_SLICE_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ def is_sympy_expr(obj):
 def _product_plan(shape):
     """Index pairs of the box product over a flattened coefficient box.
 
-    Returns (left, right, starts): out[:, k] is the sum of the products
+    Returns (left, right, starts): out[k] is the sum of the products
     left[i] * right[i] over the i in starts[k] <= i < starts[k + 1], and
     every pair of multi-indices with a sum inside the box occurs once.
     """
@@ -74,8 +80,9 @@ def _product_plan(shape):
 class Jet:
     """Truncated multivariate Taylor jet over an (N,) point batch.
 
-    ``c`` has shape (N, o_1 + 1, ..., o_d + 1) with c[:, a] = d^a f / a! at
-    each point.  Numbers and (N,) arrays act as constant jets.
+    ``c`` has shape (o_1 + 1, ..., o_d + 1, N), coefficient-major, with
+    c[a] = d^a f / a! at each point.  Numbers and (N,) arrays act as
+    constant jets and broadcast against ``c`` as they are.
     """
 
     __array_ufunc__ = None      # numpy operands defer to the reflected ops
@@ -90,26 +97,22 @@ class Jet:
         shape = tuple(int(o) + 1 for o in box)
         out = []
         for k in range(pts.shape[1]):
-            c = np.zeros((pts.shape[0],) + shape)
-            c[(slice(None),) + (0,) * len(shape)] = pts[:, k]
+            c = np.zeros(shape + (pts.shape[0],))
+            c[(0,) * len(shape)] = pts[:, k]
             if shape[k] > 1:
-                c[(slice(None),) + unit(len(shape), k)] = 1.0
+                c[unit(len(shape), k)] = 1.0
             out.append(cls(c))
         return out
 
     @property
     def const(self):
-        """The value coefficient c[:, 0, ..., 0]."""
-        return self.c[(slice(None),) + (0,) * (self.c.ndim - 1)]
+        """The value coefficient c[0, ..., 0]."""
+        return self.c[(0,) * (self.c.ndim - 1)]
 
     def _shift(self, v):
         c = self.c.copy()
-        c[(slice(None),) + (0,) * (c.ndim - 1)] += v
+        c[(0,) * (c.ndim - 1)] += v
         return Jet(c)
-
-    def _per_point(self, v):
-        """A number or (N,) array, shaped to broadcast against ``c``."""
-        return np.reshape(v, np.shape(v) + (1,) * (self.c.ndim - 1))
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -129,13 +132,13 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * self._per_point(other))
-        n, shape = self.c.shape[0], self.c.shape[1:]
+            return Jet(self.c * other)
+        shape, n = self.c.shape[:-1], self.c.shape[-1]
         left, right, starts = _product_plan(shape)
         # an explicit width: -1 cannot be resolved for an empty batch
-        a = self.c.reshape(n, math.prod(shape))
-        b = other.c.reshape(n, math.prod(shape))
-        prod = np.add.reduceat(a[:, left] * b[:, right], starts, axis=1)
+        a = self.c.reshape(math.prod(shape), n)
+        b = other.c.reshape(math.prod(shape), n)
+        prod = np.add.reduceat(a[left] * b[right], starts, axis=0)
         return Jet(prod.reshape(self.c.shape))
 
     __rmul__ = __mul__
@@ -143,7 +146,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other ** -1
-        return Jet(self.c / self._per_point(other))
+        return Jet(self.c / other)
 
     def __rtruediv__(self, other):
         return self ** -1 * other
@@ -152,7 +155,9 @@ class Jet:
         if isinstance(p, Jet):
             return exp(p * log(self))
         if float(p) == int(p) and p >= 0:
-            return functools.reduce(operator.mul, [self] * int(p), 1.0)
+            if not p:
+                return 1.0
+            return functools.reduce(operator.mul, [self] * (int(p) - 1), self)
         return self._compose(functools.partial(_pow_series, float(p)))
 
     def __rpow__(self, base):
@@ -165,7 +170,7 @@ class Jet:
         beyond its total order K and Horner's rule in h is exact there.
         """
         g0 = self.const
-        K = sum(self.c.shape[1:]) - (self.c.ndim - 1)
+        K = sum(self.c.shape[:-1]) - (self.c.ndim - 1)
         coeffs = series(g0, K)
         h = self._shift(-g0)
         acc = h * coeffs[K] if K else Jet(np.zeros_like(self.c))
@@ -265,43 +270,79 @@ def fd_step(orders):
     return 1e-4 * (1.0, 1.0, 10.0, 100.0)[min(sum(orders), 3)]
 
 
+# the stacked stencil copies of ``fd_partial`` are evaluated in consecutive
+# slices of at most this many rows, which bounds the memory of one f call
+FD_SLICE_ROWS = 4096
+
+
 def fd_partial(f, pts, orders, steps, return_err=False):
     """Mixed central-difference partial of f at a batch of points.
 
-    ``orders`` is a multi-index over the coordinate axes, ``steps`` the
-    per-axis step sizes.  The O(h^2) estimate is Richardson-extrapolated
+    ``orders`` is a multi-index over the coordinate axes, or a list of them
+    (then the result is a list, one entry per multi-index); ``steps`` are
+    the per-axis step sizes.  The O(h^2) estimate is Richardson-extrapolated
     once; ``return_err`` additionally returns the absolute disagreement of
     the two grids (an error indicator).
+
+    The shifted copies of every stencil point of both grids, over all the
+    multi-indices, are stacked and f is evaluated once on the stack, in
+    slices of at most ``FD_SLICE_ROWS`` rows; f must act row by row.  Each
+    estimate then sums its rows of the result in stencil order.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    orders = tuple(int(o) for o in orders)
+    several = np.ndim(orders) == 2
+    multis = [tuple(int(o) for o in m) for m in (orders if several
+                                                  else [orders])]
     d = pts.shape[1]
-    if len(orders) != d:
+    if any(len(m) != d for m in multis):
         raise ValueError("orders length must match point dimension")
     steps = np.broadcast_to(np.asarray(steps, dtype=float), (d,))
 
-    def estimate(scale):
-        sc = steps * scale
-        total = None
-        for off, co in _tensor_stencil(orders, sc):
-            shifted = pts.copy()
-            for k, o in enumerate(off):
-                if o:
-                    shifted[:, k] += o * sc[k]
-            val = np.asarray(f(shifted))
-            total = co * val if total is None else total + co * val
-        return total
+    # the coefficients of each multi-index's one or two grids, and the
+    # shifts (axis, offset) of the point copies that they weigh, in stencil
+    # order; the copies are stacked in that order
+    plans, shifts = [], []
+    for m in multis:
+        grids = []
+        for scale in (1.0, 0.5) if sum(m) else (1.0,):
+            sc = steps * scale
+            stencil = _tensor_stencil(m, sc)
+            shifts += [[(k, o * sc[k]) for k, o in enumerate(off) if o]
+                       for off, _ in stencil]
+            grids.append([co for _, co in stencil])
+        plans.append(grids)
+    n = pts.shape[0]
+    stack = np.tile(pts, (len(shifts), 1))
+    for b, shift in enumerate(shifts):
+        for k, delta in shift:
+            stack[b * n:(b + 1) * n, k] += delta
+    vals = None
+    # one slice at least, so that an empty batch still has f's shape
+    for i in range(0, max(len(stack), 1), FD_SLICE_ROWS):
+        part = np.asarray(f(stack[i:i + FD_SLICE_ROWS]))
+        if vals is None:
+            vals = np.empty((len(stack),) + part.shape[1:], part.dtype)
+        vals[i:i + len(part)] = part
 
-    coarse = estimate(1.0)
-    if sum(orders) == 0:
-        if return_err:
-            return coarse, np.zeros_like(np.abs(coarse))
-        return coarse
-    fine = estimate(0.5)
-    rich = (4.0 * fine - coarse) / 3.0
-    if return_err:
-        return rich, np.abs(fine - coarse)
-    return rich
+    row, out = 0, []
+    for grids in plans:
+        estimates = []
+        for coeffs in grids:
+            total = None
+            for co in coeffs:
+                val = vals[row:row + n]
+                row += n
+                total = co * val if total is None else total + co * val
+            estimates.append(total)
+        if len(estimates) == 1:
+            coarse = estimates[0]
+            out.append((coarse, np.zeros_like(np.abs(coarse)))
+                       if return_err else coarse)
+        else:
+            coarse, fine = estimates
+            rich = (4.0 * fine - coarse) / 3.0
+            out.append((rich, np.abs(fine - coarse)) if return_err else rich)
+    return out if several else out[0]
 
 
 class JetScalarField:
@@ -331,7 +372,7 @@ class JetScalarField:
         if not isinstance(out, Jet):
             return np.zeros(pts.shape[0])
         scale = math.prod(math.factorial(o) for o in orders)
-        return scale * out.c[(slice(None),) + orders]
+        return scale * out.c[orders]
 
     def swapped(self, n):
         """The field (t, s) -> -f(s, t), s being the first n coordinates of

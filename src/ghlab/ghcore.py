@@ -435,15 +435,16 @@ def _d_residual(form, sol, pts, step, tolerance):
     """Max over the batch of |dF| for the 2-form array F = form(sol, pts).
 
     dF_abc = d_a F_bc - d_b F_ac + d_c F_ab for a < b < c, with each partial
-    a finite difference of the whole array.
+    a finite difference of the whole array; all nc of them come from one
+    ``form`` call on the stacked stencil points.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nc = pts.shape[1]
     partials = []
     max_disagree = 0.0
-    for k in range(nc):
-        val, err = fd_partial(lambda q: form(sol, q), pts, unit(nc, k), step,
-                              return_err=True)
+    for val, err in fd_partial(lambda q: form(sol, q), pts,
+                               [unit(nc, k) for k in range(nc)], step,
+                               return_err=True):
         partials.append(val)
         max_disagree = max(max_disagree, float(np.max(err, initial=0.0)))
     if max_disagree > 10.0 * tolerance:
@@ -476,9 +477,11 @@ def potential_identity_residual(sol, pts):
                     yy = unit(nc, n + l + p, n + l + q)
                     xy = unit(nc, n + p, n + l + q)
                     yx = unit(nc, n + l + p, n + q)
-                    vterm = (sol.V_partial(xx, pts) + sol.V_partial(yy, pts)
-                             + 1j * (sol.V_partial(xy, pts)
-                                     - sol.V_partial(yx, pts)))
+                    vterm = sol.V_partial(xx, pts) + sol.V_partial(yy, pts)
+                    if p != q:
+                        # for p == q, xy and yx are one multi-index
+                        vterm = vterm + 1j * (sol.V_partial(xy, pts)
+                                              - sol.V_partial(yx, pts))
                     r = np.abs(wuu[:, p, q] + vterm[:, i, j])
                     worst = max(worst, float(np.max(r, initial=0.0)))
     return worst

@@ -139,9 +139,10 @@ def taub_nut(ell, a, rmin=0.05, rmax=10.0, branch_margin=0.25):
         raise ValueError("a must be nonnegative")
 
     def potential(u, x, y):
-        r = sqrt(u ** 2 + x ** 2 + y ** 2)
-        return 0.5 * ell * (u * log(u + r) - r) + 0.5 * a * u ** 2 \
-            - 0.25 * a * (x ** 2 + y ** 2)
+        u2, x2, y2 = u ** 2, x ** 2, y ** 2
+        r = sqrt(u2 + x2 + y2)
+        return 0.5 * ell * (u * log(u + r) - r) + 0.5 * a * u2 \
+            - 0.25 * a * (x2 + y2)
 
     domain = RadialDomain(rmin, rmax) & _BranchGuard(branch_margin)
     phi = PotentialField(JetScalarField(potential, 3), n=1, l=1,

@@ -352,6 +352,21 @@ class TestGoldenOutputs:
                             "d13d19143117370e62a9be1388d81001"},
     }
 
+    # sha256 of the default --out report of each symbolic command: the
+    # reports print every residual, flux and holonomy, so a change that only
+    # evaluates the jets and finite differences faster leaves them as they
+    # are
+    SYMBOLIC_GOLDEN = {
+        "verify-flat": "edaa79647c57d609d58426bf1d32a067"
+                       "94223654dc008b4117c860cc09ffe55f",
+        "verify-taubnut": "d1aee72bdfa168529f9f25f42e3ebe76"
+                          "4cdb33a0424adaf50ff04a93279cbabc",
+        "legendre": "196b067085e33a89e191a439d8ba92cb"
+                    "49194cd0c2755848d453a3263d4910e0",
+        "holonomy": "87e573354e34bd26030759532eb77c70"
+                    "4fc877118504c34018bb0b1e63f26d35",
+    }
+
     @pytest.mark.parametrize("cmd", sorted(PERIODIC_GOLDEN))
     def test_periodic_artifacts_match_golden_hashes(self, tmp_path, cmd):
         want = self.PERIODIC_GOLDEN[cmd]
@@ -362,6 +377,13 @@ class TestGoldenOutputs:
         got = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
                for kind, path in paths.items()}
         assert got == want
+
+    @pytest.mark.parametrize("cmd", sorted(SYMBOLIC_GOLDEN))
+    def test_symbolic_reports_match_golden_hashes(self, tmp_path, cmd):
+        path = tmp_path / f"{cmd}.json"
+        assert run_cli([cmd, "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.SYMBOLIC_GOLDEN[cmd]
 
     def test_ov_csv_matches_bessel_oracle(self, tmp_path):
         # V = a - log r/(2 pi) + (1/pi) sum_{m <= 40} cos(m y) K0(m r) and

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ghlab.fields import Jet, JetScalarField, SymbolicScalarField, log, sqrt
+from ghlab.fields import (FD_SLICE_ROWS, Jet, JetScalarField,
+                          SymbolicScalarField, _tensor_stencil, fd_partial,
+                          log, sqrt)
 from ghlab.legendre import (SplitMASolution, dual_transform, model_potential,
                             singular_2d)
 from ghlab.solutions import taub_nut
@@ -137,7 +139,7 @@ class TestJetAlgebra:
         # monomial, read over the whole box (3, 2)
         pts = np.array([[0.7, -1.3]])
         x, y = Jet.variables(pts, (3, 2))
-        c = (x ** 3 * y ** 2).c[0]
+        c = (x ** 3 * y ** 2).c[..., 0]
         for i, j in itertools.product(range(4), range(3)):
             want = math.comb(3, i) * math.comb(2, j) \
                 * 0.7 ** (3 - i) * (-1.3) ** (2 - j)
@@ -160,7 +162,7 @@ class TestJetAlgebra:
     def test_empty_batch(self):
         # a product of jets over zero points keeps its coefficient box
         x, y = Jet.variables(np.zeros((0, 2)), (2, 1))
-        assert (x * y).c.shape == (0, 3, 2)
+        assert (x * y).c.shape == (3, 2, 0)
         assert taub_nut(2, 1).V(np.zeros((0, 3))).shape == (0, 1, 1)
 
     def test_dual_of_jet_potential_is_exact(self):
@@ -176,3 +178,96 @@ class TestJetAlgebra:
         twice = dual_transform(dual)
         np.testing.assert_array_equal(twice.gradient_s(pts),
                                       sol.gradient_s(pts))
+
+
+def per_stencil_partial(f, pts, orders, steps):
+    """The finite difference with one f call per stencil point, summed in
+    stencil order: the reference the stacked evaluation must match bitwise.
+    Returns the estimate and the disagreement of the two grids."""
+    steps = np.broadcast_to(np.asarray(steps, dtype=float), (pts.shape[1],))
+
+    def estimate(scale):
+        sc = steps * scale
+        total = None
+        for off, co in _tensor_stencil(orders, sc):
+            shifted = pts.copy()
+            for k, o in enumerate(off):
+                if o:
+                    shifted[:, k] += o * sc[k]
+            val = f(shifted)
+            total = co * val if total is None else total + co * val
+        return total
+
+    coarse = estimate(1.0)
+    if not sum(orders):
+        return coarse, np.zeros_like(coarse)
+    fine = estimate(0.5)
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
+
+
+def two_fields(q):
+    """An (N, 2) table of two smooth fields of three coordinates."""
+    return np.stack([np.sin(q[:, 0]) * np.exp(q[:, 1]) + q[:, 2] ** 3,
+                     np.log(2.0 + q[:, 0] * q[:, 2]) / (1.0 + q[:, 1] ** 2)],
+                    axis=1)
+
+
+class TestStackedFiniteDifferences:
+    ORDERS = [(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 0, 2), (1, 1, 1)]
+    STEPS = (1e-3, 2e-3, 1.5e-3)
+
+    @pytest.mark.parametrize("orders", ORDERS)
+    # 2000 points make more stacked rows than one slice for every order but 0
+    @pytest.mark.parametrize("count", [7, 2000])
+    def test_bitwise_equal_to_per_stencil_loop(self, orders, count):
+        pts = np.random.default_rng(21).uniform(-0.5, 0.5, size=(count, 3))
+        got = fd_partial(two_fields, pts, orders, self.STEPS, return_err=True)
+        want = per_stencil_partial(two_fields, pts, orders, self.STEPS)
+        for g, w in zip(got, want):
+            assert g.shape == (count, 2)
+            assert np.array_equal(g, w)
+
+    def test_several_multi_indices_in_one_call(self):
+        pts = np.random.default_rng(22).uniform(-0.5, 0.5, size=(300, 3))
+        rows = []
+
+        def f(q):
+            rows.append(len(q))
+            return two_fields(q)
+
+        got = fd_partial(f, pts, self.ORDERS, self.STEPS)
+        # the stencil points of each multi-index, over both grids but one
+        # grid for order 0; ceil(300 x 39 / 4096) = 3 slices
+        assert sum(rows) == 300 * (1 + 2 * (2 + 3 + 6 + 8))
+        assert len(rows) == 3
+        for g, orders in zip(got, self.ORDERS):
+            want, _ = per_stencil_partial(two_fields, pts, orders, self.STEPS)
+            assert np.array_equal(g, want)
+
+    def test_empty_batch(self):
+        rows = []
+
+        def f(q):
+            rows.append(len(q))
+            return two_fields(q)
+
+        pts = np.zeros((0, 3))
+        val, err = fd_partial(f, pts, (1, 0, 2), self.STEPS, return_err=True)
+        assert val.shape == err.shape == (0, 2)
+        assert rows == [0]
+
+    def test_slices_bound_the_stacked_batch(self):
+        # 5,000 points make 20,000 stencil rows; no f call sees more than a
+        # slice, and every row is evaluated once
+        pts = np.random.default_rng(23).uniform(-0.5, 0.5, size=(5000, 3))
+        rows = []
+
+        def f(q):
+            rows.append(len(q))
+            return two_fields(q)
+
+        got = fd_partial(f, pts, (1, 0, 0), self.STEPS)
+        assert max(rows) <= FD_SLICE_ROWS
+        assert sum(rows) == 4 * 5000
+        want, _ = per_stencil_partial(two_fields, pts, (1, 0, 0), self.STEPS)
+        assert np.array_equal(got, want)

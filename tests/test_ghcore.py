@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from ghlab import ghcore
 from ghlab.fields import SymbolicScalarField, fd_partial
 from ghlab.ghcore import (
     BoxDomain,
@@ -19,6 +20,7 @@ from ghlab.ghcore import (
     verify_closed,
     verify_compat,
 )
+from ghlab.solutions import taub_nut
 
 
 def quadratic_potential():
@@ -214,6 +216,28 @@ class TestVerifiers:
         pts = rng.uniform(-0.5, 0.5, size=(10, 3))
         assert potential_identity_residual(
             GHSolution.from_potential(phi), pts) < 1e-6
+
+    def test_one_curvature_form_call_per_residual(self, monkeypatch):
+        # dF needs 3 axes x 2 stencil points x 2 Richardson grids of F: one
+        # stacked call on 12 x 64 rows, where a per-stencil loop makes 12
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(256, 3))
+        pts *= rng.uniform(0.5, 2.0, size=(256, 1)) \
+            / np.linalg.norm(pts, axis=1, keepdims=True)
+        r = np.linalg.norm(pts, axis=1)
+        pts = pts[pts[:, 0] + r >= 0.25 * np.maximum(r, 1.0)][:64]
+        assert len(pts) == 64
+        rows = []
+        form = ghcore.curvature_form
+
+        def counting(sol, q):
+            rows.append(len(q))
+            return form(sol, q)
+
+        monkeypatch.setattr(ghcore, "curvature_form", counting)
+        rep = verify_closed(taub_nut(2.0, 1.0), pts)
+        assert rep.passed, rep.to_json()
+        assert rows == [12 * 64]
 
     def test_residual_scales_quadratically_in_step(self):
         # Richardson-consistency: halving the step shrinks the raw FD error
