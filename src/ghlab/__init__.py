@@ -23,4 +23,4 @@ class NotPositive(GHLabError):
 
 
 class QuadratureFailure(GHLabError):
-    """A quadrature met a non-finite integrand."""
+    """A quadrature met a non-finite integrand or did not converge."""

@@ -45,20 +45,24 @@ def _arguments(x):
 
 
 def _k0_series_double(x):
-    """Ascending series in double precision (x <= ~5), vectorized."""
+    """Ascending series in double precision (x <= ~5), vectorized.
+
+    The term count is set once, by the batch's largest t = x^2/4: the first
+    k with t^k/(k!)^2 (H_k + 1) < 1e-19, a tail below the rounding of every
+    sum in the batch.
+    """
     x = np.asarray(x, dtype=float)
     t = x * x / 4.0
-    i0 = np.ones_like(t)
-    s = np.zeros_like(t)
-    h = 0.0
-    term = np.ones_like(t)
-    for k in range(1, 60):
+    tmax, top, h, n = float(np.max(t)), 1.0, 0.0, 0
+    while top * (h + 1.0) >= 1e-19 and n < 59:
+        n += 1
+        top, h = top * tmax / (n * n), h + 1.0 / n
+    i0, s, term, h = np.ones_like(t), np.zeros_like(t), np.ones_like(t), 0.0
+    for k in range(1, n + 1):
         term = term * t / (k * k)
         i0 += term
         h += 1.0 / k
         s += term * h
-        if np.max(term) * (h + 1.0) < 1e-19 * (np.max(np.abs(s)) + 1.0):
-            break
     return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + s
 
 

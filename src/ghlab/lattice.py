@@ -14,6 +14,7 @@ ordering (i, j).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -372,8 +373,15 @@ def distance_to_discriminant(point, pi_tau, pi_sigma):
     return math.hypot(du, dx)
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(npts):
+    return np.polynomial.legendre.leggauss(npts)
+
+
 def _gauss_nodes(a, b, npts):
-    x, w = np.polynomial.legendre.leggauss(npts)
+    """Gauss-Legendre nodes and weights of order npts on [a, b] (arrays
+    broadcast, one rule per panel)."""
+    x, w = _leggauss(npts)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 

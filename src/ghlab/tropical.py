@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import GHLabError
-from .lattice import wall_complex
+from . import GHLabError, QuadratureFailure
+from .lattice import _gauss_nodes, wall_complex
 
 
 class TropicalError(GHLabError):
@@ -191,18 +191,99 @@ def _split_content(P):
 
 
 # ---------------------------------------------------------------------------
+# torus points and the theta_1 panels
+# ---------------------------------------------------------------------------
+
+def _resultant_roots(f, g, w):
+    """Roots in w of Res_v(f, g), from its values at the K roots of unity w.
+
+    f and g hold the v-coefficients (lowest first) of two polynomials at each
+    w_k.  Res_v is the determinant of their Sylvester matrix, a polynomial of
+    degree < K in w, interpolated by the discrete Fourier transform.  When it
+    vanishes identically (to 1e-12 of the Hadamard bound of the matrices),
+    f and g share a factor, and the first principal subresultant that does not
+    vanish takes its place: its roots are where they share one more root.
+    """
+    K, m, n = len(w), f.shape[1] - 1, g.shape[1] - 1
+    for k in range(min(m, n) + 1):
+        s = m + n - 2 * k
+        S = np.zeros((K, s, m + n - k), dtype=complex)
+        for i in range(n - k):
+            S[:, i, i:i + m + 1] = f[:, ::-1]
+        for i in range(m - k):
+            S[:, n - k + i, i:i + n + 1] = g[:, ::-1]
+        S = S[:, :, :s]
+        R = np.linalg.det(S)
+        if np.abs(R).max() > 1e-12 * np.prod(np.linalg.norm(S, axis=2),
+                                             axis=1).max():
+            break
+    c = np.vander(w, K, increasing=True).conj().T @ R / K
+    # coefficients at rounding level above the true degree are noise
+    top = np.flatnonzero(np.abs(c) > 1e-14 * np.abs(c).max())[-1]
+    return np.roots(c[top::-1])
+
+
+def _torus_cuts(P, x):
+    """Angles theta_1 in [0, 2 pi) where the theta_1-integrand of N(x) may
+    fail to be analytic: a kink or a nearby complex singularity.
+
+    With p(w, v) = P(e^{x_1} w, e^{x_2} v) as a polynomial of degrees
+    (d1, d2) and its reflection through the torus q = w^{d1} v^{d2}
+    conj(p)(1/w, 1/v), the torus points of P are roots w on |w| = 1 of
+    Res_v(p, q), and fiber roots collide at the roots of Res_v(p, dp/dv).
+    Both have degree at most 2 d1 d2 in w, so K = 2 d1 d2 + 1 roots of unity
+    determine them.  The angles of every root within log-distance 1 of the
+    circle are returned; a tangential torus point is a double root, which
+    rounding splits by about 1e-8.
+    """
+    e = P.exponents() - P.exponents().min(axis=0)
+    d1, d2 = e.max(axis=0)
+    if d2 == 0:
+        return np.zeros(0)
+    w = np.exp(2j * np.pi * np.arange(2 * d1 * d2 + 1) / (2 * d1 * d2 + 1))
+    a = np.zeros((w.size, d2 + 1), dtype=complex)
+    for (i, j), c in zip(e, P.coefficients()):
+        a[:, j] += c * np.exp(i * x[0] + j * x[1]) * w ** i
+    # on |w| = 1 the v^j coefficient of q is w^{d1} conj(a_{d2 - j}(w))
+    q = w[:, None] ** d1 * np.conj(a[:, ::-1])
+    r = np.concatenate([_resultant_roots(a, g, w)
+                        for g in (q, a[:, 1:] * np.arange(1, d2 + 1))])
+    return np.angle(r[np.abs(np.log(np.abs(r))) <= 1.0]) % (2.0 * np.pi)
+
+
+# a cut and the graded breakpoints on either side of it: panels shrink by 4
+# toward the cut, from pi/8 down to 2.4e-5
+_OFFSETS = np.pi / 8.0 * np.concatenate([[0.0], 4.0 ** -np.arange(8.0),
+                                         -4.0 ** -np.arange(8.0)])
+
+
+def _torus_panels(P, x):
+    """Breakpoints b_0 < ... < b_m = b_0 + 2 pi of the theta_1 panels.
+
+    Every cut of ``_torus_cuts`` is a breakpoint, the panels are graded
+    geometrically toward it, and none is longer than pi/8.  Breakpoints
+    closer than 1e-12 are merged.
+    """
+    cuts = (_torus_cuts(P, x)[:, None] + _OFFSETS).ravel()
+    b = np.sort(np.append(np.arange(16) * np.pi / 8.0, cuts) % (2.0 * np.pi))
+    b = b[np.diff(b, append=b[0] + 2.0 * np.pi) > 1e-12]
+    return np.append(b, b[0] + 2.0 * np.pi)
+
+
+# ---------------------------------------------------------------------------
 # Ronkin function
 # ---------------------------------------------------------------------------
 
-def ronkin(P, x, nodes=64, kappa=1, tol=1e-6, max_doublings=5):
+def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     """Torus average of kappa*log|P| at log-modulus x.
 
     One variable: Jensen's formula, exact up to rounding.  Two variables:
     a factor q(z1) of P is split off (its N is exact), and Jensen's formula
-    in z2 for the rest, continuous in theta_1 with kinks where a root
-    crosses |z2| = e^{x2}, is averaged by the trapezoid rule on ``nodes``
-    points, doubled until two estimates differ by less than ``tol`` or
-    after ``max_doublings`` doublings; the error decays like nodes^-2.
+    in z2 for the rest is averaged over theta_1 by composite Gauss-Legendre
+    quadrature of order ``nodes`` on the panels of ``_torus_panels``, which
+    are cut and graded where the integrand is not analytic or nearly so.
+    Raises QuadratureFailure when the rule of order nodes/2 differs by
+    ``tol`` or more.
     """
     if P.nvars > 2:
         raise ValueError("ronkin supports at most 2 variables")
@@ -212,25 +293,49 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6, max_doublings=5):
     if x.size != P.nvars:
         raise ValueError("x has wrong length")
 
-    def mean(P, n, offset=0.0):
-        emin, coeffs, roots = _fiber_roots(
-            P, x[0], 2.0 * np.pi * (np.arange(n) + offset) / n)
-        return float(np.mean(emin * x[-1]
-                             + _fiber_log_mean(coeffs, roots, x[-1])))
+    def mean(P, theta, weights):
+        emin, coeffs, roots = _fiber_roots(P, x[0], theta)
+        return float(weights @ (emin * x[-1]
+                                + _fiber_log_mean(coeffs, roots, x[-1])))
 
     if P.nvars == 1:
-        return kappa * mean(P, 1)
+        return kappa * mean(P, np.zeros(1), np.ones(1))
     # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
     content, P = _split_content(P)
     base = sum(max(x[0], math.log(abs(r))) for r in content)
-    n, prev, cur = nodes, math.inf, mean(P, nodes)
-    for _ in range(max_doublings):
-        if abs(cur - prev) < tol:
-            break
-        # doubling adds the midpoints; the old nodes keep their mean
-        prev, cur = cur, 0.5 * (cur + mean(P, n, 0.5))
-        n *= 2
-    return kappa * (base + cur)
+    b = _torus_panels(P, x)
+    fine, coarse = (mean(P, t.ravel(), w.ravel() / (2.0 * np.pi))
+                    for t, w in (_gauss_nodes(b[:-1, None], b[1:, None], n)
+                                 for n in (nodes, nodes // 2)))
+    if not abs(fine - coarse) < tol:
+        raise QuadratureFailure(f"Ronkin rules of order {nodes} and "
+                                f"{nodes // 2} differ by {fine - coarse:.1e}")
+    return kappa * (base + fine)
+
+
+def ronkin_gradient(P, x, kappa=1):
+    """Exact gradient of N at x.
+
+    dN/dx_l is the theta_1-average of emin plus the number of fiber roots
+    inside |z_l| = e^{x_l} (Jensen's formula, differentiated).  The count is
+    constant between torus points, so with two variables it is taken at the
+    midpoint of each panel of ``_torus_panels`` and weighted by the panel's
+    length; dN/dx_1 is the same with the variables swapped.  A factor in the
+    other variable alone does not move dN/dx_l and is split off.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    theta, weights, grad = np.zeros(1), np.ones(1), []
+    swap = [(LaurentPoly.make([(e[::-1], c) for e, c in P.terms]), x[::-1])]
+    for Q, y in (swap if P.nvars == 2 else []) + [(P, x)]:
+        if Q.nvars == 2:
+            Q = _split_content(Q)[1]
+            b = _torus_panels(Q, y)
+            theta, weights = (b[1:] + b[:-1]) / 2.0, np.diff(b) / (2.0 * np.pi)
+        emin, _, roots = _fiber_roots(Q, y[0], theta)
+        with np.errstate(divide="ignore"):
+            inside = np.log(np.abs(roots)) < y[-1]
+        grad.append(float(weights @ (emin + inside.sum(axis=1))))
+    return kappa * np.array(grad)
 
 
 def ronkin_rescaled(P, t, lam, nodes=64, kappa=1, tol=1e-6):
@@ -257,53 +362,45 @@ def tropical_limit(P, t, kappa=1, include_coefficients=True):
 # amoeba membership
 # ---------------------------------------------------------------------------
 
-def _amoeba_gap(P, x, tol=1e-6, sweep=720):
+def _amoeba_gap(P, x, tol=1e-6):
     """Distance in log-modulus from x to the zero set of P, and a zero.
 
     Over the fiber log|z_k| = x_k (k < l) the gap is min |log|z_l| - x_l|
-    over the zeros: exact in one variable, a ``sweep``-angle scan of theta_1
-    refined by zooming in on the best angle in two.  Each root r of a factor
-    q(z1) of P adds the zero (r, e^{x_2}) at gap |log|r| - x_1|.  The
-    witness is the zero attaining the gap, as an (l,) complex array (None
-    when P has no zeros).
+    over the zeros: exact in one variable.  In two it is taken at the
+    breakpoints of ``_torus_panels`` and at the panel midpoints.  Every
+    torus point is a breakpoint, so the gap is 0 to rounding exactly when x
+    is in the amoeba; where the torus points form a curve, the fiber roots on
+    the circle stay there between the collisions that cut the panels.  Each
+    root r of a factor q(z1) of P adds the zero (r, e^{x_2}) at gap
+    |log|r| - x_1|.  The witness is the zero attaining the gap, as an (l,)
+    complex array (None when P has no zeros).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if P.nvars > 2:
         raise ValueError("amoeba_contains supports at most 2 variables")
-    best = (math.inf, None)
+    best, theta = (math.inf, None), np.zeros(1)
     if P.nvars == 2:
         content, P = _split_content(P)
-        for r in content:
-            gap = abs(math.log(abs(r)) - x[0])
-            if gap < best[0]:
-                best = (gap, np.array([r, np.exp(x[1])]))
+        best = min(((abs(math.log(abs(r)) - x[0]), np.array([r, np.exp(x[1])]))
+                    for r in content), key=lambda t: t[0], default=best)
     if best[0] <= tol or np.ptp(P.exponents()[:, -1]) == 0:
         return best
-
-    def nearest(theta):
-        _, _, roots = _fiber_roots(P, x[0], theta)
-        with np.errstate(divide="ignore"):
-            gaps = np.abs(np.log(np.abs(roots)) - x[-1])
-        j, k = np.unravel_index(np.argmin(gaps), gaps.shape)
-        z = [np.exp(x[0] + 1j * theta[j])] if P.nvars == 2 else []
-        return float(gaps[j, k]), np.array(z + [roots[j, k]]), theta[j]
-
-    h = 2.0 * np.pi / sweep
-    found = nearest(h * np.arange(sweep if P.nvars == 2 else 1))
-    for _ in range(10 if P.nvars == 2 else 0):
-        if found[0] <= tol:
-            break
-        # zoom: 33 angles across +-h about the best one, then h / 16 (h
-        # reaches the rounding level of theta after 10 rounds)
-        found = min(found, nearest(found[2] + np.linspace(-h, h, 33)),
-                    key=lambda t: t[0])
-        h /= 16.0
-    return min(best, found[:2], key=lambda t: t[0])
+    if P.nvars == 2:
+        b = _torus_panels(P, x)
+        theta = np.concatenate([b[:-1], (b[1:] + b[:-1]) / 2.0])
+    _, _, roots = _fiber_roots(P, x[0], theta)
+    with np.errstate(divide="ignore"):
+        gaps = np.abs(np.log(np.abs(roots)) - x[-1])
+    # below 1e-15 a gap is rounding noise: take the first such zero in theta
+    j, k = np.unravel_index(np.argmin(np.maximum(gaps, 1e-15)), gaps.shape)
+    z = [np.exp(x[0] + 1j * theta[j])] if P.nvars == 2 else []
+    return min(best, (float(gaps[j, k]), np.array(z + [roots[j, k]])),
+               key=lambda t: t[0])
 
 
-def amoeba_contains(P, x, tol=1e-6, sweep=720):
+def amoeba_contains(P, x, tol=1e-6):
     """Does the torus fiber log|z| = x meet the zero set of P?"""
-    return bool(_amoeba_gap(P, x, tol=tol, sweep=sweep)[0] <= tol)
+    return bool(_amoeba_gap(P, x, tol=tol)[0] <= tol)
 
 
 def spine(pair):
@@ -337,26 +434,18 @@ def laurent_from_pair(pair, coefficients=None):
 # Hessian mass
 # ---------------------------------------------------------------------------
 
-def ronkin_hessian_mass(P, box, nodes=64, kappa=1, step=0.05, face_res=17,
-                        tol=1e-8):
+def ronkin_hessian_mass(P, box, kappa=1, face_res=17):
     """Total second-derivative mass of N over a box.
 
     Returns the (l x l) matrix approximating the integral of Hess N, computed
-    as boundary differences of finite-difference gradients (trapezoid rule on
-    ``face_res`` points along each face); for l = 1 this is the slope jump
-    across the interval.
+    as boundary differences of the exact ``ronkin_gradient`` (trapezoid rule
+    on ``face_res`` points along each face); for l = 1 this is the slope
+    jump across the interval.
     """
     l = P.nvars
     if l > 2:
         raise ValueError("supports at most 2 variables")
     box = np.asarray(box, dtype=float).reshape(l, 2)
-    e = step * np.eye(l)
-
-    def grad(x):
-        return [(ronkin(P, x + e[q], nodes=nodes, kappa=kappa, tol=tol)
-                 - ronkin(P, x - e[q], nodes=nodes, kappa=kappa, tol=tol))
-                / (2.0 * step) for q in range(l)]
-
     out = np.zeros((l, l))
     for p in range(l):
         face = np.zeros((face_res if l == 2 else 1, l))
@@ -364,7 +453,7 @@ def ronkin_hessian_mass(P, box, nodes=64, kappa=1, step=0.05, face_res=17,
             face[:, 1 - p] = np.linspace(*box[1 - p], face_res)
         for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
             face[:, p] = end
-            g = np.array([grad(x) for x in face])
+            g = np.array([ronkin_gradient(P, x, kappa) for x in face])
             # trapezoid rule along the face
             out[p] += sign * (np.diff(face[:, 1 - p]) @ (g[1:] + g[:-1]) / 2.0
                               if l == 2 else g[0])

@@ -200,7 +200,7 @@ class TestCriterion7Ronkin:
                                            - max(0.0, x)))
         corner = abs(ronkin(P1, 0.0, nodes=128))
         P2 = LaurentPoly.make([((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)])
-        origin = ronkin(P2, (0.0, 0.0), nodes=128, max_doublings=2)
+        origin = ronkin(P2, (0.0, 0.0), nodes=128)
         origin_err = abs(origin - MAHLER_1ZW)
         PD = LaurentPoly.make([((0,), 1.0), ((1,), 1.0), ((2,), 0.25)])
         rep = ronkin_collapse(PD, [1.0, 5.0, 25.0],

@@ -352,6 +352,18 @@ class TestGoldenOutputs:
                             "d13d19143117370e62a9be1388d81001"},
     }
 
+    # the two tropical commands at defaults: the ronkin grid (Jensen's
+    # formula in one variable) and the amoeba witness of 1 + z1 + z2 at the
+    # origin, whose residual prints as 0.0e+00
+    TROPICAL_GOLDEN = {
+        "ronkin": {"out": "6f1d668c1fe138dbc295cb2943502bfa"
+                          "c05cc74943045cd37d8fb38aaaeacb61",
+                   "csv": "e6368d028750054618661ddc43f8ca79"
+                          "de2aca5af4a4adc87b2b915fed5ecbcf"},
+        "amoeba": {"out": "0a3d2238d8f06c0872d106f4fd82962e"
+                          "8bd6684570b581b5175f6552c5f9e3bb"},
+    }
+
     # sha256 of the default --out report of each symbolic command: the
     # reports print every residual, flux and holonomy, so a change that only
     # evaluates the jets and finite differences faster leaves them as they
@@ -367,16 +379,24 @@ class TestGoldenOutputs:
                     "4fc877118504c34018bb0b1e63f26d35",
     }
 
-    @pytest.mark.parametrize("cmd", sorted(PERIODIC_GOLDEN))
-    def test_periodic_artifacts_match_golden_hashes(self, tmp_path, cmd):
-        want = self.PERIODIC_GOLDEN[cmd]
-        paths = {kind: tmp_path / f"{cmd}.{kind}" for kind in want}
+    @staticmethod
+    def artifact_hashes(tmp_path, cmd, kinds):
+        paths = {kind: tmp_path / f"{cmd}.{kind}" for kind in kinds}
         args = [cmd] + [a for kind, path in paths.items()
                         for a in (f"--{kind}", str(path))]
         assert run_cli(args) == 0
-        got = {kind: hashlib.sha256(path.read_bytes()).hexdigest()
-               for kind, path in paths.items()}
-        assert got == want
+        return {kind: hashlib.sha256(path.read_bytes()).hexdigest()
+                for kind, path in paths.items()}
+
+    @pytest.mark.parametrize("cmd", sorted(PERIODIC_GOLDEN))
+    def test_periodic_artifacts_match_golden_hashes(self, tmp_path, cmd):
+        want = self.PERIODIC_GOLDEN[cmd]
+        assert self.artifact_hashes(tmp_path, cmd, want) == want
+
+    @pytest.mark.parametrize("cmd", sorted(TROPICAL_GOLDEN))
+    def test_tropical_artifacts_match_golden_hashes(self, tmp_path, cmd):
+        want = self.TROPICAL_GOLDEN[cmd]
+        assert self.artifact_hashes(tmp_path, cmd, want) == want
 
     @pytest.mark.parametrize("cmd", sorted(SYMBOLIC_GOLDEN))
     def test_symbolic_reports_match_golden_hashes(self, tmp_path, cmd):

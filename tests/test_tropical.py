@@ -4,12 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
+from ghlab import QuadratureFailure, tropical
 from ghlab.lattice import LatticeSimplex, validate_dual_pair, wall_complex
 from ghlab.tropical import (
     LaurentPoly,
     amoeba_contains,
     parse_laurent,
     ronkin,
+    ronkin_gradient,
     ronkin_grid,
     ronkin_hessian_mass,
     ronkin_rescaled,
@@ -24,6 +26,25 @@ MAHLER_1ZW = 0.3230659472194502
 P1Z = LaurentPoly.make([((0,), 1.0), ((1,), 1.0)])
 P2 = LaurentPoly.make([((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)])
 PDOUBLE = LaurentPoly.make([((0,), 1.0), ((1,), 1.0), ((2,), 0.25)])
+# Boyd's family k + z1 + 1/z1 + z2 + 1/z2: reflection through the unit torus
+# fixes it, so the resultant of P and its reflection vanishes identically
+BOYD = {k: parse_laurent(f"{k}+z1+z1^-1+z2+z2^-1") for k in (1, 3, 4, 5)}
+
+
+def smyth_mahler():
+    """m(1 + z1 + z2) = (3 sqrt 3 / 4 pi) L(2, chi_-3) (Smyth), by mpmath."""
+    import mpmath as mp
+
+    third = mp.mpf(1) / 3
+    L = (mp.zeta(2, third) - mp.zeta(2, 2 * third)) / 9
+    return float(3 * mp.sqrt(3) / (4 * mp.pi) * L)
+
+
+def triangle_margin(x):
+    """Signed triangle-inequality margin of 1, e^{x1}, e^{x2}: positive
+    exactly inside the amoeba of 1 + z1 + z2."""
+    m = np.array([1.0, math.exp(x[0]), math.exp(x[1])])
+    return float((m.sum() - 2.0 * m.max()) / m.max())
 
 
 def jensen_oracle(P, x):
@@ -103,7 +124,7 @@ class TestRonkin2D:
         assert abs(val / (2 * math.pi) - MAHLER_1ZW) < 1e-9
 
     def test_origin_value_quadrature(self):
-        val = ronkin(P2, (0.0, 0.0), nodes=128, max_doublings=2)
+        val = ronkin(P2, (0.0, 0.0), nodes=128)
         assert abs(val - MAHLER_1ZW) < 1e-5
 
     def test_amoeba_points_quad_oracle(self):
@@ -178,6 +199,171 @@ class TestRonkin2D:
         assert abs(ronkin(P2, (-4.0, -5.0), nodes=64) - 0.0) < 1e-6
 
 
+class TestTorusPoints:
+    """Two-variable Ronkin values, gradients and amoeba membership from the
+    torus points {P = 0} and |z| = e^x, against independent oracles."""
+
+    def test_mahler_measure_matches_smyth(self):
+        assert abs(ronkin(P2, (0.0, 0.0)) - smyth_mahler()) < 1e-14
+
+    def test_boyd_k4_is_four_catalan_over_pi(self):
+        # m(4 + z1 + 1/z1 + z2 + 1/z2) = 4G/pi: the fiber has a double root
+        # on the circle at theta_1 = pi
+        import mpmath as mp
+
+        want = float(4 * mp.catalan / mp.pi)
+        assert abs(ronkin(BOYD[4], (0.0, 0.0)) - want) < 1e-13
+
+    def test_boyd_k1_matches_quad_oracle(self):
+        # the fiber w^2 + (1 + 2 cos t) w + 1 has both roots on the circle
+        # for |t| > pi/3 and a sqrt branch point at t = +-pi/3, where the
+        # discriminant of the fiber vanishes
+        from scipy.integrate import quad
+
+        f = lambda t: math.acosh(max(abs(1.0 + 2.0 * math.cos(t)) / 2.0, 1.0))
+        want, _ = quad(f, 0.0, math.pi, points=[math.pi / 3], limit=400,
+                       epsabs=0.0, epsrel=1e-12)
+        assert abs(want / math.pi - 0.2513304337132524) < 1e-15
+        got = ronkin(BOYD[1], (0.0, 0.0), tol=1e-9)
+        assert abs(got - 0.2513304337132524) < 1e-12
+
+    def test_tentacle_point_is_exact(self):
+        # off the amoeba (the tentacle at x2 = -8 is 3.4e-4 wide), N is the
+        # dominant term x1; log|1 + z1| nearly blows up at theta_1 = pi
+        assert abs(ronkin(P2, (0.001, -8.0)) - 0.001) < 1e-12
+
+    def test_tiny_tol_raises_or_is_exact(self):
+        try:
+            val = ronkin(P2, (0.0, 0.0), tol=1e-20)
+        except QuadratureFailure:
+            return
+        assert abs(val - smyth_mahler()) < 1e-14
+
+    def test_missing_cuts_raise_instead_of_returning(self, monkeypatch):
+        # without its cuts the sqrt branch points of Boyd k = 1 sit inside
+        # panels: the two Gauss orders disagree and the call must fail
+        monkeypatch.setattr(tropical, "_torus_cuts", lambda P, x: np.zeros(0))
+        with pytest.raises(QuadratureFailure):
+            ronkin(BOYD[1], (0.0, 0.0), tol=1e-9)
+
+    def test_tangential_torus_point_is_a_cut(self):
+        # at (0, 0) the fiber (1 + z1)(1 + w^2) + w has both roots on the
+        # circle only at theta_1 = 0, a double root of the torus-point
+        # resultant; oracle: Jensen's formula with numpy roots, then quad
+        from scipy.integrate import quad
+
+        def f(t):
+            a = 1.0 + np.exp(1j * t)
+            r = np.roots([a, 1.0, a])
+            return math.log(abs(a)) + sum(max(0.0, math.log(abs(z)))
+                                          for z in r)
+
+        want, _ = quad(f, -math.pi, math.pi, points=[0.0], limit=400,
+                       epsabs=0.0, epsrel=1e-12)
+        got = ronkin(parse_laurent("1+z1+z2+z2^2+z1*z2^2"), (0.0, 0.0),
+                     tol=1e-9)
+        assert abs(got - want / (2.0 * math.pi)) < 1e-12
+
+    def test_torus_curve_membership_and_value(self):
+        # (z1 - z2)(1 + z1 + z2) at x1 = x2: the torus points of z1 - z2
+        # form a curve, so the resultant vanishes identically
+        from scipy.integrate import quad
+
+        x = (0.3, 0.3)
+        P = parse_laurent("z1+z1^2-z2-z2^2")
+        assert amoeba_contains(P, x)
+        f = lambda t: max(math.log(abs(1 + np.exp(x[0] + 1j * t))), x[1])
+        c = -1.0 / (2.0 * math.exp(x[0]))   # cos of the kinks, |1 + z1| = e^x2
+        want, _ = quad(f, 0.0, 2.0 * math.pi,
+                       points=[math.acos(c), 2 * math.pi - math.acos(c)],
+                       limit=400, epsabs=0.0, epsrel=1e-12)
+        try:
+            got = ronkin(P, x, tol=1e-9)
+        except QuadratureFailure:
+            return
+        assert abs(got - (x[0] + want / (2.0 * math.pi))) < 1e-9
+
+    def test_torus_points_behind_a_self_reciprocal_factor(self):
+        # Boyd k = 5 has no torus point at the origin but makes the
+        # resultant vanish identically; the torus points of 1 + z1 + z2
+        # must still cut the panels and witness membership
+        factors = (BOYD[5], P2)
+        terms = {}
+        for e1, c1 in BOYD[5].terms:
+            for e2, c2 in P2.terms:
+                e = (e1[0] + e2[0], e1[1] + e2[1])
+                terms[e] = terms.get(e, 0.0) + c1 * c2
+        P = LaurentPoly.make([(e, c) for e, c in terms.items() if c != 0])
+        for x in [(0.0, 0.0), (0.3, -0.2), (2.0, 0.1)]:
+            assert amoeba_contains(P, x) == amoeba_contains(P2, x)
+            want = sum(ronkin(f, x, tol=1e-9) for f in factors)
+            assert abs(ronkin(P, x, tol=1e-9) - want) < 1e-12
+
+    @pytest.mark.parametrize("k,inside", [(1, True), (3, True), (4, True),
+                                          (5, False)])
+    def test_self_reciprocal_membership(self, k, inside):
+        # on the unit torus Boyd's P is k + 2 cos t1 + 2 cos t2: it vanishes
+        # for k <= 4 (at the single point (-1, -1) for k = 4), never for 5
+        assert amoeba_contains(BOYD[k], (0.0, 0.0)) == inside
+
+    def test_gradient_is_triangle_angles(self):
+        # grad N = (alpha_1, alpha_2)/pi inside the amoeba, alpha_j the angle
+        # opposite the side e^{x_j} in the triangle with sides 1, e^x1, e^x2
+        rng = np.random.default_rng(29)
+        points = []
+        while len(points) < 12:
+            x = rng.uniform(-2.0, 2.0, 2)
+            if triangle_margin(x) > 0.02:
+                points.append(x)
+        for x in points:
+            a, b = np.exp(x)
+            alpha1 = math.acos((1.0 + b * b - a * a) / (2.0 * b))
+            alpha2 = math.acos((1.0 + a * a - b * b) / (2.0 * a))
+            got = ronkin_gradient(P2, x)
+            assert np.allclose(got, np.array([alpha1, alpha2]) / math.pi,
+                               rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("x,order", [((3.0, 0.5), (1, 0)),
+                                         ((0.5, 3.0), (0, 1)),
+                                         ((-3.0, -2.0), (0, 0))])
+    def test_gradient_off_amoeba_is_component_order(self, x, order):
+        # Forsberg-Passare-Tsikh: grad N on a complement component is its
+        # order, a lattice point of the Newton polygon
+        assert np.array_equal(ronkin_gradient(P2, x), order)
+        assert np.array_equal(ronkin_gradient(P2, x, kappa=2),
+                              2 * np.array(order))
+
+    def test_gradient_one_variable(self):
+        assert ronkin_gradient(PDOUBLE, 1.0)[0] == 2.0
+        assert ronkin_gradient(PDOUBLE, 0.5)[0] == 0.0
+
+    def test_membership_at_the_boundary(self):
+        # seeded points on the three boundary branches of the amoeba of
+        # 1 + z1 + z2, pushed 1e-3, 1e-4 and 1e-5 along the normal to
+        # either side; the triangle inequality decides each one
+        rng = np.random.default_rng(31)
+        checked = 0
+        for branch in range(3):
+            for _ in range(56):
+                if branch == 0:   # 1 = e^x1 + e^x2
+                    u = rng.uniform(0.02, 0.98)
+                    x = np.log([u, 1.0 - u])
+                else:             # e^x_b = 1 + e^x_other
+                    s = rng.uniform(-4.0, 4.0)
+                    x = np.array([math.log1p(math.exp(s)), s])[::(
+                        1 if branch == 1 else -1)]
+                grad = np.exp(x) * np.where(np.arange(1, 3) == branch,
+                                            1.0, -1.0)
+                normal = grad / np.linalg.norm(grad)
+                for d in (1e-3, 1e-4, 1e-5):
+                    for side in (1.0, -1.0):
+                        y = x + side * d * normal
+                        want = triangle_margin(y) > 0.0
+                        assert amoeba_contains(P2, y) == want, (y, want)
+                        checked += 1
+        assert checked >= 1000
+
+
 class TestRescaledAndTropical:
     def test_rescaled_simple(self):
         assert abs(ronkin_rescaled(P1Z, 1.0, 10.0) - 1.0) < 1e-6
@@ -217,7 +403,7 @@ class TestRescaledAndTropical:
         # coefficient-1 polynomial: N is within kappa*log(#terms) of the limit
         k = math.log(len(P2.terms))
         for x in np.array([[-1.5, 0.3], [0.7, 0.9], [2.0, -1.0]]):
-            n = ronkin(P2, x, nodes=128, max_doublings=1)
+            n = ronkin(P2, x, nodes=128)
             t = tropical_limit(P2, x)
             assert n >= t - k - 1e-3
             assert n <= t + k + 1e-3
