@@ -244,17 +244,16 @@ def _torus_cuts(P, x):
     a = np.zeros((w.size, d2 + 1), dtype=complex)
     for (i, j), c in zip(e, P.coefficients()):
         a[:, j] += c * np.exp(i * x[0] + j * x[1]) * w ** i
-    # on |w| = 1 the v^j coefficient of q is w^{d1} conj(a_{d2 - j}(w))
-    q = w[:, None] ** d1 * np.conj(a[:, ::-1])
-    r = np.concatenate([_resultant_roots(a, g, w)
-                        for g in (q, a[:, 1:] * np.arange(1, d2 + 1))])
+    # on |w| = 1 the v^j coefficient of q is w^{d1} conj(a_{d2 - j}(w)), and
+    # dp/dv has coefficients j a_j
+    r = np.concatenate([_resultant_roots(a, g, w) for g in (
+        w[:, None] ** d1 * np.conj(a[:, ::-1]), a[:, 1:] * range(1, d2 + 1))])
     return np.angle(r[np.abs(np.log(np.abs(r))) <= 1.0]) % (2.0 * np.pi)
 
 
 # a cut and the graded breakpoints on either side of it: panels shrink by 4
-# toward the cut, from pi/8 down to 2.4e-5
-_OFFSETS = np.pi / 8.0 * np.concatenate([[0.0], 4.0 ** -np.arange(8.0),
-                                         -4.0 ** -np.arange(8.0)])
+# toward the cut, from pi/8 down to 9.4e-8
+_OFFSETS = np.pi / 8 * np.r_[0, 4.0 ** -np.arange(12), -4.0 ** -np.arange(12)]
 
 
 def _torus_panels(P, x):
@@ -280,10 +279,11 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     One variable: Jensen's formula, exact up to rounding.  Two variables:
     a factor q(z1) of P is split off (its N is exact), and Jensen's formula
     in z2 for the rest is averaged over theta_1 by composite Gauss-Legendre
-    quadrature of order ``nodes`` on the panels of ``_torus_panels``, which
-    are cut and graded where the integrand is not analytic or nearly so.
-    Raises QuadratureFailure when the rule of order nodes/2 differs by
-    ``tol`` or more.
+    quadrature on the panels of ``_torus_panels``, which are cut and graded
+    where the integrand is not analytic or nearly so.  The ``nodes`` points
+    of the rule are spread evenly over the panels, at least 16 to each.
+    Raises QuadratureFailure when the rule of half that order per panel
+    differs by ``tol`` or more.
     """
     if P.nvars > 2:
         raise ValueError("ronkin supports at most 2 variables")
@@ -293,35 +293,41 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     if x.size != P.nvars:
         raise ValueError("x has wrong length")
 
-    def mean(P, theta, weights):
+    def log_mean(P, theta):
         emin, coeffs, roots = _fiber_roots(P, x[0], theta)
-        return float(weights @ (emin * x[-1]
-                                + _fiber_log_mean(coeffs, roots, x[-1])))
+        return emin * x[-1] + _fiber_log_mean(coeffs, roots, x[-1])
 
     if P.nvars == 1:
-        return kappa * mean(P, np.zeros(1), np.ones(1))
+        return kappa * float(log_mean(P, np.zeros(1))[0])
     # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
     content, P = _split_content(P)
     base = sum(max(x[0], math.log(abs(r))) for r in content)
     b = _torus_panels(P, x)
-    fine, coarse = (mean(P, t.ravel(), w.ravel() / (2.0 * np.pi))
-                    for t, w in (_gauss_nodes(b[:-1, None], b[1:, None], n)
-                                 for n in (nodes, nodes // 2)))
+    order = max(16, nodes // (b.size - 1))
+    # both rules from one fiber evaluation
+    (t, w), (tc, wc) = (_gauss_nodes(b[:-1, None], b[1:, None], n)
+                        for n in (order, order // 2))
+    f = log_mean(P, np.concatenate([t.ravel(), tc.ravel()])) / (2.0 * np.pi)
+    fine, coarse = w.ravel() @ f[:t.size], wc.ravel() @ f[t.size:]
     if not abs(fine - coarse) < tol:
-        raise QuadratureFailure(f"Ronkin rules of order {nodes} and "
-                                f"{nodes // 2} differ by {fine - coarse:.1e}")
-    return kappa * (base + fine)
+        raise QuadratureFailure(f"Ronkin: Gauss orders {order} and "
+                                f"{order // 2} differ by {fine - coarse:.1e}")
+    return kappa * (base + float(fine))
 
 
-def ronkin_gradient(P, x, kappa=1):
-    """Exact gradient of N at x.
+def ronkin_gradient(P, x):
+    """Exact gradient of N (kappa = 1) at x.
 
     dN/dx_l is the theta_1-average of emin plus the number of fiber roots
     inside |z_l| = e^{x_l} (Jensen's formula, differentiated).  The count is
     constant between torus points, so with two variables it is taken at the
     midpoint of each panel of ``_torus_panels`` and weighted by the panel's
     length; dN/dx_1 is the same with the variables swapped.  A factor in the
-    other variable alone does not move dN/dx_l and is split off.
+    other variable alone does not move dN/dx_l and is split off.  A fiber
+    root on the circle (to 1e-12 in log-modulus) counts half.  So where N is
+    not differentiable, because the torus points form a curve or, in one
+    variable, x is the log-modulus of a root, the result is the mean of the
+    two one-sided derivatives; a double root split by rounding counts 1.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta, weights, grad = np.zeros(1), np.ones(1), []
@@ -333,9 +339,10 @@ def ronkin_gradient(P, x, kappa=1):
             theta, weights = (b[1:] + b[:-1]) / 2.0, np.diff(b) / (2.0 * np.pi)
         emin, _, roots = _fiber_roots(Q, y[0], theta)
         with np.errstate(divide="ignore"):
-            inside = np.log(np.abs(roots)) < y[-1]
+            gap = np.log(np.abs(roots)) - y[-1]
+        inside = np.where(np.abs(gap) <= 1e-12, 0.5, gap < 0)
         grad.append(float(weights @ (emin + inside.sum(axis=1))))
-    return kappa * np.array(grad)
+    return np.array(grad)
 
 
 def ronkin_rescaled(P, t, lam, nodes=64, kappa=1, tol=1e-6):
@@ -391,8 +398,7 @@ def _amoeba_gap(P, x, tol=1e-6):
     _, _, roots = _fiber_roots(P, x[0], theta)
     with np.errstate(divide="ignore"):
         gaps = np.abs(np.log(np.abs(roots)) - x[-1])
-    # below 1e-15 a gap is rounding noise: take the first such zero in theta
-    j, k = np.unravel_index(np.argmin(np.maximum(gaps, 1e-15)), gaps.shape)
+    j, k = np.unravel_index(np.argmin(gaps), gaps.shape)
     z = [np.exp(x[0] + 1j * theta[j])] if P.nvars == 2 else []
     return min(best, (float(gaps[j, k]), np.array(z + [roots[j, k]])),
                key=lambda t: t[0])
@@ -453,7 +459,7 @@ def ronkin_hessian_mass(P, box, kappa=1, face_res=17):
             face[:, 1 - p] = np.linspace(*box[1 - p], face_res)
         for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
             face[:, p] = end
-            g = np.array([ronkin_gradient(P, x, kappa) for x in face])
+            g = kappa * np.array([ronkin_gradient(P, x) for x in face])
             # trapezoid rule along the face
             out[p] += sign * (np.diff(face[:, 1 - p]) @ (g[1:] + g[:-1]) / 2.0
                               if l == 2 else g[0])

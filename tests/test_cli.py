@@ -352,16 +352,13 @@ class TestGoldenOutputs:
                             "d13d19143117370e62a9be1388d81001"},
     }
 
-    # the two tropical commands at defaults: the ronkin grid (Jensen's
-    # formula in one variable) and the amoeba witness of 1 + z1 + z2 at the
-    # origin, whose residual prints as 0.0e+00
+    # the ronkin command at defaults: the grid of 1 + z by Jensen's formula
+    # in one variable
     TROPICAL_GOLDEN = {
         "ronkin": {"out": "6f1d668c1fe138dbc295cb2943502bfa"
                           "c05cc74943045cd37d8fb38aaaeacb61",
                    "csv": "e6368d028750054618661ddc43f8ca79"
                           "de2aca5af4a4adc87b2b915fed5ecbcf"},
-        "amoeba": {"out": "0a3d2238d8f06c0872d106f4fd82962e"
-                          "8bd6684570b581b5175f6552c5f9e3bb"},
     }
 
     # sha256 of the default --out report of each symbolic command: the
@@ -397,6 +394,21 @@ class TestGoldenOutputs:
     def test_tropical_artifacts_match_golden_hashes(self, tmp_path, cmd):
         want = self.TROPICAL_GOLDEN[cmd]
         assert self.artifact_hashes(tmp_path, cmd, want) == want
+
+    def test_amoeba_report_matches_golden(self, tmp_path):
+        # the witness of 1 + z1 + z2 at the origin is a torus point, whose
+        # residual is rounding noise that moves with the last bit of its
+        # angle: it is held to 1e-15, every other field exactly
+        path = tmp_path / "amoeba.json"
+        assert run_cli(["amoeba", "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        details = report["checks"][0]["details"]
+        assert float(details.pop("witnessResidual")) <= 1e-15
+        assert report == {
+            "checks": [{"details": {"contains": True, "point": [0.0, 0.0]},
+                        "name": "amoeba-membership", "pass": True}],
+            "command": "amoeba", "configHash": "bec90fc93d1d70ef",
+            "version": "0.1.0"}
 
     @pytest.mark.parametrize("cmd", sorted(SYMBOLIC_GOLDEN))
     def test_symbolic_reports_match_golden_hashes(self, tmp_path, cmd):

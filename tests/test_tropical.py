@@ -330,12 +330,25 @@ class TestTorusPoints:
         # Forsberg-Passare-Tsikh: grad N on a complement component is its
         # order, a lattice point of the Newton polygon
         assert np.array_equal(ronkin_gradient(P2, x), order)
-        assert np.array_equal(ronkin_gradient(P2, x, kappa=2),
-                              2 * np.array(order))
+
+    @pytest.mark.parametrize("P", [BOYD[1], BOYD[4]])
+    def test_gradient_at_a_curve_of_torus_points(self, P):
+        # N(x) = N(-x) for Boyd's family.  For k = 1 both fiber roots lie on
+        # the unit circle for |theta_1| > pi/3, so dN/dx_l jumps by
+        # 2 * (2/3) across x_l = 0 and the gradient there is the mean of the
+        # one-sided ones, 0.  For k = 4 the only torus point is (-1, -1), a
+        # double root of the fiber, and N is differentiable
+        h = np.array([1e-9, 0.0])
+        right, left = ronkin_gradient(P, h), ronkin_gradient(P, -h)
+        jump = 4.0 / 3.0 if P is BOYD[1] else 0.0
+        assert abs(right[0] - left[0] - jump) < 1e-6
+        assert np.allclose(ronkin_gradient(P, (0.0, 0.0)), 0.0, atol=1e-12)
 
     def test_gradient_one_variable(self):
         assert ronkin_gradient(PDOUBLE, 1.0)[0] == 2.0
         assert ronkin_gradient(PDOUBLE, 0.5)[0] == 0.0
+        # at the double root's log-modulus log 2, the mean of 0 and 2
+        assert ronkin_gradient(PDOUBLE, math.log(2.0))[0] == 1.0
 
     def test_membership_at_the_boundary(self):
         # seeded points on the three boundary branches of the amoeba of
@@ -496,6 +509,7 @@ class TestHessianMass:
         m1 = ronkin_hessian_mass(P1Z, (-1.0, 1.0), kappa=1)
         m2 = ronkin_hessian_mass(P1Z, (-1.0, 1.0), kappa=2)
         assert abs(m2[0, 0] - 2 * m1[0, 0]) < 2e-3
+        assert np.array_equal(m2, 2 * m1)
 
     def test_2d_mass_matches_spine_weight(self):
         # mass of Hess N for 1+z1+z2 over a box containing only the
