@@ -14,8 +14,10 @@ Three double-precision branches, all in-house:
   a fixed 17-term Horner polynomial in 1/x: the first omitted term is
   below 1.3e-18 relative at x = 32.
 
-References: ``k0_mp``, the same series in mpmath's arbitrary precision
-(imported only there), and ``k0_integral``, which shares no code with them.
+References: ``k0_mp``, the same series run in Python integers as fixed
+point at the working precision of its ``dps`` (mpmath, imported only there,
+converts the ends and keeps the asymptotic branch for x >= 64), and
+``k0_integral``, which shares no code with them.
 
 Branch boundaries are covered by tests asserting cross-branch agreement to
 1e-11.
@@ -82,23 +84,25 @@ def k0_mp(x, dps=None):
     with mp.workdps(dps):
         if x >= 64:
             return _k0_asym_mp(x)
-        t = x * x / 4
-        i0 = mp.mpf(1)
-        s = mp.mpf(0)
-        h = mp.mpf(0)
-        term = mp.mpf(1)
-        eps = mp.mpf(10) ** (-dps - 5)
+        # the series in fixed point: an integer n stands for n / 2^prec
+        prec = mp.mp.prec
+        one = 1 << prec
+        t = int(mp.ldexp(x * x / 4, prec))
+        i0, s, h, term = one, 0, 0, one
+        # term (h + 1) < 10^(-dps-5) (s + 1), times 10^(dps+5) 2^(2 prec)
+        inv_eps = 10 ** (dps + 5)
         k = 0
         while True:
             k += 1
-            term *= t / (k * k)
+            term = (term * t >> prec) // (k * k)
             i0 += term
-            h += mp.mpf(1) / k
-            s += term * h
-            if term * (h + 1) < eps * (abs(s) + 1):
+            h += one // k
+            s += term * h >> prec
+            if term * (h + one) * inv_eps < (s + one) << prec:
                 break
             if k > 10000:
                 raise RuntimeError("K0 series did not converge")
+        i0, s = mp.ldexp(i0, -prec), mp.ldexp(s, -prec)
         val = -(mp.log(x / 2) + mp.euler) * i0 + s
     return val
 

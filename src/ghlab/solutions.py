@@ -211,6 +211,12 @@ def semiflat(ma_potential, symbols=None, n=None, domain=None, sample_pts=None):
 # periodic Fourier-Bessel family
 # ---------------------------------------------------------------------------
 
+# value() sums the modes on blocks of at most this many points, which bounds
+# its (mode, point) tables: one table over a whole 20,000-point batch at
+# M = 40 raised peak memory by half
+_VALUE_BLOCK = 4096
+
+
 class PeriodicFourierSolution:
     """Zero mode plus Bessel higher modes on R x R x S^1 (n = l = 1)."""
 
@@ -254,19 +260,29 @@ class PeriodicFourierSolution:
         return self.coefficient(m) * k0(abs(m) * rho) / (2.0 * np.pi)
 
     def value(self, pts):
-        """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order;
-        K0 is evaluated per distinct radius, e^{i m y} per distinct y."""
+        """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order.
+
+        The batch is cut into blocks of ``_VALUE_BLOCK`` points.  Per block,
+        one k0 call fills the (mode, distinct radius) table and one exp call
+        the (mode, distinct y) table of 2 Re(c_m e^{i m y}); as k0 and exp
+        act elementwise, each value is the same bits whatever batch it is
+        evaluated in.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        u, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
-        rho, rho_of = np.unique(self._radii(u, x), return_inverse=True)
-        y, y_of = np.unique(y, return_inverse=True)
+        u, x = pts[:, 0], pts[:, 1]
+        radii = self._radii(u, x)
         out = self.zero_mode(u, x).astype(float).copy()
-        for m in range(1, self.M + 1):
-            c = self.coeffs.get(m, 0.0 + 0.0j)
-            if c == 0:
-                continue
-            out += 2.0 * np.real(c * np.exp(1j * m * y))[y_of] \
-                * k0(m * rho)[rho_of] / (2.0 * np.pi)
+        ms = [m for m in range(1, self.M + 1) if self.coeffs[m] != 0]
+        mcol = np.array(ms, dtype=float)[:, None]
+        ccol = np.array([self.coeffs[m] for m in ms], dtype=complex)[:, None]
+        for start in range(0, len(pts), _VALUE_BLOCK):
+            block = slice(start, start + _VALUE_BLOCK)
+            rho, rho_of = np.unique(radii[block], return_inverse=True)
+            y, y_of = np.unique(pts[block, 2], return_inverse=True)
+            fiber = 2.0 * np.real(ccol * np.exp(1j * mcol * y))
+            out_block = out[block]
+            for fiber_m, k0_m in zip(fiber, k0(mcol * rho)):
+                out_block += fiber_m[y_of] * k0_m[rho_of] / (2.0 * np.pi)
         return out
 
     def _check_positive(self):
@@ -364,8 +380,8 @@ def ov_total_flux(sol, radius, nodes=(256, 64), center=None, surface="torus",
         area = (radius ** 2 * np.sin(P) * WP * WT).ravel()
     else:
         raise ValueError("surface must be 'torus' or 'sphere'")
-    vplus = sol.value(base + h * nrm)
-    vminus = sol.value(base - h * nrm)
+    vplus, vminus = np.split(sol.value(np.concatenate(
+        [base + h * nrm, base - h * nrm])), 2)
     dn = (vplus - vminus) / (2.0 * h)
     if not np.all(np.isfinite(dn)):
         raise QuadratureFailure("non-finite normal derivative on the surface")

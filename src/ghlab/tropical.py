@@ -245,9 +245,17 @@ def _torus_cuts(P, x):
     for (i, j), c in zip(e, P.coefficients()):
         a[:, j] += c * np.exp(i * x[0] + j * x[1]) * w ** i
     # on |w| = 1 the v^j coefficient of q is w^{d1} conj(a_{d2 - j}(w)), and
-    # dp/dv has coefficients j a_j
-    r = np.concatenate([_resultant_roots(a, g, w) for g in (
-        w[:, None] ** d1 * np.conj(a[:, ::-1]), a[:, 1:] * range(1, d2 + 1))])
+    # dp/dv has coefficients j a_j; at d2 = 1, Res_v(p, dp/dv) is a_1(w)
+    if d2 == 1:
+        a1 = np.zeros(d1 + 1, dtype=complex)
+        for (i, j), c in zip(e, P.coefficients()):
+            if j:
+                a1[i] += c * np.exp(i * x[0] + j * x[1])
+        collide = np.roots(a1[::-1])
+    else:
+        collide = _resultant_roots(a, a[:, 1:] * range(1, d2 + 1), w)
+    r = np.concatenate([_resultant_roots(
+        a, w[:, None] ** d1 * np.conj(a[:, ::-1]), w), collide])
     return np.angle(r[np.abs(np.log(np.abs(r))) <= 1.0]) % (2.0 * np.pi)
 
 

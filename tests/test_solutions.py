@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -387,6 +388,38 @@ class TestOoguriVafa:
         pts = np.stack([0.2 + rhos[i] * np.cos(ang[i]),
                         -0.1 + rhos[i] * np.sin(ang[i]), ys[k]], -1)
         assert np.array_equal(sol.value(pts), self.per_point_value(sol, pts))
+
+    @pytest.mark.parametrize("zero_mode", [
+        None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
+    def test_value_does_not_depend_on_the_batch(self, zero_mode):
+        # 9,000 points, more than two blocks of 4,096, with each (rho, y)
+        # drawn from a small pool so both repeat within a block; every
+        # value has the bits of its one-point call
+        rng = np.random.default_rng(33)
+        sol = PeriodicFourierSolution(1.0, 8, 4.0, zero_mode=zero_mode,
+                                      check_positive=False)
+        rhos = rng.uniform(0.05, 6.0, 60)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 60)
+        ys = rng.uniform(0.0, 2.0 * np.pi, 45)
+        i, k = rng.integers(0, 60, 9000), rng.integers(0, 45, 9000)
+        pts = np.stack([rhos[i] * np.cos(ang[i]), rhos[i] * np.sin(ang[i]),
+                        ys[k]], -1)
+        got = sol.value(pts)
+        edges = [0, 4095, 4096, 8191, 8192, 8999]
+        for j in np.union1d(rng.choice(9000, 300, replace=False), edges):
+            assert got[j] == sol.value(pts[j:j + 1])[0], j
+
+    def test_double_precision_path_loads_no_mpmath(self, monkeypatch):
+        # the library twin of the CI step that runs the K0 commands without
+        # mpmath installed: an import of mpmath now raises ImportError
+        monkeypatch.setitem(sys.modules, "mpmath", None)
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        pts = [[0.3, 0.4, 1.0], [1.5, -0.2, 4.0]]
+        assert np.all(np.isfinite(sol.value(pts)))
+        assert np.isfinite(sol.mode_value(3, 0.3, 0.4))
+        assert abs(ov_total_flux(sol, 0.5) + 2 * np.pi) < 0.01 * 2 * np.pi
+        with pytest.raises(ImportError):
+            sol.helmholtz_residual(1, 0.5)
 
     def test_flux_evaluates_k0_once_per_distinct_radius(self, monkeypatch):
         # each of the two torus layers has 256 radii, one per angle, shared

@@ -246,6 +246,18 @@ class TestTorusPoints:
         with pytest.raises(QuadratureFailure):
             ronkin(BOYD[1], (0.0, 0.0), tol=1e-9)
 
+    def test_linear_fiber_cuts_where_a1_vanishes(self):
+        # P = 1 + z2 (1 + z1) is linear in z2: its fiber roots meet infinity
+        # where a_1(w) = e^{x2} (1 + e^{x1} w) vanishes, at theta_1 = pi.
+        # The torus points solve |1 + e^{x1} e^{i t}| = e^{-x2} in closed form
+        P = LaurentPoly.make([((0, 0), 1.0), ((0, 1), 1.0), ((1, 1), 1.0)])
+        x1, x2 = -0.5, 0.2
+        t = math.acos((math.exp(-2 * x2) - 1 - math.exp(2 * x1))
+                      / (2 * math.exp(x1)))
+        cuts = np.sort(tropical._torus_cuts(P, np.array([x1, x2])))
+        assert np.allclose(cuts, [t, math.pi, 2 * math.pi - t],
+                           rtol=0, atol=1e-12), cuts
+
     def test_tangential_torus_point_is_a_cut(self):
         # at (0, 0) the fiber (1 + z1)(1 + w^2) + w has both roots on the
         # circle only at theta_1 = 0, a double root of the torus-point
