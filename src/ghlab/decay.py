@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,20 +124,6 @@ class DecayReport:
     def csv_header():
         return ["m", "beta", "abs_mode", "log_abs_mode", "fit_pred"]
 
-    def to_json(self):
-        return json.dumps({
-            "lambda": self.lam,
-            "slopeBand": list(self.slope_band),
-            "rmsLimit": self.rms_limit,
-            "modes": [{
-                "m": m,
-                "amplitude": self.fits[m].amplitude,
-                "rate": self.fits[m].rate,
-                "rmsResidual": self.fits[m].rms_residual,
-                "skipped": self.fits[m].skipped,
-                "pass": self.fits[m].passed} for m in self.modes]},
-            sort_keys=True)
-
 
 def decay_fit(fieldobj, point_grid, M, lam=1.0, beta_fn=None, nodes=256,
               modes=None, slope_band=(0.9, 1.1), rms_limit=0.1,
@@ -187,7 +173,6 @@ class CollapseReport:
     sup_distances: list
     grid: np.ndarray
     norm: str
-    fiber_diameters: dict = field(default_factory=dict)
 
     @property
     def non_increasing(self):
@@ -207,9 +192,7 @@ class CollapseReport:
             "lambdas": list(map(float, self.lambdas)),
             "supDistances": list(map(float, self.sup_distances)),
             "nonIncreasing": self.non_increasing,
-            "norm": self.norm,
-            "fiberDiameters": {str(k): v for k, v in
-                               self.fiber_diameters.items()}}, sort_keys=True)
+            "norm": self.norm}, sort_keys=True)
 
 
 def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
@@ -275,11 +258,7 @@ def fiber_diameter(sol, point, lam, limit_value=None):
     the prediction is lam^{-1} * 2 pi / sqrt(limit), and the ratio should
     sit in [0.5, 2] once lam >= 10 and the decay distance is >= 1.
     """
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    if hasattr(sol, "V"):
-        v = float(np.asarray(sol.V(pts))[0].reshape(-1)[0])
-    else:
-        v = float(_field_values(sol, pts)[0])
+    v = float(sol.V(np.atleast_2d(np.asarray(point, dtype=float)))[0, 0, 0])
     if v <= 0:
         raise DomainViolation("fiber block must be positive")
     length = 2.0 * math.pi * math.sqrt(1.0 / v)

@@ -397,23 +397,6 @@ class SymbolicScalarField(JetScalarField):
                          len(self.symbols))
 
 
-class NumericScalarField:
-    """Scalar field from a plain callable; partials by finite differences."""
-
-    def __init__(self, func, dim):
-        self.func = func
-        self.dim = dim
-
-    def value(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.asarray(self.func(pts), dtype=float)
-
-    def partial_value(self, orders, pts):
-        if sum(orders) == 0:
-            return self.value(pts)
-        return fd_partial(self.value, pts, orders, fd_step(orders))
-
-
 def shifted(orders, *axes):
     """The multi-index ``orders`` with one added on each of ``axes``."""
     out = list(orders)

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import GHLabError
 from .fields import (
-    NumericScalarField,
     SymbolicScalarField,
     fd_partial,
     fd_step,
@@ -137,38 +136,6 @@ class RadialDomain(Domain):
 
 
 # ---------------------------------------------------------------------------
-# potential fields
-# ---------------------------------------------------------------------------
-
-class PotentialField:
-    """Real potential on the (u, x, y) chart."""
-
-    def __init__(self, scalar_field, n, l, domain=None, name=""):
-        self.field = scalar_field
-        self.n = int(n)
-        self.l = int(l)
-        if scalar_field.dim != self.n + 2 * self.l:
-            raise ValueError("scalar field dimension does not match (n, l)")
-        self.domain = domain if domain is not None else WholeSpace()
-        self.name = name
-
-    @classmethod
-    def from_sympy(cls, expr, symbols, n, l, domain=None, name=""):
-        return cls(SymbolicScalarField(expr, symbols), n, l, domain, name)
-
-    @classmethod
-    def from_callable(cls, func, n, l, domain=None, name=""):
-        return cls(NumericScalarField(func, n + 2 * l), n, l, domain, name)
-
-    @property
-    def ncoords(self):
-        return self.n + 2 * self.l
-
-    def value(self, pts):
-        return self.field.value(pts)
-
-
-# ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
 
@@ -255,14 +222,21 @@ class GHSolution(BlockSolution):
                              orders, pts)
 
     @classmethod
-    def from_potential(cls, phi, discriminant=None, name=""):
-        """The blocks as slices of the real Hessian of the potential (see
-        the module docstring)."""
-        n, l, nc = phi.n, phi.l, phi.ncoords
+    def from_potential(cls, K, n, l, symbols=None, domain=None,
+                       discriminant=None, name=""):
+        """Build the blocks from a real potential on the (u, x, y) chart: a
+        scalar field of dimension n + 2l, or a sympy expression in
+        ``symbols``.  They are slices of its real Hessian (see the module
+        docstring)."""
+        if symbols is not None:
+            K = SymbolicScalarField(K, symbols)
+        nc = n + 2 * l
+        if K.dim != nc:
+            raise ValueError("scalar field dimension does not match (n, l)")
         u, x, y = range(n), range(n, n + l), range(n + l, nc)
 
         def H(orders, rows, cols, pts):
-            return hessian_block(phi.field, orders, rows, cols, pts)
+            return hessian_block(K, orders, rows, cols, pts)
 
         def V_partial(orders, pts):
             return H(orders, u, u, pts)
@@ -279,27 +253,25 @@ class GHSolution(BlockSolution):
             return 0.5 * (H(orders, u, y, pts) + 1j * H(orders, u, x, pts))
 
         return cls(n, l, at_zero_orders(V_partial, nc),
-                   at_zero_orders(W_partial, nc), domain=phi.domain,
-                   potential=phi,
+                   at_zero_orders(W_partial, nc), domain=domain, potential=K,
                    connection=at_zero_orders(connection_partial, nc)
                    if l else None,
                    V_partial=V_partial, W_partial=W_partial,
                    connection_partial=connection_partial if l else None,
-                   discriminant=discriminant, name=name or phi.name)
+                   discriminant=discriminant, name=name)
 
 
 # ---------------------------------------------------------------------------
 # pointwise operations
 # ---------------------------------------------------------------------------
 
-def derive_vw(phi, point):
+def derive_vw(sol, point):
     """(V, W) at one point; both must be positive definite.
 
     V is exactly symmetric and W exactly hermitian by construction.
     """
     pts = np.atleast_2d(np.asarray(point, dtype=float))
-    phi.domain.require(pts)
-    sol = GHSolution.from_potential(phi)
+    sol.domain.require(pts)
     V = sol.V(pts)[0]
     W = sol.W(pts)[0]
     if np.linalg.eigvalsh(V).min() <= 0.0:
@@ -309,23 +281,13 @@ def derive_vw(phi, point):
     return V, W
 
 
-def connection_form(phi, point):
+def connection_form(sol, point):
     """Coefficient tables of A_j: (d eta coefficients, their conjugates)."""
     pts = np.atleast_2d(np.asarray(point, dtype=float))
-    phi.domain.require(pts)
-    a = GHSolution.from_potential(phi).connection(pts)
-    a = np.zeros((phi.n, 0), dtype=complex) if a is None else a[0]
+    sol.domain.require(pts)
+    a = sol.connection(pts)
+    a = np.zeros((sol.n, 0), dtype=complex) if a is None else a[0]
     return a, a.conj()
-
-
-def _as_solution(source):
-    if isinstance(source, GHSolution):
-        return source
-    if isinstance(source, PotentialField):
-        return GHSolution.from_potential(source)
-    if hasattr(source, "as_gh_solution"):
-        return source.as_gh_solution()
-    raise TypeError(f"cannot interpret {type(source).__name__} as a GH solution")
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +321,12 @@ def _antisymmetric(upper):
     return real - np.swapaxes(real, -1, -2)
 
 
-def curvature_form(source, pts):
+def curvature_form(sol, pts):
     """The curvature 2-forms F_j as an (N, n, nc, nc) array, batched.
 
     F_j[u_i, x_p] = dV^{ij}/dy_p and F_j[u_i, y_p] = -dV^{ij}/dx_p; the base
     block is (i/2) dW^{pq}/du_j d eta_p ^ d etabar_q.
     """
-    sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n, l, nc = sol.n, sol.l, sol.ncoords
     upper = np.zeros((pts.shape[0], n, nc, nc), dtype=complex)
@@ -380,21 +341,19 @@ def curvature_form(source, pts):
     return _antisymmetric(upper)
 
 
-def curvature(source, point):
+def curvature(sol, point):
     """The curvature 2-forms F_j at one point, an (n, nc, nc) array."""
-    sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(point, dtype=float))
     sol.domain.require(pts)
     return curvature_form(sol, pts)[0]
 
 
-def kahler_form(source, pts):
+def kahler_form(sol, pts):
     """The basic part of the Kahler form as an (N, 1, nc, nc) array.
 
     omega[u_j, x_p] = 2 Re A_jp and omega[u_j, y_p] = -2 Im A_jp from the
     d eta coefficients of the connection; the base block is (i/2) W.
     """
-    sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     alpha = sol.connection(pts)
     if alpha is None:
@@ -487,10 +446,9 @@ def potential_identity_residual(sol, pts):
     return worst
 
 
-def verify_closed(source, grid_pts, step=1e-4, tolerance=1e-6):
+def verify_closed(sol, grid_pts, step=1e-4, tolerance=1e-6):
     """Closedness report: dF = 0, d omega = 0 (when A is known) and the
     mixed fourth-derivative identity, all over a point batch."""
-    sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
     if pts.size == 0:
         raise GHError("the point batch is empty: there is no point to check")
@@ -508,9 +466,8 @@ def verify_closed(source, grid_pts, step=1e-4, tolerance=1e-6):
         extra={"dF": df, "dOmega": domega, "potentialIdentity": ident})
 
 
-def verify_compat(source, grid_pts, tolerance=1e-10):
+def verify_compat(sol, grid_pts, tolerance=1e-10):
     """Max of |det W / det V - 1| over the grid (Ricci-flatness scalar)."""
-    sol = _as_solution(source)
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
     if pts.size == 0:
         raise GHError("the point batch is empty: there is no point to check")
@@ -533,7 +490,7 @@ def _sphere_grid(nphi, ntheta):
     return phi, wphi, theta, wtheta
 
 
-def chern_flux(source, wall_point, radius, nodes=(32, 64), normal=None,
+def chern_flux(sol, wall_point, radius, nodes=(32, 64), normal=None,
                guard=None):
     """(1/2pi) integral of the curvature over a small 2-sphere.
 
@@ -542,7 +499,6 @@ def chern_flux(source, wall_point, radius, nodes=(32, 64), normal=None,
     (wall_point, eta_1 = 0).  Returns the flux vector, one entry per fiber
     index.
     """
-    sol = _as_solution(source)
     if sol.l < 1:
         raise GHError("flux needs at least one base coordinate")
     n, nc = sol.n, sol.ncoords
@@ -593,14 +549,13 @@ class CompletenessProbe:
     verdict: str
 
 
-def completeness_probe(source, i, j, u_maxes, base=None, samples=512,
+def completeness_probe(sol, i, j, u_maxes, base=None, samples=512,
                        slope_floor=1e-3):
     """Partial integrals of 1/(V^{-1})^{ij} along the u_i ray from base.
 
     A numerical probe, not a proof: the verdict says whether the partial
     integrals are still visibly growing at the largest cutoff.
     """
-    sol = _as_solution(source)
     u_maxes = sorted(float(u) for u in u_maxes)
     if u_maxes[0] <= 0:
         raise ValueError("cutoffs must be positive")

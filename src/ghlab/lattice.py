@@ -223,11 +223,6 @@ class WallComplex:
     walls: tuple
     basis: tuple = ()          # quotient basis vectors (rows, ambient coords)
 
-    def to_json(self):
-        return json.dumps({"walls": [
-            {"eqs": list(w.equality), "ineqs": [list(g) for g in w.inequalities],
-             "weight": list(w.weight)} for w in self.walls]})
-
     def __len__(self):
         return len(self.walls)
 

@@ -33,7 +33,6 @@ import numpy as np
 from . import GHLabError, NotPositive
 from .fields import (
     JetScalarField,
-    NumericScalarField,
     SymbolicScalarField,
     cos,
     exp,
@@ -261,13 +260,7 @@ def dual_transform(sol):
     if sol._V_partial is not None:
         newWp = lambda orders, pts: sol.V_partial(swap_orders(orders), swap(pts))
 
-    potential = None
-    if isinstance(sol.potential, JetScalarField):
-        potential = sol.potential.swapped(n)
-    elif sol.potential is not None:
-        inner = sol.potential
-        potential = NumericScalarField(
-            lambda pts: -inner.value(swap(pts)), n + l)
+    potential = None if sol.potential is None else sol.potential.swapped(n)
 
     wall_pair = None
     if sol.wall_pair is not None:
@@ -289,10 +282,10 @@ def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
     """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured disk.
 
     ``h`` is a constant, a sympy expression in at most two real symbols
-    (taken in name order), or a callable on (N, 2) arrays.  It must be
-    harmonic on sample points of the annulus, with an exact Laplacian for a
-    constant or an expression and a finite-difference one for a callable,
-    and V is required to stay positive there.
+    (taken in name order), or a jet function h(s, t) like the built-in
+    potentials (see ``fields.JetScalarField``).  It must be harmonic on
+    sample points of the annulus, by its exact Laplacian, and V is required
+    to stay positive there.
     """
     if isinstance(h, (int, float)):
         h_field = JetScalarField(lambda s, t: float(h), 2)
@@ -303,7 +296,7 @@ def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
         h_field = SymbolicScalarField(
             h, syms + [sp.Dummy() for _ in range(2 - len(syms))])
     elif callable(h):
-        h_field = NumericScalarField(h, 2)
+        h_field = JetScalarField(h, 2)
     else:
         raise TypeError("h must be a number, sympy expression or callable")
 

@@ -28,22 +28,14 @@ y = 2 pi k; the tests compare the two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0, k0_mp
-from .fields import JetScalarField, SymbolicScalarField, log, sqrt
-from .ghcore import (
-    Domain,
-    GHSolution,
-    PotentialField,
-    RadialDomain,
-    WholeSpace,
-    _sphere_grid,
-)
+from .fields import JetScalarField, log, sqrt
+from .ghcore import Domain, GHSolution, RadialDomain, _sphere_grid
 
 
 class SolutionError(GHLabError):
@@ -144,11 +136,11 @@ def taub_nut(ell, a, rmin=0.05, rmax=10.0, branch_margin=0.25):
         return 0.5 * ell * (u * log(u + r) - r) + 0.5 * a * u2 \
             - 0.25 * a * (x2 + y2)
 
-    domain = RadialDomain(rmin, rmax) & _BranchGuard(branch_margin)
-    phi = PotentialField(JetScalarField(potential, 3), n=1, l=1,
-                         domain=domain, name=f"taub-nut(ell={ell}, a={a})")
     sol = GHSolution.from_potential(
-        phi, discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1))
+        JetScalarField(potential, 3), 1, 1,
+        domain=RadialDomain(rmin, rmax) & _BranchGuard(branch_margin),
+        discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1),
+        name=f"taub-nut(ell={ell}, a={a})")
     sol.ell, sol.a = float(ell), float(a)
     return sol
 
@@ -188,18 +180,15 @@ def flat_gh_solution(rmax=10.0):
 def semiflat(ma_potential, symbols=None, n=None, domain=None, sample_pts=None):
     """Fiber-flat solution from a real potential with unit Hessian determinant.
 
-    ``ma_potential`` is a sympy expression (with ``symbols``) or an object
-    with ``partial_value``.  The base block is trivial (l = 0), so the
-    compatibility residual is |1/det Hess - 1|.
+    ``ma_potential`` is a sympy expression in ``symbols`` or a scalar field
+    of the n coordinates, such as a ``fields.JetScalarField``.  The base
+    block is trivial (l = 0), so the compatibility residual is
+    |1/det Hess - 1|.
     """
-    if symbols is not None:
-        fieldobj = SymbolicScalarField(ma_potential, symbols)
-    else:
-        fieldobj = ma_potential
-    n = fieldobj.dim if n is None else n
-    phi = PotentialField(fieldobj, n=n, l=0,
-                         domain=domain if domain is not None else WholeSpace())
-    sol = GHSolution.from_potential(phi, name="semi-flat")
+    if n is None:
+        n = len(symbols) if symbols is not None else ma_potential.dim
+    sol = GHSolution.from_potential(ma_potential, n, 0, symbols=symbols,
+                                    domain=domain, name="semi-flat")
     check = sample_pts if sample_pts is not None else np.zeros((1, n))
     eigs = np.linalg.eigvalsh(sol.V(check))
     if np.min(eigs) <= 0:
@@ -217,8 +206,12 @@ def semiflat(ma_potential, symbols=None, n=None, domain=None, sample_pts=None):
 _VALUE_BLOCK = 4096
 
 
-class PeriodicFourierSolution:
-    """Zero mode plus Bessel higher modes on R x R x S^1 (n = l = 1)."""
+class PeriodicFourierSolution(GHSolution):
+    """Zero mode plus Bessel higher modes on R x R x S^1 (n = l = 1).
+
+    As fibration data V = W is the ``value`` table; it exposes no
+    connection, and its partials are finite differences of the table.
+    """
 
     def __init__(self, lam, M, a, source=(0.0, 0.0), coeffs=None, domain=None,
                  zero_mode=None, check_positive=True):
@@ -231,9 +224,17 @@ class PeriodicFourierSolution:
         self.coeffs = {int(m): complex(c) for m, c in (coeffs or {}).items()}
         for m in range(1, self.M + 1):
             self.coeffs.setdefault(m, 1.0 + 0.0j)
-        self.domain = domain if domain is not None else \
-            RadialDomain(0.1, 6.0, axes=(0, 1))
         self._zero_mode = zero_mode
+
+        def table(pts):
+            return self.value(pts)[:, None, None]
+
+        super().__init__(
+            1, 1, table, table,
+            domain=domain if domain is not None else
+            RadialDomain(0.1, 6.0, axes=(0, 1)),
+            discriminant=lambda pts: self._radii(pts[:, 0], pts[:, 1]),
+            name=f"ooguri-vafa(M={self.M})")
         if check_positive:
             self._check_positive()
 
@@ -316,28 +317,17 @@ class PeriodicFourierSolution:
             h = mp.mpf(10) ** (-int(dps // 3))
 
             def g(t):
-                return c * k0_mp(abs(m) * t, dps=dps + 10)
+                # at least k0_mp's own 25 + 0.9 x digits: its series
+                # cancels about 0.87 x of them
+                x = abs(m) * t
+                return c * k0_mp(x, dps=max(dps + 10,
+                                            int(25 + 0.9 * float(x))))
 
             g0, gplus, gminus = g(rho_mp), g(rho_mp + h), g(rho_mp - h)
             gp = (gplus - gminus) / (2 * h)
             gpp = (gplus - 2 * g0 + gminus) / (h * h)
             res = gpp + gp / rho_mp - m * m * g0
         return float(res)
-
-    def as_gh_solution(self):
-        """View as the n = l = 1 fibration data V = W (table-backed)."""
-        def V(pts):
-            return self.value(pts)[:, None, None]
-
-        def W(pts):
-            return self.value(pts)[:, None, None].astype(complex)
-
-        sol = GHSolution(
-            1, 1, V, W, domain=self.domain, connection=None,
-            discriminant=lambda pts: self._radii(
-                np.atleast_2d(pts)[:, 0], np.atleast_2d(pts)[:, 1]),
-            name=f"ooguri-vafa(M={self.M})")
-        return sol
 
 
 def ooguri_vafa(lam, M, a, source=(0.0, 0.0), domain=None):

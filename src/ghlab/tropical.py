@@ -268,10 +268,26 @@ def _torus_panels(P, x):
     """Breakpoints b_0 < ... < b_m = b_0 + 2 pi of the theta_1 panels.
 
     Every cut of ``_torus_cuts`` is a breakpoint, the panels are graded
-    geometrically toward it, and none is longer than pi/8.  Breakpoints
-    closer than 1e-12 are merged.
+    geometrically toward it, and none is longer than pi/8.  Cuts closer
+    than the finest offset, such as the two roots that rounding makes of a
+    double root, are merged into their mean, also across 0 = 2 pi; a cut
+    that merges with none keeps its bits.  Breakpoints closer than 1e-12
+    are merged.
     """
-    cuts = (_torus_cuts(P, x)[:, None] + _OFFSETS).ravel()
+    cuts = np.sort(_torus_cuts(P, x))
+    if cuts.size > 1:
+        # the gap after each cut, the last one across 2 pi; starting after
+        # the widest, no cluster straddles the end of the list
+        gaps = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
+        shift = -(int(np.argmax(gaps)) + 1)
+        cuts, gaps = np.roll(cuts, shift), np.roll(gaps, shift)[:-1]
+        close = gaps < np.min(np.abs(_OFFSETS[1:]))
+        group = np.r_[0, np.cumsum(~close)]
+        drift = np.r_[0.0, np.cumsum(np.where(close, gaps, 0.0))]
+        lead = np.searchsorted(group, np.arange(group[-1] + 1))
+        cuts = cuts[lead] + (np.bincount(group, drift - drift[lead][group])
+                             / np.bincount(group))
+    cuts = (cuts[:, None] + _OFFSETS).ravel()
     b = np.sort(np.append(np.arange(16) * np.pi / 8.0, cuts) % (2.0 * np.pi))
     b = b[np.diff(b, append=b[0] + 2.0 * np.pi) > 1e-12]
     return np.append(b, b[0] + 2.0 * np.pi)

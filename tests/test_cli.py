@@ -515,11 +515,12 @@ class TestEntryPoint:
     def test_decay_ov_and_collapse_load_no_sympy(self):
         # none of them builds a symbolic field, and every K0 they take is a
         # double-precision one; verify-flat and verify-taubnut load the
-        # same solutions module
+        # same solutions module; legendre and holonomy build jet potentials.
+        # With ronkin and amoeba above, these are all nine commands
         code = ("import sys\n"
                 "from ghlab import cli\n"
                 "for cmd in ('decay', 'ov', 'collapse', 'verify-flat',\n"
-                "            'verify-taubnut'):\n"
+                "            'verify-taubnut', 'legendre', 'holonomy'):\n"
                 "    assert cli.main([cmd]) == 0\n"
                 "print(sorted({'sympy', 'mpmath'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", code],

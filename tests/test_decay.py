@@ -207,12 +207,11 @@ class TestFiberDiameter:
     def test_ov_ratio_in_band(self):
         sol = ooguri_vafa(10.0, 8, a=2.0)
         limit = 2.0 - math.log(2.0 / 10.0) / (2 * math.pi)
-        fd = fiber_diameter(sol.as_gh_solution(), [2.0, 0.0, 0.5], lam=10.0,
-                            limit_value=limit)
+        fd = fiber_diameter(sol, [2.0, 0.0, 0.5], lam=10.0, limit_value=limit)
         assert 0.5 <= fd.ratio <= 2.0
 
     def test_shrinks_toward_discriminant(self):
-        sol = ooguri_vafa(1.0, 8, a=2.0).as_gh_solution()
+        sol = ooguri_vafa(1.0, 8, a=2.0)
         lengths = [fiber_diameter(sol, [r, 0.0, 0.0], 1.0).length
                    for r in (2.0, 1.0, 0.5, 0.25)]
         assert all(b < a for a, b in zip(lengths, lengths[1:]))

@@ -10,7 +10,6 @@ from ghlab.ghcore import (
     GHError,
     GHSolution,
     NotPositiveDefinite,
-    PotentialField,
     completeness_probe,
     connection_form,
     curvature,
@@ -27,7 +26,7 @@ def quadratic_potential():
     # Phi = u^2/2 - |eta|^2/4: V = [1], W = [1], no mixed terms
     u, x, y = sp.symbols("u x y", real=True)
     expr = u ** 2 / 2 - (x ** 2 + y ** 2) / 4
-    return PotentialField.from_sympy(expr, (u, x, y), n=1, l=1)
+    return GHSolution.from_potential(expr, 1, 1, symbols=(u, x, y))
 
 
 def coupled_potential():
@@ -36,7 +35,7 @@ def coupled_potential():
     expr = (u ** 2 / 2 - (x ** 2 + y ** 2) / 4
             + sp.Rational(1, 10) * u * x * y
             + sp.Rational(1, 20) * sp.cos(x) * sp.exp(-u ** 2 / 4))
-    return PotentialField.from_sympy(expr, (u, x, y), n=1, l=1)
+    return GHSolution.from_potential(expr, 1, 1, symbols=(u, x, y))
 
 
 class TestFiniteDifferences:
@@ -60,28 +59,24 @@ class TestDeriveVW:
 
     def test_not_positive_definite(self):
         u, x, y = sp.symbols("u x y", real=True)
-        phi = PotentialField.from_sympy(-u ** 2 - (x ** 2 + y ** 2) / 4,
-                                        (u, x, y), n=1, l=1)
+        sol = GHSolution.from_potential(-u ** 2 - (x ** 2 + y ** 2) / 4, 1, 1,
+                                        symbols=(u, x, y))
         with pytest.raises(NotPositiveDefinite):
-            derive_vw(phi, [0.0, 0.1, 0.1])
+            derive_vw(sol, [0.0, 0.1, 0.1])
 
     def test_domain_violation(self):
         u, x, y = sp.symbols("u x y", real=True)
-        phi = PotentialField.from_sympy(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
-                                        (u, x, y), n=1, l=1,
+        sol = GHSolution.from_potential(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
+                                        1, 1, symbols=(u, x, y),
                                         domain=BoxDomain([(-1, 1)] * 3))
         with pytest.raises(DomainViolation):
-            derive_vw(phi, [2.0, 0.0, 0.0])
+            derive_vw(sol, [2.0, 0.0, 0.0])
 
-    def test_fd_backed_potential_agrees_with_symbolic(self):
-        sym = coupled_potential()
-        num = PotentialField.from_callable(
-            lambda pts: sym.value(pts), n=1, l=1)
-        pt = [0.4, -0.3, 0.8]
-        Vs, Ws = derive_vw(sym, pt)
-        Vn, Wn = derive_vw(num, pt)
-        assert np.max(np.abs(Vs - Vn)) < 1e-6
-        assert np.max(np.abs(Ws - Wn)) < 1e-6
+    def test_field_dimension_must_be_n_plus_2l(self):
+        u, x, y = sp.symbols("u x y", real=True)
+        with pytest.raises(ValueError, match="dimension"):
+            GHSolution.from_potential(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
+                                      2, 1, symbols=(u, x, y))
 
 
 class TestConnectionAndCurvature:
@@ -93,11 +88,11 @@ class TestConnectionAndCurvature:
     def test_connection_reality(self):
         # the d etabar coefficient -i Phi_{u etabar}, from sp.diff, is the
         # conjugate of the d eta coefficient
-        phi = coupled_potential()
+        sol = coupled_potential()
         pt = [0.7, -0.2, 0.4]
-        d_eta, d_eta_bar = connection_form(phi, pt)
-        u, x, y = phi.field.symbols
-        phi_u = sp.diff(phi.field.expr, u)
+        d_eta, d_eta_bar = connection_form(sol, pt)
+        u, x, y = sol.potential.symbols
+        phi_u = sp.diff(sol.potential.expr, u)
         own = -sp.I * (sp.diff(phi_u, x) + sp.I * sp.diff(phi_u, y)) / 2
         own = complex(own.subs(dict(zip((u, x, y), pt))))
         assert np.allclose(d_eta_bar[0, 0], own, atol=1e-12)
@@ -109,8 +104,7 @@ class TestConnectionAndCurvature:
         assert np.allclose(F, 0.0, atol=1e-14)
 
     def test_curvature_closed_form_vs_fd(self):
-        phi = coupled_potential()
-        sol = GHSolution.from_potential(phi)
+        sol = coupled_potential()
         fd_sol = GHSolution(1, 1, sol.V, sol.W)  # partials fall back to FD
         rng = np.random.default_rng(2)
         pts = rng.uniform(-0.8, 0.8, size=(5, 3))
@@ -167,8 +161,7 @@ class TestTwoByTwoBlocks:
 
     def test_blocks_and_partials_match_wirtinger_oracles(self):
         expr = self.potential()
-        sol = GHSolution.from_potential(
-            PotentialField.from_sympy(expr, self.SYMS, n=2, l=2))
+        sol = GHSolution.from_potential(expr, 2, 2, symbols=self.SYMS)
         pts = np.random.default_rng(8).uniform(-0.5, 0.5, size=(12, 6))
         V, W, A = self.oracles(expr)
         # one first partial of each block, along u1, x2 and y1
@@ -190,9 +183,10 @@ class TestTwoByTwoBlocks:
         assert np.array_equal(W_num, np.conj(np.swapaxes(W_num, 1, 2)))
 
     def test_closed(self):
-        phi = PotentialField.from_sympy(self.potential(), self.SYMS, 2, 2)
+        sol = GHSolution.from_potential(self.potential(), 2, 2,
+                                        symbols=self.SYMS)
         pts = np.random.default_rng(9).uniform(-0.5, 0.5, size=(8, 6))
-        rep = verify_closed(phi, pts, step=1e-4, tolerance=1e-6)
+        rep = verify_closed(sol, pts, step=1e-4, tolerance=1e-6)
         assert rep.passed, rep.to_json()
 
 
@@ -204,18 +198,16 @@ class TestVerifiers:
         assert rep.passed
 
     def test_coupled_potential_closedness(self):
-        phi = coupled_potential()
+        sol = coupled_potential()
         rng = np.random.default_rng(4)
         pts = rng.uniform(-0.7, 0.7, size=(20, 3))
-        rep = verify_closed(phi, pts, step=1e-4, tolerance=1e-6)
+        rep = verify_closed(sol, pts, step=1e-4, tolerance=1e-6)
         assert rep.passed, rep.to_json()
 
     def test_identity_residual_is_fourth_order_consistency(self):
-        phi = coupled_potential()
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.5, 0.5, size=(10, 3))
-        assert potential_identity_residual(
-            GHSolution.from_potential(phi), pts) < 1e-6
+        assert potential_identity_residual(coupled_potential(), pts) < 1e-6
 
     def test_one_curvature_form_call_per_residual(self, monkeypatch):
         # dF needs 3 axes x 2 stencil points x 2 Richardson grids of F: one
@@ -243,9 +235,8 @@ class TestVerifiers:
         # Richardson-consistency: halving the step shrinks the raw FD error
         u, x, y = sp.symbols("u x y", real=True)
         expr = u ** 2 / 2 - (x ** 2 + y ** 2) / 4 + sp.sin(u) * sp.cos(x) / 8
-        phi = PotentialField.from_sympy(expr, (u, x, y), n=1, l=1)
+        sol = GHSolution.from_potential(expr, 1, 1, symbols=(u, x, y))
         pts = np.array([[0.3, 0.4, 0.1]])
-        sol = GHSolution.from_potential(phi)
 
         def f(q):
             return curvature_form(sol, q)
@@ -262,8 +253,7 @@ class TestVerifiers:
         assert rep.max_residual < 1e-12
 
     def test_compat_detects_perturbation(self):
-        phi = quadratic_potential()
-        sol = GHSolution.from_potential(phi)
+        sol = quadratic_potential()
         eps = 3e-4
         bad = GHSolution(1, 1, sol.V,
                          lambda pts: sol.W(pts) * (1.0 + eps))
@@ -277,9 +267,10 @@ class TestVerifiers:
                 + sp.Rational(1, 30) * u * x * y)
         shifted = base + 3 * u - 2 * x + sp.Rational(1, 2) * y + 7
         pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(8, 3))
-        r1 = verify_compat(PotentialField.from_sympy(base, (u, x, y), 1, 1), pts)
-        r2 = verify_compat(PotentialField.from_sympy(shifted, (u, x, y), 1, 1),
-                           pts)
+        r1 = verify_compat(
+            GHSolution.from_potential(base, 1, 1, symbols=(u, x, y)), pts)
+        r2 = verify_compat(
+            GHSolution.from_potential(shifted, 1, 1, symbols=(u, x, y)), pts)
         assert abs(r1.max_residual - r2.max_residual) < 1e-12
 
     @pytest.mark.parametrize("verify", [verify_closed, verify_compat])
@@ -290,7 +281,7 @@ class TestVerifiers:
 
 class TestCompletenessProbe:
     def test_constant_v_linear_growth(self):
-        sol = GHSolution.from_potential(quadratic_potential())
+        sol = quadratic_potential()
         probe = completeness_probe(sol, 0, 0, [1.0, 2.0, 4.0, 8.0],
                                    base=[0.0, 1.0, 0.0])
         assert probe.increasing

@@ -251,6 +251,17 @@ class TestSingular2D:
     def test_rejects_nonharmonic(self):
         with pytest.raises(NotHarmonic):
             singular_2d(h=S ** 2 + T ** 2 + 5.0)
+        with pytest.raises(NotHarmonic):
+            singular_2d(h=lambda s, t: s * s + t * t + 5.0)
+
+    def test_jet_function_h_equals_its_expression(self):
+        # h(s, t) goes through the same jets as the lambdified expression
+        jet = singular_2d(h=lambda s, t: s + 2.0)
+        sym = singular_2d(h=S + 2.0)
+        pts = np.random.default_rng(17).uniform(-1.0, 1.0, size=(20, 2))
+        np.testing.assert_array_equal(jet.V(pts), sym.V(pts))
+        np.testing.assert_array_equal(jet.V_partial((1, 0), pts),
+                                      sym.V_partial((1, 0), pts))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NotPositive):

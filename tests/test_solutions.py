@@ -210,12 +210,12 @@ class TestFlux:
     def test_no_wall_no_flux(self):
         # quadratic potential has F = 0: flux through any sphere vanishes
         import sympy as sp
-        from ghlab.ghcore import PotentialField, GHSolution
+        from ghlab.ghcore import GHSolution
 
         u, x, y = sp.symbols("u x y", real=True)
-        phi = PotentialField.from_sympy(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
-                                        (u, x, y), 1, 1)
-        flux = chern_flux(GHSolution.from_potential(phi), [0.0], 0.5)
+        sol = GHSolution.from_potential(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
+                                        1, 1, symbols=(u, x, y))
+        flux = chern_flux(sol, [0.0], 0.5)
         assert np.max(np.abs(flux)) < 1e-6
 
 
@@ -303,13 +303,24 @@ class TestOoguriVafa:
                 assert abs(gap) <= allowed, (M, rho, y, gap, allowed)
 
     def test_helmholtz_residual_extended_precision(self):
+        # K0's series cancels about 0.87 m rho digits, so m rho >= 30 needs
+        # more than a fixed 50 digits
         sol = ooguri_vafa(1.0, 10, a=4.0)
         for m in (1, 2, 5, 10):
-            for rho in (0.1, 0.5, 2.0):
-                assert abs(sol.helmholtz_residual(m, rho)) < 1e-8
+            for rho in (0.1, 0.5, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0):
+                assert abs(sol.helmholtz_residual(m, rho)) < 1e-8, (m, rho)
+
+    def test_compat_and_flux_take_the_family_directly(self):
+        # V = W makes the compatibility residual exactly 0; a sphere that
+        # keeps away from the source line rho = 0 encloses no flux
+        sol = ooguri_vafa(1.0, 8, a=4.0)
+        pts = np.array([[1.0, 0.5, 0.3], [-0.6, 1.2, 2.0], [0.2, -1.5, 5.0]])
+        assert verify_compat(sol, pts).max_residual == 0.0
+        flux = chern_flux(sol, [2.0], 0.5, nodes=(16, 32))
+        assert flux.shape == (1,) and abs(flux[0]) < 1e-6
 
     def test_closedness_of_truncated_field(self):
-        sol = ooguri_vafa(1.0, 12, a=4.0).as_gh_solution()
+        sol = ooguri_vafa(1.0, 12, a=4.0)
         rng = np.random.default_rng(14)
         ang = rng.uniform(0, 2 * np.pi, size=12)
         rad = rng.uniform(0.4, 2.0, size=12)

@@ -214,6 +214,16 @@ class TestTorusPoints:
         want = float(4 * mp.catalan / mp.pi)
         assert abs(ronkin(BOYD[4], (0.0, 0.0)) - want) < 1e-13
 
+    def test_split_double_root_is_one_cut(self):
+        # the double torus point of Boyd k = 4 (at theta_1 = pi) and of
+        # k = -4 (at theta_1 = 0, across the end of the period) is split by
+        # rounding into two roots 5e-8 or 7e-8 apart: one cut, graded once
+        minus4 = parse_laurent("z1+z1^-1+z2+z2^-1-4")
+        for P in (BOYD[4], minus4):
+            assert len(tropical._torus_panels(P, np.zeros(2))) - 1 <= 40
+        assert abs(ronkin(minus4, (0.0, 0.0))
+                   - ronkin(BOYD[4], (0.0, 0.0))) <= 1e-15
+
     def test_boyd_k1_matches_quad_oracle(self):
         # the fiber w^2 + (1 + 2 cos t) w + 1 has both roots on the circle
         # for |t| > pi/3 and a sqrt branch point at t = +-pi/3, where the
