@@ -14,8 +14,16 @@ GHLAB_SEED = 20210817
 
 
 class GHLabError(Exception):
-    """A domain error, reported by the command line as exit 2; any other
-    exception is a program fault."""
+    """An error that an input or the numerics cause; any other exception
+    is a program fault.
+
+    ``fault`` names its class: "domain" (an input outside the region where
+    a construction or check is defined; the command line exits 2) or
+    "numerical" (a result that could not be reached to its precision;
+    exit 1, as for a failed check).
+    """
+
+    fault = "domain"
 
 
 class NotPositive(GHLabError):
@@ -24,3 +32,5 @@ class NotPositive(GHLabError):
 
 class QuadratureFailure(GHLabError):
     """A quadrature met a non-finite integrand or did not converge."""
+
+    fault = "numerical"

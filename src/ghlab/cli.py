@@ -2,8 +2,9 @@
 
 Every run resolves a config (JSON file merged under explicit flags), embeds
 its SHA-256 hash and the tool version in all outputs, prints one PASS/FAIL
-line per check, and exits 0 (all pass), 1 (a check failed) or 2 (bad
-config/IO).  Outputs are byte-identical for identical configs.
+line per check, and exits 0 (all pass), 1 (a check failed, or a numerical
+error) or 2 (a config, domain or io error).  Outputs are byte-identical for
+identical configs.
 """
 
 from __future__ import annotations
@@ -13,12 +14,20 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+# A command gives numpy's BLAS and LAPACK only batches of blocks of at most
+# 4 x 4, the 32 x 32 eigenproblem of the Gauss-Legendre nodes and 11 x 2
+# least-squares fits, all below OpenBLAS's threading thresholds.  Its worker
+# pool would start at import and cost about 0.1 s of CPU per command for
+# nothing.  A value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import GHLAB_SEED, GHLabError, __version__
+import numpy as np  # noqa: E402
+
+from . import GHLAB_SEED, GHLabError, __version__  # noqa: E402
 
 
 class ConfigError(Exception):
@@ -144,6 +153,15 @@ def _write_csv(path, header, rows, meta):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _closedness(name, rep, details):
+    """The check of a ``verify_closed`` report.  A step too coarse for the
+    tolerance FAILs it, naming the Richardson disagreement and its point."""
+    if rep.extra["stepTooLarge"]:
+        details["richardson"] = f"{rep.extra['richardson']:.2e}"
+        details["at"] = [f"{c:.4f}" for c in rep.extra["richardsonPoint"]]
+    return CheckResult(name, rep.passed, details)
+
+
 def _cmd_verify_flat(p, meta):
     """Flat-metric identity suite."""
     from .ghcore import chern_flux, verify_closed, verify_compat
@@ -165,10 +183,9 @@ def _cmd_verify_flat(p, meta):
         sol = flat_gh_solution()
         pts = np.stack([flat.u[:, 0], flat.eta.real, flat.eta.imag], axis=1)
         rep = verify_closed(sol, pts, step=p["step"], tolerance=p["tol"])
-        checks.append(CheckResult(
-            "flat-closedness", rep.passed,
-            {"dF": f"{rep.extra['dF']:.3e}",
-             "dOmega": f"{rep.extra['dOmega']:.3e}"}))
+        checks.append(_closedness("flat-closedness", rep, {
+            "dF": f"{rep.extra['dF']:.3e}",
+            "dOmega": f"{rep.extra['dOmega']:.3e}"}))
         comp = verify_compat(sol, pts, tolerance=1e-10)
         checks.append(CheckResult("flat-compat", comp.passed,
                                   {"maxResidual": f"{comp.max_residual:.3e}"}))
@@ -206,7 +223,7 @@ def _cmd_verify_taubnut(p, meta):
              f"none of the {p['samples']} samples lies in {sol.domain}")
     sub = keep[:min(len(keep), 64)]
     rep = verify_closed(sol, sub, step=1e-4, tolerance=p["tol"])
-    checks.append(CheckResult("taubnut-closedness", rep.passed,
+    checks.append(_closedness("taubnut-closedness", rep,
                               {"maxResidual": f"{rep.max_residual:.3e}"}))
     comp = verify_compat(sol, keep, tolerance=1e-12)
     checks.append(CheckResult("taubnut-compat", comp.passed,
@@ -667,8 +684,9 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GHLabError as exc:
-        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.fault} error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1 if exc.fault == "numerical" else 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

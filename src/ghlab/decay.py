@@ -28,7 +28,7 @@ class DecayError(GHLabError):
 
 
 class AliasingDetected(DecayError):
-    pass
+    fault = "numerical"
 
 
 class InsufficientPoints(DecayError):

@@ -25,7 +25,7 @@ class TropicalError(GHLabError):
 
 
 class RootFindingFailure(TropicalError):
-    pass
+    fault = "numerical"
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def _fiber_roots(P, x1, theta):
     poly = np.where(flip[:, None], coeffs[:, ::-1], coeffs)
     lead = poly[:, -1:]
     if d and not np.all(lead):
-        raise RootFindingFailure("P vanishes on a whole fiber")
+        raise TropicalError("P vanishes on a whole fiber")
     if d <= 1:
         s = -poly[:, :d] / lead
     else:

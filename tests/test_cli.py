@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -86,6 +87,34 @@ class TestExitCodes:
         assert run_cli(["verify-taubnut", "--samples", "1", "--seed",
                         seed]) == 2
         assert "config field 'samples'" in capsys.readouterr().err
+
+    def test_step_too_coarse_is_a_failed_check(self, capsys):
+        # every sample lies in the command's own range; near r = 0.27 the
+        # fixed step is too coarse for the tolerance of the dF partials
+        assert run_cli(["verify-flat", "--samples", "5000"]) == 1
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if "flat-closedness" in l)
+        assert line.startswith("FAIL")
+        assert "richardson=1.03e-05" in line
+        assert "at=['-0.0164', '-0.0130', '0.2683']" in line
+        assert run_cli(["verify-flat", "--step", "1e-2"]) == 1
+
+    def test_fault_class_is_named(self, monkeypatch, capsys):
+        from ghlab import QuadratureFailure, cli
+
+        assert run_cli(["verify-flat", "--step", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert run_cli(["ov", "--a", "-1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "domain error: NotPositive: ")
+
+        def short(p, meta):
+            raise QuadratureFailure("orders disagree")
+
+        monkeypatch.setitem(cli._RUNNERS, "ronkin", short)
+        assert run_cli(["ronkin"]) == 1
+        assert capsys.readouterr().err == \
+            "numerical error: QuadratureFailure: orders disagree\n"
 
     def test_failing_check_is_one(self, capsys):
         # gate the decay fit on mode 1, whose true slope is 1.29
@@ -493,7 +522,45 @@ class TestEmitSvg:
             emit_svg([("logbad", [0.0], [-1.0])], {"ylog": True}, str(path))
 
 
+def _run_python(args, threads=None):
+    """A Python subprocess with OPENBLAS_NUM_THREADS unset, or set to
+    ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _thread_count(module, threads=None):
+    return int(_run_python(["-c", f"import os, {module}\n"
+                            "print(len(os.listdir('/proc/self/task')))"],
+                           threads))
+
+
 class TestEntryPoint:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                        or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc and two CPUs to see a BLAS pool")
+    def test_commands_start_no_blas_pool_unless_asked(self):
+        if _thread_count("numpy", threads=2) != 2:
+            pytest.skip("numpy's BLAS starts no OpenBLAS worker pool here")
+        assert _thread_count("ghlab.cli") == 1
+        assert _thread_count("ghlab.cli", threads=2) == 2
+
+    @pytest.mark.parametrize("args", [["verify-flat", "--out"],
+                                      ["decay", "--csv"]],
+                             ids=["verify-flat", "decay"])
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path, args):
+        blobs = []
+        for threads in (None, 2):
+            path = tmp_path / f"artifact-{threads}"
+            _run_python(["-m", "ghlab.cli", *args, str(path)], threads)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ghlab.cli", "amoeba", "--poly", "1+z",

@@ -204,6 +204,18 @@ class TestVerifiers:
         rep = verify_closed(sol, pts, step=1e-4, tolerance=1e-6)
         assert rep.passed, rep.to_json()
 
+    def test_step_too_coarse_for_the_tolerance_fails(self):
+        # the residuals stay small, but the two Richardson grids disagree
+        # by more than 10 x tolerance: the report fails and names where
+        sol = taub_nut(2.0, 1.0)
+        pts = np.array([[0.3, 0.2, 0.1], [0.8, -0.5, 0.4]])
+        fine = verify_closed(sol, pts, step=1e-4, tolerance=1e-6)
+        assert fine.passed and not fine.extra["stepTooLarge"]
+        rep = verify_closed(sol, pts, step=1e-2, tolerance=1e-6)
+        assert not rep.passed and rep.extra["stepTooLarge"]
+        assert rep.extra["richardson"] > 1e-5
+        assert rep.extra["richardsonPoint"] in pts.tolist()
+
     def test_identity_residual_is_fourth_order_consistency(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.5, 0.5, size=(10, 3))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from ghlab.ghcore import chern_flux, verify_closed, verify_compat, completeness_probe
+from ghlab.ghcore import (GHSolution, chern_flux, completeness_probe,
+                          verify_closed, verify_compat)
 from ghlab.lattice import LatticeSimplex, wall_complex
 from ghlab.solutions import (
     NotConvex,
@@ -318,6 +319,32 @@ class TestOoguriVafa:
         assert verify_compat(sol, pts).max_residual == 0.0
         flux = chern_flux(sol, [2.0], 0.5, nodes=(16, 32))
         assert flux.shape == (1,) and abs(flux[0]) < 1e-6
+
+    def test_compat_reads_the_shared_table_once(self, monkeypatch):
+        # W is V's own table, so det W comes from the same evaluation and
+        # the report says that the check is structural
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        calls = []
+        value = sol.value
+
+        def counted(pts):
+            calls.append(len(pts))
+            return value(pts)
+
+        monkeypatch.setattr(sol, "value", counted)
+        pts = np.array([[1.0, 0.5, 0.3], [-0.6, 1.2, 2.0], [0.2, -1.5, 5.0]])
+        rep = verify_compat(sol, pts)
+        assert calls == [3]
+        assert rep.extra["structural"] is True and rep.max_residual == 0.0
+
+    def test_compat_of_a_scaled_copy_of_the_table_fails(self):
+        # two distinct tables are both read, so W = 1.01 V is seen
+        sol = ooguri_vafa(1.0, 8, a=4.0)
+        bad = GHSolution(1, 1, sol.V, lambda pts: 1.01 * sol.V(pts))
+        pts = np.array([[1.0, 0.5, 0.3], [-0.6, 1.2, 2.0]])
+        rep = verify_compat(bad, pts)
+        assert not rep.passed and rep.extra["structural"] is False
+        assert rep.max_residual == pytest.approx(0.01, abs=1e-12)
 
     def test_closedness_of_truncated_field(self):
         sol = ooguri_vafa(1.0, 12, a=4.0)
