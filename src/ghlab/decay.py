@@ -20,7 +20,6 @@ import numpy as np
 
 from . import GHLabError
 from .ghcore import DomainViolation
-from .tropical import ronkin_rescaled, tropical_limit
 
 
 class DecayError(GHLabError):
@@ -229,6 +228,8 @@ def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
 
 def ronkin_collapse(P, lambdas, grid, kappa=1, nodes=64):
     """Rescaled-Ronkin convergence to the coefficient-free tropical limit."""
+    from .tropical import ronkin_rescaled, tropical_limit
+
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     lambdas = sorted(float(v) for v in lambdas)
     sups = []

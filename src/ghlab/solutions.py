@@ -200,10 +200,30 @@ def semiflat(ma_potential, symbols=None, n=None, domain=None, sample_pts=None):
 # periodic Fourier-Bessel family
 # ---------------------------------------------------------------------------
 
-# value() sums the modes on blocks of at most this many points, which bounds
-# its (mode, point) tables: one table over a whole 20,000-point batch at
-# M = 40 raised peak memory by half
+# value() sums the modes of each distinct (zero mode, radius, y) triple a
+# chunk of modes at a time, as many as keep its (mode, triple) tables within
+# len(modes) x this many entries (one mode at the least; one table over a
+# whole 20,000-point batch at M = 40 raised peak memory by half).  A triple
+# drops out after the first chunk past which no term can change a bit of
+# its sum
 _VALUE_BLOCK = 4096
+
+
+def _used(values, of):
+    """The entries of ``values`` that the indices ``of`` use, and ``of``
+    renumbered into them."""
+    used = np.zeros(len(values), dtype=bool)
+    used[of] = True
+    return values[used], (np.cumsum(used) - 1)[of]
+
+
+def _distinct(keys):
+    """np.unique(keys, return_inverse=True) of nonnegative integer keys; a
+    table of every key up to the largest replaces the sort when that is at
+    most 4 keys per entry."""
+    if keys.size and keys.max() < 4 * keys.size:
+        return _used(np.arange(keys.max() + 1), keys)
+    return np.unique(keys, return_inverse=True)
 
 
 class PeriodicFourierSolution(GHSolution):
@@ -251,7 +271,10 @@ class PeriodicFourierSolution(GHSolution):
     def zero_mode(self, u, x):
         if self._zero_mode is not None:
             return np.asarray(self._zero_mode(u, x), dtype=float)
-        return self.a - np.log(self._radii(u, x)) / (2.0 * np.pi)
+        return self._log_zero_mode(self._radii(u, x))
+
+    def _log_zero_mode(self, rho):
+        return self.a - np.log(rho) / (2.0 * np.pi)
 
     def mode_value(self, m, u, x):
         """The m-th Fourier coefficient V^m(u, x) (complex for m != 0)."""
@@ -263,28 +286,65 @@ class PeriodicFourierSolution(GHSolution):
     def value(self, pts):
         """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order.
 
-        The batch is cut into blocks of ``_VALUE_BLOCK`` points.  Per block,
-        one k0 call fills the (mode, distinct radius) table and one exp call
-        the (mode, distinct y) table of 2 Re(c_m e^{i m y}); as k0 and exp
-        act elementwise, each value is the same bits whatever batch it is
-        evaluated in.
+        The sum z0 + t_1 + t_2 + ... runs once per distinct triple (zero
+        mode z0, radius rho, y) of the batch, and each point takes the value
+        of its triple: t_m = 2 Re(c_m e^{i m y}) K0(m rho) / (2 pi) depends
+        on (rho, y) only.  Per chunk of modes, one k0 call fills the (mode,
+        distinct radius) table and one exp call the (mode, distinct y)
+        table, over the triples still summing.
+
+        A triple stops after the last mode m of a chunk once
+        2 B < spacing(|acc|) / 4, with B = 2 max_{m' > m} |c_m'| K0(m rho)
+        / (2 pi).  Computed K0 does not increase, so |t_m'| <= B for every
+        later m'; the factor 2 covers the rounding of k0 and of the term.
+        A term below a quarter of acc's spacing (the gap below a power of
+        two is half the gap above) rounds acc + t_m' back to acc.  So every
+        value has the bits of the full sum at that point alone, whatever
+        batch it is evaluated in.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         u, x = pts[:, 0], pts[:, 1]
-        radii = self._radii(u, x)
-        out = self.zero_mode(u, x).astype(float).copy()
+        rho, rho_of = np.unique(self._radii(u, x), return_inverse=True)
+        ys, y_of = np.unique(pts[:, 2], return_inverse=True)
+        pairs, of = _distinct(rho_of * len(ys) + y_of)
+        t_rho, t_y = np.divmod(pairs, len(ys))
+        if self._zero_mode is None:
+            acc = self._log_zero_mode(rho)[t_rho]
+        else:
+            z0, z0_of = np.unique(self.zero_mode(u, x), return_inverse=True)
+            triples, of = _distinct(z0_of * len(pairs) + of)
+            t_z0, t_pair = np.divmod(triples, len(pairs))
+            acc, t_rho, t_y = z0[t_z0], t_rho[t_pair], t_y[t_pair]
         ms = [m for m in range(1, self.M + 1) if self.coeffs[m] != 0]
-        mcol = np.array(ms, dtype=float)[:, None]
         ccol = np.array([self.coeffs[m] for m in ms], dtype=complex)[:, None]
-        for start in range(0, len(pts), _VALUE_BLOCK):
-            block = slice(start, start + _VALUE_BLOCK)
-            rho, rho_of = np.unique(radii[block], return_inverse=True)
-            y, y_of = np.unique(pts[block, 2], return_inverse=True)
-            fiber = 2.0 * np.real(ccol * np.exp(1j * mcol * y))
-            out_block = out[block]
-            for fiber_m, k0_m in zip(fiber, k0(mcol * rho)):
-                out_block += fiber_m[y_of] * k0_m[rho_of] / (2.0 * np.pi)
-        return out
+        out = np.empty_like(acc)
+        live = np.arange(len(acc))
+        k = max(1, len(ms) * _VALUE_BLOCK // max(len(acc), 1))
+        for j in range(0, len(ms), k):
+            if not live.size:
+                break
+            mcol = np.array(ms[j:j + k], dtype=float)[:, None]
+            fiber = 2.0 * np.real(ccol[j:j + k] * np.exp(1j * mcol * ys))
+            terms = np.take(fiber, t_y, axis=1)
+            k0_live = np.take(k0(mcol * rho), t_rho, axis=1)
+            terms *= k0_live
+            terms /= 2.0 * np.pi
+            for term in terms:
+                acc += term
+            if j + k >= len(ms):
+                break
+            # 2 B, with B = 2 max_{m' > m} |c_m'| K0(m rho) / (2 pi)
+            bound = 4.0 * np.max(np.abs(ccol[j + k:])) / (2.0 * np.pi) \
+                * k0_live[-1]
+            done = bound < np.spacing(np.abs(acc)) / 4.0
+            if done.any():
+                out[live[done]] = acc[done]
+                keep = ~done
+                live, acc = live[keep], acc[keep]
+                rho, t_rho = _used(rho, t_rho[keep])
+                ys, t_y = _used(ys, t_y[keep])
+        out[live] = acc
+        return out[of]
 
     def _check_positive(self):
         rmin, rmax = self.domain.rmin, self.domain.rmax

@@ -85,6 +85,29 @@ class TestShapeProperties:
         second = logs[2:] - 2 * logs[1:-1] + logs[:-2]
         assert np.all(second >= -1e-9)
 
+    @staticmethod
+    def assert_does_not_increase(xs):
+        vals = k0(xs)
+        assert np.all(vals[1:] <= vals[:-1] * (1 + 1e-10))
+
+    def test_does_not_increase_across_the_branch_seams(self):
+        # PeriodicFourierSolution.value stops a mode sum on this premise,
+        # and the branches meeting at 4 and 32 agree only to 1e-11
+        for seam in (4.0, 32.0):
+            ulps = np.float64(seam).view(np.int64) + np.arange(-5000, 5001)
+            self.assert_does_not_increase(ulps.view(np.float64))
+            self.assert_does_not_increase(
+                seam + 1e-9 * np.arange(-20000, 20001))
+
+    def test_does_not_increase_on_the_working_range(self):
+        self.assert_does_not_increase(np.geomspace(0.01, 700.0, 200001))
+
+    def test_does_not_increase_into_underflow(self):
+        # e^{-x} is subnormal from x = 708 and 0 from x = 745.2
+        xs = np.linspace(690.0, 760.0, 70001)
+        assert k0(xs[-1]) == 0.0
+        self.assert_does_not_increase(xs)
+
     def test_mp_matches_mpmath_library(self):
         # cross-check the in-house extended-precision path against an
         # independent high-precision implementation

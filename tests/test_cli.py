@@ -595,6 +595,22 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_decay_loads_no_tropical_layer(self):
+        # only ronkin_collapse takes Ronkin functions, and it imports them
+        # itself: neither the module nor the decay command loads them
+        code = ("import sys\n"
+                "layer = {'ghlab.tropical', 'ghlab.lattice'}\n"
+                "import ghlab.decay\n"
+                "print(sorted(layer & set(sys.modules)))\n"
+                "from ghlab import cli\n"
+                "assert cli.main(['decay']) == 0\n"
+                "print(sorted(layer & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]"), lines
+
     def test_symbolic_commands_run_with_sympy_blocked(self):
         # a None entry in sys.modules makes every import of sympy fail; the
         # built-in potentials are jet functions and need no sympy

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from ghlab.bessel import NonpositiveArgument
 from ghlab.ghcore import (GHSolution, chern_flux, completeness_probe,
                           verify_closed, verify_compat)
 from ghlab.lattice import LatticeSimplex, wall_complex
@@ -447,6 +448,54 @@ class TestOoguriVafa:
         for j in np.union1d(rng.choice(9000, 300, replace=False), edges):
             assert got[j] == sol.value(pts[j:j + 1])[0], j
 
+    @pytest.mark.parametrize("a", [1.0, 2.0, 4.0, 8.0])
+    def test_stop_rule_at_a_power_of_two(self, a):
+        # at rho = 1 the zero mode is a itself, and V crosses it: the sum
+        # sits on a power of two, where the gap below is half the gap
+        # above, while the tail terms K0(m) / pi are near its spacing.
+        # 30,000 distinct triples make chunks of 60 x 4096 // 30000 = 8
+        # modes, so a sum may stop after mode 32, where K0(33) / pi is
+        # still about 3e-16
+        rng = np.random.default_rng(int(a))
+        sol = PeriodicFourierSolution(1.0, 60, a, check_positive=False)
+        rho = 1.0 + rng.uniform(-1e-3, 1e-3, 30000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 30000)
+        rho[:3000], ang[:3000] = 1.0, 0.0
+        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
+                        rng.uniform(0.0, 2.0 * np.pi, 30000)], -1)
+        assert np.array_equal(sol.value(pts), self.per_point_value(sol, pts))
+
+    def test_stop_rule_on_the_library_batch(self, monkeypatch):
+        # 20,000 distinct points with rho in (0.2, 5) at M = 40: a sum stops
+        # after about m rho = 33, so k0 takes about half of the M N
+        # arguments of the full table
+        import ghlab.solutions as solmod
+        from ghlab.bessel import k0
+
+        seen = []
+
+        def counting_k0(x):
+            seen.append(np.size(x))
+            return k0(x)
+
+        rng = np.random.default_rng(5)
+        sol = ooguri_vafa(1.0, 40, a=5.5)
+        rho = rng.uniform(0.2, 5.0, 20000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 20000)
+        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
+                        rng.uniform(0.0, 2.0 * np.pi, 20000)], -1)
+        monkeypatch.setattr(solmod, "k0", counting_k0)
+        got = sol.value(pts)
+        assert sum(seen) < 0.6 * 40 * 20000, sum(seen)
+        monkeypatch.undo()
+        assert np.array_equal(got, self.per_point_value(sol, pts))
+
+    def test_value_of_empty_and_invalid_batches(self):
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        assert sol.value(np.empty((0, 3))).shape == (0,)
+        with pytest.raises(NonpositiveArgument):
+            sol.value([[0.5, 0.2, 1.0], [np.nan, 0.3, 2.0]])
+
     def test_double_precision_path_loads_no_mpmath(self, monkeypatch):
         # the library twin of the CI step that runs the K0 commands without
         # mpmath installed: an import of mpmath now raises ImportError
@@ -460,22 +509,32 @@ class TestOoguriVafa:
             sol.helmholtz_residual(1, 0.5)
 
     def test_flux_evaluates_k0_once_per_distinct_radius(self, monkeypatch):
-        # each of the two torus layers has 256 radii, one per angle, shared
-        # by the 64 fiber points above it
+        # the 2 x 16,384 surface points of the two torus layers have a few
+        # distinct radii, shared by all 64 fiber points above each angle:
+        # at most one K0 argument per mode and distinct radius
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
 
-        seen = []
+        seen, batches = [], []
 
         def counting_k0(x):
             seen.append(np.size(x))
             return k0(x)
 
         sol = ooguri_vafa(1.0, 40, a=5.0)
+        value = sol.value
+
+        def recorded(pts):
+            batches.append(np.asarray(pts))
+            return value(pts)
+
         monkeypatch.setattr(solmod, "k0", counting_k0)
+        monkeypatch.setattr(sol, "value", recorded)
         flux = ov_total_flux(sol, 0.5)
         assert abs(flux + 2 * np.pi) < 0.01 * 2 * np.pi
-        assert sum(seen) <= 2 * 40 * 256, sum(seen)
+        (pts,) = batches
+        radii = np.unique(sol._radii(pts[:, 0], pts[:, 1]))
+        assert sum(seen) <= 40 * len(radii), (sum(seen), len(radii))
 
     def test_completeness_probe_flat(self):
         # flat C^2: (V^{-1}) = 2r grows linearly, integral grows like log
