@@ -503,10 +503,9 @@ def _cmd_collapse(p, meta):
     sups, gap = [], 0.0
     for lam in p["lambdas"]:
         sol = family(lam)
-        vals = sol.value(np.array([[lam * q[0], lam * q[1], y]
-                                   for q in grid for y in ys]))
-        sups.append(float(np.max(np.abs(vals.reshape(len(grid), -1)
-                                        - [[split_limit(q)] for q in grid]))))
+        sups.append(max(float(np.max(np.abs(sol.value(np.array(
+            [[lam * q[0], lam * q[1], y] for y in ys])) - split_limit(q))))
+            for q in grid))
         # an independent K0: the trapezoid rule on its integral
         exact = float(np.sum(k0_integral(
             np.arange(1, sol.M + 1) * lam * qmin))) / math.pi

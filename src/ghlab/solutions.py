@@ -200,12 +200,13 @@ def semiflat(ma_potential, symbols=None, n=None, domain=None, sample_pts=None):
 # periodic Fourier-Bessel family
 # ---------------------------------------------------------------------------
 
-# value() sums the modes of each distinct (zero mode, radius, y) triple a
-# chunk of modes at a time, as many as keep its (mode, triple) tables within
-# len(modes) x this many entries (one mode at the least; one table over a
-# whole 20,000-point batch at M = 40 raised peak memory by half).  A triple
-# drops out after the first chunk past which no term can change a bit of
-# its sum
+# value() sums the modes of each distinct (radius, y) pair of the batch, or
+# of each point when a zero_mode= closure sets the zero mode, in slices of at
+# most len(modes) x this many sums.  A slice takes as many modes at a time as
+# keep its (mode, sum) tables within len(modes) x this many entries (one mode
+# at the least; one table over a whole 20,000-point batch at M = 40 raised
+# peak memory by half).  A sum drops out after the first chunk of modes past
+# which no term can change a bit of it
 _VALUE_BLOCK = 4096
 
 
@@ -217,13 +218,45 @@ def _used(values, of):
     return values[used], (np.cumsum(used) - 1)[of]
 
 
-def _distinct(keys):
-    """np.unique(keys, return_inverse=True) of nonnegative integer keys; a
-    table of every key up to the largest replaces the sort when that is at
-    most 4 keys per entry."""
-    if keys.size and keys.max() < 4 * keys.size:
-        return _used(np.arange(keys.max() + 1), keys)
-    return np.unique(keys, return_inverse=True)
+def _mode_sums(acc, rho, t_rho, ys, t_y, ms, ccol):
+    """acc + t_1 + t_2 + ... per sum, with t_m = 2 Re(c_m e^{i m y}) K0(m rho)
+    / (2 pi) at rho[t_rho] and ys[t_y]; the modes ``ms`` have coefficients
+    ``ccol``.  The sums run in ``acc``'s own memory; the stop rule is in
+    ``PeriodicFourierSolution.value``."""
+    # a slice of a larger batch takes only the radii and y it uses, so no
+    # table has more columns than sums
+    if len(rho) > len(acc):
+        rho, t_rho = _used(rho, t_rho)
+    if len(ys) > len(acc):
+        ys, t_y = _used(ys, t_y)
+    out = np.empty_like(acc)
+    live = np.arange(len(acc))
+    k = max(1, len(ms) * _VALUE_BLOCK // max(len(acc), 1))
+    for j in range(0, len(ms), k):
+        mcol = np.array(ms[j:j + k], dtype=float)[:, None]
+        fiber = 2.0 * np.real(ccol[j:j + k] * np.exp(1j * mcol * ys))
+        terms = np.take(fiber, t_y, axis=1)
+        k0_live = np.take(k0(mcol * rho), t_rho, axis=1)
+        terms *= k0_live
+        terms /= 2.0 * np.pi
+        for term in terms:
+            acc += term
+        if j + k >= len(ms):
+            break
+        # 2 B, with B = 2 max_{m' > m} |c_m'| K0(m rho) / (2 pi)
+        bound = 4.0 * np.max(np.abs(ccol[j + k:])) / (2.0 * np.pi) \
+            * k0_live[-1]
+        done = bound < np.spacing(np.abs(acc)) / 4.0
+        if done.any():
+            out[live[done]] = acc[done]
+            keep = ~done
+            live, acc = live[keep], acc[keep]
+            if not live.size:
+                break
+            rho, t_rho = _used(rho, t_rho[keep])
+            ys, t_y = _used(ys, t_y[keep])
+    out[live] = acc
+    return out
 
 
 class PeriodicFourierSolution(GHSolution):
@@ -286,14 +319,16 @@ class PeriodicFourierSolution(GHSolution):
     def value(self, pts):
         """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order.
 
-        The sum z0 + t_1 + t_2 + ... runs once per distinct triple (zero
-        mode z0, radius rho, y) of the batch, and each point takes the value
-        of its triple: t_m = 2 Re(c_m e^{i m y}) K0(m rho) / (2 pi) depends
-        on (rho, y) only.  Per chunk of modes, one k0 call fills the (mode,
-        distinct radius) table and one exp call the (mode, distinct y)
-        table, over the triples still summing.
+        The sum z0 + t_1 + t_2 + ... runs once per distinct (radius rho, y)
+        pair of the batch, and each point takes the value of its pair:
+        t_m = 2 Re(c_m e^{i m y}) K0(m rho) / (2 pi) depends on (rho, y)
+        only, and so does the default zero mode z0.  A ``zero_mode=``
+        closure is a function of (u, x), so then each point has its own
+        sum.  Per chunk of modes, one k0 call fills the (mode, distinct
+        radius) table and one exp call the (mode, distinct y) table, over
+        the sums still running.
 
-        A triple stops after the last mode m of a chunk once
+        A sum stops after the last mode m of a chunk once
         2 B < spacing(|acc|) / 4, with B = 2 max_{m' > m} |c_m'| K0(m rho)
         / (2 pi).  Computed K0 does not increase, so |t_m'| <= B for every
         later m'; the factor 2 covers the rounding of k0 and of the term.
@@ -306,44 +341,22 @@ class PeriodicFourierSolution(GHSolution):
         u, x = pts[:, 0], pts[:, 1]
         rho, rho_of = np.unique(self._radii(u, x), return_inverse=True)
         ys, y_of = np.unique(pts[:, 2], return_inverse=True)
-        pairs, of = _distinct(rho_of * len(ys) + y_of)
-        t_rho, t_y = np.divmod(pairs, len(ys))
         if self._zero_mode is None:
+            pairs, of = np.unique(rho_of * len(ys) + y_of,
+                                  return_inverse=True)
+            t_rho, t_y = np.divmod(pairs, len(ys))
             acc = self._log_zero_mode(rho)[t_rho]
         else:
-            z0, z0_of = np.unique(self.zero_mode(u, x), return_inverse=True)
-            triples, of = _distinct(z0_of * len(pairs) + of)
-            t_z0, t_pair = np.divmod(triples, len(pairs))
-            acc, t_rho, t_y = z0[t_z0], t_rho[t_pair], t_y[t_pair]
+            acc = self.zero_mode(u, x).copy()
+            t_rho, t_y, of = rho_of, y_of, slice(None)
         ms = [m for m in range(1, self.M + 1) if self.coeffs[m] != 0]
         ccol = np.array([self.coeffs[m] for m in ms], dtype=complex)[:, None]
         out = np.empty_like(acc)
-        live = np.arange(len(acc))
-        k = max(1, len(ms) * _VALUE_BLOCK // max(len(acc), 1))
-        for j in range(0, len(ms), k):
-            if not live.size:
-                break
-            mcol = np.array(ms[j:j + k], dtype=float)[:, None]
-            fiber = 2.0 * np.real(ccol[j:j + k] * np.exp(1j * mcol * ys))
-            terms = np.take(fiber, t_y, axis=1)
-            k0_live = np.take(k0(mcol * rho), t_rho, axis=1)
-            terms *= k0_live
-            terms /= 2.0 * np.pi
-            for term in terms:
-                acc += term
-            if j + k >= len(ms):
-                break
-            # 2 B, with B = 2 max_{m' > m} |c_m'| K0(m rho) / (2 pi)
-            bound = 4.0 * np.max(np.abs(ccol[j + k:])) / (2.0 * np.pi) \
-                * k0_live[-1]
-            done = bound < np.spacing(np.abs(acc)) / 4.0
-            if done.any():
-                out[live[done]] = acc[done]
-                keep = ~done
-                live, acc = live[keep], acc[keep]
-                rho, t_rho = _used(rho, t_rho[keep])
-                ys, t_y = _used(ys, t_y[keep])
-        out[live] = acc
+        per = max(len(ms), 1) * _VALUE_BLOCK
+        for start in range(0, len(acc), per):
+            part = slice(start, start + per)
+            out[part] = _mode_sums(acc[part], rho, t_rho[part], ys, t_y[part],
+                                   ms, ccol)
         return out[of]
 
     def _check_positive(self):

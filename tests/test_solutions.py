@@ -453,8 +453,8 @@ class TestOoguriVafa:
         # at rho = 1 the zero mode is a itself, and V crosses it: the sum
         # sits on a power of two, where the gap below is half the gap
         # above, while the tail terms K0(m) / pi are near its spacing.
-        # 30,000 distinct triples make chunks of 60 x 4096 // 30000 = 8
-        # modes, so a sum may stop after mode 32, where K0(33) / pi is
+        # 30,000 distinct (rho, y) pairs make chunks of 60 x 4096 // 30000
+        # = 8 modes, so a sum may stop after mode 32, where K0(33) / pi is
         # still about 3e-16
         rng = np.random.default_rng(int(a))
         sol = PeriodicFourierSolution(1.0, 60, a, check_positive=False)
@@ -495,6 +495,36 @@ class TestOoguriVafa:
         assert sol.value(np.empty((0, 3))).shape == (0,)
         with pytest.raises(NonpositiveArgument):
             sol.value([[0.5, 0.2, 1.0], [np.nan, 0.3, 2.0]])
+
+    @pytest.mark.parametrize("zero_mode", [
+        None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
+    def test_value_tables_stay_within_the_budget(self, monkeypatch,
+                                                 zero_mode):
+        # with a budget of 64, 3,000 distinct points at M = 8 make six
+        # slices of at most 8 x 64 sums; no k0 table passes 8 x 64
+        # arguments, and every value keeps its bits
+        import ghlab.solutions as solmod
+        from ghlab.bessel import k0
+
+        seen = []
+
+        def counting_k0(x):
+            seen.append(np.size(x))
+            return k0(x)
+
+        rng = np.random.default_rng(8)
+        sol = PeriodicFourierSolution(1.0, 8, 4.0, zero_mode=zero_mode,
+                                      check_positive=False)
+        rho = rng.uniform(0.05, 6.0, 3000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 3000)
+        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
+                        rng.uniform(0.0, 2.0 * np.pi, 3000)], -1)
+        monkeypatch.setattr(solmod, "_VALUE_BLOCK", 64)
+        monkeypatch.setattr(solmod, "k0", counting_k0)
+        got = sol.value(pts)
+        assert len(seen) >= 6 and max(seen) <= 8 * 64, seen
+        monkeypatch.undo()
+        assert np.array_equal(got, self.per_point_value(sol, pts))
 
     def test_double_precision_path_loads_no_mpmath(self, monkeypatch):
         # the library twin of the CI step that runs the K0 commands without
