@@ -233,6 +233,9 @@ def _cmd_verify_taubnut(p, meta):
 
 def _cmd_ov(p, meta):
     """Periodic Fourier-Bessel family checks."""
+    # modes above --modes have coefficient 0 and a residual of exactly 0
+    _require(p["helmholtz_modes"] <= p["modes"], "helmholtz_modes",
+             "need helmholtz_modes <= modes")
     from .solutions import ooguri_vafa, ov_total_flux
 
     sol = ooguri_vafa(1.0, p["modes"], p["a"])
@@ -534,7 +537,7 @@ def _cmd_collapse(p, meta):
 # every field of every subcommand, declared once as name -> (default,
 # converter); the parser, the defaults, config-file merging and the checks
 # of single fields are all derived from these tables (the checks across
-# fields are the first lines of the amoeba and decay runners).  A list
+# fields are the first lines of the ov, amoeba and decay runners).  A list
 # default takes that many values after its flag.
 _COMMON = {"seed": (GHLAB_SEED, _count(0)), "out": (None, _path),
            "csv": (None, _path), "svg": (None, _path)}

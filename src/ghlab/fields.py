@@ -10,7 +10,13 @@ multi-index a in a box a <= o; the box is closed under products, since the
 a-coefficient of a product needs only the b <= a of its factors.  The
 coefficients are stored coefficient-major, as one (N,) row per multi-index,
 so a product gathers and sums whole rows and an (N,) array broadcasts
-against a jet as it is.  Jets support +, -, *, / and ``**``, and ``log``,
+against a jet as it is.  Each coefficient of a product sums its L pair
+products t_0, ..., t_{L-1} (the first factor's multi-index rising) as
+t_0 + pairwise(t_1, ..., t_{L-1}), numpy's pairwise summation: the order
+of ``np.add.reduceat`` along the coefficient axis.  Every golden bit of a
+potential-backed result rests on that order, so it is a contract of the
+product, which keeps it while adding whole rows (``_product_plan``).
+Jets support +, -, *, / and ``**``, and ``log``,
 ``exp``, ``sqrt``, ``sin`` and ``cos`` by univariate Taylor composition
 (Horner's rule in h = g - g(x0)).
 A ``JetScalarField`` evaluates a plain Python function of the coordinates
@@ -59,13 +65,56 @@ def is_sympy_expr(obj):
 # truncated Taylor jets
 # ---------------------------------------------------------------------------
 
+def _pairwise_slots(n):
+    """numpy's pairwise sum of n >= 8 terms as moves between slots.
+
+    Returns (order, steps): with term order[s] in slot s, the moves
+    slot[dst:dst + k] += slot[src:src + k] for (dst, src, k) in steps leave
+    in slot 0 the sum numpy's pairwise summation gives: up to 128 terms,
+    eight running sums r0..r7 over the blocks of 8, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
+    order; above 128, the sum of the two halves, split at a multiple of 8.
+    (Below 8 terms numpy sums in order; ``_product_plan`` does that part.)
+    Each block of 8 is laid out in bit-reversed order, so that the pairs of
+    every combining level are two contiguous runs of slots.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        low, low_steps = _pairwise_slots(half)
+        high, high_steps = _pairwise_slots(n - half)
+        return (low + [half + i for i in high],
+                low_steps + [(d + half, s + half, k) for d, s, k in high_steps]
+                + [(0, half, 1)])
+    full = n - n % 8
+    order = [b + j for b in range(0, full, 8)
+             for j in (0, 4, 2, 6, 1, 5, 3, 7)] + list(range(full, n))
+    steps = [(0, b, 8) for b in range(8, full, 8)] \
+        + [(0, 4, 4), (0, 2, 2), (0, 1, 1)] \
+        + [(0, s, 1) for s in range(full, n)]
+    return order, steps
+
+
 @functools.lru_cache(maxsize=None)
 def _product_plan(shape):
-    """Index pairs of the box product over a flattened coefficient box.
+    """Row plan of the box product over a flattened coefficient box.
 
-    Returns (left, right, starts): out[k] is the sum of the products
-    left[i] * right[i] over the i in starts[k] <= i < starts[k + 1], and
-    every pair of multi-indices with a sum inside the box occurs once.
+    Coefficient k of a product sums the pair products a[i] * b[j] over the
+    L pairs of multi-indices with i + j = k, i ascending: t_0, ..., t_{L-1}.
+    The sum is t_0 + pairwise(t_1, ..., t_{L-1}) in numpy's pairwise
+    summation (``_pairwise_slots``), the order in which ``np.add.reduceat``
+    sums a segment along axis 0.  The golden bits of the potential route
+    rest on this order, so the product keeps it exactly.
+
+    Returns (left, right, steps, inv).  The rows t = a[left] * b[right]
+    hold, in this order: t_0 of every coefficient, by rising L; for p = 2
+    to 7, t_p of every coefficient with p < L <= 8, which are the last of
+    those with 1 < L <= 8; t_1 of those; and for each L > 8, the t_1 to
+    t_{L-1} of its g coefficients in the slots of ``_pairwise_slots``, g
+    rows a slot.  The moves t[dst:dst + k] += t[src:src + k] for
+    (dst, src, k) in steps leave every coefficient in its t_0 row, and
+    t[inv] is the product.  Each move adds whole rows, and their number is
+    set by the box alone: up to 8 terms, the running sums of all the
+    coefficients take one move per term.
     """
     idx = np.indices(shape).reshape(len(shape), -1).T
     total = idx[:, None, :] + idx[None, :, :]
@@ -73,8 +122,42 @@ def _product_plan(shape):
     left, right = np.nonzero(ok)
     target = np.ravel_multi_index(total[left, right].T, shape)
     order = np.argsort(target, kind="stable")
+    left, right = left[order], right[order]
     starts = np.searchsorted(target[order], np.arange(idx.shape[0]))
-    return left[order], right[order], starts
+    length = np.diff(starts, append=len(left))
+    rank = np.argsort(length, kind="stable")
+    short = rank[length[rank] <= 8]
+    # up to 8 terms a sum runs in order, in the t_1 row of its coefficient;
+    # the coefficients with L > p are the last of the short ones
+    runs = [short[length[short] > p] for p in range(1, 8)]
+    summed = len(runs[0])
+    first = len(rank) + sum(len(run) for run in runs[1:])
+    rows, steps, at = [starts[rank]], [], len(rank)
+    for p, run in enumerate(runs[1:], 2):
+        rows.append(starts[run] + p)
+        steps.append((first + summed - len(run), at, len(run)))
+        at += len(run)
+    rows.append(starts[runs[0]] + 1)
+    finals = [[len(short) - summed, first, summed]]
+    at, head = first + summed, len(short)
+    for L in np.unique(length[length > 8]).tolist():
+        g = int(np.count_nonzero(length == L))
+        slots, moves = _pairwise_slots(L - 1)
+        rows.append((starts[rank[head:head + g]]
+                     + 1 + np.array(slots)[:, None]).ravel())
+        steps += [(at + d * g, at + s * g, k * g) for d, s, k in moves]
+        if head == len(short):
+            # the first group's sums follow the t_1 rows, and its t_0 rows
+            # the short ones': one move adds t_0 to both
+            finals[0][2] += g
+        else:
+            finals.append([head, at, g])
+        at += (L - 1) * g
+        head += g
+    steps += [tuple(f) for f in finals]
+    rows = np.concatenate(rows)
+    return (left[rows], right[rows], tuple(m for m in steps if m[2]),
+            np.argsort(rank))
 
 
 class Jet:
@@ -134,12 +217,15 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.c * other)
         shape, n = self.c.shape[:-1], self.c.shape[-1]
-        left, right, starts = _product_plan(shape)
+        left, right, steps, inv = _product_plan(shape)
         # an explicit width: -1 cannot be resolved for an empty batch
-        a = self.c.reshape(math.prod(shape), n)
-        b = other.c.reshape(math.prod(shape), n)
-        prod = np.add.reduceat(a[left] * b[right], starts, axis=0)
-        return Jet(prod.reshape(self.c.shape))
+        a = self.c.reshape(len(inv), n)
+        b = other.c.reshape(len(inv), n)
+        t = a.take(left, axis=0) * b.take(right, axis=0)
+        for dst, src, k in steps:
+            acc = t[dst:dst + k]
+            acc += t[src:src + k]
+        return Jet(t.take(inv, axis=0).reshape(self.c.shape))
 
     __rmul__ = __mul__
 

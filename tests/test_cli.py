@@ -51,6 +51,12 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_helmholtz_modes_above_modes_is_config_error(self, capsys):
+        # modes above --modes have coefficient 0: checking them checks nothing
+        assert run_cli(["ov", "--modes", "3"]) == 2
+        assert "config error: config field 'helmholtz_modes'" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "{not json",
         json.dumps({"points": [[1, 0], [0, 1], [-1, 0]]}),

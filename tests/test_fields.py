@@ -133,7 +133,44 @@ class TestSymbolicScalarField:
             SymbolicScalarField(sp.tan(S) + T, (S, T))
 
 
+def reduceat_product(a, b):
+    """The box product of two coefficient arrays summed by np.add.reduceat:
+    each coefficient's pair products in one segment, the first factor's
+    multi-index rising.  The reference the product must match bitwise."""
+    shape, n = a.shape[:-1], a.shape[-1]
+    left, right, starts = [], [], []
+    for k in np.ndindex(shape):
+        starts.append(len(left))
+        for i in np.ndindex(tuple(o + 1 for o in k)):
+            left.append(np.ravel_multi_index(i, shape))
+            right.append(np.ravel_multi_index(np.subtract(k, i), shape))
+    size = math.prod(shape)
+    terms = a.reshape(size, n)[left] * b.reshape(size, n)[right]
+    return np.add.reduceat(terms, starts, axis=0).reshape(a.shape)
+
+
+# boxes whose segments take every branch of numpy's pairwise summation:
+# up to 6 terms in (3, 2, 1), 9 in (3, 3, 1), 8 in (2, 2, 2), 27 in
+# (3, 3, 3) and 216 in (6, 6, 6); the (6, 6, 6) box stops at 64 points, as
+# 2,400 would hold 9,261 x 2,400 pair products, 178 MB, per operand
+PRODUCT_CASES = [(shape, n)
+                 for shape in [(3, 2, 1), (3, 3, 1), (2, 2, 2), (3, 3, 3)]
+                 for n in (0, 1, 64, 2400)] \
+    + [((6, 6, 6), n) for n in (0, 1, 64)]
+
+
 class TestJetAlgebra:
+    @pytest.mark.parametrize("shape,n", PRODUCT_CASES, ids=[
+        "x".join(map(str, shape)) + f"-{n}" for shape, n in PRODUCT_CASES])
+    def test_product_sums_as_reduceat(self, shape, n):
+        rng = np.random.default_rng(17)
+        a, b = (rng.standard_normal(shape + (n,))
+                * np.exp(rng.uniform(-12.0, 12.0, shape + (n,)))
+                for _ in range(2))
+        got = (Jet(a) * Jet(b)).c
+        assert got.shape == a.shape
+        assert np.array_equal(got, reduceat_product(a, b))
+
     def test_box_coefficients_are_scaled_partials(self):
         # f = x^3 y^2: c[a] = d^a f / a! is a binomial coefficient times a
         # monomial, read over the whole box (3, 2)
