@@ -253,19 +253,9 @@ def _cmd_ov(p, meta):
             vm = sol.mode_value(m, u, x)
             cols += [vm.real, vm.imag]
         _write_csv(p["csv"], header, np.stack(cols, axis=-1).tolist(), meta)
-    # the Helmholtz equation of each mode V^m at three radii, from the
-    # 6th-order central stencils of d/drho and d^2/drho^2 on the 7 radii
-    # rho + k h around each, in double precision
-    rho = np.array([0.1, 0.5, 2.0])
-    h = np.minimum(1e-3, rho / 4.0)
-    stencil = rho[:, None] + h[:, None] * np.arange(-3, 4)
-    d1 = np.array([-1, 9, -45, 0, 45, -9, 1]) / (60.0 * h[:, None])
-    d2 = np.array([2, -27, 270, -490, 270, -27, 2]) / (180.0 * h[:, None] ** 2)
-    worst = 0.0
-    for m in range(1, p["helmholtz_modes"] + 1):
-        g = sol.mode_value(m, stencil, np.zeros_like(stencil))
-        res = np.sum((d2 + d1 / rho[:, None]) * g, axis=1) - m * m * g[:, 3]
-        worst = max(worst, float(np.max(np.abs(res))))
+    # the Helmholtz equation of each mode V^m at three radii
+    worst = max(float(np.max(np.abs(sol.helmholtz_residual(
+        m, [0.1, 0.5, 2.0])))) for m in range(1, p["helmholtz_modes"] + 1))
     checks.append(CheckResult("ov-helmholtz", worst < 1e-8,
                               {"maxResidual": f"{worst:.3e}",
                                "modes": p["helmholtz_modes"]}))
@@ -317,20 +307,20 @@ def _cmd_ronkin(p, meta):
     return checks
 
 
-def _fiber_windings(P, x, tol, nodes=256):
+def _fiber_windings(P, x, tol):
     """Winding numbers of theta -> P(e^{x + i theta}) in the last angle.
 
     One per grid value of theta_1 (two variables) and per log-modulus
     x_l -+ tol of the last variable; all equal when no zero of P lies within
     tol of the fiber, since the winding counts the zeros inside the circle.
     """
-    t = 2.0 * np.pi * np.arange(nodes) / nodes
+    t = 2.0 * np.pi * np.arange(256) / 256
     zl = np.exp((x[-1] + np.array([-tol, tol]))[:, None] + 1j * t)
     if P.nvars == 1:
         z = zl[..., None]
     else:
-        z1 = np.broadcast_to(np.exp(x[0] + 1j * t)[None, :, None], (2, nodes,
-                                                                   nodes))
+        z1 = np.broadcast_to(np.exp(x[0] + 1j * t)[None, :, None],
+                             (2, 256, 256))
         z = np.stack([z1, np.broadcast_to(zl[:, None, :], z1.shape)], axis=-1)
     vals = P.evaluate(z)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -40,46 +40,44 @@ def _field_values(fieldobj, pts):
     return np.asarray(fieldobj(pts), dtype=float)
 
 
-def _spectra(fieldobj, base, M, nodes=256, period=2.0 * math.pi,
-             alias_tol=1e-10):
-    """(rows, nodes) Fourier spectra in the periodic coordinate over (u, x)
+def _spectra(fieldobj, base, M, nodes=256):
+    """(rows, nodes) Fourier spectra in the periodic coordinate y over (u, x)
     base rows, from one field call and one FFT along the last axis.
 
-    Trapezoid quadrature over one period (exact for band-limited fields when
-    ``nodes > 2M``); raises AliasingDetected when, in any row, the energy in
-    the cutoff bin exceeds ``alias_tol`` of the total.
+    Trapezoid quadrature over the period 2 pi (exact for band-limited fields
+    when ``nodes > 2M``); raises AliasingDetected when, in any row, the
+    energy in the cutoff bin exceeds 1e-10 of the total.
     """
     if nodes <= 2 * M:
         raise ValueError("need nodes > 2M to resolve the requested modes")
     base = np.atleast_2d(np.asarray(base, dtype=float))
     u, x = np.repeat(base[:, :2], nodes, axis=0).T
-    ys = np.tile(period * np.arange(nodes) / nodes, len(base))
+    ys = np.tile(2.0 * math.pi * np.arange(nodes) / nodes, len(base))
     vals = _field_values(fieldobj, np.stack([u, x, ys], axis=-1))
     spec = np.fft.fft(vals.reshape(-1, nodes), axis=-1) / nodes
     total = np.sum(np.abs(spec) ** 2, axis=-1)
     frac = np.abs(spec[:, nodes // 2]) ** 2 / np.where(total > 0, total,
                                                         np.inf)
-    if np.max(frac) > alias_tol:
+    if np.max(frac) > 1e-10:
         raise AliasingDetected(
             f"cutoff-bin energy fraction {np.max(frac):.2e}")
     return spec
 
 
-def fourier_modes(fieldobj, point, M, nodes=256, period=2.0 * math.pi,
-                  alias_tol=1e-10):
+def fourier_modes(fieldobj, point, M, nodes=256):
     """Modes -M..M of the field at one base point, as {m: coefficient}."""
-    spec = _spectra(fieldobj, [point], M, nodes, period, alias_tol)[0]
+    spec = _spectra(fieldobj, [point], M, nodes)[0]
     return {m: complex(spec[m]) for m in range(-M, M + 1)}
 
 
-def synthesize(modes, period=2.0 * math.pi):
+def synthesize(modes):
     """Inverse of fourier_modes: a (pts -> values) callable from mode dict."""
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         y = pts[:, 2]
         out = np.zeros(pts.shape[0], dtype=complex)
         for m, c in sorted(modes.items(), key=lambda kv: abs(kv[0])):
-            out += c * np.exp(2j * math.pi * m * y / period)
+            out += c * np.exp(1j * m * y)
         return out.real
     return fn
 
@@ -96,7 +94,6 @@ class ModeFit:
 
 @dataclass
 class DecayReport:
-    lam: float
     modes: list
     betas: np.ndarray                 # (N,)
     magnitudes: dict                  # m -> (N,) array
@@ -124,20 +121,18 @@ class DecayReport:
         return ["m", "beta", "abs_mode", "log_abs_mode", "fit_pred"]
 
 
-def decay_fit(fieldobj, point_grid, M, lam=1.0, beta_fn=None, nodes=256,
-              modes=None, slope_band=(0.9, 1.1), rms_limit=0.1,
-              min_points=8, floor=1e-12, min_beta=0.2):
-    """Per-mode log-linear regression of |V^m| against the decay distance."""
+def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None,
+              slope_band=(0.9, 1.1), rms_limit=0.1):
+    """Per-mode log-linear regression of |V^m| against the decay distance
+    |(u, x)|, over the grid points at distance >= 0.2 (at least 8 of them).
+    A mode below 1e-12 at every point is skipped and passes."""
     pts = np.atleast_2d(np.asarray(point_grid, dtype=float))
-    if beta_fn is None:
-        betas = np.linalg.norm(pts, axis=1)
-    else:
-        betas = np.asarray([beta_fn(p) for p in pts], dtype=float)
-    keep = betas >= min_beta
+    betas = np.linalg.norm(pts, axis=1)
+    keep = betas >= 0.2
     pts, betas = pts[keep], betas[keep]
-    if pts.shape[0] < min_points:
+    if pts.shape[0] < 8:
         raise InsufficientPoints(
-            f"only {pts.shape[0]} usable points (need {min_points})")
+            f"only {pts.shape[0]} usable points (need 8)")
     modes = list(modes) if modes is not None else list(range(1, M + 1))
     spec = _spectra(fieldobj, pts, M, nodes=nodes)
     # hypot is abs() of a Python complex; np.abs can differ in the last bit
@@ -146,7 +141,7 @@ def decay_fit(fieldobj, point_grid, M, lam=1.0, beta_fn=None, nodes=256,
     fits = {}
     for m in modes:
         mags = magnitudes[m]
-        if np.all(mags < floor):
+        if np.all(mags < 1e-12):
             fits[m] = ModeFit(mode=m, amplitude=None, rate=None,
                               rms_residual=None, passed=True, skipped=True)
             continue
@@ -161,7 +156,7 @@ def decay_fit(fieldobj, point_grid, M, lam=1.0, beta_fn=None, nodes=256,
                           rate=rate, rms_residual=rms,
                           passed=bool(slope_band[0] <= rate <= slope_band[1]
                                       and rms < rms_limit))
-    return DecayReport(lam=lam, modes=modes, betas=betas,
+    return DecayReport(modes=modes, betas=betas,
                        magnitudes=magnitudes, fits=fits,
                        slope_band=slope_band, rms_limit=rms_limit)
 
@@ -195,38 +190,36 @@ class CollapseReport:
 
 
 def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
-                      beta_fn=None, min_beta=0.2):
+                      beta_fn=None):
     """Sup distance between the rescaled zero mode and the split limit.
 
     ``family`` maps lambda to a periodic field on (u, x, y); the zero mode
     is extracted at (lam*s, lam*t) and compared with split_limit(s, t) on
-    the fixed grid.
+    the fixed grid, from one field call per lambda.  With ``beta_fn``, a
+    grid point at distance below 0.2 from the discriminant is refused.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if beta_fn is not None:
         d = np.asarray([beta_fn(p) for p in grid], dtype=float)
-        if np.min(d) < min_beta:
+        if np.min(d) < 0.2:
             raise DomainViolation(
-                f"grid point at distance {np.min(d):.3f} < {min_beta} "
+                f"grid point at distance {np.min(d):.3f} < 0.2 "
                 "from the discriminant")
     lambdas = sorted(float(v) for v in lambdas)
     sups = []
     for lam in lambdas:
+        spec = _spectra(family(lam), lam * grid[:, :2], 0, nodes)
         worst = 0.0
-        fieldobj = family(lam)
-        for p in grid:
-            v0 = fourier_modes(fieldobj, (lam * p[0], lam * p[1]), 0,
-                               nodes=nodes)[0].real
-            want = float(split_limit(p))
-            worst = max(worst, abs(v0 - want))
+        for v0, p in zip(spec[:, 0].real.tolist(), grid):
+            worst = max(worst, abs(v0 - float(split_limit(p))))
         sups.append(worst)
     return CollapseReport(
         lambdas=lambdas, sup_distances=sups, grid=grid,
         norm="sup on fixed compact grid at distance >= "
-             f"{min_beta} from the discriminant")
+             "0.2 from the discriminant")
 
 
-def ronkin_collapse(P, lambdas, grid, kappa=1, nodes=64):
+def ronkin_collapse(P, lambdas, grid, nodes=64):
     """Rescaled-Ronkin convergence to the coefficient-free tropical limit."""
     from .tropical import ronkin_rescaled, tropical_limit
 
@@ -236,8 +229,8 @@ def ronkin_collapse(P, lambdas, grid, kappa=1, nodes=64):
     for lam in lambdas:
         worst = 0.0
         for t in grid:
-            n = ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
-            tl = tropical_limit(P, t, kappa=kappa, include_coefficients=False)
+            n = ronkin_rescaled(P, t, lam, nodes=nodes)
+            tl = tropical_limit(P, t, include_coefficients=False)
             worst = max(worst, abs(n - tl))
         sups.append(worst)
     return CollapseReport(lambdas=lambdas, sup_distances=sups, grid=grid,

@@ -511,8 +511,7 @@ def _sphere_grid(nphi, ntheta):
     return phi, wphi, theta, wtheta
 
 
-def chern_flux(sol, wall_point, radius, nodes=(32, 64), normal=None,
-               guard=None):
+def chern_flux(sol, wall_point, radius, nodes=(32, 64), normal=None):
     """(1/2pi) integral of the curvature over a small 2-sphere.
 
     The sphere sits in the 3-space spanned by a u-direction (``normal``,
@@ -541,9 +540,8 @@ def chern_flux(sol, wall_point, radius, nodes=(32, 64), normal=None,
     pts[:, n + sol.l] = radius * np.sin(P).ravel() * np.sin(T).ravel()
     if sol.discriminant is not None:
         # sampled distances miss tangency points, so the floor scales with R
-        floor = 0.05 * radius if guard is None else guard
         dmin = float(np.min(sol.discriminant(pts)))
-        if dmin < floor:
+        if dmin < 0.05 * radius:
             raise SphereHitsDiscriminant(f"sphere within {dmin} of discriminant")
     tp = np.zeros((N, nc))
     tp[:, :n] = np.outer(-radius * np.sin(P).ravel(), normal)
@@ -570,8 +568,7 @@ class CompletenessProbe:
     verdict: str
 
 
-def completeness_probe(sol, i, j, u_maxes, base=None, samples=512,
-                       slope_floor=1e-3):
+def completeness_probe(sol, i, j, u_maxes, base=None, samples=512):
     """Partial integrals of 1/(V^{-1})^{ij} along the u_i ray from base.
 
     A numerical probe, not a proof: the verdict says whether the partial
@@ -597,8 +594,8 @@ def completeness_probe(sol, i, j, u_maxes, base=None, samples=512,
     else:
         last_slope = float(g[-1])
     ref = abs(values[-1]) / max(u_maxes[-1], 1.0)
-    verdict = "diverging" if (increasing and last_slope > slope_floor * max(ref, 1e-12)) \
-        else "inconclusive/convergent"
+    diverging = increasing and last_slope > 1e-3 * max(ref, 1e-12)
+    verdict = "diverging" if diverging else "inconclusive/convergent"
     return CompletenessProbe(u_maxes=u_maxes, values=values,
                              increasing=increasing, last_slope=float(last_slope),
                              verdict=verdict)

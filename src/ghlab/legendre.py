@@ -167,14 +167,14 @@ def model_potential(family, b=0.5):
 # partial Legendre transform
 # ---------------------------------------------------------------------------
 
-def _legendre_hessians(sol, pts, cond_limit=1e12):
+def _legendre_hessians(sol, pts):
     """New coordinates y and Hess Psi over an (N, n + l) batch."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     sol.domain.require(pts)
     if sol.min_singular_distance(pts) < 1e-9:
         raise SingularHessian("point on the singular support")
     V, B, W = sol.V(pts), sol.B(pts), sol.W(pts)
-    if np.max(np.linalg.cond(V)) > cond_limit:
+    if np.max(np.linalg.cond(V)) > 1e12:
         raise SingularHessian("fiber block is numerically singular")
     y = np.concatenate([sol.gradient_s(pts), pts[:, sol.n:]], axis=1)
     Vi = np.linalg.inv(V)
@@ -185,9 +185,9 @@ def _legendre_hessians(sol, pts, cond_limit=1e12):
     return y, np.concatenate([top, bottom], axis=1)
 
 
-def partial_legendre(sol, point, cond_limit=1e12):
+def partial_legendre(sol, point):
     """New coordinates y and the Hessian of the transformed potential."""
-    y, H = _legendre_hessians(sol, point, cond_limit)
+    y, H = _legendre_hessians(sol, point)
     return y[0], H[0]
 
 
@@ -278,7 +278,7 @@ def dual_transform(sol):
 # the singular 2D family
 # ---------------------------------------------------------------------------
 
-def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
+def singular_2d(h=1.0, domain_radius=1.0, pair=None):
     """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured disk.
 
     ``h`` is a constant, a sympy expression in at most two real symbols
@@ -307,7 +307,7 @@ def singular_2d(h=1.0, domain_radius=1.0, pair=None, harmonic_tol=1e-8):
                         R.ravel() * np.sin(A.ravel())], axis=-1)
     lap = (h_field.partial_value((2, 0), samples)
            + h_field.partial_value((0, 2), samples))
-    if np.max(np.abs(lap)) > harmonic_tol:
+    if np.max(np.abs(lap)) > 1e-8:
         raise NotHarmonic(f"Laplacian of h reaches {np.max(np.abs(lap)):.2e}")
 
     radial = JetScalarField(
@@ -407,7 +407,7 @@ def circle_loop(center=(0.0, 0.0), radius=1.0, segments=64,
                      center[1] + radius * np.sin(ang)], axis=-1)
 
 
-def winding_numbers(loop, points, tol=1e-9):
+def winding_numbers(loop, points):
     """Winding of a closed polygon about each point, by angle summation."""
     loop = np.atleast_2d(np.asarray(loop, dtype=float))
     out = []
@@ -417,7 +417,7 @@ def winding_numbers(loop, points, tol=1e-9):
         dang = np.diff(np.concatenate([ang, ang[:1]]))
         dang = (dang + np.pi) % (2.0 * np.pi) - np.pi
         w = float(np.sum(dang) / (2.0 * np.pi))
-        if abs(w - round(w)) > tol:
+        if abs(w - round(w)) > 1e-9:
             raise LoopHitsSingularity(
                 f"winding {w} about {p} is not an integer")
         out.append(int(round(w)))
@@ -441,7 +441,7 @@ class HolonomyReport:
             "maxAbsError": self.max_abs_error}, sort_keys=True)
 
 
-def beta_holonomy(sol, loop, nodes=12, guard=1e-6):
+def beta_holonomy(sol, loop, nodes=12):
     """Loop integral of beta^{iq} = dW^{pq}/ds_i dt_p - dV^{ij}/dt_q ds_j.
 
     The loop is a closed polygon in R^n x R^l (rows are vertices); each
@@ -452,10 +452,10 @@ def beta_holonomy(sol, loop, nodes=12, guard=1e-6):
     n, l, d = sol.n, sol.l, sol.dim
     if loop.shape[1] != d:
         raise ValueError("loop vertices have wrong dimension")
-    if sol.min_singular_distance(loop) < guard:
+    if sol.min_singular_distance(loop) < 1e-6:
         raise LoopHitsSingularity("loop passes through the singular support")
     ends = np.roll(loop, -1, axis=0)
-    if any(sol.min_segment_distance(a, b) < guard for a, b in zip(loop, ends)):
+    if any(sol.min_segment_distance(a, b) < 1e-6 for a, b in zip(loop, ends)):
         raise LoopHitsSingularity("loop passes through the singular support")
     gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
     w = 0.5 * gl_w   # d t in [0,1]

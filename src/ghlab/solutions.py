@@ -18,12 +18,15 @@ The periodic family on R x R x S^1 sums the cylinder harmonics
 
     V = a - log(rho)/(2 pi) + sum_{0 < |m| <= M} c_m K0(|m| rho) e^{i m y} / (2 pi),
 
-with rho the distance to the source in the (u, x) plane.  The 1/(2 pi) on
-the higher modes is forced by the delta-function Fourier expansion.  The
-total-flux checks cannot see it: a closed surface around the source
-integrates every mode m != 0 to zero.  With unit coefficients the mode sum
-is the Poisson dual of the image sum of 1/(2r) over the sources at
-y = 2 pi k; the tests compare the two.
+with rho the distance to the source in the (u, x) plane.  Each mode solves
+(d^2/drho^2 + (1/rho) d/drho - m^2) V^m = 0; ``helmholtz_residual`` checks
+that on the double-precision modes V is summed from, and no part of the
+family uses mpmath.  The 1/(2 pi) on the higher modes is forced by the
+delta-function Fourier expansion.  The total flux cannot see it: the
+full-period surface around the source integrates every mode m != 0 to
+zero.  With unit coefficients the mode sum is the Poisson dual of the
+image sum of 1/(2r) over the sources at y = 2 pi k; the tests compare the
+two.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GHLabError, NotPositive, QuadratureFailure
-from .bessel import k0, k0_mp
+from .bessel import k0
 from .fields import JetScalarField, log, sqrt
-from .ghcore import Domain, GHSolution, RadialDomain, _sphere_grid
+from .ghcore import Domain, GHSolution, RadialDomain
 
 
 class SolutionError(GHLabError):
@@ -70,12 +73,13 @@ class FlatSample:
     angular_coefficient: np.ndarray
 
 
-def flat_solution(n, z, guard=1e-8):
+def flat_solution(n, z):
     """Evaluate the flat-metric fibration data at z in C^{n+1}.
 
     ``z`` is one point or an (N, n + 1) batch.  Fails with OnDiscriminant,
     naming the first such row, when two or more coordinates of a point
-    (nearly) vanish, where the fibration coordinates degenerate.
+    (below 1e-8 in modulus) vanish, where the fibration coordinates
+    degenerate.
     """
     if n not in (1, 2):
         raise ValueError("flat_solution supports n in {1, 2}")
@@ -84,7 +88,7 @@ def flat_solution(n, z, guard=1e-8):
         raise ValueError(f"need {n + 1} coordinates")
     zs = np.atleast_2d(z)
     mags = np.abs(zs)
-    bad = np.flatnonzero(np.sum(mags < guard, axis=1) >= 2)
+    bad = np.flatnonzero(np.sum(mags < 1e-8, axis=1) >= 2)
     if bad.size:
         raise OnDiscriminant(
             f"two or more coordinates vanish in row {bad[0]}: {zs[bad[0]]}")
@@ -177,20 +181,18 @@ def flat_gh_solution(rmax=10.0):
 # semi-flat
 # ---------------------------------------------------------------------------
 
-def semiflat(ma_potential, symbols=None, n=None, domain=None, sample_pts=None):
+def semiflat(ma_potential, symbols=None):
     """Fiber-flat solution from a real potential with unit Hessian determinant.
 
     ``ma_potential`` is a sympy expression in ``symbols`` or a scalar field
     of the n coordinates, such as a ``fields.JetScalarField``.  The base
     block is trivial (l = 0), so the compatibility residual is
-    |1/det Hess - 1|.
+    |1/det Hess - 1|.  The Hessian must be positive definite at the origin.
     """
-    if n is None:
-        n = len(symbols) if symbols is not None else ma_potential.dim
+    n = len(symbols) if symbols is not None else ma_potential.dim
     sol = GHSolution.from_potential(ma_potential, n, 0, symbols=symbols,
-                                    domain=domain, name="semi-flat")
-    check = sample_pts if sample_pts is not None else np.zeros((1, n))
-    eigs = np.linalg.eigvalsh(sol.V(check))
+                                    name="semi-flat")
+    eigs = np.linalg.eigvalsh(sol.V(np.zeros((1, n))))
     if np.min(eigs) <= 0:
         raise NotConvex("Hessian of the potential is not positive definite")
     return sol
@@ -263,10 +265,11 @@ class PeriodicFourierSolution(GHSolution):
     """Zero mode plus Bessel higher modes on R x R x S^1 (n = l = 1).
 
     As fibration data V = W is the ``value`` table; it exposes no
-    connection, and its partials are finite differences of the table.
+    connection, and its partials are finite differences of the table.  The
+    domain is 0.1 <= rho <= 6 around the source.
     """
 
-    def __init__(self, lam, M, a, source=(0.0, 0.0), coeffs=None, domain=None,
+    def __init__(self, lam, M, a, source=(0.0, 0.0), coeffs=None,
                  zero_mode=None, check_positive=True):
         if M < 1:
             raise ValueError("mode cutoff M must be >= 1")
@@ -284,8 +287,7 @@ class PeriodicFourierSolution(GHSolution):
 
         super().__init__(
             1, 1, table, table,
-            domain=domain if domain is not None else
-            RadialDomain(0.1, 6.0, axes=(0, 1)),
+            domain=RadialDomain(0.1, 6.0, axes=(0, 1)),
             discriminant=lambda pts: self._radii(pts[:, 0], pts[:, 1]),
             name=f"ooguri-vafa(M={self.M})")
         if check_positive:
@@ -373,79 +375,56 @@ class PeriodicFourierSolution(GHSolution):
                 f"V attains {np.min(vals):.4g} <= 0 on the declared domain; "
                 "increase the harmonic shift a")
 
-    def helmholtz_residual(self, m, rho, dps=40):
-        """(d^2/drho^2 + (1/rho) d/drho - m^2) V^m at radius rho, on k0_mp.
+    def helmholtz_residual(self, m, rho):
+        """(d^2/drho^2 + (1/rho) d/drho - m^2) |V^m| at radius rho from the
+        source: a float for a scalar rho, an array for an array.
 
-        The identity for the extended-precision K0: second-order central
-        differences at ``dps`` digits.  ``ghlab ov`` checks the double
-        precision ``mode_value`` instead, with a 6th-order stencil.
+        The identity for the double-precision ``mode_value`` that V is
+        summed from, by the 6th-order central stencils of d/drho and
+        d^2/drho^2 on the 7 radii rho + k h, h = min(1e-3, rho/4).
         """
-        import mpmath as mp
-
         if m == 0:
             raise ValueError("zero mode satisfies the logarithmic equation")
-        c = abs(self.coefficient(m)) / (2.0 * np.pi)
-        with mp.workdps(dps):
-            rho_mp = mp.mpf(rho)
-            h = mp.mpf(10) ** (-int(dps // 3))
-
-            def g(t):
-                # at least k0_mp's own 25 + 0.9 x digits: its series
-                # cancels about 0.87 x of them
-                x = abs(m) * t
-                return c * k0_mp(x, dps=max(dps + 10,
-                                            int(25 + 0.9 * float(x))))
-
-            g0, gplus, gminus = g(rho_mp), g(rho_mp + h), g(rho_mp - h)
-            gp = (gplus - gminus) / (2 * h)
-            gpp = (gplus - 2 * g0 + gminus) / (h * h)
-            res = gpp + gp / rho_mp - m * m * g0
-        return float(res)
+        rho = np.asarray(rho, dtype=float)
+        r = np.atleast_1d(rho).ravel()[:, None]
+        h = np.minimum(1e-3, r / 4.0)
+        stencil = r + h * np.arange(-3, 4)
+        d1 = np.array([-1, 9, -45, 0, 45, -9, 1]) / (60.0 * h)
+        d2 = np.array([2, -27, 270, -490, 270, -27, 2]) / (180.0 * h ** 2)
+        g = np.abs(self.mode_value(m, self.source[0] + stencil,
+                                   np.full_like(stencil, self.source[1])))
+        res = np.sum((d2 + d1 / r) * g, axis=1) - m * m * g[:, 3]
+        return float(res[0]) if rho.ndim == 0 else res.reshape(rho.shape)
 
 
-def ooguri_vafa(lam, M, a, source=(0.0, 0.0), domain=None):
+def ooguri_vafa(lam, M, a):
     """Construct the periodic family; errors if V is not positive."""
-    return PeriodicFourierSolution(lam, M, a, source=source, domain=domain)
+    return PeriodicFourierSolution(lam, M, a)
 
 
-def ov_total_flux(sol, radius, nodes=(256, 64), center=None, surface="torus",
-                  h=1e-6):
-    """Flux of grad V through a Gauss surface of given radius.
-
-    ``surface="torus"`` (default) integrates over the full-period surface
+def ov_total_flux(sol, radius, nodes=(256, 64), center=None):
+    """Flux of grad V through the full-period Gauss surface
     {|(u,x) - center| = radius} x S^1, which captures the entire periodic
-    source for every mode cutoff; ``surface="sphere"`` is the literal round
-    sphere and inherits an O(1/((2M+1) sin(R/2))) truncation oscillation.
+    source for every mode cutoff; the normal derivative is a central
+    difference at step 1e-6.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     center = sol.source if center is None else (float(center[0]),
                                                 float(center[1]))
     na, ny = nodes
-    if surface == "torus":
-        alpha = 2.0 * np.pi * np.arange(na) / na
-        ys = 2.0 * np.pi * np.arange(ny) / ny
-        A, Y = np.meshgrid(alpha, ys, indexing="ij")
-        nrm = np.stack([np.cos(A).ravel(), np.sin(A).ravel(),
-                        np.zeros(A.size)], axis=-1)
-        base = np.stack([center[0] + radius * np.cos(A).ravel(),
-                         center[1] + radius * np.sin(A).ravel(),
-                         Y.ravel()], axis=-1)
-        area = radius * (2.0 * np.pi / na) * (2.0 * np.pi / ny)
-    elif surface == "sphere":
-        phi, wphi, theta, wtheta = _sphere_grid(na, ny)
-        P, T = np.meshgrid(phi, theta, indexing="ij")
-        WP, WT = np.meshgrid(wphi, wtheta, indexing="ij")
-        nrm = np.stack([np.sin(P).ravel() * np.cos(T).ravel(),
-                        np.sin(P).ravel() * np.sin(T).ravel(),
-                        np.cos(P).ravel()], axis=-1)
-        base = np.stack([center[0], center[1], 0.0]) + radius * nrm
-        area = (radius ** 2 * np.sin(P) * WP * WT).ravel()
-    else:
-        raise ValueError("surface must be 'torus' or 'sphere'")
+    alpha = 2.0 * np.pi * np.arange(na) / na
+    ys = 2.0 * np.pi * np.arange(ny) / ny
+    A, Y = np.meshgrid(alpha, ys, indexing="ij")
+    nrm = np.stack([np.cos(A).ravel(), np.sin(A).ravel(),
+                    np.zeros(A.size)], axis=-1)
+    base = np.stack([center[0] + radius * np.cos(A).ravel(),
+                     center[1] + radius * np.sin(A).ravel(),
+                     Y.ravel()], axis=-1)
+    area = radius * (2.0 * np.pi / na) * (2.0 * np.pi / ny)
     vplus, vminus = np.split(sol.value(np.concatenate(
-        [base + h * nrm, base - h * nrm])), 2)
-    dn = (vplus - vminus) / (2.0 * h)
+        [base + 1e-6 * nrm, base - 1e-6 * nrm])), 2)
+    dn = (vplus - vminus) / 2e-6
     if not np.all(np.isfinite(dn)):
         raise QuadratureFailure("non-finite normal derivative on the surface")
     return float(np.sum(dn * area))

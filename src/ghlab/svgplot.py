@@ -20,11 +20,11 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
     if hi == lo:
         return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+    step = (hi - lo) / 4
+    return [lo + k * step for k in range(5)]
 
 
 def emit_svg(series, axes, path):

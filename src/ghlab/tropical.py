@@ -35,7 +35,7 @@ class LaurentPoly:
     nvars: int
 
     @classmethod
-    def make(cls, terms, nvars=None):
+    def make(cls, terms):
         canon = [(tuple(int(k) for k in np.atleast_1d(e)), complex(c))
                  for e, c in terms]
         if any(c == 0 for _, c in canon):
@@ -47,8 +47,6 @@ class LaurentPoly:
         lv = len(canon[0][0])
         if any(len(e) != lv for e, _ in canon):
             raise ValueError("mixed exponent lengths")
-        if nvars is not None and nvars != lv:
-            raise ValueError("nvars does not match exponents")
         return cls(terms=tuple(sorted(canon, key=lambda t: t[0])), nvars=lv)
 
     def exponents(self):
@@ -369,12 +367,12 @@ def ronkin_gradient(P, x):
     return np.array(grad)
 
 
-def ronkin_rescaled(P, t, lam, nodes=64, kappa=1, tol=1e-6):
+def ronkin_rescaled(P, t, lam, nodes=64, kappa=1):
     """N(lam * t) / lam."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return ronkin(P, lam * t, nodes=nodes, kappa=kappa, tol=tol) / lam
+    return ronkin(P, lam * t, nodes=nodes, kappa=kappa) / lam
 
 
 def tropical_limit(P, t, kappa=1, include_coefficients=True):
@@ -438,8 +436,8 @@ def spine(pair):
     return wall_complex(pair.sigma, basis=pair.base_basis)
 
 
-def laurent_from_pair(pair, coefficients=None):
-    """The pair's polynomial sum_i c_i z^{v_i - rho} in base coordinates.
+def laurent_from_pair(pair):
+    """The pair's polynomial sum_i z^{v_i - rho} in base coordinates.
 
     Each v_i - rho annihilates tau, so it is integral in the stored base
     basis; the shift by rho changes the Ronkin function by a linear map.
@@ -456,20 +454,19 @@ def laurent_from_pair(pair, coefficients=None):
         if c is None:
             raise ValueError(f"{shifted} is not in the base lattice")
         exps.append(tuple(c))
-    coeffs = coefficients if coefficients is not None else [1.0] * len(exps)
-    return LaurentPoly.make(list(zip(exps, coeffs)))
+    return LaurentPoly.make([(e, 1.0) for e in exps])
 
 
 # ---------------------------------------------------------------------------
 # Hessian mass
 # ---------------------------------------------------------------------------
 
-def ronkin_hessian_mass(P, box, kappa=1, face_res=17):
+def ronkin_hessian_mass(P, box, kappa=1):
     """Total second-derivative mass of N over a box.
 
     Returns the (l x l) matrix approximating the integral of Hess N, computed
     as boundary differences of the exact ``ronkin_gradient`` (trapezoid rule
-    on ``face_res`` points along each face); for l = 1 this is the slope
+    on 17 points along each face); for l = 1 this is the slope
     jump across the interval.
     """
     l = P.nvars
@@ -478,9 +475,9 @@ def ronkin_hessian_mass(P, box, kappa=1, face_res=17):
     box = np.asarray(box, dtype=float).reshape(l, 2)
     out = np.zeros((l, l))
     for p in range(l):
-        face = np.zeros((face_res if l == 2 else 1, l))
+        face = np.zeros((17 if l == 2 else 1, l))
         if l == 2:
-            face[:, 1 - p] = np.linspace(*box[1 - p], face_res)
+            face[:, 1 - p] = np.linspace(*box[1 - p], 17)
         for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
             face[:, p] = end
             g = kappa * np.array([ronkin_gradient(P, x) for x in face])
@@ -514,13 +511,12 @@ class RonkinGrid:
                 + ["lambda", "N_lambda", "N_inf", "abs_err"])
 
 
-def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1,
-                include_coefficients=False):
+def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.array([ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
                      for t in points])
     lims = np.array([tropical_limit(P, t, kappa=kappa,
-                                    include_coefficients=include_coefficients)
+                                    include_coefficients=False)
                      for t in points])
     return RonkinGrid(points=points, lam=lam, values=vals, limits=lims,
                       kappa=kappa, nodes=nodes)

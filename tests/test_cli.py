@@ -239,6 +239,34 @@ def test_ov_helmholtz_check_catches_perturbed_k0_table(monkeypatch, capsys,
     assert "FAIL ov-helmholtz" in capsys.readouterr().out
 
 
+def test_ov_helmholtz_check_catches_a_scaled_chebyshev_coefficient(
+        monkeypatch, capsys):
+    # the one stencil of the periodic family: criterion 5's grid and the
+    # ov check both see a relative fault of 1e-5 in one coefficient
+    from ghlab import bessel
+    from ghlab.solutions import ooguri_vafa
+
+    coeffs = bessel._CHEB_COEFFS.copy()
+    coeffs[3] *= 1.0 + 1e-5
+    monkeypatch.setattr(bessel, "_CHEB_COEFFS", coeffs)
+    sol = ooguri_vafa(1.0, 40, a=5.0)
+    assert max(abs(sol.helmholtz_residual(m, rho)) for m in range(1, 11)
+               for rho in (0.1, 0.4, 1.0, 3.0)) > 1e-8
+    assert run_cli(["ov"]) == 1
+    assert "FAIL ov-helmholtz" in capsys.readouterr().out
+
+
+def test_ov_helmholtz_reports_the_library_residual(capsys):
+    # ghlab ov has no stencil of its own: its maxResidual is the family's
+    from ghlab.solutions import ooguri_vafa
+
+    assert run_cli(["ov"]) == 0
+    sol = ooguri_vafa(1.0, 40, a=5.0)
+    worst = max(abs(v) for m in range(1, 11)
+                for v in sol.helmholtz_residual(m, [0.1, 0.5, 2.0]))
+    assert f"(maxResidual={worst:.3e} modes=10)" in capsys.readouterr().out
+
+
 class TestConfigMerging:
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

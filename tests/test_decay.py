@@ -15,7 +15,7 @@ from ghlab.decay import (
     synthesize,
 )
 from ghlab.ghcore import DomainViolation
-from ghlab.solutions import ooguri_vafa
+from ghlab.solutions import PeriodicFourierSolution, ooguri_vafa
 from ghlab.tropical import LaurentPoly
 
 PDOUBLE = LaurentPoly.make([((0,), 1.0), ((1,), 1.0), ((2,), 0.25)])
@@ -172,6 +172,41 @@ class TestCollapse:
         with pytest.raises(DomainViolation):
             collapse_distance(self.family, self.split_limit, [1.0],
                               [(0.05, 0.0)], beta_fn=np.linalg.norm)
+
+    def test_one_field_call_per_lambda_keeps_per_point_bits(self,
+                                                            monkeypatch):
+        # the benchmark's family: a multi-row FFT gives each row the bits
+        # of its one-row transform, so every sup distance is bitwise that of
+        # a per-point extraction; with the limit 0 each sup is the largest
+        # |zero mode| itself
+        a = 4.5
+
+        def family(lam):
+            return PeriodicFourierSolution(
+                lam, 5, a, check_positive=False,
+                zero_mode=lambda u, x: a - np.log(np.hypot(u, x) / lam)
+                / (2.0 * np.pi))
+
+        grid = [(0.5, 0.0), (1.0, 0.5), (1.5, -0.5)]
+        lambdas = [1.0, 5.0, 25.0]
+        for limit in (lambda q: a - math.log(math.hypot(*q)) / (2 * math.pi),
+                      lambda q: 0.0):
+            want = [max(abs(fourier_modes(family(lam), (lam * q[0],
+                                                        lam * q[1]),
+                                          0, nodes=128)[0].real - limit(q))
+                        for q in grid) for lam in lambdas]
+            calls = []
+            value = PeriodicFourierSolution.value
+
+            def counted(sol, pts):
+                calls.append(len(pts))
+                return value(sol, pts)
+
+            monkeypatch.setattr(PeriodicFourierSolution, "value", counted)
+            rep = collapse_distance(family, limit, lambdas, grid, nodes=128)
+            monkeypatch.undo()
+            assert rep.sup_distances == want
+            assert calls == [3 * 128] * 3
 
     def test_ronkin_collapse_strictly_decreasing(self):
         grid = np.linspace(-2.0, 2.0, 17)[:, None]
