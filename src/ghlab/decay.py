@@ -220,19 +220,13 @@ def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
 
 
 def ronkin_collapse(P, lambdas, grid, nodes=64):
-    """Rescaled-Ronkin convergence to the coefficient-free tropical limit."""
-    from .tropical import ronkin_rescaled, tropical_limit
+    """Per lambda, the sup of |values - limits| of one ``ronkin_grid`` call."""
+    from .tropical import ronkin_grid
 
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     lambdas = sorted(float(v) for v in lambdas)
-    sups = []
-    for lam in lambdas:
-        worst = 0.0
-        for t in grid:
-            n = ronkin_rescaled(P, t, lam, nodes=nodes)
-            tl = tropical_limit(P, t, include_coefficients=False)
-            worst = max(worst, abs(n - tl))
-        sups.append(worst)
+    sups = [float(np.max(np.abs(g.values - g.limits), initial=0.0)) for g in
+            (ronkin_grid(P, grid, lam, nodes=nodes) for lam in lambdas)]
     return CollapseReport(lambdas=lambdas, sup_distances=sups, grid=grid,
                           norm="sup of |N(lam t)/lam - PL limit| on the grid")
 

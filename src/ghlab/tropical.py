@@ -158,6 +158,12 @@ def _fiber_log_mean(coeffs, roots, x):
     return np.where(lead, top, bottom) + terms.sum(axis=1)
 
 
+def _ronkin_1d(P, x, kappa):
+    """kappa * N(x) of one-variable P on a vector x, from one root-finding."""
+    emin, coeffs, roots = _fiber_roots(P, 0.0, np.zeros(1))
+    return kappa * (emin * x + _fiber_log_mean(coeffs, roots, x[:, None]))
+
+
 def _split_content(P):
     """Split a two-variable P = q(z1) * Q(z1, z2), q monic; (roots of q, Q).
 
@@ -315,12 +321,8 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     if x.size != P.nvars:
         raise ValueError("x has wrong length")
 
-    def log_mean(P, theta):
-        emin, coeffs, roots = _fiber_roots(P, x[0], theta)
-        return emin * x[-1] + _fiber_log_mean(coeffs, roots, x[-1])
-
     if P.nvars == 1:
-        return kappa * float(log_mean(P, np.zeros(1))[0])
+        return float(_ronkin_1d(P, x, kappa)[0])
     # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
     content, P = _split_content(P)
     base = sum(max(x[0], math.log(abs(r))) for r in content)
@@ -329,7 +331,8 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     # both rules from one fiber evaluation
     (t, w), (tc, wc) = (_gauss_nodes(b[:-1, None], b[1:, None], n)
                         for n in (order, order // 2))
-    f = log_mean(P, np.concatenate([t.ravel(), tc.ravel()])) / (2.0 * np.pi)
+    emin, coeffs, roots = _fiber_roots(P, x[0], np.r_[t.ravel(), tc.ravel()])
+    f = (emin * x[1] + _fiber_log_mean(coeffs, roots, x[1])) / (2.0 * np.pi)
     fine, coarse = w.ravel() @ f[:t.size], wc.ravel() @ f[t.size:]
     if not abs(fine - coarse) < tol:
         raise QuadratureFailure(f"Ronkin: Gauss orders {order} and "
@@ -512,11 +515,15 @@ class RonkinGrid:
 
 
 def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
+    """N(lam t)/lam and its tropical limit at each row t of ``points``: in one
+    variable Jensen's formula on the whole vector lam t, P's roots found once;
+    in two, or with arguments it refuses, ``ronkin_rescaled`` per row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.array([ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
-                     for t in points])
-    lims = np.array([tropical_limit(P, t, kappa=kappa,
-                                    include_coefficients=False)
+    vals = (_ronkin_1d(P, lam * points[:, 0], kappa) / lam
+            if P.nvars == points.shape[1] == 1 and lam > 0 and nodes >= 16 else
+            np.array([ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
+                      for t in points]))
+    lims = np.array([tropical_limit(P, t, kappa, include_coefficients=False)
                      for t in points])
     return RonkinGrid(points=points, lam=lam, values=vals, limits=lims,
                       kappa=kappa, nodes=nodes)

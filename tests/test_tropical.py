@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ghlab import QuadratureFailure, tropical
+from ghlab.decay import ronkin_collapse
 from ghlab.lattice import LatticeSimplex, validate_dual_pair, wall_complex
 from ghlab.tropical import (
     LaurentPoly,
@@ -462,6 +463,83 @@ class TestRescaledAndTropical:
         g1 = (ronkin(P1Z, x0 + h) - ronkin(P1Z, x0 - h)) / (2 * h)
         g2 = (ronkin(P1Z, x0 + 3 * h) - ronkin(P1Z, x0 + h)) / (2 * h)
         assert abs(g1 - g2) < 1e-4
+
+
+# a double root, negative exponents, |a_0| > |a_d| (the reflected root
+# formula) and a monomial, on a grid through 0, -0 and a root's log-modulus
+GRID_POLYS = ["1+z", "1+z+0.25*z^2", "0.5+z^3", "z^-2+z^3", "1-z^9+0.3*z^4",
+              "3*z^-1+z+0.001*z^12", "z"]
+GRID_1D = np.r_[np.linspace(-3.0, 3.0, 61), 0.0, -0.0, math.log(2.0)][:, None]
+
+
+def per_point_grid(P, points, lam, kappa=1, nodes=64):
+    """Reference loop: one ``ronkin_rescaled`` and one ``tropical_limit``
+    call per row."""
+    vals = [ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
+            for t in points]
+    lims = [tropical_limit(P, t, kappa=kappa, include_coefficients=False)
+            for t in points]
+    return np.array(vals), np.array(lims)
+
+
+class TestOneVariableGrid:
+    @pytest.mark.parametrize("text", GRID_POLYS)
+    def test_grid_is_the_per_point_loop_bit_for_bit(self, text):
+        P = parse_laurent(text)
+        for lam in (0.3, 1.0, 25.0):
+            for kappa in (1, 2):
+                g = ronkin_grid(P, GRID_1D, lam=lam, kappa=kappa)
+                vals, lims = per_point_grid(P, GRID_1D, lam, kappa)
+                assert np.array_equal(g.values.view(np.int64),
+                                      vals.view(np.int64)), (lam, kappa)
+                assert np.array_equal(g.limits.view(np.int64),
+                                      lims.view(np.int64)), (lam, kappa)
+
+    @pytest.mark.parametrize("text", GRID_POLYS)
+    def test_collapse_is_the_per_point_sup(self, text):
+        P, lambdas = parse_laurent(text), [0.3, 1.0, 25.0]
+        want = []
+        for lam in lambdas:
+            vals, lims = per_point_grid(P, GRID_1D, lam)
+            worst = 0.0
+            for n, tl in zip(vals.tolist(), lims.tolist()):
+                worst = max(worst, abs(n - tl))
+            want.append(worst)
+        sups = ronkin_collapse(P, lambdas, GRID_1D).sup_distances
+        assert sups == want
+        assert all(type(s) is float for s in sups)
+
+    def test_empty_grid(self):
+        g = ronkin_grid(P1Z, np.zeros((0, 1)), lam=5.0)
+        assert g.values.shape == g.limits.shape == (0,)
+        rep = ronkin_collapse(PDOUBLE, [1.0, 5.0, 25.0], np.zeros((0, 1)))
+        assert rep.sup_distances == [0.0, 0.0, 0.0]
+
+    def test_roots_are_found_once_per_lambda(self, monkeypatch):
+        calls, fiber_roots = [], tropical._fiber_roots
+
+        def counted(*args):
+            calls.append(args)
+            return fiber_roots(*args)
+
+        monkeypatch.setattr(tropical, "_fiber_roots", counted)
+        ronkin_grid(P1Z, np.linspace(-3.0, 3.0, 61)[:, None], nodes=128)
+        assert len(calls) == 1
+        calls.clear()
+        ronkin_collapse(PDOUBLE, [1.0, 5.0, 25.0],
+                        np.linspace(-2.0, 2.0, 17)[:, None], nodes=128)
+        assert len(calls) <= 3
+
+    def test_refuses_what_ronkin_refuses(self):
+        pts = np.linspace(-1.0, 1.0, 5)[:, None]
+        with pytest.raises(ValueError, match="nodes must be >= 16"):
+            ronkin_grid(P1Z, pts, nodes=8)
+        with pytest.raises(ValueError, match="nodes must be >= 16"):
+            ronkin_collapse(P1Z, [1.0, 5.0], pts, nodes=8)
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            ronkin_grid(P1Z, pts, lam=0.0)
+        with pytest.raises(ValueError, match="x has wrong length"):
+            ronkin_grid(P1Z, np.zeros((3, 2)))
 
 
 class TestAmoeba:
