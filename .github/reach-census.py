@@ -1,0 +1,140 @@
+"""Census of the function definitions in src/ghlab that nothing but tests
+can reach.
+
+A profiler hook records every Python function entered while this script
+runs the nine ghlab commands at defaults with every artifact flag, a few
+non-default invocations that take other branches, and one rep of each
+perfbench library set (with its oracle checks).  Every function or method
+defined in src/ghlab that none of these entered is listed with its
+non-blank, non-comment lines (the count of the CI size step).  A nested
+definition inside a listed one is listed too, but adds neither a
+definition nor lines to the total on the last line.
+
+Run from the repository root:
+
+    PYTHONPATH=src python .github/reach-census.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ghlab"
+
+# (command, extra flags) beyond the nine commands at defaults
+EXTRA_RUNS = [
+    ("verify-flat", ["--n", "2"]),
+    ("legendre", ["--family", "quadratic"]),
+    ("legendre", ["--family", "cross"]),
+    ("ronkin", ["--kappa", "2"]),
+    ("amoeba", ["--point", "3,0"]),
+    ("collapse", ["--poly", "1+z+z^2"]),
+    ("holonomy", ["--loop-file", None]),
+]
+COMMANDS = ["verify-flat", "verify-taubnut", "ov", "ronkin", "amoeba",
+            "legendre", "holonomy", "decay", "collapse"]
+
+entered = set()
+
+
+def _hook(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+
+def _run_commands(tmp):
+    from ghlab import cli
+
+    loop = os.path.join(tmp, "loop.json")
+    with open(loop, "w", encoding="utf-8") as fh:
+        json.dump({"loop": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                            [0.0, -1.0]]}, fh)
+    runs = [(cmd, []) for cmd in COMMANDS] + EXTRA_RUNS
+    for k, (cmd, flags) in enumerate(runs):
+        flags = [loop if f is None else f for f in flags]
+        art = [a for kind in ("out", "csv", "svg")
+               for a in (f"--{kind}", os.path.join(tmp, f"{k}.{kind}"))]
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main([cmd, *flags, *art])
+        if status != 0:
+            raise SystemExit(f"ghlab {cmd} {' '.join(flags)} exited {status}")
+
+
+def _run_library_sets():
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import library
+    from run import Ledger
+
+    ledger = Ledger()
+    for k, (name, (inputs, run, check)) in enumerate(library.SETS.items()):
+        inp = inputs(np.random.default_rng([1, k]))
+        check(inp, run(inp), ledger)
+    if ledger.failed:
+        raise SystemExit(f"library sets failed: {ledger.failures}")
+
+
+def _definitions(path):
+    """(first line, name, lines, enclosing definition) of every def."""
+    text = path.read_text(encoding="utf-8").splitlines()
+    out = []
+
+    def visit(node, parent):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list]
+                            + [child.lineno])
+                span = text[first - 1:child.end_lineno]
+                size = sum(1 for s in span
+                           if s.strip() and not s.lstrip().startswith("#"))
+                entry = (first, child.lineno, child.name, size, parent)
+                out.append(entry)
+                visit(child, entry)
+            else:
+                visit(child, parent)
+
+    visit(ast.parse("\n".join(text)), None)
+    return out
+
+
+def main():
+    sys.setprofile(_hook)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            _run_commands(tmp)
+        _run_library_sets()
+    finally:
+        sys.setprofile(None)
+    seen = {(os.path.realpath(f), line, name) for f, line, name in entered}
+    listed, total_defs, total_lines = [], 0, 0
+    for path in sorted(SRC.glob("*.py")):
+        fname = os.path.realpath(path)
+        defs = _definitions(path)
+        missed = {d for d in defs if not any(
+            (fname, line, d[2]) in seen for line in (d[0], d[1]))}
+        for d in defs:
+            if d not in missed:
+                continue
+            nested = d[4] in missed
+            listed.append(f"{path.name}:{d[1]} {d[2]} "
+                          f"{'(nested)' if nested else d[3]}")
+            if not nested:
+                total_defs += 1
+                total_lines += d[3]
+    print("\n".join(listed))
+    print(f"reached by tests only: {total_defs} definitions, "
+          f"{total_lines} non-blank, non-comment lines")
+
+
+if __name__ == "__main__":
+    main()

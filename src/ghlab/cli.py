@@ -296,8 +296,7 @@ def _cmd_ronkin(p, meta):
     ok = low >= -1e-3
     detail = {"minVertexGap": f"{low:.4f}"}
     if all(abs(abs(c) - 1.0) < 1e-12 for _, c in P.terms):
-        tropical = np.array([tropical_limit(P, t, kappa=p["kappa"])
-                             for t in p["range"][:, None]])
+        tropical = tropical_limit(P, p["range"][:, None], kappa=p["kappa"])
         slack = p["kappa"] * math.log(len(P.terms)) + 1e-3
         spread = float(np.max(np.abs(vals - tropical), initial=0.0))
         ok = ok and spread <= slack

@@ -12,7 +12,6 @@ the rescaled zero mode and the split limit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -70,21 +69,8 @@ def fourier_modes(fieldobj, point, M, nodes=256):
     return {m: complex(spec[m]) for m in range(-M, M + 1)}
 
 
-def synthesize(modes):
-    """Inverse of fourier_modes: a (pts -> values) callable from mode dict."""
-    def fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        y = pts[:, 2]
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for m, c in sorted(modes.items(), key=lambda kv: abs(kv[0])):
-            out += c * np.exp(1j * m * y)
-        return out.real
-    return fn
-
-
 @dataclass
 class ModeFit:
-    mode: int
     amplitude: float | None     # fitted C in C e^{-rate * beta * |m|}
     rate: float | None
     rms_residual: float | None
@@ -98,8 +84,6 @@ class DecayReport:
     betas: np.ndarray                 # (N,)
     magnitudes: dict                  # m -> (N,) array
     fits: dict                        # m -> ModeFit
-    slope_band: tuple
-    rms_limit: float
 
     @property
     def all_passed(self):
@@ -142,7 +126,7 @@ def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None,
     for m in modes:
         mags = magnitudes[m]
         if np.all(mags < 1e-12):
-            fits[m] = ModeFit(mode=m, amplitude=None, rate=None,
+            fits[m] = ModeFit(amplitude=None, rate=None,
                               rms_residual=None, passed=True, skipped=True)
             continue
         xs = -betas * abs(m)
@@ -152,21 +136,18 @@ def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None,
         resid = ys - A @ coef
         rms = float(np.sqrt(np.mean(resid ** 2)))
         rate = float(coef[0])
-        fits[m] = ModeFit(mode=m, amplitude=float(math.exp(coef[1])),
+        fits[m] = ModeFit(amplitude=float(math.exp(coef[1])),
                           rate=rate, rms_residual=rms,
                           passed=bool(slope_band[0] <= rate <= slope_band[1]
                                       and rms < rms_limit))
-    return DecayReport(modes=modes, betas=betas,
-                       magnitudes=magnitudes, fits=fits,
-                       slope_band=slope_band, rms_limit=rms_limit)
+    return DecayReport(modes=modes, betas=betas, magnitudes=magnitudes,
+                       fits=fits)
 
 
 @dataclass
 class CollapseReport:
     lambdas: list
     sup_distances: list
-    grid: np.ndarray
-    norm: str
 
     @property
     def non_increasing(self):
@@ -180,13 +161,6 @@ class CollapseReport:
     @staticmethod
     def csv_header():
         return ["lambda", "sup_distance"]
-
-    def to_json(self):
-        return json.dumps({
-            "lambdas": list(map(float, self.lambdas)),
-            "supDistances": list(map(float, self.sup_distances)),
-            "nonIncreasing": self.non_increasing,
-            "norm": self.norm}, sort_keys=True)
 
 
 def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
@@ -213,10 +187,7 @@ def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
         for v0, p in zip(spec[:, 0].real.tolist(), grid):
             worst = max(worst, abs(v0 - float(split_limit(p))))
         sups.append(worst)
-    return CollapseReport(
-        lambdas=lambdas, sup_distances=sups, grid=grid,
-        norm="sup on fixed compact grid at distance >= "
-             "0.2 from the discriminant")
+    return CollapseReport(lambdas=lambdas, sup_distances=sups)
 
 
 def ronkin_collapse(P, lambdas, grid, nodes=64):
@@ -227,8 +198,7 @@ def ronkin_collapse(P, lambdas, grid, nodes=64):
     lambdas = sorted(float(v) for v in lambdas)
     sups = [float(np.max(np.abs(g.values - g.limits), initial=0.0)) for g in
             (ronkin_grid(P, grid, lam, nodes=nodes) for lam in lambdas)]
-    return CollapseReport(lambdas=lambdas, sup_distances=sups, grid=grid,
-                          norm="sup of |N(lam t)/lam - PL limit| on the grid")
+    return CollapseReport(lambdas=lambdas, sup_distances=sups)
 
 
 @dataclass

@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
 
 import numpy as np
 
@@ -53,12 +52,6 @@ class _LazySympy:
 # a module-level name rather than a local import: perfbench/tracer.py counts
 # the symbolic builds by wrapping sp.lambdify through it
 sp = _LazySympy()
-
-
-def is_sympy_expr(obj):
-    """Whether ``obj`` is a sympy object; never imports sympy itself."""
-    mod = sys.modules.get("sympy")
-    return mod is not None and isinstance(obj, mod.Basic)
 
 
 # ---------------------------------------------------------------------------

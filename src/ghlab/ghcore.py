@@ -31,7 +31,6 @@ Richardson level and by quadrature.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +50,6 @@ class GHError(GHLabError):
 
 
 class DomainViolation(GHError):
-    pass
-
-
-class NotPositiveDefinite(GHError):
     pass
 
 
@@ -98,21 +93,6 @@ class WholeSpace(Domain):
 
     def __repr__(self):
         return "WholeSpace()"
-
-
-class BoxDomain(Domain):
-    def __init__(self, bounds):
-        self.bounds = [(float(a), float(b)) for a, b in bounds]
-
-    def contains(self, pts):
-        pts = np.atleast_2d(pts)
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for k, (a, b) in enumerate(self.bounds):
-            ok &= (pts[:, k] >= a) & (pts[:, k] <= b)
-        return ok
-
-    def __repr__(self):
-        return f"BoxDomain({self.bounds})"
 
 
 class RadialDomain(Domain):
@@ -187,19 +167,17 @@ class GHSolution(BlockSolution):
     """Evaluator bundle (V, W, connection, curvature) over a base domain.
 
     W is hermitian.  ``connection`` gives the d eta_p coefficient of each A_j
-    (the d etabar coefficient is its conjugate, forced by reality); its
-    partials follow the same provider-or-finite-difference rule as V and W.
+    (the d etabar coefficient is its conjugate, forced by reality).
     """
 
     w_dtype = complex
 
     def __init__(self, n, l, V, W, domain=None, potential=None,
                  connection=None, V_partial=None, W_partial=None,
-                 connection_partial=None, discriminant=None, name=""):
+                 discriminant=None, name=""):
         super().__init__(n, l, V, W, domain=domain, potential=potential,
                          V_partial=V_partial, W_partial=W_partial, name=name)
         self._connection = connection
-        self._connection_partial = connection_partial
         self.discriminant = discriminant
 
     @property
@@ -210,12 +188,6 @@ class GHSolution(BlockSolution):
         if self._connection is None:
             return None
         return np.asarray(self._connection(np.atleast_2d(pts)), dtype=complex)
-
-    def connection_partial(self, orders, pts):
-        if self._connection is None:
-            return None
-        return self._partial(self._connection_partial, self.connection,
-                             orders, pts)
 
     @classmethod
     def from_potential(cls, K, n, l, symbols=None, domain=None,
@@ -253,37 +225,7 @@ class GHSolution(BlockSolution):
                    connection=at_zero_orders(connection_partial, nc)
                    if l else None,
                    V_partial=V_partial, W_partial=W_partial,
-                   connection_partial=connection_partial if l else None,
                    discriminant=discriminant, name=name)
-
-
-# ---------------------------------------------------------------------------
-# pointwise operations
-# ---------------------------------------------------------------------------
-
-def derive_vw(sol, point):
-    """(V, W) at one point; both must be positive definite.
-
-    V is exactly symmetric and W exactly hermitian by construction.
-    """
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    sol.domain.require(pts)
-    V = sol.V(pts)[0]
-    W = sol.W(pts)[0]
-    if np.linalg.eigvalsh(V).min() <= 0.0:
-        raise NotPositiveDefinite("V is not positive definite")
-    if W.size and np.linalg.eigvalsh(W).min() <= 0.0:
-        raise NotPositiveDefinite("W is not positive definite")
-    return V, W
-
-
-def connection_form(sol, point):
-    """Coefficient tables of A_j: (d eta coefficients, their conjugates)."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    sol.domain.require(pts)
-    a = sol.connection(pts)
-    a = np.zeros((sol.n, 0), dtype=complex) if a is None else a[0]
-    return a, a.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +279,6 @@ def curvature_form(sol, pts):
     return _antisymmetric(upper)
 
 
-def curvature(sol, point):
-    """The curvature 2-forms F_j at one point, an (n, nc, nc) array."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    sol.domain.require(pts)
-    return curvature_form(sol, pts)[0]
-
-
 def kahler_form(sol, pts):
     """The basic part of the Kahler form as an (N, 1, nc, nc) array.
 
@@ -368,22 +303,10 @@ def kahler_form(sol, pts):
 
 @dataclass
 class ResidualReport:
-    check: str
-    grid: str
     max_residual: float
     argmax_point: list
-    step: float
-    tolerance: float
     passed: bool
     extra: dict = field(default_factory=dict)
-
-    def to_json(self):
-        d = {"check": self.check, "grid": self.grid,
-             "maxResidual": self.max_residual,
-             "argmaxPoint": self.argmax_point, "step": self.step,
-             "tolerance": self.tolerance, "pass": self.passed}
-        d.update(self.extra)
-        return json.dumps(d, sort_keys=True)
 
 
 def _d_residual(form, sol, pts, step):
@@ -467,8 +390,7 @@ def verify_closed(sol, grid_pts, step=1e-4, tolerance=1e-6):
     worst = max(df, ident if domega is None else max(domega, ident))
     too_coarse = gap > 10.0 * tolerance
     return ResidualReport(
-        check="closedness", grid=f"{pts.shape[0]} pts", max_residual=worst,
-        argmax_point=list(map(float, arg_f)), step=step, tolerance=tolerance,
+        max_residual=worst, argmax_point=list(map(float, arg_f)),
         passed=bool(worst <= tolerance and not too_coarse),
         extra={"dF": df, "dOmega": domega, "potentialIdentity": ident,
                "richardson": gap, "richardsonPoint": list(map(float, gap_at)),
@@ -496,10 +418,8 @@ def verify_compat(sol, grid_pts, tolerance=1e-10):
     r = np.abs(detw / detv - 1.0)
     k = int(np.argmax(r))
     return ResidualReport(
-        check="compatibility", grid=f"{pts.shape[0]} pts",
         max_residual=float(r[k]), argmax_point=list(map(float, pts[k])),
-        step=0.0, tolerance=tolerance, passed=bool(r[k] <= tolerance),
-        extra={"structural": structural})
+        passed=bool(r[k] <= tolerance), extra={"structural": structural})
 
 
 def _sphere_grid(nphi, ntheta):
@@ -557,45 +477,3 @@ def chern_flux(sol, wall_point, radius, nodes=(32, 64), normal=None):
                                       - tp[:, b] * tt[:, a])[:, None]
     w = (WP * WT).ravel()
     return (integrand * w[:, None]).sum(axis=0) / (2.0 * np.pi)
-
-
-@dataclass
-class CompletenessProbe:
-    u_maxes: list
-    values: list
-    increasing: bool
-    last_slope: float
-    verdict: str
-
-
-def completeness_probe(sol, i, j, u_maxes, base=None, samples=512):
-    """Partial integrals of 1/(V^{-1})^{ij} along the u_i ray from base.
-
-    A numerical probe, not a proof: the verdict says whether the partial
-    integrals are still visibly growing at the largest cutoff.
-    """
-    u_maxes = sorted(float(u) for u in u_maxes)
-    if u_maxes[0] <= 0:
-        raise ValueError("cutoffs must be positive")
-    base_pt = np.zeros(sol.ncoords) if base is None else \
-        np.asarray(base, dtype=float)
-    ts = np.linspace(0.0, u_maxes[-1], samples)
-    pts = np.tile(base_pt, (samples, 1))
-    pts[:, i] += ts
-    sol.domain.require(pts)
-    vinv = np.linalg.inv(sol.V(pts))
-    g = 1.0 / vinv[:, i, j]
-    cumulative = np.concatenate([[0.0], np.cumsum(
-        0.5 * (g[1:] + g[:-1]) * np.diff(ts))])
-    values = [float(np.interp(u, ts, cumulative)) for u in u_maxes]
-    increasing = all(b > a for a, b in zip(values, values[1:]))
-    if len(values) >= 2:
-        last_slope = (values[-1] - values[-2]) / (u_maxes[-1] - u_maxes[-2])
-    else:
-        last_slope = float(g[-1])
-    ref = abs(values[-1]) / max(u_maxes[-1], 1.0)
-    diverging = increasing and last_slope > 1e-3 * max(ref, 1e-12)
-    verdict = "diverging" if diverging else "inconclusive/convergent"
-    return CompletenessProbe(u_maxes=u_maxes, values=values,
-                             increasing=increasing, last_slope=float(last_slope),
-                             verdict=verdict)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -195,13 +194,6 @@ class LatticeSimplex:
             out[(i, j)] = tuple(a - b for a, b in
                                 zip(self.vertices[i], self.vertices[j]))
         return out
-
-    def to_json(self):
-        return json.dumps({"vertices": [list(v) for v in self.vertices]})
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(json.loads(text)["vertices"])
 
     def __repr__(self):
         return f"LatticeSimplex({list(map(list, self.vertices))})"

@@ -37,9 +37,7 @@ from .fields import (
     cos,
     exp,
     hessian_block,
-    is_sympy_expr,
     log,
-    sp,
     unit,
 )
 from .ghcore import BlockSolution, ResidualReport, at_zero_orders
@@ -198,9 +196,8 @@ def verify_classical_ma(sol, grid_pts, tolerance=1e-8):
     r = np.abs(np.linalg.det(H) - 1.0)
     k = int(np.argmax(r))
     return ResidualReport(
-        check="classical-monge-ampere", grid=f"{pts.shape[0]} pts",
         max_residual=float(r[k]), argmax_point=list(map(float, pts[k])),
-        step=0.0, tolerance=tolerance, passed=bool(r[k] <= tolerance))
+        passed=bool(r[k] <= tolerance))
 
 
 def block_determinant_residual(A, B, C, D):
@@ -210,25 +207,6 @@ def block_determinant_residual(A, B, C, D):
     lhs = np.linalg.det(M)
     rhs = np.linalg.det(A) * np.linalg.det(D - C @ np.linalg.inv(A) @ B)
     return abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-30)
-
-
-def inverse_minor_residual(M, rows, cols):
-    """Jacobi identity: det(M^{-1}[rows, cols]) * det M = +/- complementary minor.
-
-    The sign is (-1)^(sum rows + sum cols); returns the relative residual.
-    """
-    M = np.asarray(M, dtype=float)
-    k = M.shape[0]
-    rows = sorted(rows)
-    cols = sorted(cols)
-    comp_rows = [i for i in range(k) if i not in cols]
-    comp_cols = [j for j in range(k) if j not in rows]
-    minv = np.linalg.inv(M)
-    lhs = np.linalg.det(minv[np.ix_(rows, cols)]) * np.linalg.det(M)
-    sign = (-1.0) ** (sum(rows) + sum(cols))
-    rhs = sign * np.linalg.det(M[np.ix_(comp_rows, comp_cols)]) \
-        if comp_rows else sign
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
 
 
 def dual_transform(sol):
@@ -278,30 +256,23 @@ def dual_transform(sol):
 # the singular 2D family
 # ---------------------------------------------------------------------------
 
-def singular_2d(h=1.0, domain_radius=1.0, pair=None):
-    """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured disk.
+def singular_2d(h=1.0, pair=None):
+    """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured unit disk.
 
-    ``h`` is a constant, a sympy expression in at most two real symbols
-    (taken in name order), or a jet function h(s, t) like the built-in
+    ``h`` is a constant or a jet function h(s, t) like the built-in
     potentials (see ``fields.JetScalarField``).  It must be harmonic on
-    sample points of the annulus, by its exact Laplacian, and V is required
-    to stay positive there.
+    sample points of the annulus 0.05 <= r <= 1, by its exact Laplacian, and
+    V is required to stay positive there.
     """
     if isinstance(h, (int, float)):
         h_field = JetScalarField(lambda s, t: float(h), 2)
-    elif is_sympy_expr(h):
-        syms = sorted(h.free_symbols, key=str)
-        if len(syms) > 2:
-            raise ValueError("h must be a function of at most two symbols")
-        h_field = SymbolicScalarField(
-            h, syms + [sp.Dummy() for _ in range(2 - len(syms))])
     elif callable(h):
         h_field = JetScalarField(h, 2)
     else:
-        raise TypeError("h must be a number, sympy expression or callable")
+        raise TypeError("h must be a number or a callable")
 
     angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    radii = np.geomspace(0.05 * domain_radius, domain_radius, 8)
+    radii = np.geomspace(0.05, 1.0, 8)
     R, A = np.meshgrid(radii, angles, indexing="ij")
     samples = np.stack([R.ravel() * np.cos(A.ravel()),
                         R.ravel() * np.sin(A.ravel())], axis=-1)
@@ -398,11 +369,9 @@ def atlas(pair):
                             w_charts=cones(pair.tau, fiber), generators=gens)
 
 
-def circle_loop(center=(0.0, 0.0), radius=1.0, segments=64,
-                counterclockwise=True):
+def circle_loop(center=(0.0, 0.0), radius=1.0, segments=64):
+    """A counterclockwise polygon of ``segments`` vertices on a circle."""
     ang = np.linspace(0.0, 2.0 * np.pi, segments, endpoint=False)
-    if not counterclockwise:
-        ang = ang[::-1]
     return np.stack([center[0] + radius * np.cos(ang),
                      center[1] + radius * np.sin(ang)], axis=-1)
 

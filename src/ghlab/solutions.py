@@ -64,7 +64,6 @@ class FlatSample:
     For one point z the fields have the shapes noted; for an (N, n + 1)
     batch every field gains a leading axis of length N.
     """
-    z: np.ndarray
     u: np.ndarray              # (n,)
     eta: complex
     V: np.ndarray              # (n, n)
@@ -102,9 +101,9 @@ def flat_solution(n, z):
     W = (1.0 / winv)[:, None, None]
     ang = -W[:, 0] * eta2[:, None] / rho[:, 1:]
     if z.ndim == 1:
-        return FlatSample(z=z, u=u[0], eta=complex(eta[0]), V=V[0], W=W[0],
+        return FlatSample(u=u[0], eta=complex(eta[0]), V=V[0], W=W[0],
                           angular_coefficient=ang[0])
-    return FlatSample(z=z, u=u, eta=eta, V=V, W=W, angular_coefficient=ang)
+    return FlatSample(u=u, eta=eta, V=V, W=W, angular_coefficient=ang)
 
 
 class _BranchGuard(Domain):
@@ -170,9 +169,9 @@ def taub_nut_laplacian(ell, pts):
     return 0.5 * ell * np.sum(second, axis=1)
 
 
-def flat_gh_solution(rmax=10.0):
+def flat_gh_solution():
     """Flat C^2 in fibration coordinates: the ell=1, a=0 Taub-NUT member."""
-    sol = taub_nut(1.0, 0.0, rmin=1e-3, rmax=rmax, branch_margin=0.05)
+    sol = taub_nut(1.0, 0.0, rmin=1e-3, branch_margin=0.05)
     sol.name = "flat-C2"
     return sol
 

@@ -10,7 +10,6 @@ the tropical slopes equal to the exponent vectors literally).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -66,16 +65,6 @@ class LaurentPoly:
                     term = term * z[..., k] ** ek
             out = out + term
         return out
-
-    def to_json(self):
-        return json.dumps({"terms": [
-            {"exp": list(e), "re": c.real, "im": c.imag} for e, c in self.terms]})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls.make([(t["exp"], complex(t.get("re", 0.0), t.get("im", 0.0)))
-                         for t in data["terms"]])
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +367,19 @@ def ronkin_rescaled(P, t, lam, nodes=64, kappa=1):
     return ronkin(P, lam * t, nodes=nodes, kappa=kappa) / lam
 
 
-def tropical_limit(P, t, kappa=1, include_coefficients=True):
-    """Piecewise-linear limit kappa * max_i(<e_i, t> + log|c_i|).
+def tropical_limit(P, pts, kappa=1, include_coefficients=True):
+    """Piecewise-linear limit kappa * max_i(<e_i, t> + log|c_i|) at each row
+    t of an (N, l) batch, as an (N,) array.
 
     With ``include_coefficients=False`` the offsets log|c_i| are dropped:
     the limit of N(lam t)/lam, whose corner locus passes through the spine.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = [float(np.dot(e, t)) + (math.log(abs(c)) if include_coefficients else 0.0)
-            for e, c in P.terms]
-    return kappa * max(vals)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    offsets = np.array([math.log(abs(c)) if include_coefficients else 0.0
+                        for _, c in P.terms])
+    # a matmul, not a multiply-and-sum: it rounds each <e_i, t> as np.dot
+    # does, which the tests check bit for bit
+    return kappa * np.max(pts @ P.exponents().T + offsets, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +493,6 @@ class RonkinGrid:
     lam: float
     values: np.ndarray        # N(lam t)/lam per point
     limits: np.ndarray        # tropical limit per point
-    kappa: int
-    nodes: int
 
     def to_csv_rows(self):
         return [list(map(float, p)) +
@@ -523,10 +513,8 @@ def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
             if P.nvars == points.shape[1] == 1 and lam > 0 and nodes >= 16 else
             np.array([ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
                       for t in points]))
-    lims = np.array([tropical_limit(P, t, kappa, include_coefficients=False)
-                     for t in points])
-    return RonkinGrid(points=points, lam=lam, values=vals, limits=lims,
-                      kappa=kappa, nodes=nodes)
+    lims = tropical_limit(P, points, kappa, include_coefficients=False)
+    return RonkinGrid(points=points, lam=lam, values=vals, limits=lims)
 
 
 def parse_laurent(text):

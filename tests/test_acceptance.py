@@ -291,8 +291,7 @@ class TestCriterion10Holonomy:
         off = beta_holonomy(sol, circle_loop(center=(0.6, 0.6), radius=0.2,
                                              segments=48))
         off_err = abs(off.holonomy[0, 0])
-        rev = beta_holonomy(sol, circle_loop(radius=1.0, segments=64,
-                                             counterclockwise=False))
+        rev = beta_holonomy(sol, circle_loop(radius=1.0, segments=64)[::-1])
         unip = all(is_unipotent(monodromy_generator(pair, i1, i2, j1, j2))
                    for i1 in (0, 1) for i2 in (0, 1)
                    for j1 in (0, 1) for j2 in (0, 1))

@@ -134,11 +134,6 @@ class TestSimplexAndPair:
             dw = np.array(pair.tau.vertices[1]) - np.array(pair.tau.vertices[0])
             assert int(dv @ dw) == 0
 
-    def test_json_roundtrip(self):
-        tau = LatticeSimplex(TAU_2D)
-        again = LatticeSimplex.from_json(tau.to_json())
-        assert again.vertices == tau.vertices
-
 
 class TestWallComplex:
     def test_segment_gives_single_point_wall(self):

@@ -15,7 +15,6 @@ from ghlab.legendre import (
     block_determinant_residual,
     circle_loop,
     dual_transform,
-    inverse_minor_residual,
     is_unipotent,
     monodromy_generator,
     partial_legendre,
@@ -150,21 +149,6 @@ class TestBlockIdentities:
             worst = max(worst, block_determinant_residual(A, Bm, C, D))
         assert worst < 1e-12
 
-    def test_inverse_minor_jacobi(self):
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            k = int(rng.integers(2, 6))
-            M = rng.uniform(-1, 1, size=(k, k)) + 2.0 * np.eye(k)
-            r = int(rng.integers(1, k))
-            rows = sorted(rng.choice(k, size=r, replace=False).tolist())
-            cols = sorted(rng.choice(k, size=r, replace=False).tolist())
-            assert inverse_minor_residual(M, rows, cols) < 1e-10
-
-    def test_jacobi_2x2_hand_case(self):
-        M = np.array([[3.0, 1.0], [2.0, 4.0]])
-        # (M^{-1})_{00} * det M = M_{11}
-        assert inverse_minor_residual(M, [0], [0]) < 1e-15
-
 
 class TestTableOnlyFallback:
     """Blocks given as tables only: partials come from finite differences."""
@@ -242,26 +226,13 @@ class TestSingular2D:
         assert np.max(np.abs(lap)) < 1e-8
 
     def test_harmonic_shift_with_positivity(self):
-        expr = sp.Symbol("s", real=True)
-        sol = singular_2d(h=sp.Symbol("s", real=True) + 2.0,
-                          domain_radius=0.5)
+        sol = singular_2d(h=lambda s, t: s + 2.0)
         vals = sol.V(np.array([[0.3, 0.0], [0.1, 0.2]]))
         assert np.all(vals > 0)
 
     def test_rejects_nonharmonic(self):
         with pytest.raises(NotHarmonic):
-            singular_2d(h=S ** 2 + T ** 2 + 5.0)
-        with pytest.raises(NotHarmonic):
             singular_2d(h=lambda s, t: s * s + t * t + 5.0)
-
-    def test_jet_function_h_equals_its_expression(self):
-        # h(s, t) goes through the same jets as the lambdified expression
-        jet = singular_2d(h=lambda s, t: s + 2.0)
-        sym = singular_2d(h=S + 2.0)
-        pts = np.random.default_rng(17).uniform(-1.0, 1.0, size=(20, 2))
-        np.testing.assert_array_equal(jet.V(pts), sym.V(pts))
-        np.testing.assert_array_equal(jet.V_partial((1, 0), pts),
-                                      sym.V_partial((1, 0), pts))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NotPositive):
@@ -329,8 +300,7 @@ class TestBetaHolonomy:
     def test_reversal_flips_sign(self):
         sol = singular_2d(h=1.0)
         fwd = beta_holonomy(sol, circle_loop(radius=0.8, segments=48))
-        bwd = beta_holonomy(sol, circle_loop(radius=0.8, segments=48,
-                                             counterclockwise=False))
+        bwd = beta_holonomy(sol, circle_loop(radius=0.8, segments=48)[::-1])
         assert abs(fwd.holonomy[0, 0] + bwd.holonomy[0, 0]) < 1e-9
 
     def test_homotopy_invariance(self):

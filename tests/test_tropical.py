@@ -416,12 +416,14 @@ class TestRescaledAndTropical:
         assert all(vals[i + 1] <= vals[i] + 1e-6 for i in range(len(vals) - 1))
 
     def test_tropical_limit_values(self):
-        assert tropical_limit(P1Z, 2.0) == pytest.approx(2.0)
-        assert tropical_limit(P2, (-1.0, -1.0)) == pytest.approx(0.0)
-        assert tropical_limit(PDOUBLE, 3.0) == pytest.approx(6.0 - math.log(4.0))
-        assert tropical_limit(PDOUBLE, 3.0, kappa=2) == \
+        assert tropical_limit(P1Z, [[2.0]])[0] == pytest.approx(2.0)
+        assert tropical_limit(P2, [(-1.0, -1.0)])[0] == pytest.approx(0.0)
+        assert tropical_limit(PDOUBLE, [[3.0]])[0] == \
+            pytest.approx(6.0 - math.log(4.0))
+        assert tropical_limit(PDOUBLE, [[3.0]], kappa=2)[0] == \
             pytest.approx(2 * (6.0 - math.log(4.0)))
-        assert tropical_limit(PDOUBLE, 3.0, include_coefficients=False) == \
+        assert tropical_limit(PDOUBLE, [[3.0]],
+                              include_coefficients=False)[0] == \
             pytest.approx(6.0)
 
     def test_convexity_property(self):
@@ -440,7 +442,7 @@ class TestRescaledAndTropical:
         k = math.log(len(P2.terms))
         for x in np.array([[-1.5, 0.3], [0.7, 0.9], [2.0, -1.0]]):
             n = ronkin(P2, x, nodes=128)
-            t = tropical_limit(P2, x)
+            t = tropical_limit(P2, [x])[0]
             assert n >= t - k - 1e-3
             assert n <= t + k + 1e-3
 
@@ -448,9 +450,10 @@ class TestRescaledAndTropical:
         grid = np.linspace(-1.5, 1.5, 7)
         sups = []
         for lam in (1.0, 2.0, 4.0, 8.0):
-            sup = max(abs(ronkin_rescaled(PDOUBLE, t, lam, nodes=128) -
-                          tropical_limit(PDOUBLE, t, include_coefficients=False))
-                      for t in grid)
+            lims = tropical_limit(PDOUBLE, grid[:, None],
+                                  include_coefficients=False)
+            sup = max(abs(ronkin_rescaled(PDOUBLE, t, lam, nodes=128) - lim)
+                      for t, lim in zip(grid, lims))
             sups.append(sup)
         for a, b in zip(sups, sups[1:]):
             assert b <= a + 1e-6
@@ -472,14 +475,42 @@ GRID_POLYS = ["1+z", "1+z+0.25*z^2", "0.5+z^3", "z^-2+z^3", "1-z^9+0.3*z^4",
 GRID_1D = np.r_[np.linspace(-3.0, 3.0, 61), 0.0, -0.0, math.log(2.0)][:, None]
 
 
+def tropical_limit_loop(P, t, kappa=1, include_coefficients=True):
+    """Reference for one row t: one np.dot per term of P, a Python max."""
+    vals = [float(np.dot(e, t))
+            + (math.log(abs(c)) if include_coefficients else 0.0)
+            for e, c in P.terms]
+    return kappa * max(vals)
+
+
 def per_point_grid(P, points, lam, kappa=1, nodes=64):
-    """Reference loop: one ``ronkin_rescaled`` and one ``tropical_limit``
-    call per row."""
+    """Reference loop: one ``ronkin_rescaled`` and one tropical limit per
+    row."""
     vals = [ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
             for t in points]
-    lims = [tropical_limit(P, t, kappa=kappa, include_coefficients=False)
+    lims = [tropical_limit_loop(P, t, kappa=kappa, include_coefficients=False)
             for t in points]
     return np.array(vals), np.array(lims)
+
+
+class TestTropicalLimitBatch:
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_batch_is_the_per_row_loop_bit_for_bit(self, nvars):
+        rng = np.random.default_rng(40 + nvars)
+        for _ in range(4):
+            exps = {tuple(int(e) for e in rng.integers(-3, 13, size=nvars))
+                    for _ in range(5)}
+            P = LaurentPoly.make([(e, complex(*rng.normal(size=2)))
+                                  for e in sorted(exps)])
+            pts = rng.uniform(-40.0, 40.0, size=(2000, nvars))
+            pts[::7] *= rng.uniform(1e-3, 1.0, size=(len(pts[::7]), 1))
+            for kappa in (1, 2):
+                for coeffs in (True, False):
+                    got = tropical_limit(P, pts, kappa, coeffs)
+                    want = np.array([tropical_limit_loop(P, t, kappa, coeffs)
+                                     for t in pts])
+                    assert np.array_equal(got.view(np.int64),
+                                          want.view(np.int64)), (P, kappa)
 
 
 class TestOneVariableGrid:
@@ -654,7 +685,3 @@ class TestGridAndParse:
             parse_laurent("1 + + z")
         with pytest.raises(ValueError):
             parse_laurent("q + 1")
-
-    def test_json_roundtrip(self):
-        P = LaurentPoly.make([((1, -2), 1.5 + 0.5j), ((0, 0), 1.0)])
-        assert LaurentPoly.from_json(P.to_json()) == P
