@@ -2,13 +2,16 @@
 can reach.
 
 A profiler hook records every Python function entered while this script
-runs the nine ghlab commands at defaults with every artifact flag, a few
-non-default invocations that take other branches, and one rep of each
-perfbench library set (with its oracle checks).  Every function or method
-defined in src/ghlab that none of these entered is listed with its
-non-blank, non-comment lines (the count of the CI size step).  A nested
-definition inside a listed one is listed too, but adds neither a
-definition nor lines to the total on the last line.
+runs the nine ghlab commands at defaults, each with every artifact flag
+it takes, a few non-default invocations that take other branches, and one
+rep of each perfbench library set (with its oracle checks).  Every
+function or method defined in src/ghlab that none of these entered is
+listed with its non-blank, non-comment lines (the count of the CI size
+step).  A nested definition inside a listed one is listed too, but adds
+neither a definition nor lines to the total on the definition line.
+
+The last line counts the knobs: the parameters with a default value in
+src/ghlab, and the field flags (all but --config) of each command.
 
 Run from the repository root:
 
@@ -61,7 +64,8 @@ def _run_commands(tmp):
     runs = [(cmd, []) for cmd in COMMANDS] + EXTRA_RUNS
     for k, (cmd, flags) in enumerate(runs):
         flags = [loop if f is None else f for f in flags]
-        art = [a for kind in ("out", "csv", "svg")
+        fields = {**cli._COMMANDS[cmd], **cli._COMMON}
+        art = [a for kind in ("out", "csv", "svg") if kind in fields
                for a in (f"--{kind}", os.path.join(tmp, f"{k}.{kind}"))]
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli.main([cmd, *flags, *art])
@@ -107,6 +111,22 @@ def _definitions(path):
     return out
 
 
+def _knobs():
+    """The knob line: defaulted parameters in src/ghlab, flags per command."""
+    from ghlab import cli
+
+    defaulted = sum(
+        len(node.defaults) + sum(d is not None for d in node.kw_defaults)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.arguments))
+    flags = {cmd: len({**table, **cli._COMMON})
+             for cmd, table in cli._COMMANDS.items()}
+    return (f"knobs: {defaulted} defaulted parameters in src/ghlab; "
+            f"{sum(flags.values())} field flags over {len(flags)} commands ("
+            + ", ".join(f"{cmd} {n}" for cmd, n in flags.items()) + ")")
+
+
 def main():
     sys.setprofile(_hook)
     try:
@@ -134,6 +154,7 @@ def main():
     print("\n".join(listed))
     print(f"reached by tests only: {total_defs} definitions, "
           f"{total_lines} non-blank, non-comment lines")
+    print(_knobs())
 
 
 if __name__ == "__main__":

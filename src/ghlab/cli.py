@@ -233,7 +233,7 @@ def _cmd_verify_taubnut(p, meta):
 
 def _cmd_ov(p, meta):
     """Periodic Fourier-Bessel family checks."""
-    # modes above --modes have coefficient 0 and a residual of exactly 0
+    # modes above --modes are 0 and have a residual of exactly 0
     _require(p["helmholtz_modes"] <= p["modes"], "helmholtz_modes",
              "need helmholtz_modes <= modes")
     from .solutions import ooguri_vafa, ov_total_flux
@@ -249,9 +249,10 @@ def _cmd_ov(p, meta):
         y = np.tile(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False), 8)
         x = np.zeros_like(u)
         cols = [u, x, y, sol.value(np.stack([u, x, y], axis=-1))]
+        # every mode has coefficient 1, so each V^m is real
         for m in range(1, mshow + 1):
             vm = sol.mode_value(m, u, x)
-            cols += [vm.real, vm.imag]
+            cols += [vm, np.zeros_like(vm)]
         _write_csv(p["csv"], header, np.stack(cols, axis=-1).tolist(), meta)
     # the Helmholtz equation of each mode V^m at three radii
     worst = max(float(np.max(np.abs(sol.helmholtz_residual(
@@ -272,7 +273,7 @@ def _cmd_ov(p, meta):
 
 def _cmd_ronkin(p, meta):
     """Ronkin function grid sweep."""
-    from .tropical import ronkin_grid, tropical_limit
+    from .tropical import LaurentPoly, ronkin_grid, tropical_limit
 
     P = p["poly"]
     grid = ronkin_grid(P, p["range"][:, None], lam=p["lam"], kappa=p["kappa"])
@@ -285,13 +286,10 @@ def _cmd_ronkin(p, meta):
                           {"minSecondDifference": f"{convex:.3e}",
                            "points": len(vals)})]
     # always-valid lower bound: N dominates the extreme Newton-polytope
-    # terms (Jensen); the log(#terms) two-sided envelope needs |c| = 1
-    exps = P.exponents()[:, 0]
-    lo_t = (min(zip(exps, P.coefficients()), key=lambda t: t[0]))
-    hi_t = (max(zip(exps, P.coefficients()), key=lambda t: t[0]))
-    vertex = np.array([p["kappa"] * max(e * t + math.log(abs(c))
-                                        for e, c in (lo_t, hi_t))
-                       for t in p["range"]])
+    # terms (Jensen), the first and last of the sorted terms (one for a
+    # monomial); the log(#terms) two-sided envelope needs |c| = 1
+    ends = LaurentPoly.make({P.terms[0], P.terms[-1]})
+    vertex = tropical_limit(ends, p["range"][:, None], kappa=p["kappa"])
     low = float(np.min(vals - vertex, initial=0.0))
     ok = low >= -1e-3
     detail = {"minVertexGap": f"{low:.4f}"}
@@ -479,13 +477,6 @@ def _cmd_collapse(p, meta):
     def split_limit(q):
         return p["a"] - math.log(math.hypot(q[0], q[1])) / (2.0 * math.pi)
 
-    def family(lam):
-        return PeriodicFourierSolution(
-            lam, 5, p["a"],
-            zero_mode=lambda u, x: p["a"] - np.log(
-                np.hypot(u, x) / lam) / (2.0 * np.pi),
-            check_positive=False)
-
     # sup over the grid and the circle of |V_lam(lam q, y) - V_inf(q)|: the
     # mode sum (1/pi) sum_m cos(m y) K0(m lam |q|), largest at y = 0 and
     # the smallest |q|
@@ -494,7 +485,7 @@ def _cmd_collapse(p, meta):
     qmin = min(math.hypot(*q) for q in grid)
     sups, gap = [], 0.0
     for lam in p["lambdas"]:
-        sol = family(lam)
+        sol = PeriodicFourierSolution(lam, 5, p["a"], check_positive=False)
         sups.append(max(float(np.max(np.abs(sol.value(np.array(
             [[lam * q[0], lam * q[1], y] for y in ys])) - split_limit(q))))
             for q in grid))
@@ -508,7 +499,7 @@ def _cmd_collapse(p, meta):
         {"supDistances": [f"{v:.3e}" for v in sups],
          "besselGap": f"{gap:.1e}"}))
     lam = max(10.0, p["lambdas"][-1])
-    sol = family(lam)
+    sol = PeriodicFourierSolution(lam, 5, p["a"], check_positive=False)
     point = (1.2 * lam, 0.0, 0.3)
     fd = fiber_diameter(sol, point, lam, limit_value=split_limit((1.2, 0.0)))
     checks.append(CheckResult("collapse-fiber-diameter",
@@ -528,8 +519,7 @@ def _cmd_collapse(p, meta):
 # of single fields are all derived from these tables (the checks across
 # fields are the first lines of the ov, amoeba and decay runners).  A list
 # default takes that many values after its flag.
-_COMMON = {"seed": (GHLAB_SEED, _count(0)), "out": (None, _path),
-           "csv": (None, _path), "svg": (None, _path)}
+_COMMON = {"seed": (GHLAB_SEED, _count(0)), "out": (None, _path)}
 
 _COMMANDS = {
     "verify-flat": {"n": (1, _ONE_OR_TWO), "grid": (32, _count(2)),
@@ -542,9 +532,10 @@ _COMMANDS = {
                        "samples": (1000, _count(1)), "tol": (1e-6, _POSITIVE)},
     "ov": {"modes": (40, _count(1)), "a": (5.0, _REAL),
            "helmholtz_modes": (10, _count(1)),
-           "flux_radii": ([0.3, 0.5], _RADII)},
+           "flux_radii": ([0.3, 0.5], _RADII), "csv": (None, _path)},
     "ronkin": {"poly": ("1+z", _poly(1)), "range": ("-3:3:0.1", _range),
-               "kappa": (1, _ONE_OR_TWO), "lam": (1.0, _POSITIVE)},
+               "kappa": (1, _ONE_OR_TWO), "lam": (1.0, _POSITIVE),
+               "csv": (None, _path)},
     "amoeba": {"poly": ("1+z1+z2", _poly(2)),
                "point": ("0,0", _field(float, many=True)),
                "tol": (1e-6, _POSITIVE)},
@@ -559,13 +550,14 @@ _COMMANDS = {
               "rrange": ("0.5:3:0.25", _range), "nodes": (128, _count(1)),
               "gate_modes": ("4,5,6,7,8", _field(int, bool, "no modes",
                                                  many=True)),
-              "rms_limit": (0.1, _POSITIVE)},
+              "rms_limit": (0.1, _POSITIVE), "csv": (None, _path),
+              "svg": (None, _path)},
     "collapse": {"poly": ("1+z+0.25*z^2", _poly(1)),
                  "lambdas": ("1,5,25", _field(
                      float, lambda v: min(v) > 0 and v == sorted(v),
                      "lambdas must be positive and ascending", many=True)),
                  "trange": ("-2:2:0.25", _range), "nodes": (128, _count(16)),
-                 "a": (4.0, _POSITIVE)},
+                 "a": (4.0, _POSITIVE), "csv": (None, _path)},
 }
 
 _RUNNERS = {

@@ -314,11 +314,7 @@ class TestCriterion11Collapse:
             return a - math.log(math.hypot(q[0], q[1])) / (2.0 * math.pi)
 
         def family(lam):
-            return PeriodicFourierSolution(
-                lam, 5, a,
-                zero_mode=lambda u, x: a - np.log(
-                    np.hypot(u, x) / lam) / (2.0 * np.pi),
-                check_positive=False)
+            return PeriodicFourierSolution(lam, 5, a, check_positive=False)
 
         grid = [(0.5, 0.0), (1.0, 0.5), (1.5, -0.5), (2.0, 1.0)]
         rep_f = collapse_distance(family, split_limit, [1.0, 5.0, 25.0],

@@ -57,6 +57,27 @@ class TestExitCodes:
         assert "config error: config field 'helmholtz_modes'" in \
             capsys.readouterr().err
 
+    def test_artifact_flag_the_command_does_not_write_is_refused(
+            self, tmp_path, capsys):
+        # each command takes only the artifact flags it writes: ronkin
+        # writes --out and --csv, and only decay draws an --svg
+        path = tmp_path / "f"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ronkin", "--svg", str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()
+        assert "--svg" in capsys.readouterr().err
+
+    def test_artifact_field_the_command_does_not_write_is_refused(
+            self, tmp_path, capsys):
+        path = tmp_path / "f"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"svg": str(path)}))
+        assert run_cli(["amoeba", "--config", str(cfg)]) == 2
+        assert not path.exists()
+        assert "config error: config field 'svg': unknown field" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "{not json",
         json.dumps({"points": [[1, 0], [0, 1], [-1, 0]]}),
@@ -265,6 +286,42 @@ def test_ov_helmholtz_reports_the_library_residual(capsys):
     worst = max(abs(v) for m in range(1, 11)
                 for v in sol.helmholtz_residual(m, [0.1, 0.5, 2.0]))
     assert f"(maxResidual={worst:.3e} modes=10)" in capsys.readouterr().out
+
+
+def test_ronkin_vertex_bound_is_the_per_point_loop_bit_for_bit(monkeypatch):
+    # the Jensen lower bound of ghlab ronkin is one tropical_limit call on
+    # the polynomial of P's lowest and highest terms; it keeps the bits of
+    # the per-point max over those two terms, a monomial included
+    import numpy as np
+
+    from ghlab import tropical
+    from ghlab.cli import _range
+
+    limit, calls = tropical.tropical_limit, []
+
+    def recorded(*args, **kwargs):
+        out = limit(*args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "_cmd_ronkin":
+            calls.append(out)
+        return out
+
+    monkeypatch.setattr(tropical, "tropical_limit", recorded)
+    for poly in ["1+z", "3", "z^2", "2+z^-1+0.5*z^3", "1+3*z+z^2",
+                 "0.5+z^3", "0.1*z^-2+4*z+7*z^5"]:
+        P = tropical.parse_laurent(poly)
+        exps = P.exponents()[:, 0]
+        lo_t = min(zip(exps, P.coefficients()), key=lambda t: t[0])
+        hi_t = max(zip(exps, P.coefficients()), key=lambda t: t[0])
+        for grid in ["-3:3:0.1", "-2:2:0.05", "-40:40:0.7"]:
+            for kappa in (1, 2):
+                calls.clear()
+                assert run_cli(["ronkin", "--poly", poly, "--range", grid,
+                                "--kappa", str(kappa)]) in (0, 1)
+                want = np.array([kappa * max(e * t + math.log(abs(c))
+                                             for e, c in (lo_t, hi_t))
+                                 for t in _range(grid)])
+                assert np.array_equal(calls[0].view(np.int64),
+                                      want.view(np.int64)), (poly, grid)
 
 
 class TestConfigMerging:

@@ -384,10 +384,7 @@ class TestOoguriVafa:
         rho = sol._radii(u, x)
         out = sol.zero_mode(u, x).astype(float).copy()
         for m in range(1, sol.M + 1):
-            c = sol.coeffs.get(m, 0.0 + 0.0j)
-            if c == 0:
-                continue
-            out += 2.0 * np.real(c * np.exp(1j * m * y)) * k0(m * rho) \
+            out += 2.0 * np.real(np.exp(1j * m * y)) * k0(m * rho) \
                 / (2.0 * np.pi)
         return out
 
@@ -402,21 +399,47 @@ class TestOoguriVafa:
             assert np.array_equal(sol.value(pts),
                                   self.per_point_value(sol, pts))
 
-    def test_value_with_repeats_and_complex_coefficients(self):
+    def test_value_with_repeats_across_the_k0_branches(self):
         # radii across all three K0 branches, each (rho, y) drawn from a
-        # small pool so both repeat; complex coefficients and a zero one
+        # small pool so both repeat
         rng = np.random.default_rng(21)
-        coeffs = {m: complex(*rng.normal(size=2)) for m in range(1, 13)}
-        coeffs[7] = 0.0
-        sol = PeriodicFourierSolution(1.0, 12, 3.0, source=(0.2, -0.1),
-                                      coeffs=coeffs, check_positive=False)
+        sol = PeriodicFourierSolution(1.0, 12, 3.0, check_positive=False)
         rhos = rng.uniform(0.05, 4.0, 40)
         ang = rng.uniform(0.0, 2.0 * np.pi, 40)
         ys = rng.uniform(0.0, 2.0 * np.pi, 25)
         i, k = rng.integers(0, 40, 3000), rng.integers(0, 25, 3000)
-        pts = np.stack([0.2 + rhos[i] * np.cos(ang[i]),
-                        -0.1 + rhos[i] * np.sin(ang[i]), ys[k]], -1)
+        pts = np.stack([rhos[i] * np.cos(ang[i]), rhos[i] * np.sin(ang[i]),
+                        ys[k]], -1)
         assert np.array_equal(sol.value(pts), self.per_point_value(sol, pts))
+
+    @pytest.mark.parametrize("lam", [1.0, 5.0, 10.0, 25.0])
+    def test_built_in_zero_mode_is_the_rescaled_closure_bit_for_bit(self,
+                                                                    lam):
+        # the family of ghlab collapse, whose built-in zero mode
+        # a - log(rho/lam)/(2 pi) reads lam, against the same family with
+        # that zero mode passed as a function of (u, x), which takes the
+        # per-point path of value: on the command's grid x 128 fiber nodes,
+        # its fiber-diameter point and 5,000 random points
+        a = 4.0
+        closure = PeriodicFourierSolution(
+            lam, 5, a, check_positive=False,
+            zero_mode=lambda u, x: a - np.log(np.hypot(u, x) / lam)
+            / (2.0 * np.pi))
+        built_in = PeriodicFourierSolution(lam, 5, a, check_positive=False)
+        ys = 2.0 * np.pi * np.arange(128) / 128
+        grid = [[lam * q[0], lam * q[1], y]
+                for q in [(0.5, 0.0), (1.0, 0.5), (1.5, -0.5)] for y in ys]
+        rng = np.random.default_rng(int(lam))
+        rho = lam * rng.uniform(0.05, 3.0, 5000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 5000)
+        pts = np.concatenate([grid, [[1.2 * lam, 0.0, 0.3]], np.stack(
+            [rho * np.cos(ang), rho * np.sin(ang),
+             rng.uniform(0.0, 2.0 * np.pi, 5000)], -1)])
+        assert np.array_equal(built_in.value(pts).view(np.int64),
+                              closure.value(pts).view(np.int64))
+        assert np.array_equal(
+            built_in.mode_value(0, pts[:, 0], pts[:, 1]).view(np.int64),
+            closure.mode_value(0, pts[:, 0], pts[:, 1]).view(np.int64))
 
     @pytest.mark.parametrize("zero_mode", [
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
