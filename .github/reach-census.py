@@ -10,6 +10,12 @@ listed with its non-blank, non-comment lines (the count of the CI size
 step).  A nested definition inside a listed one is listed too, but adds
 neither a definition nor lines to the total on the definition line.
 
+The census is also a gate.  ``KEEP`` gives each listed definition, keyed
+by file and qualified name, the reason it stays.  The script exits 1 when
+a listed definition has no ``KEEP`` entry (give it a command check, delete
+it, or name its reason) or a ``KEEP`` entry is no longer listed (delete the
+entry).
+
 The last line counts the knobs: the parameters with a default value in
 src/ghlab, and the field flags (all but --config) of each command.
 
@@ -42,6 +48,48 @@ EXTRA_RUNS = [
     ("collapse", ["--poly", "1+z+z^2"]),
     ("holonomy", ["--loop-file", None]),
 ]
+# why each definition that only tests reach stays; ROADMAP items by number
+_PAIR = "item 12: the dual-pair layer becomes the commands' input"
+_JET = ("Jet arithmetic protocol: a lambdified sympy potential may call it "
+        "on a Jet")
+_TRACER = "item 1: perfbench/tracer.py TARGETS looks it up by name"
+KEEP = {
+    ("bessel.py", "k0_mp"): _TRACER + "; item 6 deletes it",
+    ("bessel.py", "_k0_asym_mp"): "item 6: the large-argument branch of k0_mp",
+    ("decay.py", "fourier_modes"): _TRACER,
+    ("fields.py", "Jet.__rsub__"): _JET,
+    ("fields.py", "Jet.__rtruediv__"): _JET,
+    ("fields.py", "Jet.__rpow__"): _JET,
+    ("fields.py", "Jet.sin"): _JET,
+    ("fields.py", "fd_step"): "item 13: finite-difference closedness on "
+                              "tables",
+    ("ghcore.py", "Domain.contains"): "the Domain interface every domain "
+                                      "overrides",
+    ("ghcore.py", "WholeSpace.__repr__"): "names the domain in a "
+                                          "DomainViolation message",
+    ("lattice.py", "LatticeSimplex.__repr__"): _PAIR,
+    ("lattice.py", "WallComplex.__len__"): _PAIR,
+    ("lattice.py", "DualSimplexPair.__init__"): _PAIR,
+    ("lattice.py", "DualSimplexPair.pairing_matrix"): _PAIR,
+    ("lattice.py", "validate_dual_pair"): _PAIR,
+    ("lattice.py", "_project_to_wall"): _PAIR,
+    ("lattice.py", "distance_to_wall_complex"): _PAIR,
+    ("lattice.py", "distance_to_discriminant"): _PAIR,
+    ("lattice.py", "_clip_ray_to_box"): _PAIR,
+    ("lattice.py", "pair_current"): _PAIR,
+    ("legendre.py", "singular_2d.V"): "the V table a SplitMASolution needs; "
+                                      "holonomy reads only its partials",
+    ("legendre.py", "monodromy_generator"): _PAIR,
+    ("legendre.py", "is_unipotent"): _PAIR,
+    ("legendre.py", "AffineChartAtlas.generator"): _PAIR,
+    ("legendre.py", "atlas"): _PAIR,
+    ("solutions.py", "taub_nut_V"): "item 13: the closed-form table of "
+                                    "table closedness",
+    ("solutions.py", "semiflat"): "north star: the semi-flat family",
+    ("tropical.py", "spine"): _PAIR,
+    ("tropical.py", "laurent_from_pair"): _PAIR,
+}
+
 COMMANDS = ["verify-flat", "verify-taubnut", "ov", "ronkin", "amoeba",
             "legendre", "holonomy", "decay", "collapse"]
 
@@ -89,11 +137,12 @@ def _run_library_sets():
 
 
 def _definitions(path):
-    """(first line, name, lines, enclosing definition) of every def."""
+    """(first line, def line, name, lines, enclosing definition, qualified
+    name) of every def."""
     text = path.read_text(encoding="utf-8").splitlines()
     out = []
 
-    def visit(node, parent):
+    def visit(node, parent, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([d.lineno for d in child.decorator_list]
@@ -101,13 +150,16 @@ def _definitions(path):
                 span = text[first - 1:child.end_lineno]
                 size = sum(1 for s in span
                            if s.strip() and not s.lstrip().startswith("#"))
-                entry = (first, child.lineno, child.name, size, parent)
+                entry = (first, child.lineno, child.name, size, parent,
+                         prefix + child.name)
                 out.append(entry)
-                visit(child, entry)
+                visit(child, entry, entry[5] + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, parent, prefix + child.name + ".")
             else:
-                visit(child, parent)
+                visit(child, parent, prefix)
 
-    visit(ast.parse("\n".join(text)), None)
+    visit(ast.parse("\n".join(text)), None, "")
     return out
 
 
@@ -136,7 +188,7 @@ def main():
     finally:
         sys.setprofile(None)
     seen = {(os.path.realpath(f), line, name) for f, line, name in entered}
-    listed, total_defs, total_lines = [], 0, 0
+    listed, total_defs, total_lines, keys = [], 0, 0, set()
     for path in sorted(SRC.glob("*.py")):
         fname = os.path.realpath(path)
         defs = _definitions(path)
@@ -146,16 +198,24 @@ def main():
             if d not in missed:
                 continue
             nested = d[4] in missed
-            listed.append(f"{path.name}:{d[1]} {d[2]} "
+            listed.append(f"{path.name}:{d[1]} {d[5]} "
                           f"{'(nested)' if nested else d[3]}")
             if not nested:
                 total_defs += 1
                 total_lines += d[3]
+                keys.add((path.name, d[5]))
     print("\n".join(listed))
     print(f"reached by tests only: {total_defs} definitions, "
           f"{total_lines} non-blank, non-comment lines")
     print(_knobs())
+    for key in sorted(keys - KEEP.keys()):
+        print(f"reached by tests only, with no reason in KEEP: {key}",
+              file=sys.stderr)
+    for key in sorted(KEEP.keys() - keys):
+        print(f"KEEP entry no longer reached by tests only: {key}",
+              file=sys.stderr)
+    return 1 if keys ^ KEEP.keys() else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

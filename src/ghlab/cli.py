@@ -81,7 +81,8 @@ def _field(kind, ok=lambda v: True, message="", many=False):
     to each item of a list or comma-separated text; ``ok`` must then hold.
 
     Converting the text refuses null, booleans and 64.5 for an integer,
-    just as the same text given as a flag would be refused.
+    just as the same text given as a flag would be refused; a float must
+    be finite.
     """
     def convert(val):
         if many:
@@ -89,6 +90,7 @@ def _field(kind, ok=lambda v: True, message="", many=False):
             val = [kind(str(v)) for v in items]
         else:
             val = kind(str(val))
+        _check(kind is not float or np.all(np.isfinite(val)), "must be finite")
         _check(ok(val), message)
         return val
     return convert
@@ -110,6 +112,7 @@ def _range(val):
     parts = str(val).split(":")
     _check(len(parts) == 3, "expected lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    _check(math.isfinite(lo) and math.isfinite(hi), "must be finite")
     _check(step > 0, "step must be positive")
     _check(hi > lo, "hi must exceed lo")
     n = int(round((hi - lo) / step)) + 1

@@ -453,12 +453,6 @@ class JetScalarField:
         scale = math.prod(math.factorial(o) for o in orders)
         return scale * out.c[orders]
 
-    def swapped(self, n):
-        """The field (t, s) -> -f(s, t), s being the first n coordinates of
-        f and t the others: the potential of the Legendre dual."""
-        return JetScalarField(lambda *x: -self.func(*x[-n:], *x[:-n]),
-                              self.dim)
-
 
 class SymbolicScalarField(JetScalarField):
     """Scalar field of a sympy expression, lambdified once into jets."""

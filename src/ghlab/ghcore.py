@@ -127,14 +127,13 @@ class BlockSolution:
     w_dtype = float
 
     def __init__(self, n, l, V, W, domain=None, potential=None,
-                 V_partial=None, W_partial=None, name=""):
+                 V_partial=None, W_partial=None):
         self.n, self.l = int(n), int(l)
         self._V, self._W = V, W
         self.domain = domain if domain is not None else WholeSpace()
         self.potential = potential
         self._V_partial = V_partial
         self._W_partial = W_partial
-        self.name = name
 
     def V(self, pts):
         return np.asarray(self._V(np.atleast_2d(pts)), dtype=float)
@@ -174,9 +173,9 @@ class GHSolution(BlockSolution):
 
     def __init__(self, n, l, V, W, domain=None, potential=None,
                  connection=None, V_partial=None, W_partial=None,
-                 discriminant=None, name=""):
+                 discriminant=None):
         super().__init__(n, l, V, W, domain=domain, potential=potential,
-                         V_partial=V_partial, W_partial=W_partial, name=name)
+                         V_partial=V_partial, W_partial=W_partial)
         self._connection = connection
         self.discriminant = discriminant
 
@@ -191,7 +190,7 @@ class GHSolution(BlockSolution):
 
     @classmethod
     def from_potential(cls, K, n, l, symbols=None, domain=None,
-                       discriminant=None, name=""):
+                       discriminant=None):
         """Build the blocks from a real potential on the (u, x, y) chart: a
         scalar field of dimension n + 2l, or a sympy expression in
         ``symbols``.  They are slices of its real Hessian (see the module
@@ -225,7 +224,7 @@ class GHSolution(BlockSolution):
                    connection=at_zero_orders(connection_partial, nc)
                    if l else None,
                    V_partial=V_partial, W_partial=W_partial,
-                   discriminant=discriminant, name=name)
+                   discriminant=discriminant)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,9 @@ class SplitMASolution(BlockSolution):
 
     def __init__(self, n, l, V, W, B=None, potential=None, V_partial=None,
                  W_partial=None, domain=None, singular_points=None,
-                 charges=None, wall_pair=None, name=""):
+                 charges=None):
         super().__init__(n, l, V, W, domain=domain, potential=potential,
-                         V_partial=V_partial, W_partial=W_partial, name=name)
+                         V_partial=V_partial, W_partial=W_partial)
         self._B = B
         self.singular_points = [np.asarray(p, dtype=float)
                                 for p in (singular_points or [])]
@@ -78,15 +78,13 @@ class SplitMASolution(BlockSolution):
         if self.singular_points and not self.charges:
             self.charges = [np.ones((self.n, self.l))
                             for _ in self.singular_points]
-        self.wall_pair = wall_pair    # (fiber complex, base complex) or None
 
     @property
     def dim(self):
         return self.n + self.l
 
     @classmethod
-    def from_potential(cls, K, n, l, symbols=None, domain=None, name="",
-                       **kw):
+    def from_potential(cls, K, n, l, symbols=None, domain=None, **kw):
         """Build the blocks from a potential: a scalar field, or a sympy
         expression in ``symbols``.  They are slices of its real Hessian H:
         V = H_ss, B = H_st and W = -H_tt."""
@@ -108,7 +106,7 @@ class SplitMASolution(BlockSolution):
                    at_zero_orders(W_partial, d),
                    B=at_zero_orders(B_partial, d), potential=K,
                    V_partial=V_partial, W_partial=W_partial, domain=domain,
-                   name=name, **kw)
+                   **kw)
 
     def B(self, pts):
         if self._B is None:
@@ -165,7 +163,7 @@ def model_potential(family, b=0.5):
 # partial Legendre transform
 # ---------------------------------------------------------------------------
 
-def _legendre_hessians(sol, pts):
+def partial_legendre(sol, pts):
     """New coordinates y and Hess Psi over an (N, n + l) batch."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     sol.domain.require(pts)
@@ -183,16 +181,10 @@ def _legendre_hessians(sol, pts):
     return y, np.concatenate([top, bottom], axis=1)
 
 
-def partial_legendre(sol, point):
-    """New coordinates y and the Hessian of the transformed potential."""
-    y, H = _legendre_hessians(sol, point)
-    return y[0], H[0]
-
-
 def verify_classical_ma(sol, grid_pts, tolerance=1e-8):
     """Max |det Hess Psi - 1| over the grid."""
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
-    _, H = _legendre_hessians(sol, pts)
+    _, H = partial_legendre(sol, pts)
     r = np.abs(np.linalg.det(H) - 1.0)
     k = int(np.argmax(r))
     return ResidualReport(
@@ -209,54 +201,11 @@ def block_determinant_residual(A, B, C, D):
     return abs(lhs - rhs) / np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-30)
 
 
-def dual_transform(sol):
-    """Exchange the two variable groups: (s, t, K) -> (t, s, -K).
-
-    The new fiber block is the old base block evaluated at the swapped point
-    and vice versa; applying the transform twice reproduces the original
-    second derivatives exactly.
-    """
-    n, l = sol.n, sol.l
-
-    def swap(pts):
-        pts = np.atleast_2d(pts)
-        return np.hstack([pts[:, l:], pts[:, :l]])
-
-    newV = lambda pts: sol.W(swap(pts))
-    newW = lambda pts: sol.V(swap(pts))
-    newB = None
-    if sol._B is not None:
-        newB = lambda pts: -np.transpose(sol.B(swap(pts)), (0, 2, 1))
-
-    def swap_orders(orders):
-        return tuple(orders[l:]) + tuple(orders[:l])
-
-    newVp = None
-    newWp = None
-    if sol._W_partial is not None:
-        newVp = lambda orders, pts: sol.W_partial(swap_orders(orders), swap(pts))
-    if sol._V_partial is not None:
-        newWp = lambda orders, pts: sol.V_partial(swap_orders(orders), swap(pts))
-
-    potential = None if sol.potential is None else sol.potential.swapped(n)
-
-    wall_pair = None
-    if sol.wall_pair is not None:
-        wall_pair = (sol.wall_pair[1], sol.wall_pair[0])
-    return SplitMASolution(
-        l, n, newV, newW, B=newB, potential=potential, V_partial=newVp,
-        W_partial=newWp, domain=sol.domain,
-        singular_points=[np.concatenate([p[n:], p[:n]])
-                         for p in sol.singular_points],
-        charges=[c.T for c in sol.charges], wall_pair=wall_pair,
-        name=f"dual({sol.name})" if sol.name else "")
-
-
 # ---------------------------------------------------------------------------
 # the singular 2D family
 # ---------------------------------------------------------------------------
 
-def singular_2d(h=1.0, pair=None):
+def singular_2d(h=1.0):
     """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured unit disk.
 
     ``h`` is a constant or a jet function h(s, t) like the built-in
@@ -299,14 +248,9 @@ def singular_2d(h=1.0, pair=None):
     def V_partial(orders, pts):
         return value_partial(tuple(orders), pts)[:, None, None]
 
-    wall_pair = None
-    if pair is not None:
-        wall_pair = (wall_complex(pair.tau, basis=pair.fiber_basis),
-                     wall_complex(pair.sigma, basis=pair.base_basis))
     return SplitMASolution(
         1, 1, V, V, B=None, V_partial=V_partial, W_partial=V_partial,
-        singular_points=[np.zeros(2)], charges=[np.ones((1, 1))],
-        wall_pair=wall_pair, name="singular-2d")
+        singular_points=[np.zeros(2)], charges=[np.ones((1, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +365,6 @@ def beta_holonomy(sol, loop, nodes=12):
     n, l, d = sol.n, sol.l, sol.dim
     if loop.shape[1] != d:
         raise ValueError("loop vertices have wrong dimension")
-    if sol.min_singular_distance(loop) < 1e-6:
-        raise LoopHitsSingularity("loop passes through the singular support")
     ends = np.roll(loop, -1, axis=0)
     if any(sol.min_segment_distance(a, b) < 1e-6 for a, b in zip(loop, ends)):
         raise LoopHitsSingularity("loop passes through the singular support")

@@ -110,7 +110,7 @@ def flat_solution(n, z):
 class _BranchGuard(Domain):
     """Keeps points away from the potential's branch ray {x=y=0, u<=0}."""
 
-    def __init__(self, margin=0.02):
+    def __init__(self, margin):
         self.margin = margin
 
     def contains(self, pts):
@@ -122,7 +122,7 @@ class _BranchGuard(Domain):
         return f"BranchGuard({self.margin})"
 
 
-def taub_nut(ell, a, rmin=0.05, rmax=10.0, branch_margin=0.25):
+def taub_nut(ell, a, rmin=0.05, branch_margin=0.25):
     """The V = ell/(2r) + a family as a potential-backed solution (n=l=1).
 
     The declared domain excludes a wedge around the ray {eta = 0, u < 0}
@@ -140,13 +140,10 @@ def taub_nut(ell, a, rmin=0.05, rmax=10.0, branch_margin=0.25):
         return 0.5 * ell * (u * log(u + r) - r) + 0.5 * a * u2 \
             - 0.25 * a * (x2 + y2)
 
-    sol = GHSolution.from_potential(
+    return GHSolution.from_potential(
         JetScalarField(potential, 3), 1, 1,
-        domain=RadialDomain(rmin, rmax) & _BranchGuard(branch_margin),
-        discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1),
-        name=f"taub-nut(ell={ell}, a={a})")
-    sol.ell, sol.a = float(ell), float(a)
-    return sol
+        domain=RadialDomain(rmin, 10.0) & _BranchGuard(branch_margin),
+        discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1))
 
 
 def taub_nut_V(ell, a, pts):
@@ -172,9 +169,7 @@ def taub_nut_laplacian(ell, pts):
 
 def flat_gh_solution():
     """Flat C^2 in fibration coordinates: the ell=1, a=0 Taub-NUT member."""
-    sol = taub_nut(1.0, 0.0, rmin=1e-3, branch_margin=0.05)
-    sol.name = "flat-C2"
-    return sol
+    return taub_nut(1.0, 0.0, rmin=1e-3, branch_margin=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +185,7 @@ def semiflat(ma_potential, symbols=None):
     |1/det Hess - 1|.  The Hessian must be positive definite at the origin.
     """
     n = len(symbols) if symbols is not None else ma_potential.dim
-    sol = GHSolution.from_potential(ma_potential, n, 0, symbols=symbols,
-                                    name="semi-flat")
+    sol = GHSolution.from_potential(ma_potential, n, 0, symbols=symbols)
     eigs = np.linalg.eigvalsh(sol.V(np.zeros((1, n))))
     if np.min(eigs) <= 0:
         raise NotConvex("Hessian of the potential is not positive definite")
@@ -284,8 +278,7 @@ class PeriodicFourierSolution(GHSolution):
         super().__init__(
             1, 1, table, table,
             domain=RadialDomain(0.1, 6.0, axes=(0, 1)),
-            discriminant=lambda pts: self._radii(pts[:, 0], pts[:, 1]),
-            name=f"ooguri-vafa(M={self.M})")
+            discriminant=lambda pts: self._radii(pts[:, 0], pts[:, 1]))
         if check_positive:
             self._check_positive()
 

@@ -359,14 +359,6 @@ def ronkin_gradient(P, x):
     return np.array(grad)
 
 
-def ronkin_rescaled(P, t, lam, nodes=64, kappa=1):
-    """N(lam * t) / lam."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    return ronkin(P, lam * t, nodes=nodes, kappa=kappa) / lam
-
-
 def tropical_limit(P, pts, kappa=1, include_coefficients=True):
     """Piecewise-linear limit kappa * max_i(<e_i, t> + log|c_i|) at each row
     t of an (N, l) batch, as an (N,) array.
@@ -507,12 +499,17 @@ class RonkinGrid:
 def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
     """N(lam t)/lam and its tropical limit at each row t of ``points``: in one
     variable Jensen's formula on the whole vector lam t, P's roots found once;
-    in two, or with arguments it refuses, ``ronkin_rescaled`` per row."""
+    in two, ``ronkin`` per row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = (_ronkin_1d(P, lam * points[:, 0], kappa) / lam
-            if P.nvars == points.shape[1] == 1 and lam > 0 and nodes >= 16 else
-            np.array([ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
-                      for t in points]))
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if nodes < 16:
+        raise ValueError("nodes must be >= 16")
+    if points.shape[1] != P.nvars:
+        raise ValueError("x has wrong length")
+    vals = (_ronkin_1d(P, lam * points[:, 0], kappa) if P.nvars == 1 else
+            np.array([ronkin(P, lam * t, nodes=nodes, kappa=kappa)
+                      for t in points])) / lam
     lims = tropical_limit(P, points, kappa, include_coefficients=False)
     return RonkinGrid(points=points, lam=lam, values=vals, limits=lims)
 

@@ -51,6 +51,32 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd,given,key", [
+        ("legendre", ["--family", "cross", "--b", "nan"], "b"),
+        ("collapse", ["--lambdas", "1,inf"], "lambdas"),
+        ("holonomy", ["--h", "nan"], "h"),
+        ("amoeba", ["--point", "nan,0"], "point"),
+        ("ov", ["--a", "inf"], "a"),
+        ("ronkin", ["--lam", "inf"], "lam"),
+        ("decay", ["--a", "nan"], "a"),
+        ("verify-taubnut", ["--a", "inf"], "a"),
+        ("ronkin", ["--range", "0:inf:0.1"], "range"),
+        ("decay", {"a": math.nan}, "a"),
+        ("collapse", {"lambdas": [1.0, math.inf]}, "lambdas"),
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, cmd,
+                                              given, key):
+        # json.load reads NaN and Infinity, so a file can carry them too
+        if isinstance(given, dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "rep.json"
+        assert run_cli([cmd, *given, "--out", str(out)]) == 2
+        assert f"config field '{key}': must be finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_helmholtz_modes_above_modes_is_config_error(self, capsys):
         # modes above --modes have coefficient 0: checking them checks nothing
         assert run_cli(["ov", "--modes", "3"]) == 2

@@ -11,8 +11,7 @@ import sympy as sp
 from ghlab.fields import (FD_SLICE_ROWS, Jet, JetScalarField,
                           SymbolicScalarField, _tensor_stencil, fd_partial,
                           log, sqrt)
-from ghlab.legendre import (SplitMASolution, dual_transform, model_potential,
-                            singular_2d)
+from ghlab.legendre import model_potential, singular_2d
 from ghlab.solutions import taub_nut
 
 U, X, Y = sp.symbols("u x y", real=True)
@@ -200,20 +199,6 @@ class TestJetAlgebra:
         x, y = Jet.variables(np.zeros((0, 2)), (2, 1))
         assert (x * y).c.shape == (3, 2, 0)
         assert taub_nut(2, 1).V(np.zeros((0, 3))).shape == (0, 1, 1)
-
-    def test_dual_of_jet_potential_is_exact(self):
-        sol = SplitMASolution.from_potential(model_potential("harmonic"), 1, 1)
-        dual = dual_transform(sol)
-        assert isinstance(dual.potential, JetScalarField)
-        pts = np.random.default_rng(16).uniform(-0.4, 0.4, size=(6, 2))
-        swapped = pts[:, ::-1]
-        # the dual's fiber gradient -K_t at the swapped point, exactly
-        K_t = -np.exp(pts[:, 0]) * np.sin(pts[:, 1])
-        np.testing.assert_allclose(dual.gradient_s(swapped)[:, 0], -K_t,
-                                   rtol=1e-15)
-        twice = dual_transform(dual)
-        np.testing.assert_array_equal(twice.gradient_s(pts),
-                                      sol.gradient_s(pts))
 
 
 def per_stencil_partial(f, pts, orders, steps):

@@ -14,8 +14,8 @@ from ghlab.legendre import (
     beta_holonomy,
     block_determinant_residual,
     circle_loop,
-    dual_transform,
     is_unipotent,
+    model_potential,
     monodromy_generator,
     partial_legendre,
     singular_2d,
@@ -42,13 +42,13 @@ class TestPartialLegendre:
         sol = SplitMASolution.from_potential(S ** 2 / 2 - T ** 2 / 2, 1, 1,
                                              symbols=(S, T))
         y, H = partial_legendre(sol, [0.7, -0.3])
-        assert np.allclose(y, [0.7, -0.3])
-        assert np.allclose(H, np.eye(2), atol=1e-12)
+        assert np.allclose(y[0], [0.7, -0.3])
+        assert np.allclose(H[0], np.eye(2), atol=1e-12)
 
     def test_cross_term_block_formula(self):
         b = 0.6
         sol = cross_term_solution(b)
-        y, H = partial_legendre(sol, [0.5, 0.4])
+        H = partial_legendre(sol, [0.5, 0.4])[1][0]
         assert np.allclose(H, [[1.0, -b], [-b, 1.0 + b * b]], atol=1e-12)
         assert np.linalg.det(H) == pytest.approx(1.0, abs=1e-12)
 
@@ -57,7 +57,8 @@ class TestPartialLegendre:
         # finite differences of the gradient of the transformed potential
         sol = harmonic_exp_solution()
         s0, t0 = 0.3, 0.4
-        y0, H = partial_legendre(sol, [s0, t0])
+        y, H = partial_legendre(sol, [s0, t0])
+        y0, H = y[0], H[0]
 
         def s_of_y(y1, y2, s_init=0.3):
             s = s_init
@@ -119,11 +120,22 @@ class TestPartialLegendre:
             lambda q: (1 + 1e-3 * (1.0 + q[:, 0]))[:, None, None] * sol.W(q),
             B=sol.B, potential=sol.potential)
         rep = verify_classical_ma(bad, pts)
-        pointwise = [abs(np.linalg.det(partial_legendre(bad, p)[1]) - 1.0)
+        pointwise = [abs(np.linalg.det(partial_legendre(bad, p)[1][0]) - 1.0)
                      for p in pts]
         assert rep.max_residual == pytest.approx(max(pointwise), rel=1e-12)
         assert rep.max_residual == pytest.approx(max(eps), rel=1e-6)
         assert rep.argmax_point == list(pts[int(np.argmax(eps))])
+
+    @pytest.mark.parametrize("route", ["sympy", "jet"])
+    def test_batch_is_its_one_row_calls(self, route):
+        sol = (harmonic_exp_solution() if route == "sympy" else
+               SplitMASolution.from_potential(model_potential("harmonic"),
+                                              1, 1))
+        pts = np.random.default_rng(23).uniform(-0.5, 0.5, size=(12, 2))
+        y, H = partial_legendre(sol, pts)
+        rows = [partial_legendre(sol, p) for p in pts]
+        assert np.array_equal(y, np.concatenate([r[0] for r in rows]))
+        assert np.array_equal(H, np.concatenate([r[1] for r in rows]))
 
     def test_negative_control_det_mismatch(self):
         # scale W only: det Hess Psi = det W / det V departs by the factor
@@ -132,7 +144,7 @@ class TestPartialLegendre:
         bad = SplitMASolution(1, 1, sol.V,
                               lambda pts: (1 + eps) * sol.W(pts),
                               B=sol.B, potential=sol.potential)
-        _, H = partial_legendre(bad, [0.2, 0.1])
+        H = partial_legendre(bad, [0.2, 0.1])[1][0]
         assert abs(np.linalg.det(H) - 1.0) == pytest.approx(eps, rel=1e-6)
 
 
@@ -173,42 +185,6 @@ class TestTableOnlyFallback:
             charges=sol.charges)
         rep = beta_holonomy(table_only, circle_loop(radius=1.0, segments=64))
         assert rep.windings == [1]
-        assert abs(rep.holonomy[0, 0] + 1.0) < 1e-6
-
-
-class TestDual:
-    def test_self_dual_quadratic(self):
-        sol = SplitMASolution.from_potential(S ** 2 / 2 - T ** 2 / 2, 1, 1,
-                                             symbols=(S, T))
-        dual = dual_transform(sol)
-        pts = np.array([[0.3, -0.8], [1.0, 0.2]])
-        assert np.allclose(dual.V(pts), sol.V(pts))
-        assert np.allclose(dual.W(pts), sol.W(pts))
-
-    def test_cross_term_duality_preserves_det(self):
-        sol = cross_term_solution(0.45)
-        dual = dual_transform(sol)
-        pts = np.array([[0.1, 0.7]])
-        _, H = partial_legendre(dual, pts[0])
-        assert abs(np.linalg.det(H) - 1.0) < 1e-12
-        assert np.allclose(dual.B(pts), -np.transpose(sol.B(pts[:, ::-1]),
-                                                      (0, 2, 1)))
-
-    def test_involution_on_second_derivatives(self):
-        sol = harmonic_exp_solution()
-        twice = dual_transform(dual_transform(sol))
-        pts = np.random.default_rng(3).uniform(-0.4, 0.4, size=(6, 2))
-        assert np.max(np.abs(twice.V(pts) - sol.V(pts))) < 1e-8
-        assert np.max(np.abs(twice.W(pts) - sol.W(pts))) < 1e-8
-        assert np.max(np.abs(twice.B(pts) - sol.B(pts))) < 1e-8
-
-    def test_singular_type_swap(self):
-        sol = singular_2d(h=1.0, pair=PAIR)
-        dual = dual_transform(sol)
-        assert dual.wall_pair[0] is sol.wall_pair[1]
-        assert dual.wall_pair[1] is sol.wall_pair[0]
-        # the dual of the radial solution has the same holonomy
-        rep = beta_holonomy(dual, circle_loop(radius=0.5, segments=64))
         assert abs(rep.holonomy[0, 0] + 1.0) < 1e-6
 
 

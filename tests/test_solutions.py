@@ -248,12 +248,6 @@ class TestOoguriVafa:
         got = sol.mode_value(2, 1.5 * math.cos(0.3), 1.5 * math.sin(0.3))
         assert got == pytest.approx(k0(3.0) / (2 * math.pi), rel=1e-12)
 
-    def test_reality_pairing(self):
-        sol = ooguri_vafa(1.0, 4, a=2.0)
-        vp = sol.mode_value(3, 0.7, 0.4)
-        vm = sol.mode_value(-3, 0.7, 0.4)
-        assert vm == pytest.approx(np.conj(vp))
-
     def test_y_average_equals_zero_mode(self):
         sol = ooguri_vafa(1.0, 6, a=2.0)
         ys = 2 * np.pi * np.arange(64) / 64

@@ -15,7 +15,6 @@ from ghlab.tropical import (
     ronkin_gradient,
     ronkin_grid,
     ronkin_hessian_mass,
-    ronkin_rescaled,
     spine,
     tropical_limit,
 )
@@ -402,14 +401,14 @@ class TestTorusPoints:
 
 class TestRescaledAndTropical:
     def test_rescaled_simple(self):
-        assert abs(ronkin_rescaled(P1Z, 1.0, 10.0) - 1.0) < 1e-6
-        a = ronkin_rescaled(P1Z, 0.7, 1.0)
+        assert abs(ronkin_grid(P1Z, [[1.0]], lam=10.0).values[0] - 1.0) < 1e-6
+        a = ronkin_grid(P1Z, [[0.7]]).values[0]
         b = ronkin(P1Z, 0.7)
         assert abs(a - b) < 1e-12
 
     def test_rescaled_double_root_family(self):
         # root formula: N(x) = log(1/4) + 2*max(x, log 2), so N(lam*0)/lam = 0
-        vals = [ronkin_rescaled(PDOUBLE, 0.0, lam, nodes=128)
+        vals = [ronkin(PDOUBLE, lam * 0.0, nodes=128) / lam
                 for lam in (1.0, 4.0, 16.0)]
         for v in vals:
             assert abs(v) < 2e-3
@@ -452,7 +451,7 @@ class TestRescaledAndTropical:
         for lam in (1.0, 2.0, 4.0, 8.0):
             lims = tropical_limit(PDOUBLE, grid[:, None],
                                   include_coefficients=False)
-            sup = max(abs(ronkin_rescaled(PDOUBLE, t, lam, nodes=128) - lim)
+            sup = max(abs(ronkin(PDOUBLE, lam * t, nodes=128) / lam - lim)
                       for t, lim in zip(grid, lims))
             sups.append(sup)
         for a, b in zip(sups, sups[1:]):
@@ -484,9 +483,9 @@ def tropical_limit_loop(P, t, kappa=1, include_coefficients=True):
 
 
 def per_point_grid(P, points, lam, kappa=1, nodes=64):
-    """Reference loop: one ``ronkin_rescaled`` and one tropical limit per
-    row."""
-    vals = [ronkin_rescaled(P, t, lam, nodes=nodes, kappa=kappa)
+    """Reference loop: one ``ronkin`` of lam t, divided by lam, and one
+    tropical limit per row."""
+    vals = [ronkin(P, lam * t, nodes=nodes, kappa=kappa) / lam
             for t in points]
     lims = [tropical_limit_loop(P, t, kappa=kappa, include_coefficients=False)
             for t in points]
@@ -562,15 +561,18 @@ class TestOneVariableGrid:
         assert len(calls) <= 3
 
     def test_refuses_what_ronkin_refuses(self):
-        pts = np.linspace(-1.0, 1.0, 5)[:, None]
-        with pytest.raises(ValueError, match="nodes must be >= 16"):
-            ronkin_grid(P1Z, pts, nodes=8)
-        with pytest.raises(ValueError, match="nodes must be >= 16"):
-            ronkin_collapse(P1Z, [1.0, 5.0], pts, nodes=8)
-        with pytest.raises(ValueError, match="lambda must be positive"):
-            ronkin_grid(P1Z, pts, lam=0.0)
-        with pytest.raises(ValueError, match="x has wrong length"):
-            ronkin_grid(P1Z, np.zeros((3, 2)))
+        # both variable counts refuse up front, an empty grid too
+        for P in (P1Z, P2):
+            pts = np.linspace(-1.0, 1.0, 5)[:, None] * np.ones(P.nvars)
+            with pytest.raises(ValueError, match="nodes must be >= 16"):
+                ronkin_grid(P, pts, nodes=8)
+            with pytest.raises(ValueError, match="nodes must be >= 16"):
+                ronkin_collapse(P, [1.0, 5.0], pts, nodes=8)
+            for grid in (pts, pts[:0]):
+                with pytest.raises(ValueError, match="lambda must be positive"):
+                    ronkin_grid(P, grid, lam=0.0)
+            with pytest.raises(ValueError, match="x has wrong length"):
+                ronkin_grid(P, np.zeros((3, 3 - P.nvars)))
 
 
 class TestAmoeba:
