@@ -33,6 +33,9 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _SERIES_MAX = 4.0
 _ASYM_MIN = 32.0
+# the series and Chebyshev branches run on blocks this long, so that their
+# buffers stay in cache
+_CHEB_BLOCK = 8192
 
 
 class NonpositiveArgument(ValueError):
@@ -51,21 +54,31 @@ def _k0_series_double(x):
 
     The term count is set once, by the batch's largest t = x^2/4: the first
     k with t^k/(k!)^2 (H_k + 1) < 1e-19, a tail below the rounding of every
-    sum in the batch.
+    sum in the batch.  The sums then run in place, a block of
+    ``_CHEB_BLOCK`` arguments at a time.
     """
     x = np.asarray(x, dtype=float)
-    t = x * x / 4.0
-    tmax, top, h, n = float(np.max(t)), 1.0, 0.0, 0
-    while top * (h + 1.0) >= 1e-19 and n < 59:
-        n += 1
-        top, h = top * tmax / (n * n), h + 1.0 / n
-    i0, s, term, h = np.ones_like(t), np.zeros_like(t), np.ones_like(t), 0.0
-    for k in range(1, n + 1):
-        term = term * t / (k * k)
-        i0 += term
-        h += 1.0 / k
-        s += term * h
-    return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + s
+    # x^2/4 rounds monotonically, so its largest value is that of max(x)
+    xmax = float(np.max(x))
+    tmax, top, h, steps = xmax * xmax / 4.0, 1.0, 0.0, []
+    while top * (h + 1.0) >= 1e-19 and len(steps) < 59:
+        k = len(steps) + 1
+        top, h = top * tmax / (k * k), h + 1.0 / k
+        steps.append((k * k, h))
+    out = np.empty_like(x)
+    for start in range(0, x.size, _CHEB_BLOCK):
+        xb = x[start:start + _CHEB_BLOCK]
+        t = xb * xb / 4.0
+        i0, s, term, tmp = (np.ones_like(t), np.zeros_like(t),
+                            np.ones_like(t), np.empty_like(t))
+        for kk, h in steps:
+            term *= t
+            term /= kk
+            i0 += term
+            s += np.multiply(term, h, out=tmp)
+        out[start:start + _CHEB_BLOCK] = (
+            -(np.log(xb / 2.0) + EULER_GAMMA) * i0 + s)
+    return out
 
 
 def k0_mp(x, dps=None):
@@ -165,44 +178,48 @@ _CHEB_COEFFS = np.array([
     -3.786438283096843e-12, 4.4939902139742797e-13, -5.6506953311508345e-14,
     7.42603257797745e-15, -1.1396779211968442e-15, 1.325470345725952e-16,
 ])
-# Clenshaw runs on blocks this long, so that its buffers stay in cache
-_CHEB_BLOCK = 8192
 
 
 def _k0_cheb(x):
-    """Chebyshev middle branch on a float array (Clenshaw recurrence)."""
+    """Chebyshev middle branch on one block (Clenshaw recurrence)."""
     lo, hi = _CHEB_LO, _CHEB_HI
-    out = np.empty_like(x)
-    for start in range(0, x.size, _CHEB_BLOCK):
-        xb = x[start:start + _CHEB_BLOCK]
-        t = (2.0 * (1.0 / xb) - (lo + hi)) / (hi - lo)
-        t2 = 2.0 * t
-        b1, b2, tmp = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
-        for c in _CHEB_COEFFS[:0:-1]:
-            np.multiply(t2, b1, out=tmp)
-            tmp -= b2
-            tmp += c
-            b1, b2, tmp = tmp, b1, b2
-        g = t * b1 - b2 + _CHEB_COEFFS[0]
-        out[start:start + _CHEB_BLOCK] = np.exp(g - xb) / np.sqrt(xb)
-    return out
+    t = (2.0 * (1.0 / x) - (lo + hi)) / (hi - lo)
+    t2 = 2.0 * t
+    b1, b2, tmp = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+    for c in _CHEB_COEFFS[:0:-1]:
+        np.multiply(t2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    g = t * b1 - b2 + _CHEB_COEFFS[0]
+    return np.exp(g - x) / np.sqrt(x)
 
 
 def k0(x):
     """K0(x), scalar or array x > 0; relative error <= 3e-13 for x <= 4, where
-    the series cancels, and <= 3e-15 on (4, 700]."""
+    the series cancels, and <= 3e-15 on (4, 700].
+
+    The series and asymptotic branches gather their arguments from the
+    whole batch; the middle branch runs on blocks of the batch itself and
+    gathers only inside a block that mixes branches."""
     arr = _arguments(x)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
     out = np.empty_like(flat)
     small = flat <= _SERIES_MAX
-    large = flat >= _ASYM_MIN
-    mid = ~small & ~large
     if small.any():
         out[small] = _k0_series_double(flat[small])
-    if mid.any():
-        out[mid] = _k0_cheb(flat[mid])
+    del small
+    large = flat >= _ASYM_MIN
     if large.any():
         out[large] = _k0_asym_double(flat[large])
+    del large
+    for start in range(0, flat.size, _CHEB_BLOCK):
+        xb = flat[start:start + _CHEB_BLOCK]
+        ob = out[start:start + _CHEB_BLOCK]
+        mid = (xb > _SERIES_MAX) & (xb < _ASYM_MIN)
+        if mid.all():
+            ob[...] = _k0_cheb(xb)
+        elif mid.any():
+            ob[mid] = _k0_cheb(xb[mid])
     return float(out[0]) if scalar else out.reshape(arr.shape)
-

@@ -133,7 +133,8 @@ def _product_plan(shape):
     rows.append(starts[runs[0]] + 1)
     finals = [[len(short) - summed, first, summed]]
     at, head = first + summed, len(short)
-    for L in np.unique(length[length > 8]).tolist():
+    # not np.unique: without return_inverse, numpy 2 imports numpy.ma there
+    for L in sorted(set(length[length > 8].tolist())):
         g = int(np.count_nonzero(length == L))
         slots, moves = _pairwise_slots(L - 1)
         rows.append((starts[rank[head:head + g]]

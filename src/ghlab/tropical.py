@@ -503,6 +503,8 @@ def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    if P.nvars > 2:
+        raise ValueError("ronkin supports at most 2 variables")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
     if points.shape[1] != P.nvars:

@@ -145,14 +145,50 @@ class TestDoublePrecisionReferences:
     def test_k0_does_not_depend_on_the_batch(self):
         # every branch, and both branch edges: a value has the bits of its
         # one-point call, which blocked callers such as the periodic mode
-        # sum rely on
+        # sum rely on.  Past three blocks: one all middle-range, one mixed
+        # (with the largest series argument, 4, which sets the series term
+        # count of the whole batch), one with no middle-range argument, and
+        # a mixed ragged tail
+        from ghlab.bessel import _CHEB_BLOCK as B
+
         rng = np.random.default_rng(5)
-        xs = np.concatenate([np.exp(rng.uniform(math.log(1e-10),
-                                                math.log(700.0), 3000)),
-                             [4.0, 32.0]])
-        rng.shuffle(xs)
+
+        def wide(n):
+            return np.exp(rng.uniform(math.log(1e-10), math.log(700.0), n))
+
+        mixed = np.concatenate([wide(B - 2), [4.0, 32.0]])
+        rng.shuffle(mixed)
+        outer = np.concatenate([rng.uniform(1e-3, 3.99, B // 2),
+                                rng.uniform(32.0, 700.0, B // 2)])
+        rng.shuffle(outer)
+        xs = np.concatenate([rng.uniform(4.001, 31.999, B), mixed, outer,
+                             wide(3000)])
         got = k0(xs)
-        assert all(got[i] == k0(xs[i:i + 1])[0] for i in range(xs.size))
+        assert np.max(xs[2 * B:][xs[2 * B:] <= 4.0]) < 4.0
+        edges = [i for b in (1, 2, 3) for i in (b * B - 1, b * B)]
+        checked = np.union1d(rng.choice(3 * B, 3000, replace=False),
+                             np.arange(3 * B, xs.size))
+        checked = np.union1d(checked, edges + [0] + list(
+            np.flatnonzero((xs == 4.0) | (xs == 32.0))))
+        for i in checked:
+            assert got[i] == k0(xs[i:i + 1])[0], i
+
+    def test_k0_holds_no_full_size_copy(self):
+        # the result is the only full-size temporary: on 2^20 arguments of
+        # the benchmark's range the traced peak stays within 1.8 times its
+        # bytes, which a full-size gather of the middle branch and that
+        # branch's own output (3.2 times) exceed
+        import tracemalloc
+
+        xs = np.random.default_rng(12).uniform(0.05, 30.0, 2 ** 20)
+        k0(xs[:64])
+        tracemalloc.start()
+        try:
+            got = k0(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * got.nbytes, peak / got.nbytes
 
 
 def build_cheb_table(degree=48, lo=1.0 / 32.0, hi=1.0 / 4.0):

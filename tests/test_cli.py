@@ -712,6 +712,21 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_no_command_loads_numpy_ma(self):
+        # numpy.ma costs about 15 ms of a cold command; numpy 2 imports it
+        # inside np.unique when no return_inverse is asked for
+        code = ("import sys\n"
+                "from ghlab import cli\n"
+                "for cmd in ('verify-flat', 'verify-taubnut', 'ov', 'ronkin',\n"
+                "            'amoeba', 'legendre', 'holonomy', 'decay',\n"
+                "            'collapse'):\n"
+                "    assert cli.main([cmd]) == 0, cmd\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_decay_loads_no_tropical_layer(self):
         # only ronkin_collapse takes Ronkin functions, and it imports them
         # itself: neither the module nor the decay command loads them

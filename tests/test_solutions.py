@@ -438,9 +438,10 @@ class TestOoguriVafa:
     @pytest.mark.parametrize("zero_mode", [
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
     def test_value_does_not_depend_on_the_batch(self, zero_mode):
-        # 9,000 points, more than two blocks of 4,096, with each (rho, y)
-        # drawn from a small pool so both repeat within a block; every
-        # value has the bits of its one-point call
+        # 9,000 points, more than four blocks of 2,048, with each (rho, y)
+        # drawn from a small pool so both repeat within a block; with the
+        # closure each point is its own sum, in chunks of 8 x 2,048 // 9,000
+        # = 1 mode.  Every value has the bits of its one-point call
         rng = np.random.default_rng(33)
         sol = PeriodicFourierSolution(1.0, 8, 4.0, zero_mode=zero_mode,
                                       check_positive=False)
@@ -451,7 +452,8 @@ class TestOoguriVafa:
         pts = np.stack([rhos[i] * np.cos(ang[i]), rhos[i] * np.sin(ang[i]),
                         ys[k]], -1)
         got = sol.value(pts)
-        edges = [0, 4095, 4096, 8191, 8192, 8999]
+        edges = [0, 8999] + [i for b in (1, 2, 3, 4)
+                             for i in (b * 2048 - 1, b * 2048)]
         for j in np.union1d(rng.choice(9000, 300, replace=False), edges):
             assert got[j] == sol.value(pts[j:j + 1])[0], j
 
@@ -460,9 +462,11 @@ class TestOoguriVafa:
         # at rho = 1 the zero mode is a itself, and V crosses it: the sum
         # sits on a power of two, where the gap below is half the gap
         # above, while the tail terms K0(m) / pi are near its spacing.
-        # 30,000 distinct (rho, y) pairs make chunks of 60 x 4096 // 30000
-        # = 8 modes, so a sum may stop after mode 32, where K0(33) / pi is
-        # still about 3e-16
+        # 30,000 distinct (rho, y) pairs make chunks of 60 x 2048 // 30000
+        # = 4 modes.  After mode 36 the bound 4 K0(36) / (2 pi) = 3.1e-17
+        # lies between a quarter of the spacing below 1 (2.8e-17) and
+        # above it (5.6e-17): at a = 1 the sums above 1 stop there, and
+        # most of those below run on to mode 40
         rng = np.random.default_rng(int(a))
         sol = PeriodicFourierSolution(1.0, 60, a, check_positive=False)
         rho = 1.0 + rng.uniform(-1e-3, 1e-3, 30000)
@@ -496,6 +500,28 @@ class TestOoguriVafa:
         assert sum(seen) < 0.6 * 40 * 20000, sum(seen)
         monkeypatch.undo()
         assert np.array_equal(got, self.per_point_value(sol, pts))
+
+    def test_value_peak_memory_on_the_library_batch(self):
+        # 20,000 distinct points at M = 40, as in the benchmark: each chunk
+        # of modes frees its tables before the next k0 call, and the slices
+        # are at most M x 2,048 sums.  Tables kept alive across the k0 call
+        # in slices of M x 4,096 exceed the bound (12.0 MiB)
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        sol = ooguri_vafa(1.0, 40, a=5.5)
+        rho = rng.uniform(0.2, 5.0, 20000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 20000)
+        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
+                        rng.uniform(0.0, 2.0 * np.pi, 20000)], -1)
+        sol.value(pts[:64])
+        tracemalloc.start()
+        try:
+            sol.value(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20, peak / 2 ** 20
 
     def test_value_of_empty_and_invalid_batches(self):
         sol = ooguri_vafa(1.0, 40, a=5.0)

@@ -574,6 +574,15 @@ class TestOneVariableGrid:
             with pytest.raises(ValueError, match="x has wrong length"):
                 ronkin_grid(P, np.zeros((3, 3 - P.nvars)))
 
+    def test_refuses_three_variables_on_an_empty_grid(self):
+        # the variable count is refused up front, as ronkin refuses it per
+        # row: no rows do not make a polynomial in three variables valid
+        P3 = LaurentPoly.make([((0, 0, 0), 1.0), ((1, 0, 0), 1.0),
+                               ((0, 1, 0), 1.0), ((0, 0, 1), 1.0)])
+        for rows in (0, 2):
+            with pytest.raises(ValueError, match="at most 2 variables"):
+                ronkin_grid(P3, np.zeros((rows, 3)))
+
 
 class TestAmoeba:
     def test_1d_membership(self):
