@@ -33,9 +33,9 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 
 _SERIES_MAX = 4.0
 _ASYM_MIN = 32.0
-# the series and Chebyshev branches run on blocks this long, so that their
-# buffers stay in cache
-_CHEB_BLOCK = 8192
+# k0 walks its batch in blocks this long and sums the series about this many
+# arguments at a time, so that the branches' buffers stay in cache
+_BLOCK = 8192
 
 
 class NonpositiveArgument(ValueError):
@@ -49,15 +49,13 @@ def _arguments(x):
     return x
 
 
-def _k0_series_double(x):
-    """Ascending series in double precision (x <= ~5), vectorized.
+def _k0_series(x):
+    """Ascending series in double precision (x <= ~5), in place.
 
-    The term count is set once, by the batch's largest t = x^2/4: the first
-    k with t^k/(k!)^2 (H_k + 1) < 1e-19, a tail below the rounding of every
-    sum in the batch.  The sums then run in place, a block of
-    ``_CHEB_BLOCK`` arguments at a time.
+    The term count is set by the largest t = x^2/4 of ``x``: the first k
+    with t^k/(k!)^2 (H_k + 1) < 1e-19, a tail below the rounding of every
+    sum in ``x``, so that a sum run to more terms keeps its bits.
     """
-    x = np.asarray(x, dtype=float)
     # x^2/4 rounds monotonically, so its largest value is that of max(x)
     xmax = float(np.max(x))
     tmax, top, h, steps = xmax * xmax / 4.0, 1.0, 0.0, []
@@ -65,20 +63,15 @@ def _k0_series_double(x):
         k = len(steps) + 1
         top, h = top * tmax / (k * k), h + 1.0 / k
         steps.append((k * k, h))
-    out = np.empty_like(x)
-    for start in range(0, x.size, _CHEB_BLOCK):
-        xb = x[start:start + _CHEB_BLOCK]
-        t = xb * xb / 4.0
-        i0, s, term, tmp = (np.ones_like(t), np.zeros_like(t),
-                            np.ones_like(t), np.empty_like(t))
-        for kk, h in steps:
-            term *= t
-            term /= kk
-            i0 += term
-            s += np.multiply(term, h, out=tmp)
-        out[start:start + _CHEB_BLOCK] = (
-            -(np.log(xb / 2.0) + EULER_GAMMA) * i0 + s)
-    return out
+    t = x * x / 4.0
+    i0, s, term, tmp = (np.ones_like(t), np.zeros_like(t), np.ones_like(t),
+                        np.empty_like(t))
+    for kk, h in steps:
+        term *= t
+        term /= kk
+        i0 += term
+        s += np.multiply(term, h, out=tmp)
+    return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + s
 
 
 def k0_mp(x, dps=None):
@@ -199,27 +192,29 @@ def k0(x):
     """K0(x), scalar or array x > 0; relative error <= 3e-13 for x <= 4, where
     the series cancels, and <= 3e-15 on (4, 700].
 
-    The series and asymptotic branches gather their arguments from the
-    whole batch; the middle branch runs on blocks of the batch itself and
-    gathers only inside a block that mixes branches."""
+    The batch is walked in blocks of ``_BLOCK`` arguments.  The middle and
+    asymptotic branches run on each block, directly on a block that lies in
+    one branch and with a gather and scatter inside the block on one that
+    mixes them; the series runs once about ``_BLOCK`` of its arguments have
+    been gathered.  So the result is the only full-size array."""
     arr = _arguments(x)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
     out = np.empty_like(flat)
-    small = flat <= _SERIES_MAX
-    if small.any():
-        out[small] = _k0_series_double(flat[small])
-    del small
-    large = flat >= _ASYM_MIN
-    if large.any():
-        out[large] = _k0_asym_double(flat[large])
-    del large
-    for start in range(0, flat.size, _CHEB_BLOCK):
-        xb = flat[start:start + _CHEB_BLOCK]
-        ob = out[start:start + _CHEB_BLOCK]
-        mid = (xb > _SERIES_MAX) & (xb < _ASYM_MIN)
-        if mid.all():
-            ob[...] = _k0_cheb(xb)
-        elif mid.any():
-            ob[mid] = _k0_cheb(xb[mid])
+    series = []  # indices of series arguments not yet summed
+    for start in range(0, flat.size, _BLOCK):
+        xb, ob = flat[start:start + _BLOCK], out[start:start + _BLOCK]
+        small, large = xb <= _SERIES_MAX, xb >= _ASYM_MIN
+        for mask, branch in ((~(small | large), _k0_cheb),
+                             (large, _k0_asym_double)):
+            if mask.all():
+                ob[...] = branch(xb)
+            elif mask.any():
+                ob[mask] = branch(xb[mask])
+        series.append(start + np.flatnonzero(small))
+        if start + _BLOCK >= flat.size or sum(map(len, series)) >= _BLOCK:
+            idx = np.concatenate(series)
+            if idx.size:
+                out[idx] = _k0_series(flat[idx])
+            series = []
     return float(out[0]) if scalar else out.reshape(arr.shape)

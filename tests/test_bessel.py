@@ -145,11 +145,13 @@ class TestDoublePrecisionReferences:
     def test_k0_does_not_depend_on_the_batch(self):
         # every branch, and both branch edges: a value has the bits of its
         # one-point call, which blocked callers such as the periodic mode
-        # sum rely on.  Past three blocks: one all middle-range, one mixed
-        # (with the largest series argument, 4, which sets the series term
-        # count of the whole batch), one with no middle-range argument, and
-        # a mixed ragged tail
-        from ghlab.bessel import _CHEB_BLOCK as B
+        # sum rely on.  Past four blocks: one all middle-range, one mixed
+        # (with the largest series argument, 4), one with no middle-range
+        # argument, one all asymptotic, and a mixed ragged tail.  The series
+        # runs on pools of about a block of its arguments, each to the term
+        # count of its largest (18 terms for the pool holding 4), and a
+        # one-point call to that of its own argument (3 at x = 1e-3)
+        from ghlab.bessel import _BLOCK as B
 
         rng = np.random.default_rng(5)
 
@@ -162,25 +164,29 @@ class TestDoublePrecisionReferences:
                                 rng.uniform(32.0, 700.0, B // 2)])
         rng.shuffle(outer)
         xs = np.concatenate([rng.uniform(4.001, 31.999, B), mixed, outer,
-                             wide(3000)])
+                             rng.uniform(32.0, 700.0, B), wide(3000)])
         got = k0(xs)
         assert np.max(xs[2 * B:][xs[2 * B:] <= 4.0]) < 4.0
-        edges = [i for b in (1, 2, 3) for i in (b * B - 1, b * B)]
-        checked = np.union1d(rng.choice(3 * B, 3000, replace=False),
-                             np.arange(3 * B, xs.size))
+        edges = [i for b in (1, 2, 3, 4) for i in (b * B - 1, b * B)]
+        checked = np.union1d(rng.choice(4 * B, 4000, replace=False),
+                             np.arange(4 * B, xs.size))
         checked = np.union1d(checked, edges + [0] + list(
             np.flatnonzero((xs == 4.0) | (xs == 32.0))))
         for i in checked:
             assert got[i] == k0(xs[i:i + 1])[0], i
 
-    def test_k0_holds_no_full_size_copy(self):
+    @pytest.mark.parametrize("lo, hi", [(0.05, 30.0), (1e-3, 4.0),
+                                        (32.0, 700.0)],
+                             ids=["mixed", "series", "asymptotic"])
+    def test_k0_holds_no_full_size_copy(self, lo, hi):
         # the result is the only full-size temporary: on 2^20 arguments of
-        # the benchmark's range the traced peak stays within 1.8 times its
-        # bytes, which a full-size gather of the middle branch and that
-        # branch's own output (3.2 times) exceed
+        # the benchmark's range, or all in one outer branch, the traced peak
+        # stays within 1.8 times its bytes, which a full-size gather of a
+        # branch's arguments and that branch's own output exceed (3.2, 3.2
+        # and 7.1 times).  Measured with numpy 2.4: 1.09, 1.08, 1.04 times
         import tracemalloc
 
-        xs = np.random.default_rng(12).uniform(0.05, 30.0, 2 ** 20)
+        xs = np.random.default_rng(12).uniform(lo, hi, 2 ** 20)
         k0(xs[:64])
         tracemalloc.start()
         try:
@@ -231,10 +237,10 @@ class TestChebyshevBranch:
         # three full Clenshaw blocks and a ragged tail, all mid-range; the
         # oracle is the one-pass recurrence on the whole batch, and scalar
         # calls at both sides of every block boundary
-        from ghlab.bessel import _CHEB_BLOCK, _CHEB_COEFFS, _CHEB_HI, _CHEB_LO
+        from ghlab.bessel import _BLOCK, _CHEB_COEFFS, _CHEB_HI, _CHEB_LO
 
         xs = np.random.default_rng(9).uniform(4.001, 31.999,
-                                              3 * _CHEB_BLOCK + 5)
+                                              3 * _BLOCK + 5)
         lo, hi = _CHEB_LO, _CHEB_HI
         t = (2.0 * (1.0 / xs) - (lo + hi)) / (hi - lo)
         b1, b2 = np.zeros_like(t), np.zeros_like(t)
@@ -244,6 +250,6 @@ class TestChebyshevBranch:
         got = k0(xs)
         assert np.array_equal(got, np.exp(g - xs) / np.sqrt(xs))
         edges = [0, xs.size - 1] + [i for b in (1, 2, 3)
-                                    for i in (b * _CHEB_BLOCK - 1,
-                                              b * _CHEB_BLOCK)]
+                                    for i in (b * _BLOCK - 1,
+                                              b * _BLOCK)]
         assert all(got[i] == k0(float(xs[i])) for i in edges)

@@ -505,7 +505,8 @@ class TestOoguriVafa:
         # 20,000 distinct points at M = 40, as in the benchmark: each chunk
         # of modes frees its tables before the next k0 call, and the slices
         # are at most M x 2,048 sums.  Tables kept alive across the k0 call
-        # in slices of M x 4,096 exceed the bound (12.0 MiB)
+        # in slices of M x 4,096 exceed the bound (12.0 MiB).  Measured with
+        # numpy 2.4: 5.3 MiB
         import tracemalloc
 
         rng = np.random.default_rng(5)
