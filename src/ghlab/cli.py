@@ -373,10 +373,11 @@ def _cmd_legendre(p, meta):
                            "family": p["family"]})]
     rng = np.random.default_rng(p["seed"])
     shapes = {}
+    shift = {k: 2.0 * np.eye(k) for k in (1, 2, 3)}
     for _ in range(p["samples"]):
         n, l = rng.integers(1, 4, size=2)
-        A = rng.uniform(-1, 1, size=(n, n)) + 2.0 * np.eye(n)
-        D = rng.uniform(-1, 1, size=(l, l)) + 2.0 * np.eye(l)
+        A = rng.uniform(-1, 1, size=(n, n)) + shift[n]
+        D = rng.uniform(-1, 1, size=(l, l)) + shift[l]
         B = rng.uniform(-1, 1, size=(n, l))
         C = rng.uniform(-1, 1, size=(l, n))
         shapes.setdefault((n, l), []).append((A, B, C, D))

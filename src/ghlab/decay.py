@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GHLabError
-from .ghcore import DomainViolation
 
 
 class DecayError(GHLabError):
@@ -176,6 +175,8 @@ def collapse_distance(family, split_limit, lambdas, grid, nodes=64,
     if beta_fn is not None:
         d = np.asarray([beta_fn(p) for p in grid], dtype=float)
         if np.min(d) < 0.2:
+            from .ghcore import DomainViolation
+
             raise DomainViolation(
                 f"grid point at distance {np.min(d):.3f} < 0.2 "
                 "from the discriminant")
@@ -218,6 +219,8 @@ def fiber_diameter(sol, point, lam, limit_value=None):
     """
     v = float(sol.V(np.atleast_2d(np.asarray(point, dtype=float)))[0, 0, 0])
     if v <= 0:
+        from .ghcore import DomainViolation
+
         raise DomainViolation("fiber block must be positive")
     length = 2.0 * math.pi * math.sqrt(1.0 / v)
     rescaled = length / lam

@@ -20,11 +20,15 @@ Jets support +, -, *, / and ``**``, and ``log``,
 ``exp``, ``sqrt``, ``sin`` and ``cos`` by univariate Taylor composition
 (Horner's rule in h = g - g(x0)).
 A ``JetScalarField`` evaluates a plain Python function of the coordinates
-once on the jets of the box of the requested multi-index and reads that
-partial off the top coefficient; a sympy expression becomes such a function
-through one ``lambdify`` into the jet namespace.  ``hessian_block`` tables
-the mixed second partials of such a field over two groups of axes, which is
-all a block solution needs of its potential.
+on the jets of the box of the requested multi-index and reads that partial
+off the top coefficient; a sympy expression becomes such a function through
+one ``lambdify`` into the jet namespace.  The function runs on blocks of
+max(256, ``JET_BLOCK_TERMS`` // P) rows, P the pair products of the box, so
+that every gather and product of a box of up to 64 pairs stays within
+128 KiB, below the allocator's mmap threshold; rows are independent, so the
+blocks give the bits of one evaluation on the whole batch.
+``hessian_block`` tables the mixed second partials of such a field over two
+groups of axes, which is all a block solution needs of its potential.
 
 Finite differences are central with one Richardson level, at the one fixed
 step ``fd_step`` of each multi-index.  ``fd_partial`` stacks the shifted
@@ -354,6 +358,11 @@ def fd_step(orders):
 # slices of at most this many rows, which bounds the memory of one f call
 FD_SLICE_ROWS = 4096
 
+# pair products per row block of a jet partial (the module docstring gives
+# the rule): 16,384 float64 values are 128 KiB, glibc's default mmap
+# threshold, above which every temporary is mapped and unmapped afresh
+JET_BLOCK_TERMS = 16384
+
 
 def fd_partial(f, pts, orders, steps, return_err=False):
     """Mixed central-difference partial of f at a batch of points.
@@ -430,7 +439,8 @@ class JetScalarField:
 
     ``func(x_1, ..., x_d)`` must accept (N,) arrays and jets alike, using
     only arithmetic and the elementary functions of this module.  A partial
-    is one evaluation on the coordinate jets truncated to its multi-index.
+    is one evaluation per row block on the coordinate jets truncated to its
+    multi-index.
     """
 
     def __init__(self, func, dim):
@@ -448,11 +458,18 @@ class JetScalarField:
         if not any(orders):
             return self.value(pts)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = self.func(*Jet.variables(pts, orders))
-        if not isinstance(out, Jet):
-            return np.zeros(pts.shape[0])
+        n = pts.shape[0]
+        pairs = len(_product_plan(tuple(o + 1 for o in orders))[0])
+        rows = max(256, JET_BLOCK_TERMS // pairs)
         scale = math.prod(math.factorial(o) for o in orders)
-        return scale * out.c[orders]
+        out = np.empty(n)
+        # one block at least, so that an empty batch still runs func
+        for i in range(0, max(n, 1), rows):
+            jet = self.func(*Jet.variables(pts[i:i + rows], orders))
+            if not isinstance(jet, Jet):
+                return np.zeros(n)
+            out[i:i + rows] = scale * jet.c[orders]
+        return out
 
 
 class SymbolicScalarField(JetScalarField):

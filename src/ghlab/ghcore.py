@@ -422,7 +422,10 @@ def verify_compat(sol, grid_pts, tolerance=1e-10):
 
 
 def _sphere_grid(nphi, ntheta):
-    nodes, weights = np.polynomial.legendre.leggauss(nphi)
+    # a local import: the commands that need no sphere do not load lattice
+    from .lattice import _leggauss
+
+    nodes, weights = _leggauss(nphi)
     phi = 0.5 * np.pi * (nodes + 1.0)
     wphi = 0.5 * np.pi * weights
     theta = 2.0 * np.pi * np.arange(ntheta) / ntheta

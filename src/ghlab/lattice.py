@@ -362,7 +362,12 @@ def distance_to_discriminant(point, pi_tau, pi_sigma):
 
 @functools.lru_cache(maxsize=None)
 def _leggauss(npts):
-    return np.polynomial.legendre.leggauss(npts)
+    """Gauss-Legendre nodes and weights of order npts on [-1, 1], built once
+    per order; read-only, since every later call shares them."""
+    rule = np.polynomial.legendre.leggauss(npts)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _gauss_nodes(a, b, npts):

@@ -41,7 +41,7 @@ from .fields import (
     unit,
 )
 from .ghcore import BlockSolution, ResidualReport, at_zero_orders
-from .lattice import wall_complex
+from .lattice import _leggauss, wall_complex
 
 
 class LegendreError(GHLabError):
@@ -368,7 +368,7 @@ def beta_holonomy(sol, loop, nodes=12):
     ends = np.roll(loop, -1, axis=0)
     if any(sol.min_segment_distance(a, b) < 1e-6 for a, b in zip(loop, ends)):
         raise LoopHitsSingularity("loop passes through the singular support")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = _leggauss(nodes)
     w = 0.5 * gl_w   # d t in [0,1]
     # the Gauss nodes of every segment in one batch
     directions = ends - loop

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import GHLabError, QuadratureFailure
-from .lattice import _gauss_nodes, wall_complex
 
 
 class TropicalError(GHLabError):
@@ -312,6 +311,8 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
 
     if P.nvars == 1:
         return float(_ronkin_1d(P, x, kappa)[0])
+    from .lattice import _gauss_nodes
+
     # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
     content, P = _split_content(P)
     base = sum(max(x[0], math.log(abs(r))) for r in content)
@@ -420,6 +421,8 @@ def amoeba_contains(P, x, tol=1e-6):
 
 def spine(pair):
     """Wall complex of sigma in the stored base-lattice coordinates."""
+    from .lattice import wall_complex
+
     return wall_complex(pair.sigma, basis=pair.base_basis)
 
 

@@ -696,6 +696,22 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_ronkin_and_amoeba_load_no_lattice_ghcore_or_fields(self):
+        # lattice serves only two-variable ronkin and spine, and ghcore only
+        # decay's domain errors; fields comes in with ghcore
+        code = ("import sys\n"
+                "from ghlab import cli\n"
+                "heavy = {'ghlab.lattice', 'ghlab.ghcore', 'ghlab.fields'}\n"
+                "for cmd in ('ronkin', 'amoeba'):\n"
+                "    assert cli.main([cmd]) == 0\n"
+                "    print('loaded', cmd, sorted(heavy & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines()
+                  if line.startswith("loaded ")]
+        assert loaded == ["loaded ronkin []", "loaded amoeba []"]
+
     def test_decay_ov_and_collapse_load_no_sympy(self):
         # none of them builds a symbolic field, and every K0 they take is a
         # double-precision one; verify-flat and verify-taubnut load the

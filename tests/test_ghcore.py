@@ -14,6 +14,7 @@ from ghlab.ghcore import (
     verify_closed,
     verify_compat,
 )
+from ghlab.lattice import _leggauss
 from ghlab.solutions import taub_nut
 
 
@@ -275,3 +276,25 @@ class TestVerifiers:
         with pytest.raises(GHError, match="empty"):
             verify(quadratic_potential(), np.zeros((0, 3)))
 
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("order", [12, 32, 64])
+    def test_cached_rule_is_read_only(self, order):
+        # every later call shares the arrays, so an edit in place raises
+        rule = _leggauss(order)
+        assert _leggauss(order) is rule
+        for a in rule:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("nphi,ntheta", [(32, 64), (64, 128)])
+    def test_sphere_grid_keeps_its_bits(self, nphi, ntheta):
+        # numpy's rule built afresh: the cache must not move a bit
+        nodes, weights = np.polynomial.legendre.leggauss(nphi)
+        want = (0.5 * np.pi * (nodes + 1.0), 0.5 * np.pi * weights,
+                2.0 * np.pi * np.arange(ntheta) / ntheta,
+                np.full(ntheta, 2.0 * np.pi / ntheta))
+        for got, ref in zip(ghcore._sphere_grid(nphi, ntheta), want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
