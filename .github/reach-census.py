@@ -54,8 +54,8 @@ _JET = ("Jet arithmetic protocol: a lambdified sympy potential may call it "
         "on a Jet")
 _TRACER = "item 1: perfbench/tracer.py TARGETS looks it up by name"
 KEEP = {
-    ("bessel.py", "k0_mp"): _TRACER + "; item 6 deletes it",
-    ("bessel.py", "_k0_asym_mp"): "item 6: the large-argument branch of k0_mp",
+    ("bessel.py", "k0_mp"): "item 1: tracer target; mpmath's K0 until item 6 "
+                            "deletes it",
     ("decay.py", "fourier_modes"): _TRACER,
     ("fields.py", "Jet.__rsub__"): _JET,
     ("fields.py", "Jet.__rtruediv__"): _JET,

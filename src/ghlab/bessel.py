@@ -7,17 +7,16 @@ Three double-precision branches, all in-house:
   evaluated in double precision (cancellation loses ~2*x/ln(10) digits, which
   stays below 1e-12 relative here).
 * ``4 < x < 32``: Chebyshev interpolant of log(K0) + x + log(x)/2 in 1/x,
-  a stored table fitted from the extended-precision series ``k0_mp``.
+  a stored table fitted from mpmath's K0 (``k0_mp``).
 * ``x >= 32``: Poincare asymptotic series
       K0(x) ~ sqrt(pi/(2x)) e^{-x} sum_k c_k / x^k,
       c_k = (-1)^k (1^2 3^2 ... (2k-1)^2) / (k! 8^k),
   a fixed 17-term Horner polynomial in 1/x: the first omitted term is
   below 1.3e-18 relative at x = 32.
 
-References: ``k0_mp``, the same series run in Python integers as fixed
-point at the working precision of its ``dps`` (mpmath, imported only there,
-converts the ends and keeps the asymptotic branch for x >= 64), and
-``k0_integral``, which shares no code with them.
+References: ``k0_mp``, mpmath's ``besselk`` at int(25 + 0.9 x) digits
+(mpmath is imported only there), and ``k0_integral``, a trapezoid rule on
+the integral that shares no code with ``k0``.
 
 Branch boundaries are covered by tests asserting cross-branch agreement to
 1e-11.
@@ -74,59 +73,16 @@ def _k0_series(x):
     return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + s
 
 
-def k0_mp(x, dps=None):
-    """Extended-precision K0 via the same ascending/asymptotic algorithm.
-
-    Returns an mpmath mpf.  ``dps`` defaults to enough digits to absorb the
-    e^{2x} series cancellation plus a 25-digit guard.
-    """
+def k0_mp(x):
+    """mpmath's K0 as an mpf, at int(25 + 0.9 x) significant digits, the
+    precision at which the Chebyshev table was fitted."""
     import mpmath as mp
 
     x = mp.mpf(x)
     if x <= 0:
         raise NonpositiveArgument(f"K0 needs x > 0, got {x}")
-    if dps is None:
-        dps = int(25 + 0.9 * float(x))
-    with mp.workdps(dps):
-        if x >= 64:
-            return _k0_asym_mp(x)
-        # the series in fixed point: an integer n stands for n / 2^prec
-        prec = mp.mp.prec
-        one = 1 << prec
-        t = int(mp.ldexp(x * x / 4, prec))
-        i0, s, h, term = one, 0, 0, one
-        # term (h + 1) < 10^(-dps-5) (s + 1), times 10^(dps+5) 2^(2 prec)
-        inv_eps = 10 ** (dps + 5)
-        k = 0
-        while True:
-            k += 1
-            term = (term * t >> prec) // (k * k)
-            i0 += term
-            h += one // k
-            s += term * h >> prec
-            if term * (h + one) * inv_eps < (s + one) << prec:
-                break
-            if k > 10000:
-                raise RuntimeError("K0 series did not converge")
-        i0, s = mp.ldexp(i0, -prec), mp.ldexp(s, -prec)
-        val = -(mp.log(x / 2) + mp.euler) * i0 + s
-    return val
-
-
-def _k0_asym_mp(x):
-    import mpmath as mp
-
-    pref = mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x)
-    term = mp.mpf(1)
-    s = mp.mpf(1)
-    for k in range(1, 40):
-        term *= -((2 * k - 1) ** 2) / (8 * k * x)
-        if abs(term) > 1:
-            break
-        s += term
-        if abs(term) < mp.mpf(10) ** (-mp.mp.dps):
-            break
-    return pref * s
+    with mp.workdps(int(25 + 0.9 * float(x))):
+        return +mp.besselk(0, x)
 
 
 # c_0 ... c_16 of the asymptotic series, for Horner's rule in 1/x
@@ -159,10 +115,10 @@ def k0_integral(x):
 
 
 # Chebyshev coefficients of g(s) = log K0(x) + x + log(x)/2, s = 1/x on
-# [1/32, 1/4], fitted at the 49 first-kind nodes from k0_mp by a discrete
-# cosine sum (tests/test_bessel.py rebuilds them bit for bit).  Only the
-# first 15 (degree 14) are kept: the rest are rounding noise of the fit, and
-# without them the branch is both faster and closer to mpmath's K0.
+# [1/32, 1/4], fitted at the 49 first-kind nodes from mpmath's K0 (k0_mp)
+# by a discrete cosine sum (tests/test_bessel.py rebuilds them bit for bit).
+# Only the first 15 (degree 14) are kept: the rest are rounding noise of the
+# fit, and without them the branch is both faster and closer to mpmath's K0.
 _CHEB_LO, _CHEB_HI = 1.0 / _ASYM_MIN, 1.0 / _SERIES_MAX
 _CHEB_COEFFS = np.array([
     0.2095597917547311, -0.012111911755778965, 0.0002611274859010987,

@@ -70,11 +70,10 @@ def fourier_modes(fieldobj, point, M, nodes=256):
 
 @dataclass
 class ModeFit:
-    amplitude: float | None     # fitted C in C e^{-rate * beta * |m|}
-    rate: float | None
-    rms_residual: float | None
+    amplitude: float     # fitted C in C e^{-rate * beta * |m|}
+    rate: float
+    rms_residual: float
     passed: bool
-    skipped: bool = False
 
 
 @dataclass
@@ -94,8 +93,7 @@ class DecayReport:
             fit = self.fits[m]
             for beta, mag in zip(self.betas, self.magnitudes[m]):
                 logm = math.log(mag) if mag > 0 else float("-inf")
-                pred = (math.log(fit.amplitude) - fit.rate * beta * abs(m)
-                        if not fit.skipped else float("nan"))
+                pred = math.log(fit.amplitude) - fit.rate * beta * abs(m)
                 rows.append([m, float(beta), float(mag), logm, pred])
         return rows
 
@@ -104,11 +102,12 @@ class DecayReport:
         return ["m", "beta", "abs_mode", "log_abs_mode", "fit_pred"]
 
 
-def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None,
-              slope_band=(0.9, 1.1), rms_limit=0.1):
+def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None, rms_limit=0.1):
     """Per-mode log-linear regression of |V^m| against the decay distance
     |(u, x)|, over the grid points at distance >= 0.2 (at least 8 of them).
-    A mode below 1e-12 at every point is skipped and passes."""
+    A mode passes when its rate lies in [0.9, 1.1] and its rms residual is
+    below ``rms_limit``; a mode that is absent (|V^m| floored at 1e-300)
+    fits a rate near 0 and fails."""
     pts = np.atleast_2d(np.asarray(point_grid, dtype=float))
     betas = np.linalg.norm(pts, axis=1)
     keep = betas >= 0.2
@@ -123,13 +122,8 @@ def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None,
                   for m in modes}
     fits = {}
     for m in modes:
-        mags = magnitudes[m]
-        if np.all(mags < 1e-12):
-            fits[m] = ModeFit(amplitude=None, rate=None,
-                              rms_residual=None, passed=True, skipped=True)
-            continue
         xs = -betas * abs(m)
-        ys = np.log(np.maximum(mags, 1e-300))
+        ys = np.log(np.maximum(magnitudes[m], 1e-300))
         A = np.vstack([xs, np.ones_like(xs)]).T
         coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
         resid = ys - A @ coef
@@ -137,8 +131,7 @@ def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None,
         rate = float(coef[0])
         fits[m] = ModeFit(amplitude=float(math.exp(coef[1])),
                           rate=rate, rms_residual=rms,
-                          passed=bool(slope_band[0] <= rate <= slope_band[1]
-                                      and rms < rms_limit))
+                          passed=bool(0.9 <= rate <= 1.1 and rms < rms_limit))
     return DecayReport(modes=modes, betas=betas, magnitudes=magnitudes,
                        fits=fits)
 
@@ -206,16 +199,16 @@ def ronkin_collapse(P, lambdas, grid, nodes=64):
 class FiberDiameter:
     length: float          # 2 pi sqrt(V^{-1}) at the point
     rescaled: float        # length / lambda
-    predicted: float | None
-    ratio: float | None
+    predicted: float       # lambda^{-1} 2 pi / sqrt(limit_value)
+    ratio: float           # rescaled / predicted
 
 
-def fiber_diameter(sol, point, lam, limit_value=None):
+def fiber_diameter(sol, point, lam, limit_value):
     """Fiber circle length at a point, against the collapsed prediction.
 
     ``limit_value`` is the split-limit coefficient at the rescaled point;
-    the prediction is lam^{-1} * 2 pi / sqrt(limit), and the ratio should
-    sit in [0.5, 2] once lam >= 10 and the decay distance is >= 1.
+    the prediction is lam^{-1} * 2 pi / sqrt(limit_value), and the ratio
+    should sit in [0.5, 2] once lam >= 10 and the decay distance is >= 1.
     """
     v = float(sol.V(np.atleast_2d(np.asarray(point, dtype=float)))[0, 0, 0])
     if v <= 0:
@@ -224,9 +217,6 @@ def fiber_diameter(sol, point, lam, limit_value=None):
         raise DomainViolation("fiber block must be positive")
     length = 2.0 * math.pi * math.sqrt(1.0 / v)
     rescaled = length / lam
-    predicted = ratio = None
-    if limit_value is not None:
-        predicted = 2.0 * math.pi / (lam * math.sqrt(limit_value))
-        ratio = rescaled / predicted
+    predicted = 2.0 * math.pi / (lam * math.sqrt(limit_value))
     return FiberDiameter(length=length, rescaled=rescaled,
-                         predicted=predicted, ratio=ratio)
+                         predicted=predicted, ratio=rescaled / predicted)

@@ -36,13 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import GHLabError
-from .fields import (
-    SymbolicScalarField,
-    fd_partial,
-    fd_step,
-    hessian_block,
-    unit,
-)
+from .fields import fd_partial, fd_step, hessian_block, unit
 
 
 class GHError(GHLabError):
@@ -189,14 +183,11 @@ class GHSolution(BlockSolution):
         return np.asarray(self._connection(np.atleast_2d(pts)), dtype=complex)
 
     @classmethod
-    def from_potential(cls, K, n, l, symbols=None, domain=None,
-                       discriminant=None):
-        """Build the blocks from a real potential on the (u, x, y) chart: a
-        scalar field of dimension n + 2l, or a sympy expression in
-        ``symbols``.  They are slices of its real Hessian (see the module
-        docstring)."""
-        if symbols is not None:
-            K = SymbolicScalarField(K, symbols)
+    def from_potential(cls, K, n, l, domain=None, discriminant=None):
+        """Build the blocks from a real potential on the (u, x, y) chart, a
+        scalar field of dimension n + 2l (for sympy input, a
+        ``fields.SymbolicScalarField``).  They are slices of its real
+        Hessian (see the module docstring)."""
         nc = n + 2 * l
         if K.dim != nc:
             raise ValueError("scalar field dimension does not match (n, l)")

@@ -377,9 +377,9 @@ def _gauss_nodes(a, b, npts):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _clip_ray_to_box(origin, direction, box, tmin=0.0):
-    """Parameter interval of {origin + t*direction, t >= tmin} inside a box."""
-    lo, hi = tmin, math.inf
+def _clip_ray_to_box(origin, direction, box):
+    """Parameter interval of {origin + t*direction, t >= 0} inside a box."""
+    lo, hi = 0.0, math.inf
     for k, (a, b) in enumerate(box):
         d = direction[k]
         o = origin[k]
@@ -439,7 +439,7 @@ def pair_current(complex_, test_form, region, nodes=64):
         else:
             halves = [direction, -direction]
         for vdir in halves:
-            span = _clip_ray_to_box(np.zeros(2), vdir, region, tmin=0.0)
+            span = _clip_ray_to_box(np.zeros(2), vdir, region)
             if span is None:
                 continue
             # composite Gauss-Legendre: robust for localized test forms

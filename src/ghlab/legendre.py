@@ -63,28 +63,24 @@ class LoopHitsSingularity(LegendreError):
 class SplitMASolution(BlockSolution):
     """Blocks (V, B, W) of a split potential, table- or potential-backed.
 
-    W is real symmetric; B is zero when no table is given.
+    W is real symmetric; B is zero when no table is given.  Each of the
+    ``singular_points`` carries unit charge.
     """
 
     def __init__(self, n, l, V, W, B=None, potential=None, V_partial=None,
-                 W_partial=None, domain=None, singular_points=None,
-                 charges=None):
-        super().__init__(n, l, V, W, domain=domain, potential=potential,
+                 W_partial=None, singular_points=None):
+        super().__init__(n, l, V, W, potential=potential,
                          V_partial=V_partial, W_partial=W_partial)
         self._B = B
         self.singular_points = [np.asarray(p, dtype=float)
                                 for p in (singular_points or [])]
-        self.charges = [np.asarray(c, dtype=float) for c in (charges or [])]
-        if self.singular_points and not self.charges:
-            self.charges = [np.ones((self.n, self.l))
-                            for _ in self.singular_points]
 
     @property
     def dim(self):
         return self.n + self.l
 
     @classmethod
-    def from_potential(cls, K, n, l, symbols=None, domain=None, **kw):
+    def from_potential(cls, K, n, l, symbols=None):
         """Build the blocks from a potential: a scalar field, or a sympy
         expression in ``symbols``.  They are slices of its real Hessian H:
         V = H_ss, B = H_st and W = -H_tt."""
@@ -105,8 +101,7 @@ class SplitMASolution(BlockSolution):
         return cls(n, l, at_zero_orders(V_partial, d),
                    at_zero_orders(W_partial, d),
                    B=at_zero_orders(B_partial, d), potential=K,
-                   V_partial=V_partial, W_partial=W_partial, domain=domain,
-                   **kw)
+                   V_partial=V_partial, W_partial=W_partial)
 
     def B(self, pts):
         if self._B is None:
@@ -250,7 +245,7 @@ def singular_2d(h=1.0):
 
     return SplitMASolution(
         1, 1, V, V, B=None, V_partial=V_partial, W_partial=V_partial,
-        singular_points=[np.zeros(2)], charges=[np.ones((1, 1))])
+        singular_points=[np.zeros(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +337,7 @@ class HolonomyReport:
     loop: np.ndarray
     windings: list
     holonomy: np.ndarray        # (n, l) loop integral of beta
-    expected: np.ndarray        # -(sum of winding * charge)
+    expected: np.ndarray        # -(sum of windings), unit charges
     max_abs_error: float
 
     def to_json(self):
@@ -394,8 +389,7 @@ def beta_holonomy(sol, loop, nodes=12):
     expected = np.zeros((n, l))
     if n == 1 and l == 1 and sol.singular_points:
         windings = winding_numbers(loop, sol.singular_points)
-        for wnum, charge in zip(windings, sol.charges):
-            expected += -wnum * charge
+        expected -= sum(windings)
     err = float(np.max(np.abs(hol - expected))) if windings else float("nan")
     return HolonomyReport(loop=loop, windings=windings, holonomy=hol,
                           expected=expected, max_abs_error=err)

@@ -176,16 +176,16 @@ def flat_gh_solution():
 # semi-flat
 # ---------------------------------------------------------------------------
 
-def semiflat(ma_potential, symbols=None):
+def semiflat(ma_potential):
     """Fiber-flat solution from a real potential with unit Hessian determinant.
 
-    ``ma_potential`` is a sympy expression in ``symbols`` or a scalar field
-    of the n coordinates, such as a ``fields.JetScalarField``.  The base
-    block is trivial (l = 0), so the compatibility residual is
-    |1/det Hess - 1|.  The Hessian must be positive definite at the origin.
+    ``ma_potential`` is a scalar field of the n coordinates, such as a
+    ``fields.JetScalarField``.  The base block is trivial (l = 0), so the
+    compatibility residual is |1/det Hess - 1|.  The Hessian must be
+    positive definite at the origin.
     """
-    n = len(symbols) if symbols is not None else ma_potential.dim
-    sol = GHSolution.from_potential(ma_potential, n, 0, symbols=symbols)
+    n = ma_potential.dim
+    sol = GHSolution.from_potential(ma_potential, n, 0)
     eigs = np.linalg.eigvalsh(sol.V(np.zeros((1, n))))
     if np.min(eigs) <= 0:
         raise NotConvex("Hessian of the potential is not positive definite")
@@ -390,15 +390,15 @@ def ooguri_vafa(lam, M, a):
     return PeriodicFourierSolution(lam, M, a)
 
 
-def ov_total_flux(sol, radius, nodes=(256, 64), center=(0.0, 0.0)):
+def ov_total_flux(sol, radius, center=(0.0, 0.0)):
     """Flux of grad V through the full-period Gauss surface
     {|(u,x) - center| = radius} x S^1, which captures the entire periodic
-    source for every mode cutoff; the normal derivative is a central
-    difference at step 1e-6.
+    source for every mode cutoff, on 256 angles x 64 fiber nodes; the normal
+    derivative is a central difference at step 1e-6.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    na, ny = nodes
+    na, ny = 256, 64
     alpha = 2.0 * np.pi * np.arange(na) / na
     ys = 2.0 * np.pi * np.arange(ny) / ny
     A, Y = np.meshgrid(alpha, ys, indexing="ij")

@@ -451,7 +451,7 @@ def laurent_from_pair(pair):
 # Hessian mass
 # ---------------------------------------------------------------------------
 
-def ronkin_hessian_mass(P, box, kappa=1):
+def ronkin_hessian_mass(P, box):
     """Total second-derivative mass of N over a box.
 
     Returns the (l x l) matrix approximating the integral of Hess N, computed
@@ -470,7 +470,7 @@ def ronkin_hessian_mass(P, box, kappa=1):
             face[:, 1 - p] = np.linspace(*box[1 - p], 17)
         for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
             face[:, p] = end
-            g = kappa * np.array([ronkin_gradient(P, x) for x in face])
+            g = np.array([ronkin_gradient(P, x) for x in face])
             # trapezoid rule along the face
             out[p] += sign * (np.diff(face[:, 1 - p]) @ (g[1:] + g[:-1]) / 2.0
                               if l == 2 else g[0])

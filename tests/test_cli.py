@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -270,6 +271,21 @@ def test_collapse_field_check_catches_wrong_mode_sum(monkeypatch, capsys):
         monkeypatch.setattr(solutions, "k0", lambda x, s=scale: s * real(x))
         assert run_cli(["collapse"]) == 1
         assert "FAIL collapse-field-nonincreasing" in capsys.readouterr().out
+
+
+def test_decay_without_modes_is_a_failed_check(monkeypatch, capsys):
+    # with K0 scaled by 0 the field has no mode m >= 1: each fit is a
+    # finite rate outside the band, not a crash
+    from ghlab import solutions
+
+    real = solutions.k0
+    monkeypatch.setattr(solutions, "k0", lambda x: 0.0 * real(x))
+    assert run_cli(["decay"]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL decay-slope-band (rates=")
+    rates = ast.literal_eval(out[out.index("{"):out.rindex("}") + 1])
+    assert all(math.isfinite(float(r)) for r in rates.values())
+    assert err == ""
 
 
 @pytest.mark.parametrize("entry", [0, 14])

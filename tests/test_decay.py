@@ -99,17 +99,20 @@ class TestDecayFit:
                 out += 0.7 * np.exp(-2.0 * beta * m) * np.cos(m * y)
             return out
 
-        rep = decay_fit(f, self.grid(0.5, 3.0), M=5, nodes=64,
-                        slope_band=(1.96, 2.04))
+        rep = decay_fit(f, self.grid(0.5, 3.0), M=5, nodes=64)
         for m in range(1, 6):
             assert rep.fits[m].rate == pytest.approx(2.0, rel=1e-6)
-            assert rep.fits[m].passed
+            # the band [0.9, 1.1] is fixed: a rate of 2 fails it
+            assert not rep.fits[m].passed
+        assert not rep.all_passed
 
-    def test_zero_modes_skipped_pass(self):
+    def test_mode_free_field_fails(self):
         f = lambda pts: 1.0 + 0.0 * pts[:, 2]
         rep = decay_fit(f, self.grid(0.5, 3.0), M=3, nodes=32)
         for m in (1, 2, 3):
-            assert rep.fits[m].skipped and rep.fits[m].passed
+            assert math.isfinite(rep.fits[m].rate)
+            assert not rep.fits[m].passed
+        assert rep.all_passed is False
 
     def test_insufficient_points(self):
         with pytest.raises(InsufficientPoints):
@@ -241,6 +244,8 @@ class TestFiberDiameter:
 
     def test_shrinks_toward_discriminant(self):
         sol = ooguri_vafa(1.0, 8, a=2.0)
-        lengths = [fiber_diameter(sol, [r, 0.0, 0.0], 1.0).length
+        lengths = [fiber_diameter(sol, [r, 0.0, 0.0], 1.0,
+                                  limit_value=2.0 - math.log(r) / (2 * math.pi)
+                                  ).length
                    for r in (2.0, 1.0, 0.5, 0.25)]
         assert all(b < a for a, b in zip(lengths, lengths[1:]))

@@ -22,7 +22,8 @@ def quadratic_potential():
     # Phi = u^2/2 - |eta|^2/4: V = [1], W = [1], no mixed terms
     u, x, y = sp.symbols("u x y", real=True)
     expr = u ** 2 / 2 - (x ** 2 + y ** 2) / 4
-    return GHSolution.from_potential(expr, 1, 1, symbols=(u, x, y))
+    return GHSolution.from_potential(
+        SymbolicScalarField(expr, (u, x, y)), 1, 1)
 
 
 def coupled_potential():
@@ -31,7 +32,8 @@ def coupled_potential():
     expr = (u ** 2 / 2 - (x ** 2 + y ** 2) / 4
             + sp.Rational(1, 10) * u * x * y
             + sp.Rational(1, 20) * sp.cos(x) * sp.exp(-u ** 2 / 4))
-    return GHSolution.from_potential(expr, 1, 1, symbols=(u, x, y))
+    return GHSolution.from_potential(
+        SymbolicScalarField(expr, (u, x, y)), 1, 1)
 
 
 class TestFiniteDifferences:
@@ -56,17 +58,17 @@ class TestDeriveVW:
 
     def test_domain_violation(self):
         u, x, y = sp.symbols("u x y", real=True)
-        sol = GHSolution.from_potential(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
-                                        1, 1, symbols=(u, x, y),
+        K = SymbolicScalarField(u ** 2 / 2 - (x ** 2 + y ** 2) / 4, (u, x, y))
+        sol = GHSolution.from_potential(K, 1, 1,
                                         domain=RadialDomain(0.0, 1.0))
         with pytest.raises(DomainViolation):
             verify_closed(sol, [[2.0, 0.0, 0.0]])
 
     def test_field_dimension_must_be_n_plus_2l(self):
         u, x, y = sp.symbols("u x y", real=True)
+        K = SymbolicScalarField(u ** 2 / 2 - (x ** 2 + y ** 2) / 4, (u, x, y))
         with pytest.raises(ValueError, match="dimension"):
-            GHSolution.from_potential(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
-                                      2, 1, symbols=(u, x, y))
+            GHSolution.from_potential(K, 2, 1)
 
 
 class TestConnectionAndCurvature:
@@ -149,7 +151,8 @@ class TestTwoByTwoBlocks:
 
     def test_blocks_and_partials_match_wirtinger_oracles(self):
         expr = self.potential()
-        sol = GHSolution.from_potential(expr, 2, 2, symbols=self.SYMS)
+        sol = GHSolution.from_potential(SymbolicScalarField(expr, self.SYMS),
+                                        2, 2)
         pts = np.random.default_rng(8).uniform(-0.5, 0.5, size=(12, 6))
         V, W, A = self.oracles(expr)
         # one first partial of each block, along u1, x2 and y1
@@ -169,8 +172,8 @@ class TestTwoByTwoBlocks:
         assert np.array_equal(W_num, np.conj(np.swapaxes(W_num, 1, 2)))
 
     def test_closed(self):
-        sol = GHSolution.from_potential(self.potential(), 2, 2,
-                                        symbols=self.SYMS)
+        sol = GHSolution.from_potential(
+            SymbolicScalarField(self.potential(), self.SYMS), 2, 2)
         pts = np.random.default_rng(9).uniform(-0.5, 0.5, size=(8, 6))
         rep = verify_closed(sol, pts, step=1e-4, tolerance=1e-6)
         assert rep.passed, rep
@@ -233,7 +236,8 @@ class TestVerifiers:
         # Richardson-consistency: halving the step shrinks the raw FD error
         u, x, y = sp.symbols("u x y", real=True)
         expr = u ** 2 / 2 - (x ** 2 + y ** 2) / 4 + sp.sin(u) * sp.cos(x) / 8
-        sol = GHSolution.from_potential(expr, 1, 1, symbols=(u, x, y))
+        sol = GHSolution.from_potential(
+            SymbolicScalarField(expr, (u, x, y)), 1, 1)
         pts = np.array([[0.3, 0.4, 0.1]])
 
         def f(q):
@@ -265,10 +269,9 @@ class TestVerifiers:
                 + sp.Rational(1, 30) * u * x * y)
         shifted = base + 3 * u - 2 * x + sp.Rational(1, 2) * y + 7
         pts = np.random.default_rng(6).uniform(-0.5, 0.5, size=(8, 3))
-        r1 = verify_compat(
-            GHSolution.from_potential(base, 1, 1, symbols=(u, x, y)), pts)
-        r2 = verify_compat(
-            GHSolution.from_potential(shifted, 1, 1, symbols=(u, x, y)), pts)
+        r1, r2 = (verify_compat(GHSolution.from_potential(
+            SymbolicScalarField(K, (u, x, y)), 1, 1), pts)
+            for K in (base, shifted))
         assert abs(r1.max_residual - r2.max_residual) < 1e-12
 
     @pytest.mark.parametrize("verify", [verify_closed, verify_compat])

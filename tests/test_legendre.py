@@ -181,8 +181,7 @@ class TestTableOnlyFallback:
     def test_holonomy_of_table_only_singular_family(self):
         sol = singular_2d(h=1.0)
         table_only = SplitMASolution(
-            1, 1, sol.V, sol.W, singular_points=sol.singular_points,
-            charges=sol.charges)
+            1, 1, sol.V, sol.W, singular_points=sol.singular_points)
         rep = beta_holonomy(table_only, circle_loop(radius=1.0, segments=64))
         assert rep.windings == [1]
         assert abs(rep.holonomy[0, 0] + 1.0) < 1e-6

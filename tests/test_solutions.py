@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from ghlab.bessel import NonpositiveArgument
+from ghlab.fields import SymbolicScalarField
 from ghlab.ghcore import (GHSolution, chern_flux, verify_closed,
                           verify_compat)
 from ghlab.lattice import LatticeSimplex, wall_complex
@@ -211,12 +212,9 @@ class TestFlux:
 
     def test_no_wall_no_flux(self):
         # quadratic potential has F = 0: flux through any sphere vanishes
-        import sympy as sp
-        from ghlab.ghcore import GHSolution
-
         u, x, y = sp.symbols("u x y", real=True)
-        sol = GHSolution.from_potential(u ** 2 / 2 - (x ** 2 + y ** 2) / 4,
-                                        1, 1, symbols=(u, x, y))
+        sol = GHSolution.from_potential(SymbolicScalarField(
+            u ** 2 / 2 - (x ** 2 + y ** 2) / 4, (u, x, y)), 1, 1)
         flux = chern_flux(sol, [0.0], 0.5)
         assert np.max(np.abs(flux)) < 1e-6
 
@@ -224,7 +222,7 @@ class TestFlux:
 class TestSemiflat:
     def test_quadratic_identity(self):
         ys = sp.symbols("s1 s2", real=True)
-        sol = semiflat((ys[0] ** 2 + ys[1] ** 2) / 2, ys)
+        sol = semiflat(SymbolicScalarField((ys[0] ** 2 + ys[1] ** 2) / 2, ys))
         pts = np.random.default_rng(4).uniform(-1, 1, size=(50, 2))
         assert np.allclose(sol.V(pts), np.eye(2)[None, :, :])
         rep = verify_compat(sol, pts)
@@ -233,7 +231,7 @@ class TestSemiflat:
     def test_rejects_nonconvex(self):
         s1, s2 = sp.symbols("s1 s2", real=True)
         with pytest.raises(NotConvex):
-            semiflat(s1 ** 2 - s2 ** 2, (s1, s2))
+            semiflat(SymbolicScalarField(s1 ** 2 - s2 ** 2, (s1, s2)))
 
 
 class TestOoguriVafa:

@@ -647,12 +647,6 @@ class TestHessianMass:
         m = ronkin_hessian_mass(P1Z, (1.0, 2.0))
         assert abs(m[0, 0]) < 1e-3
 
-    def test_kappa_doubles(self):
-        m1 = ronkin_hessian_mass(P1Z, (-1.0, 1.0), kappa=1)
-        m2 = ronkin_hessian_mass(P1Z, (-1.0, 1.0), kappa=2)
-        assert abs(m2[0, 0] - 2 * m1[0, 0]) < 2e-3
-        assert np.array_equal(m2, 2 * m1)
-
     def test_2d_mass_matches_spine_weight(self):
         # mass of Hess N for 1+z1+z2 over a box containing only the
         # horizontal part of the spine; compare the dominant entry sign
