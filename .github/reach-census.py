@@ -63,10 +63,6 @@ KEEP = {
     ("fields.py", "Jet.sin"): _JET,
     ("fields.py", "fd_step"): "item 13: finite-difference closedness on "
                               "tables",
-    ("ghcore.py", "Domain.contains"): "the Domain interface every domain "
-                                      "overrides",
-    ("ghcore.py", "WholeSpace.__repr__"): "names the domain in a "
-                                          "DomainViolation message",
     ("lattice.py", "LatticeSimplex.__repr__"): _PAIR,
     ("lattice.py", "WallComplex.__len__"): _PAIR,
     ("lattice.py", "DualSimplexPair.__init__"): _PAIR,
@@ -77,12 +73,13 @@ KEEP = {
     ("lattice.py", "distance_to_discriminant"): _PAIR,
     ("lattice.py", "_clip_ray_to_box"): _PAIR,
     ("lattice.py", "pair_current"): _PAIR,
-    ("legendre.py", "singular_2d.V"): "the V table a SplitMASolution needs; "
-                                      "holonomy reads only its partials",
     ("legendre.py", "monodromy_generator"): _PAIR,
     ("legendre.py", "is_unipotent"): _PAIR,
     ("legendre.py", "AffineChartAtlas.generator"): _PAIR,
     ("legendre.py", "atlas"): _PAIR,
+    ("solutions.py", "PeriodicFourierSolution.__init__.radius"):
+        "item 13: the periodic family's domain and discriminant, which "
+        "closedness and flux on its table read",
     ("solutions.py", "taub_nut_V"): "item 13: the closed-form table of "
                                     "table closedness",
     ("solutions.py", "semiflat"): "north star: the semi-flat family",

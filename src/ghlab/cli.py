@@ -220,10 +220,10 @@ def _cmd_verify_taubnut(p, meta):
     checks = [CheckResult("taubnut-laplacian", lap < 1e-8,
                           {"maxResidual": f"{lap:.3e}"})]
     sol = taub_nut(p["ell"], p["a"])
-    keep = pts[sol.domain.contains(pts)]
+    keep = pts[sol.domain(pts)]
     # a check over no points would pass vacuously
-    _require(len(keep), "samples",
-             f"none of the {p['samples']} samples lies in {sol.domain}")
+    _require(len(keep), "samples", f"none of the {p['samples']} samples "
+             f"lies in the domain {sol.domain.__doc__}")
     sub = keep[:min(len(keep), 64)]
     rep = verify_closed(sol, sub, step=1e-4, tolerance=p["tol"])
     checks.append(_closedness("taubnut-closedness", rep,
@@ -458,10 +458,18 @@ def _cmd_decay(p, meta):
     if p["svg"]:
         from .svgplot import emit_svg
 
-        series = [(f"m={m}", list(rep.betas), list(rep.magnitudes[m]))
-                  for m in rep.modes]
-        emit_svg(series, {"title": "mode decay", "xlabel": "beta",
-                          "ylabel": "|V^m|", "ylog": True}, p["svg"])
+        # a log axis can show only the modes positive on the whole grid
+        left = [m for m in rep.modes if not np.all(rep.magnitudes[m] > 0)]
+        shown = [m for m in rep.modes if m not in left]
+        if left:
+            print(f"decay: |V^m| is not positive on the grid for m in {left}; "
+                  + ("the plot leaves them out" if shown
+                     else f"{p['svg']} was not written"), file=sys.stderr)
+        if shown:
+            series = [(f"m={m}", list(rep.betas), list(rep.magnitudes[m]))
+                      for m in shown]
+            emit_svg(series, {"title": "mode decay", "xlabel": "beta",
+                              "ylabel": "|V^m|", "ylog": True}, p["svg"])
     return checks
 
 

@@ -52,124 +52,65 @@ class SphereHitsDiscriminant(GHError):
 
 
 # ---------------------------------------------------------------------------
-# domains
-# ---------------------------------------------------------------------------
-
-class Domain:
-    def contains(self, pts):
-        raise NotImplementedError
-
-    def require(self, pts):
-        pts = np.atleast_2d(pts)
-        ok = self.contains(pts)
-        if not np.all(ok):
-            bad = pts[~np.asarray(ok)][0]
-            raise DomainViolation(f"point {bad} outside domain {self}")
-
-    def __and__(self, other):
-        return _Intersection(self, other)
-
-
-class _Intersection(Domain):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def contains(self, pts):
-        return np.logical_and(self.a.contains(pts), self.b.contains(pts))
-
-    def __repr__(self):
-        return f"({self.a} & {self.b})"
-
-
-class WholeSpace(Domain):
-    def contains(self, pts):
-        return np.ones(np.atleast_2d(pts).shape[0], dtype=bool)
-
-    def __repr__(self):
-        return "WholeSpace()"
-
-
-class RadialDomain(Domain):
-    """rmin <= |pts[:, axes]| <= rmax."""
-
-    def __init__(self, rmin, rmax, axes=None):
-        self.rmin, self.rmax, self.axes = float(rmin), float(rmax), axes
-
-    def contains(self, pts):
-        pts = np.atleast_2d(pts)
-        cols = pts if self.axes is None else pts[:, list(self.axes)]
-        r = np.linalg.norm(cols, axis=1)
-        return (r >= self.rmin) & (r <= self.rmax)
-
-    def __repr__(self):
-        return f"RadialDomain({self.rmin}, {self.rmax}, axes={self.axes})"
-
-
-# ---------------------------------------------------------------------------
 # solutions
 # ---------------------------------------------------------------------------
 
 class BlockSolution:
-    """Batched block tables V (n x n) and W (l x l) over a base domain.
-
-    ``V``/``W`` are callables pts -> (N, n, n) / (N, l, l).  The partial
-    providers ``V_partial``/``W_partial`` (orders, pts) -> table are optional
-    closed forms; without one, partials are finite differences of the table
-    at the fixed ``fd_step``.  Subclasses set the dtype of W.
+    """The blocks V (n x n) and W (l x l) of a solution, each a partial
+    provider (orders, pts) -> (N, n, n) / (N, l, l) table over a point batch:
+    a closed form where a potential gives one, else ``table_partial`` of a
+    table.  ``V(pts)`` and ``W(pts)`` are the zero-order partials.
+    Subclasses set the dtype of W.
     """
 
     w_dtype = float
 
-    def __init__(self, n, l, V, W, domain=None, potential=None,
-                 V_partial=None, W_partial=None):
+    def __init__(self, n, l, V, W, potential=None):
         self.n, self.l = int(n), int(l)
         self._V, self._W = V, W
-        self.domain = domain if domain is not None else WholeSpace()
         self.potential = potential
-        self._V_partial = V_partial
-        self._W_partial = W_partial
-
-    def V(self, pts):
-        return np.asarray(self._V(np.atleast_2d(pts)), dtype=float)
-
-    def W(self, pts):
-        pts = np.atleast_2d(pts)
-        if self.l == 0:
-            return np.ones((pts.shape[0], 0, 0), dtype=self.w_dtype)
-        return np.asarray(self._W(pts), dtype=self.w_dtype)
-
-    def _partial(self, provider, table, orders, pts):
-        if provider is not None:
-            return provider(orders, pts)
-        return fd_partial(table, pts, orders, fd_step(orders))
 
     def V_partial(self, orders, pts):
-        return self._partial(self._V_partial, self.V, orders, pts)
+        return np.asarray(self._V(orders, np.atleast_2d(pts)), dtype=float)
 
     def W_partial(self, orders, pts):
-        return self._partial(self._W_partial, self.W, orders, pts)
+        return np.asarray(self._W(orders, np.atleast_2d(pts)),
+                          dtype=self.w_dtype)
+
+    def V(self, pts):
+        return self.V_partial((0,) * np.shape(pts)[-1], pts)
+
+    def W(self, pts):
+        return self.W_partial((0,) * np.shape(pts)[-1], pts)
 
 
-def at_zero_orders(partial, ncoords):
-    """The table pts -> partial((0, ..., 0), pts) of a partial provider."""
-    zero = (0,) * ncoords
-    return lambda pts: partial(zero, pts)
+def table_partial(table):
+    """The partial provider of a block known only as a table pts -> (N, a, b):
+    the table itself at order zero, and its central differences at the fixed
+    ``fd_step`` otherwise."""
+
+    def partial(orders, pts):
+        if not any(orders):
+            return table(pts)
+        return fd_partial(table, pts, orders, fd_step(orders))
+
+    return partial
 
 
 class GHSolution(BlockSolution):
     """Evaluator bundle (V, W, connection, curvature) over a base domain.
 
     W is hermitian.  ``connection`` gives the d eta_p coefficient of each A_j
-    (the d etabar coefficient is its conjugate, forced by reality).
+    (the d etabar coefficient is its conjugate, forced by reality).  The
+    ``domain`` is a mask pts -> (N,) bool, or None for everywhere.
     """
 
     w_dtype = complex
 
     def __init__(self, n, l, V, W, domain=None, potential=None,
-                 connection=None, V_partial=None, W_partial=None,
-                 discriminant=None):
-        super().__init__(n, l, V, W, domain=domain, potential=potential,
-                         V_partial=V_partial, W_partial=W_partial)
+                 connection=None, discriminant=None):
+        super().__init__(n, l, V, W, potential=potential)
+        self.domain = domain
         self._connection = connection
         self.discriminant = discriminant
 
@@ -196,10 +137,10 @@ class GHSolution(BlockSolution):
         def H(orders, rows, cols, pts):
             return hessian_block(K, orders, rows, cols, pts)
 
-        def V_partial(orders, pts):
+        def V(orders, pts):
             return H(orders, u, u, pts)
 
-        def W_partial(orders, pts):
+        def W(orders, pts):
             W = -(H(orders, x, x, pts) + H(orders, y, y, pts)).astype(complex)
             if l > 1:
                 # H_{y_p x_q} = H_{x_q y_p}; the term vanishes for p = q
@@ -207,14 +148,12 @@ class GHSolution(BlockSolution):
                 W -= 1j * (xy - np.swapaxes(xy, 1, 2))
             return W
 
-        def connection_partial(orders, pts):
-            return 0.5 * (H(orders, u, y, pts) + 1j * H(orders, u, x, pts))
+        def connection(pts):
+            zero = (0,) * nc
+            return 0.5 * (H(zero, u, y, pts) + 1j * H(zero, u, x, pts))
 
-        return cls(n, l, at_zero_orders(V_partial, nc),
-                   at_zero_orders(W_partial, nc), domain=domain, potential=K,
-                   connection=at_zero_orders(connection_partial, nc)
-                   if l else None,
-                   V_partial=V_partial, W_partial=W_partial,
+        return cls(n, l, V, W, domain=domain, potential=K,
+                   connection=connection if l else None,
                    discriminant=discriminant)
 
 
@@ -369,10 +308,12 @@ def verify_closed(sol, grid_pts, step=1e-4, tolerance=1e-6):
     pts = np.atleast_2d(np.asarray(grid_pts, dtype=float))
     if pts.size == 0:
         raise GHError("the point batch is empty: there is no point to check")
-    sol.domain.require(pts)
+    outside = [] if sol.domain is None else pts[~sol.domain(pts)]
+    if len(outside):
+        raise DomainViolation(f"point {outside[0]} outside the domain")
     df, arg_f, gap, gap_at = _d_residual(curvature_form, sol, pts, step)
     domega = None
-    if sol.connection(pts[:1]) is not None:
+    if sol._connection is not None:
         domega, _, gap_o, at_o = _d_residual(kahler_form, sol, pts, step)
         if gap_o > gap:
             gap, gap_at = gap_o, at_o

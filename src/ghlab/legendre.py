@@ -40,7 +40,7 @@ from .fields import (
     log,
     unit,
 )
-from .ghcore import BlockSolution, ResidualReport, at_zero_orders
+from .ghcore import BlockSolution, ResidualReport
 from .lattice import _leggauss, wall_complex
 
 
@@ -61,16 +61,15 @@ class LoopHitsSingularity(LegendreError):
 
 
 class SplitMASolution(BlockSolution):
-    """Blocks (V, B, W) of a split potential, table- or potential-backed.
+    """Blocks (V, B, W) of a split potential: a ``BlockSolution``.
 
-    W is real symmetric; B is zero when no table is given.  Each of the
+    W is real symmetric; B is a table, zero when none is given.  Each of the
     ``singular_points`` carries unit charge.
     """
 
-    def __init__(self, n, l, V, W, B=None, potential=None, V_partial=None,
-                 W_partial=None, singular_points=None):
-        super().__init__(n, l, V, W, potential=potential,
-                         V_partial=V_partial, W_partial=W_partial)
+    def __init__(self, n, l, V, W, B=None, potential=None,
+                 singular_points=None):
+        super().__init__(n, l, V, W, potential=potential)
         self._B = B
         self.singular_points = [np.asarray(p, dtype=float)
                                 for p in (singular_points or [])]
@@ -89,19 +88,16 @@ class SplitMASolution(BlockSolution):
         d = n + l
         s, t = range(n), range(n, d)
 
-        def V_partial(orders, pts):
+        def V(orders, pts):
             return hessian_block(K, orders, s, s, pts)
 
-        def W_partial(orders, pts):
+        def W(orders, pts):
             return -hessian_block(K, orders, t, t, pts)
 
-        def B_partial(orders, pts):
-            return hessian_block(K, orders, s, t, pts)
+        def B(pts):
+            return hessian_block(K, (0,) * d, s, t, pts)
 
-        return cls(n, l, at_zero_orders(V_partial, d),
-                   at_zero_orders(W_partial, d),
-                   B=at_zero_orders(B_partial, d), potential=K,
-                   V_partial=V_partial, W_partial=W_partial)
+        return cls(n, l, V, W, B=B, potential=K)
 
     def B(self, pts):
         if self._B is None:
@@ -161,7 +157,6 @@ def model_potential(family, b=0.5):
 def partial_legendre(sol, pts):
     """New coordinates y and Hess Psi over an (N, n + l) batch."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    sol.domain.require(pts)
     if sol.min_singular_distance(pts) < 1e-9:
         raise SingularHessian("point on the singular support")
     V, B, W = sol.V(pts), sol.B(pts), sol.W(pts)
@@ -237,15 +232,10 @@ def singular_2d(h=1.0):
         raise NotPositive(
             f"V reaches {np.min(vals):.4g} <= 0 on the annulus; shift h")
 
-    def V(pts):
-        return value_partial((0, 0), pts)[:, None, None]
-
-    def V_partial(orders, pts):
+    def V(orders, pts):
         return value_partial(tuple(orders), pts)[:, None, None]
 
-    return SplitMASolution(
-        1, 1, V, V, B=None, V_partial=V_partial, W_partial=V_partial,
-        singular_points=[np.zeros(2)])
+    return SplitMASolution(1, 1, V, V, singular_points=[np.zeros(2)])
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import numpy as np
 from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0
 from .fields import JetScalarField, log, sqrt
-from .ghcore import Domain, GHSolution, RadialDomain
+from .ghcore import GHSolution, table_partial
 
 
 class SolutionError(GHLabError):
@@ -107,21 +107,6 @@ def flat_solution(n, z):
     return FlatSample(u=u, eta=eta, V=V, W=W, angular_coefficient=ang)
 
 
-class _BranchGuard(Domain):
-    """Keeps points away from the potential's branch ray {x=y=0, u<=0}."""
-
-    def __init__(self, margin):
-        self.margin = margin
-
-    def contains(self, pts):
-        pts = np.atleast_2d(pts)
-        r = np.linalg.norm(pts, axis=1)
-        return pts[:, 0] + r >= self.margin * np.maximum(r, 1.0)
-
-    def __repr__(self):
-        return f"BranchGuard({self.margin})"
-
-
 def taub_nut(ell, a, rmin=0.05, branch_margin=0.25):
     """The V = ell/(2r) + a family as a potential-backed solution (n=l=1).
 
@@ -140,9 +125,16 @@ def taub_nut(ell, a, rmin=0.05, branch_margin=0.25):
         return 0.5 * ell * (u * log(u + r) - r) + 0.5 * a * u2 \
             - 0.25 * a * (x2 + y2)
 
+    def domain(pts):
+        r = np.linalg.norm(pts, axis=1)
+        return ((r >= rmin) & (r <= 10.0)
+                & (pts[:, 0] + r >= branch_margin * np.maximum(r, 1.0)))
+
+    # the bounds, for messages about points outside
+    domain.__doc__ = f"{rmin} <= r <= 10 off the branch wedge u + r < " \
+        f"{branch_margin} max(r, 1)"
     return GHSolution.from_potential(
-        JetScalarField(potential, 3), 1, 1,
-        domain=RadialDomain(rmin, 10.0) & _BranchGuard(branch_margin),
+        JetScalarField(potential, 3), 1, 1, domain=domain,
         discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1))
 
 
@@ -207,6 +199,9 @@ def semiflat(ma_potential):
 # so no value depends on this size
 _VALUE_BLOCK = 2048
 
+# the periodic family's domain: these radii rho from the source
+_RHO_MIN, _RHO_MAX = 0.1, 6.0
+
 
 def _used(values, of):
     """The entries of ``values`` that the indices ``of`` use, and ``of``
@@ -262,11 +257,11 @@ class PeriodicFourierSolution(GHSolution):
     """Zero mode a - log(rho/lam)/(2 pi) plus the unit Bessel modes
     0 < |m| <= M on R x R x S^1 (n = l = 1), with the source at the origin.
 
-    As fibration data V = W is the ``value`` table; it exposes no
-    connection, and its partials are finite differences of the table.  The
-    domain is 0.1 <= rho <= 6 around the source.  A ``zero_mode=`` function
-    of (u, x) replaces the built-in zero mode; only the benchmark passes
-    one.
+    As fibration data V = W is one block, the ``table_partial`` of the
+    ``value`` table: its partials are finite differences of the table, and
+    it exposes no connection.  The domain is 0.1 <= rho <= 6 around the
+    source.  A ``zero_mode=`` function of (u, x) replaces the built-in zero
+    mode; only the benchmark passes one.
     """
 
     def __init__(self, lam, M, a, zero_mode=None, check_positive=True):
@@ -277,13 +272,16 @@ class PeriodicFourierSolution(GHSolution):
         self.a = float(a)
         self._zero_mode = zero_mode
 
-        def table(pts):
-            return self.value(pts)[:, None, None]
+        block = table_partial(lambda pts: self.value(pts)[:, None, None])
+
+        def radius(pts):
+            return self._radii(pts[:, 0], pts[:, 1])
 
         super().__init__(
-            1, 1, table, table,
-            domain=RadialDomain(0.1, 6.0, axes=(0, 1)),
-            discriminant=lambda pts: self._radii(pts[:, 0], pts[:, 1]))
+            1, 1, block, block,
+            domain=lambda pts: (radius(pts) >= _RHO_MIN)
+            & (radius(pts) <= _RHO_MAX),
+            discriminant=radius)
         if check_positive:
             self._check_positive()
 
@@ -352,8 +350,7 @@ class PeriodicFourierSolution(GHSolution):
         return out[of]
 
     def _check_positive(self):
-        rmin, rmax = self.domain.rmin, self.domain.rmax
-        rs = np.geomspace(max(rmin, 1e-3), rmax, 24)
+        rs = np.geomspace(_RHO_MIN, _RHO_MAX, 24)
         angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         ys = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
         R, A, Y = np.meshgrid(rs, angles, ys, indexing="ij")

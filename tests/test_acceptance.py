@@ -99,7 +99,7 @@ class TestCriterion3TaubNut:
         pts *= rng.uniform(0.5, 2.0, size=(1000, 1))
         lap = float(np.max(np.abs(taub_nut_laplacian(2.0, pts))))
         sol = taub_nut(2.0, 1.0)
-        keep = pts[sol.domain.contains(pts)]
+        keep = pts[sol.domain(pts)]
         # the potential route, V = Phi_uu, against the closed form ell/(2r) + a
         exact = taub_nut_V(2.0, 1.0, keep)
         closed_gap = float(np.max(np.abs(sol.V(keep)[:, 0, 0] - exact)

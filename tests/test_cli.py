@@ -140,7 +140,10 @@ class TestExitCodes:
         # points must not pass
         assert run_cli(["verify-taubnut", "--samples", "1", "--seed",
                         seed]) == 2
-        assert "config field 'samples'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config field 'samples'" in err
+        # the message names the domain's bounds
+        assert "0.05 <= r <= 10" in err and "u + r < 0.25 max(r, 1)" in err
 
     def test_step_too_coarse_is_a_failed_check(self, capsys):
         # every sample lies in the command's own range; near r = 0.27 the
@@ -286,6 +289,43 @@ def test_decay_without_modes_is_a_failed_check(monkeypatch, capsys):
     rates = ast.literal_eval(out[out.index("{"):out.rindex("}") + 1])
     assert all(math.isfinite(float(r)) for r in rates.values())
     assert err == ""
+
+
+def test_decay_svg_without_modes_fails_and_writes_no_plot(monkeypatch, capsys,
+                                                         tmp_path):
+    # a log axis cannot show a mode that vanishes: the check still FAILs,
+    # stderr says why no plot was written, and nothing is raised
+    from ghlab import solutions
+
+    real = solutions.k0
+    monkeypatch.setattr(solutions, "k0", lambda x: 0.0 * real(x))
+    svg = tmp_path / "d.svg"
+    assert run_cli(["decay", "--svg", str(svg)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL decay-slope-band (rates=")
+    assert err == ("decay: |V^m| is not positive on the grid for m in "
+                   f"[4, 5, 6, 7, 8]; {svg} was not written\n")
+    assert not svg.exists()
+
+
+def test_decay_svg_leaves_out_an_absent_mode(monkeypatch, capsys, tmp_path):
+    from ghlab import decay
+
+    real = decay.decay_fit
+
+    def without_mode_5(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.magnitudes[5] = 0.0 * rep.magnitudes[5]
+        return rep
+
+    monkeypatch.setattr(decay, "decay_fit", without_mode_5)
+    svg = tmp_path / "d.svg"
+    assert run_cli(["decay", "--svg", str(svg)]) == 0
+    assert capsys.readouterr().err == (
+        "decay: |V^m| is not positive on the grid for m in [5]; the plot "
+        "leaves them out\n")
+    text = svg.read_text()
+    assert ">m=4<" in text and ">m=6<" in text and ">m=5<" not in text
 
 
 @pytest.mark.parametrize("entry", [0, 14])

@@ -8,9 +8,9 @@ from ghlab.ghcore import (
     DomainViolation,
     GHError,
     GHSolution,
-    RadialDomain,
     curvature_form,
     potential_identity_residual,
+    table_partial,
     verify_closed,
     verify_compat,
 )
@@ -59,8 +59,8 @@ class TestDeriveVW:
     def test_domain_violation(self):
         u, x, y = sp.symbols("u x y", real=True)
         K = SymbolicScalarField(u ** 2 / 2 - (x ** 2 + y ** 2) / 4, (u, x, y))
-        sol = GHSolution.from_potential(K, 1, 1,
-                                        domain=RadialDomain(0.0, 1.0))
+        sol = GHSolution.from_potential(
+            K, 1, 1, domain=lambda pts: np.linalg.norm(pts, axis=1) <= 1.0)
         with pytest.raises(DomainViolation):
             verify_closed(sol, [[2.0, 0.0, 0.0]])
 
@@ -95,7 +95,8 @@ class TestConnectionAndCurvature:
 
     def test_curvature_closed_form_vs_fd(self):
         sol = coupled_potential()
-        fd_sol = GHSolution(1, 1, sol.V, sol.W)  # partials fall back to FD
+        # tables only: the partials are finite differences
+        fd_sol = GHSolution(1, 1, table_partial(sol.V), table_partial(sol.W))
         rng = np.random.default_rng(2)
         pts = rng.uniform(-0.8, 0.8, size=(5, 3))
         exact = curvature_form(sol, pts[:1])[0]
@@ -106,8 +107,9 @@ class TestConnectionAndCurvature:
     def test_complex_base_block_is_not_real(self):
         # W = 1 + i u is not hermitian: (i/2) dW/du d eta ^ d etabar has the
         # imaginary dx ^ dy component -i (i/2)(2i) = i
-        fake = GHSolution(1, 1, lambda pts: np.ones((len(pts), 1, 1)),
-                          lambda pts: (1.0 + 1j * pts[:, 0])[:, None, None])
+        fake = GHSolution(
+            1, 1, table_partial(lambda pts: np.ones((len(pts), 1, 1))),
+            table_partial(lambda pts: (1.0 + 1j * pts[:, 0])[:, None, None]))
         with pytest.raises(GHError, match=r"component \(1, 2\) is not real"):
             curvature_form(fake, [[0.1, 0.2, 0.3]])
 
@@ -257,8 +259,8 @@ class TestVerifiers:
     def test_compat_detects_perturbation(self):
         sol = quadratic_potential()
         eps = 3e-4
-        bad = GHSolution(1, 1, sol.V,
-                         lambda pts: sol.W(pts) * (1.0 + eps))
+        bad = GHSolution(1, 1, table_partial(sol.V),
+                         table_partial(lambda pts: sol.W(pts) * (1.0 + eps)))
         rep = verify_compat(bad, [[0.2, 0.4, 0.0]])
         assert abs(rep.max_residual - eps) < 1e-6
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from ghlab.ghcore import table_partial
 from ghlab.lattice import LatticeSimplex, validate_dual_pair
 from ghlab.legendre import (
     LoopHitsSingularity,
@@ -116,8 +117,9 @@ class TestPartialLegendre:
         pts = np.random.default_rng(17).uniform(-0.5, 0.5, size=(12, 2))
         eps = 1e-3 * (1.0 + pts[:, 0])
         bad = SplitMASolution(
-            1, 1, sol.V,
-            lambda q: (1 + 1e-3 * (1.0 + q[:, 0]))[:, None, None] * sol.W(q),
+            1, 1, table_partial(sol.V), table_partial(
+                lambda q: (1 + 1e-3 * (1.0 + q[:, 0]))[:, None, None]
+                * sol.W(q)),
             B=sol.B, potential=sol.potential)
         rep = verify_classical_ma(bad, pts)
         pointwise = [abs(np.linalg.det(partial_legendre(bad, p)[1][0]) - 1.0)
@@ -141,8 +143,8 @@ class TestPartialLegendre:
         # scale W only: det Hess Psi = det W / det V departs by the factor
         sol = cross_term_solution(0.3)
         eps = 2.5e-3
-        bad = SplitMASolution(1, 1, sol.V,
-                              lambda pts: (1 + eps) * sol.W(pts),
+        bad = SplitMASolution(1, 1, table_partial(sol.V),
+                              table_partial(lambda pts: (1 + eps) * sol.W(pts)),
                               B=sol.B, potential=sol.potential)
         H = partial_legendre(bad, [0.2, 0.1])[1][0]
         assert abs(np.linalg.det(H) - 1.0) == pytest.approx(eps, rel=1e-6)
@@ -168,7 +170,8 @@ class TestTableOnlyFallback:
     @pytest.mark.parametrize("order, tol", [(1, 1e-9), (2, 1e-7), (3, 1e-7)])
     def test_fd_partials_match_potential(self, order, tol):
         sol = harmonic_exp_solution()
-        table_only = SplitMASolution(1, 1, sol.V, sol.W, B=sol.B)
+        table_only = SplitMASolution(1, 1, table_partial(sol.V),
+                                     table_partial(sol.W), B=sol.B)
         pts = np.random.default_rng(11).uniform(-0.5, 0.5, size=(16, 2))
         worst = 0.0
         for orders in ((k, order - k) for k in range(order + 1)):
@@ -181,7 +184,8 @@ class TestTableOnlyFallback:
     def test_holonomy_of_table_only_singular_family(self):
         sol = singular_2d(h=1.0)
         table_only = SplitMASolution(
-            1, 1, sol.V, sol.W, singular_points=sol.singular_points)
+            1, 1, table_partial(sol.V), table_partial(sol.W),
+            singular_points=sol.singular_points)
         rep = beta_holonomy(table_only, circle_loop(radius=1.0, segments=64))
         assert rep.windings == [1]
         assert abs(rep.holonomy[0, 0] + 1.0) < 1e-6

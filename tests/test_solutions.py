@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -8,8 +9,8 @@ import sympy as sp
 
 from ghlab.bessel import NonpositiveArgument
 from ghlab.fields import SymbolicScalarField
-from ghlab.ghcore import (GHSolution, chern_flux, verify_closed,
-                          verify_compat)
+from ghlab.ghcore import (DomainViolation, GHSolution, chern_flux,
+                          table_partial, verify_closed, verify_compat)
 from ghlab.lattice import LatticeSimplex, wall_complex
 from ghlab.solutions import (
     NotConvex,
@@ -145,7 +146,7 @@ class TestTaubNut:
         pts = rng.normal(size=(40, 3))
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True) \
             * rng.uniform(0.5, 2.0, size=(40, 1))
-        pts = pts[sol.domain.contains(pts)]
+        pts = pts[sol.domain(pts)]
         rep = verify_closed(sol, pts, step=1e-4, tolerance=1e-6)
         assert rep.passed, rep
 
@@ -174,7 +175,7 @@ class TestTaubNut:
         sol = taub_nut(ell, a)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-2.0, 2.0, size=(600, 3))
-        pts = pts[sol.domain.contains(pts)]
+        pts = pts[sol.domain(pts)]
         assert len(pts) >= 300
         F = curvature_form(sol, pts)[:, 0]
         r = np.linalg.norm(pts, axis=1)
@@ -187,6 +188,72 @@ class TestTaubNut:
         err = np.max(np.abs(F - star), axis=(1, 2)) / np.linalg.norm(grad,
                                                                       axis=1)
         assert np.max(err) <= 1e-12
+
+
+class TestDomainMasks:
+    """Each domain mask against its region written out here, with no ghlab
+    code: rmin <= r <= 10 off the wedge u + r < margin max(r, 1) for the
+    Taub-NUT family, 0.1 <= hypot(u, x) <= 6 for the periodic one."""
+
+    @staticmethod
+    def taub_nut_region(pts, rmin, margin):
+        r = np.linalg.norm(pts, axis=1)
+        return ((r >= rmin) & (r <= 10.0)
+                & (pts[:, 0] + r >= margin * np.maximum(r, 1.0)))
+
+    @staticmethod
+    def periodic_region(pts):
+        rho = np.hypot(pts[:, 0], pts[:, 1])
+        return (rho >= 0.1) & (rho <= 6.0)
+
+    @staticmethod
+    def points(radii, norm, k, seed):
+        """Random points, and points at which ``norm`` of the first k
+        coordinates is exactly each of the given radii."""
+        rng = np.random.default_rng(seed)
+        pts = [rng.uniform(-12.0, 12.0, size=(2000, 3))]
+        for r in radii:
+            p = rng.uniform(-1.0, 1.0, size=(2000, 3))
+            p[:, :k] *= r / norm(p[:, :k])[:, None]
+            exact = p[norm(p[:, :k]) == r]
+            assert len(exact) >= 20
+            pts.append(exact)
+        return np.concatenate(pts)
+
+    @pytest.mark.parametrize("make, rmin, margin", [
+        (lambda: taub_nut(2.0, 1.0), 0.05, 0.25),
+        (flat_gh_solution, 1e-3, 0.05)], ids=["taub_nut", "flat"])
+    def test_taub_nut_family(self, make, rmin, margin):
+        sol = make()
+        # points on the wedge's edge u + r = margin max(r, 1), on both
+        # sides of r = 1, and (-0.375, 0.5, 0), exactly on it at margin 1/4
+        r = np.array([0.3, 0.625, 0.9, 1.0, 2.0, 7.5])
+        u = margin * np.maximum(r, 1.0) - r
+        edge = np.stack([u, np.sqrt(r * r - u * u), np.zeros_like(r)], -1)
+        pts = np.concatenate([
+            self.points([rmin, 10.0], lambda q: np.linalg.norm(q, axis=1),
+                        3, seed=3),
+            edge, [[-0.375, 0.5, 0.0]]])
+        want = self.taub_nut_region(pts, rmin, margin)
+        assert want.any() and not want.all()
+        assert np.array_equal(sol.domain(pts), want)
+
+    def test_periodic_family(self):
+        sol = ooguri_vafa(1, 8, 4)
+        pts = self.points([0.1, 6.0], lambda q: np.hypot(q[:, 0], q[:, 1]),
+                          2, seed=4)
+        want = self.periodic_region(pts)
+        assert want.any() and not want.all()
+        assert np.array_equal(sol.domain(pts), want)
+
+    @pytest.mark.parametrize("bad", [[-1.0, 0.0, 0.0], [0.04, 0.0, 0.0]],
+                             ids=["branch-wedge", "r=0.04"])
+    def test_verify_closed_refuses_a_point_outside(self, bad):
+        # on the wedge (u < 0, eta = 0) and inside rmin = 0.05; the first
+        # point outside is named
+        pts = np.array([[1.0, 0.5, 0.0], bad])
+        with pytest.raises(DomainViolation, match=re.escape(str(pts[1]))):
+            verify_closed(taub_nut(2.0, 1.0), pts)
 
 
 class TestFlux:
@@ -333,7 +400,8 @@ class TestOoguriVafa:
     def test_compat_of_a_scaled_copy_of_the_table_fails(self):
         # two distinct tables are both read, so W = 1.01 V is seen
         sol = ooguri_vafa(1.0, 8, a=4.0)
-        bad = GHSolution(1, 1, sol.V, lambda pts: 1.01 * sol.V(pts))
+        bad = GHSolution(1, 1, table_partial(sol.V),
+                         table_partial(lambda pts: 1.01 * sol.V(pts)))
         pts = np.array([[1.0, 0.5, 0.3], [-0.6, 1.2, 2.0]])
         rep = verify_compat(bad, pts)
         assert not rep.passed and rep.extra["structural"] is False
