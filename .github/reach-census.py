@@ -1,14 +1,22 @@
 """Census of the function definitions in src/ghlab that nothing but tests
 can reach.
 
-A profiler hook records every Python function entered while this script
-runs the nine ghlab commands at defaults, each with every artifact flag
-it takes, a few non-default invocations that take other branches, and one
-rep of each perfbench library set (with its oracle checks).  Every
-function or method defined in src/ghlab that none of these entered is
-listed with its non-blank, non-comment lines (the count of the CI size
-step).  A nested definition inside a listed one is listed too, but adds
-neither a definition nor lines to the total on the definition line.
+A trace hook records every Python function entered, and every line
+executed in src/ghlab, while this script runs the nine ghlab commands at
+defaults, each with every artifact flag it takes, a few non-default
+invocations that take other branches, and one rep of each perfbench
+library set (with its oracle checks).  Every function or method defined in
+src/ghlab that none of these entered is listed with its non-blank,
+non-comment lines (the count of the CI size step).  A nested definition
+inside a listed one is listed too, but adds neither a definition nor lines
+to the total on the definition line.
+
+The statement line counts the statements of src/ghlab that the runs never
+execute, per file.  A statement is an ``ast.stmt`` node, except ``raise``
+(a refusal that only tests provoke is not dead code), ``global``,
+``nonlocal`` and docstrings (no line events); it counts as executed when a
+line event falls on any line of its span, so a compound statement counts
+when its header or anything in its body ran.  It is a report, not a gate.
 
 The census is also a gate.  ``KEEP`` gives each listed definition, keyed
 by file and qualified name, the reason it stays.  The script exits 1 when
@@ -91,12 +99,24 @@ COMMANDS = ["verify-flat", "verify-taubnut", "ov", "ronkin", "amoeba",
             "legendre", "holonomy", "decay", "collapse"]
 
 entered = set()
+executed = set()   # (file name, line) of every line event in src/ghlab
+_in_src = {}       # file name -> whether it is a module of src/ghlab
+
+
+def _lines(frame, event, arg):
+    if event == "line":
+        executed.add((frame.f_code.co_filename, frame.f_lineno))
+    return _lines
 
 
 def _hook(frame, event, arg):
-    if event == "call":
-        code = frame.f_code
-        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+    # the global trace function sees only "call" events
+    code = frame.f_code
+    entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+    name = code.co_filename
+    if name not in _in_src:
+        _in_src[name] = os.path.dirname(os.path.realpath(name)) == str(SRC)
+    return _lines if _in_src[name] else None
 
 
 def _run_commands(tmp):
@@ -160,6 +180,21 @@ def _definitions(path):
     return out
 
 
+def _never_executed(path, lines):
+    """Statements of ``path`` with no executed line in their span."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docs = {id(node.body[0]) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node) is not None}
+    return sum(
+        1 for node in ast.walk(tree)
+        if isinstance(node, ast.stmt) and id(node) not in docs
+        and not isinstance(node, (ast.Raise, ast.Global, ast.Nonlocal))
+        and not any(k in lines for k in range(node.lineno,
+                                              node.end_lineno + 1)))
+
+
 def _knobs():
     """The knob line: defaulted parameters in src/ghlab, flags per command."""
     from ghlab import cli
@@ -177,17 +212,21 @@ def _knobs():
 
 
 def main():
-    sys.setprofile(_hook)
+    sys.settrace(_hook)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             _run_commands(tmp)
         _run_library_sets()
     finally:
-        sys.setprofile(None)
+        sys.settrace(None)
     seen = {(os.path.realpath(f), line, name) for f, line, name in entered}
+    ran = {(os.path.realpath(f), line) for f, line in executed}
     listed, total_defs, total_lines, keys = [], 0, 0, set()
+    unrun = {}
     for path in sorted(SRC.glob("*.py")):
         fname = os.path.realpath(path)
+        unrun[path.name] = _never_executed(
+            path, {line for f, line in ran if f == fname})
         defs = _definitions(path)
         missed = {d for d in defs if not any(
             (fname, line, d[2]) in seen for line in (d[0], d[1]))}
@@ -204,6 +243,9 @@ def main():
     print("\n".join(listed))
     print(f"reached by tests only: {total_defs} definitions, "
           f"{total_lines} non-blank, non-comment lines")
+    print(f"never executed: {sum(unrun.values())} statements in src/ghlab, "
+          "raise not counted (" + ", ".join(
+              f"{name} {n}" for name, n in unrun.items()) + ")")
     print(_knobs())
     for key in sorted(keys - KEEP.keys()):
         print(f"reached by tests only, with no reason in KEEP: {key}",

@@ -468,8 +468,7 @@ def _cmd_decay(p, meta):
         if shown:
             series = [(f"m={m}", list(rep.betas), list(rep.magnitudes[m]))
                       for m in shown]
-            emit_svg(series, {"title": "mode decay", "xlabel": "beta",
-                              "ylabel": "|V^m|", "ylog": True}, p["svg"])
+            emit_svg(series, "mode decay", "beta", "|V^m|", p["svg"])
     return checks
 
 

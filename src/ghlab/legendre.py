@@ -52,10 +52,6 @@ class SingularHessian(LegendreError):
     pass
 
 
-class NotHarmonic(LegendreError):
-    pass
-
-
 class LoopHitsSingularity(LegendreError):
     pass
 
@@ -198,35 +194,21 @@ def block_determinant_residual(A, B, C, D):
 def singular_2d(h=1.0):
     """V = W = -(1/4 pi) log(s^2 + t^2) + h on the punctured unit disk.
 
-    ``h`` is a constant or a jet function h(s, t) like the built-in
-    potentials (see ``fields.JetScalarField``).  It must be harmonic on
-    sample points of the annulus 0.05 <= r <= 1, by its exact Laplacian, and
-    V is required to stay positive there.
+    ``h`` is a number; V is required to stay positive on sample points of
+    the annulus 0.05 <= r <= 1.
     """
-    if isinstance(h, (int, float)):
-        h_field = JetScalarField(lambda s, t: float(h), 2)
-    elif callable(h):
-        h_field = JetScalarField(h, 2)
-    else:
-        raise TypeError("h must be a number or a callable")
-
-    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    radii = np.geomspace(0.05, 1.0, 8)
-    R, A = np.meshgrid(radii, angles, indexing="ij")
-    samples = np.stack([R.ravel() * np.cos(A.ravel()),
-                        R.ravel() * np.sin(A.ravel())], axis=-1)
-    lap = (h_field.partial_value((2, 0), samples)
-           + h_field.partial_value((0, 2), samples))
-    if np.max(np.abs(lap)) > 1e-8:
-        raise NotHarmonic(f"Laplacian of h reaches {np.max(np.abs(lap)):.2e}")
-
     radial = JetScalarField(
         lambda s, t: -1.0 / (4.0 * np.pi) * log(s * s + t * t), 2)
 
     def value_partial(orders, pts):
+        # the constant h adds to the value only; 0.0 to every partial
         return (radial.partial_value(orders, pts)
-                + h_field.partial_value(orders, pts))
+                + (0.0 if any(orders) else float(h)))
 
+    angles = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    R, A = np.meshgrid(np.geomspace(0.05, 1.0, 8), angles, indexing="ij")
+    samples = np.stack([R.ravel() * np.cos(A.ravel()),
+                        R.ravel() * np.sin(A.ravel())], axis=-1)
     vals = value_partial((0, 0), samples)
     if np.min(vals) <= 0.0:
         raise NotPositive(
@@ -339,12 +321,12 @@ class HolonomyReport:
             "maxAbsError": self.max_abs_error}, sort_keys=True)
 
 
-def beta_holonomy(sol, loop, nodes=12):
+def beta_holonomy(sol, loop):
     """Loop integral of beta^{iq} = dW^{pq}/ds_i dt_p - dV^{ij}/dt_q ds_j.
 
     The loop is a closed polygon in R^n x R^l (rows are vertices); each
-    segment is integrated with a Gauss-Legendre rule.  Returns the holonomy
-    matrix together with the winding-number bookkeeping for n = l = 1.
+    segment is integrated with a 12-point Gauss-Legendre rule.  Returns the
+    holonomy matrix with the winding-number bookkeeping for n = l = 1.
     """
     loop = np.atleast_2d(np.asarray(loop, dtype=float))
     n, l, d = sol.n, sol.l, sol.dim
@@ -353,13 +335,13 @@ def beta_holonomy(sol, loop, nodes=12):
     ends = np.roll(loop, -1, axis=0)
     if any(sol.min_segment_distance(a, b) < 1e-6 for a, b in zip(loop, ends)):
         raise LoopHitsSingularity("loop passes through the singular support")
-    gl_x, gl_w = _leggauss(nodes)
+    gl_x, gl_w = _leggauss(12)
     w = 0.5 * gl_w   # d t in [0,1]
     # the Gauss nodes of every segment in one batch
     directions = ends - loop
     ts = 0.5 * (gl_x + 1.0)
     pts = (loop[:, None] + ts[:, None] * directions[:, None]).reshape(-1, d)
-    shape = (len(loop), nodes)
+    shape = (len(loop), gl_x.size)
     dWs = [sol.W_partial(unit(d, i), pts).reshape(shape + (l, l))
            for i in range(n)]
     dVt = [sol.V_partial(unit(d, n + q), pts).reshape(shape + (n, n))

@@ -107,7 +107,7 @@ def flat_solution(n, z):
     return FlatSample(u=u, eta=eta, V=V, W=W, angular_coefficient=ang)
 
 
-def taub_nut(ell, a, rmin=0.05, branch_margin=0.25):
+def taub_nut(ell, a, branch_margin=0.25):
     """The V = ell/(2r) + a family as a potential-backed solution (n=l=1).
 
     The declared domain excludes a wedge around the ray {eta = 0, u < 0}
@@ -126,13 +126,14 @@ def taub_nut(ell, a, rmin=0.05, branch_margin=0.25):
             - 0.25 * a * (x2 + y2)
 
     def domain(pts):
+        # off the wedge, u >= -r keeps r >= branch_margin / 2
         r = np.linalg.norm(pts, axis=1)
-        return ((r >= rmin) & (r <= 10.0)
-                & (pts[:, 0] + r >= branch_margin * np.maximum(r, 1.0)))
+        return (r <= 10.0) & (pts[:, 0] + r >= branch_margin
+                              * np.maximum(r, 1.0))
 
     # the bounds, for messages about points outside
-    domain.__doc__ = f"{rmin} <= r <= 10 off the branch wedge u + r < " \
-        f"{branch_margin} max(r, 1)"
+    domain.__doc__ = ("r <= 10 off the branch wedge u + r < "
+                      f"{branch_margin} max(r, 1)")
     return GHSolution.from_potential(
         JetScalarField(potential, 3), 1, 1, domain=domain,
         discriminant=lambda pts: np.linalg.norm(np.atleast_2d(pts), axis=1))
@@ -161,7 +162,7 @@ def taub_nut_laplacian(ell, pts):
 
 def flat_gh_solution():
     """Flat C^2 in fibration coordinates: the ell=1, a=0 Taub-NUT member."""
-    return taub_nut(1.0, 0.0, rmin=1e-3, branch_margin=0.05)
+    return taub_nut(1.0, 0.0, branch_margin=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -21,36 +21,24 @@ def _fmt(v):
 
 
 def _ticks(lo, hi):
-    if hi == lo:
-        return [lo]
     step = (hi - lo) / 4
     return [lo + k * step for k in range(5)]
 
 
-def emit_svg(series, axes, path):
-    """Write a line plot; byte output is a pure function of the inputs.
+def emit_svg(series, title, xlabel, ylabel, path):
+    """Write a line plot on a linear x axis and a log10 y axis; byte output
+    is a pure function of the inputs.
 
-    ``series`` is a list of (label, xs, ys); ``axes`` a dict with optional
-    keys title, xlabel, ylabel, xlog, ylog.  Non-finite data is rejected.
+    ``series`` is a list of (label, xs, ys).  Non-finite data and y <= 0 are
+    rejected.
     """
     if not series:
         raise ValueError("need at least one series")
-    xlog = bool(axes.get("xlog", False))
-    ylog = bool(axes.get("ylog", False))
-
-    def tx(v):
-        if xlog:
-            if v <= 0:
-                raise NonFiniteValue("nonpositive value on log x axis")
-            return math.log10(v)
-        return float(v)
 
     def ty(v):
-        if ylog:
-            if v <= 0:
-                raise NonFiniteValue("nonpositive value on log y axis")
-            return math.log10(v)
-        return float(v)
+        if v <= 0:
+            raise NonFiniteValue("nonpositive value on log y axis")
+        return math.log10(v)
 
     pts = []
     for label, xs, ys in series:
@@ -59,7 +47,7 @@ def emit_svg(series, axes, path):
         for x, y in zip(xs, ys):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise NonFiniteValue(f"non-finite value in series {label!r}")
-            pts.append((tx(x), ty(y)))
+            pts.append((float(x), ty(y)))
     xlo = min(p[0] for p in pts)
     xhi = max(p[0] for p in pts)
     ylo = min(p[1] for p in pts)
@@ -77,37 +65,32 @@ def emit_svg(series, axes, path):
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
            f'height="{_H}" viewBox="0 0 {_W} {_H}">',
-           f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>']
-    if axes.get("title"):
-        out.append(f'<text x="{_W // 2}" y="18" text-anchor="middle" '
-                   f'font-size="14">{axes["title"]}</text>')
-    # frame
-    out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
-               f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
+           f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
+           f'<text x="{_W // 2}" y="18" text-anchor="middle" '
+           f'font-size="14">{title}</text>',
+           # frame
+           f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
+           f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>']
     for v in _ticks(xlo, xhi):
         x = px(v)
-        label = _fmt(10 ** v) if xlog else _fmt(v)
         out.append(f'<line x1="{_fmt(x)}" y1="{_H - _MB}" x2="{_fmt(x)}" '
                    f'y2="{_H - _MB + 5}" stroke="#333333"/>')
         out.append(f'<text x="{_fmt(x)}" y="{_H - _MB + 18}" '
-                   f'text-anchor="middle" font-size="11">{label}</text>')
+                   f'text-anchor="middle" font-size="11">{_fmt(v)}</text>')
     for v in _ticks(ylo, yhi):
         y = py(v)
-        label = _fmt(10 ** v) if ylog else _fmt(v)
         out.append(f'<line x1="{_ML - 5}" y1="{_fmt(y)}" x2="{_ML}" '
                    f'y2="{_fmt(y)}" stroke="#333333"/>')
         out.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" '
-                   f'text-anchor="end" font-size="11">{label}</text>')
-    if axes.get("xlabel"):
-        out.append(f'<text x="{_W // 2}" y="{_H - 8}" text-anchor="middle" '
-                   f'font-size="12">{axes["xlabel"]}</text>')
-    if axes.get("ylabel"):
-        out.append(f'<text x="14" y="{_H // 2}" text-anchor="middle" '
-                   f'font-size="12" transform="rotate(-90 14 {_H // 2})">'
-                   f'{axes["ylabel"]}</text>')
+                   f'text-anchor="end" font-size="11">{_fmt(10 ** v)}</text>')
+    out.append(f'<text x="{_W // 2}" y="{_H - 8}" text-anchor="middle" '
+               f'font-size="12">{xlabel}</text>')
+    out.append(f'<text x="14" y="{_H // 2}" text-anchor="middle" '
+               f'font-size="12" transform="rotate(-90 14 {_H // 2})">'
+               f'{ylabel}</text>')
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        coords = " ".join(f"{_fmt(px(tx(x)))},{_fmt(py(ty(y)))}"
+        coords = " ".join(f"{_fmt(px(float(x)))},{_fmt(py(ty(y)))}"
                           for x, y in zip(xs, ys))
         out.append(f'<polyline points="{coords}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')

@@ -11,6 +11,7 @@ the tropical slopes equal to the exponent vectors literally).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,13 @@ class RootFindingFailure(TropicalError):
     fault = "numerical"
 
 
+# a term of the mini-grammar is a run of these: a coefficient, a factor
+# z<k>[^e] or "*"; a sign splits terms unless it follows "^"
+_TOKEN = re.compile(r"(?P<coef>\d+(?:\.\d*)?|\.\d+)"
+                    r"|z(?P<var>\d*)(?:\^(?P<exp>-?\d+))?|\*")
+_SIGN = re.compile(r"(?<!\^)([+-])")
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """Finite sum of c * z^e with integer exponent vectors e in Z^l."""
@@ -36,6 +44,8 @@ class LaurentPoly:
     def make(cls, terms):
         canon = [(tuple(int(k) for k in np.atleast_1d(e)), complex(c))
                  for e, c in terms]
+        if any(not -2 ** 63 <= k < 2 ** 63 for e, _ in canon for k in e):
+            raise ValueError("exponent does not fit in int64")
         if any(c == 0 for _, c in canon):
             raise ValueError("zero coefficient")
         if not canon:
@@ -523,7 +533,8 @@ def parse_laurent(text):
     """Parse the CLI mini-grammar: terms 'c*z1^a*z2^b' joined by + or -.
 
     ``z`` is an alias for ``z1``.  Coefficients are decimals, exponents are
-    (possibly negative) integers.  Grammar (EBNF):
+    (possibly negative) integers, and ``*`` may be left out (``2z``,
+    ``z1z2``).  Grammar (EBNF):
 
         poly   = [sign] term { sign term } ;
         term   = coef [ "*" factors ] | factors ;
@@ -533,62 +544,30 @@ def parse_laurent(text):
         coef   = decimal ;
         sign   = "+" | "-" ;
     """
-    import re
-
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    token = re.compile(
-        r"(?P<sign>[+-])|(?P<num>\d+(?:\.\d*)?|\.\d+)|(?P<var>z\d*)"
-        r"|(?P<pow>\^-?\d+)|(?P<mul>\*)")
-    pos, sign, sign_pending, terms = 0, 1.0, False, []
-    cur_coef, cur_exp, started = None, {}, False
-
-    def flush():
-        nonlocal cur_coef, cur_exp, started, sign, sign_pending
-        if not started:
-            raise ValueError(f"dangling sign in {text!r}")
-        coef = sign * (1.0 if cur_coef is None else cur_coef)
-        terms.append((dict(cur_exp), coef))
-        cur_coef, cur_exp, started, sign = None, {}, False, 1.0
-        sign_pending = False
-
-    last_var = None
-    while pos < len(s):
-        m = token.match(s, pos)
-        if not m:
-            raise ValueError(f"cannot parse {text!r} at position {pos}")
-        pos = m.end()
-        if m.lastgroup == "sign":
-            if started:
-                flush()
-            elif sign_pending:
-                raise ValueError(f"consecutive signs in {text!r}")
-            sign = 1.0 if m.group() == "+" else -1.0
-            sign_pending = True
-        elif m.lastgroup == "num":
-            if started and cur_coef is not None:
-                raise ValueError(f"two coefficients in one term in {text!r}")
-            cur_coef = float(m.group())
-            started = True
-            last_var = None
-        elif m.lastgroup == "var":
-            name = m.group()
-            idx = 0 if name == "z" else int(name[1:]) - 1
-            if idx < 0:
-                raise ValueError(f"bad variable {name!r}")
-            cur_exp[idx] = cur_exp.get(idx, 0) + 1
-            started = True
-            last_var = idx
-        elif m.lastgroup == "pow":
-            if last_var is None:
-                raise ValueError(f"exponent without variable in {text!r}")
-            cur_exp[last_var] += int(m.group()[1:]) - 1
-            last_var = None
-        elif m.lastgroup == "mul":
-            last_var = None
-    flush()
-    nv = max((max(e.keys()) + 1 for e, _ in terms if e), default=1)
+    # the text split at every sign that is not an exponent's: "", sign,
+    # term, sign, term, ...; '*'s before a leading sign are no term
+    head = s.lstrip("*")
+    parts = _SIGN.split(head if head[:1] in ("+", "-") else "+" + s)
+    terms = []
+    for sign, body in zip(parts[1::2], parts[2::2]):
+        tokens = list(_TOKEN.finditer(body))
+        coefs = [float(m["coef"]) for m in tokens if m["coef"]]
+        exps = {}
+        for m in tokens:
+            if m["var"] is not None:
+                k = int(m["var"] or 1) - 1
+                exps[k] = exps.get(k, 0) + int(m["exp"] or 1)
+        if ("".join(m[0] for m in tokens) != body or len(coefs) > 1
+                or not (coefs or exps) or min(exps, default=0) < 0):
+            raise ValueError(
+                f"cannot parse term {body!r} of {text!r}: a term is a "
+                "coefficient, factors z<k>[^e] with k >= 1, or both")
+        terms.append((exps, (-1.0 if sign == "-" else 1.0)
+                      * (coefs or [1.0])[0]))
+    nv = max((max(e) + 1 for e, _ in terms if e), default=1)
     merged = {}   # duplicate exponent vectors add up
     for e, c in terms:
         vec = tuple(e.get(k, 0) for k in range(nv))

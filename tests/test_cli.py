@@ -52,6 +52,14 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poly", ["z+^2", "z^99999999999999999999"],
+                             ids=["exponent-after-sign", "past-int64"])
+    def test_malformed_poly_is_config_error(self, capsys, poly):
+        # an exponent right after a sign, and one that no int64 holds,
+        # are refused while --poly is converted, not in a traceback
+        assert run_cli(["ronkin", "--poly", poly]) == 2
+        assert "config error: config field 'poly'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd,given,key", [
         ("legendre", ["--family", "cross", "--b", "nan"], "b"),
         ("collapse", ["--lambdas", "1,inf"], "lambdas"),
@@ -143,7 +151,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config field 'samples'" in err
         # the message names the domain's bounds
-        assert "0.05 <= r <= 10" in err and "u + r < 0.25 max(r, 1)" in err
+        assert "r <= 10" in err and "u + r < 0.25 max(r, 1)" in err
 
     def test_step_too_coarse_is_a_failed_check(self, capsys):
         # every sample lies in the command's own range; near r = 0.27 the
@@ -679,20 +687,27 @@ class TestGoldenOutputs:
 class TestEmitSvg:
     def test_single_series_polyline(self, tmp_path):
         path = tmp_path / "p.svg"
-        emit_svg([("y=x", [0, 1, 2], [0, 1, 2])], {"title": "t"}, str(path))
+        emit_svg([("y=10^x", [0, 1, 2], [1, 10, 100])], "t", "x", "y",
+                 str(path))
         text = path.read_text()
         assert text.count("<polyline") == 1
         assert "0,1,2" not in text  # coordinates are scaled pixels
+        # y ticks label the decades of the log axis
+        assert ">1</text>" in text and ">100</text>" in text
 
     def test_rejects_empty_and_nonfinite(self, tmp_path):
         path = tmp_path / "p.svg"
         with pytest.raises(ValueError):
-            emit_svg([], {}, str(path))
-        with pytest.raises(NonFiniteValue):
-            emit_svg([("bad", [0.0, 1.0], [0.0, float("nan")])], {},
+            emit_svg([], "t", "x", "y", str(path))
+        with pytest.raises(ValueError):
+            emit_svg([("ragged", [0.0, 1.0], [1.0])], "t", "x", "y",
                      str(path))
         with pytest.raises(NonFiniteValue):
-            emit_svg([("logbad", [0.0], [-1.0])], {"ylog": True}, str(path))
+            emit_svg([("bad", [0.0, 1.0], [1.0, float("nan")])], "t", "x",
+                     "y", str(path))
+        with pytest.raises(NonFiniteValue):
+            emit_svg([("logbad", [0.0], [-1.0])], "t", "x", "y", str(path))
+        assert not path.exists()
 
 
 def _run_python(args, threads=None):

@@ -98,10 +98,6 @@ class TestBuiltinPotentialsAgainstSympy:
         sol = singular_2d(h=1.3)
         assert_jets_match(lambda o, p: sol.V_partial(o, p)[:, 0, 0],
                           expr, (S, T), pts)
-        # a jet function h goes through the same jets as the built-ins
-        h_jet = singular_2d(h=lambda s, t: s * t + 2)
-        assert_jets_match(lambda o, p: h_jet.V_partial(o, p)[:, 0, 0],
-                          expr - sp.Float(1.3) + S * T + 2, (S, T), pts)
 
 
 class TestSymbolicScalarField:

@@ -690,3 +690,90 @@ class TestGridAndParse:
             parse_laurent("1 + + z")
         with pytest.raises(ValueError):
             parse_laurent("q + 1")
+
+
+class TestParserOracle:
+    """parse_laurent against polynomials built from random term lists, with
+    no ghlab parsing: each term is (sign, coefficient or None, [(variable,
+    exponent or None), ...]), rendered to text and summed here."""
+
+    @staticmethod
+    def random_terms(rng):
+        terms = []
+        for _ in range(rng.integers(1, 6)):
+            factors = [(int(rng.integers(1, 4)),
+                        [None, -2, -1, 0, 1, 3][rng.integers(6)])
+                       for _ in range(rng.integers(0, 4))]
+            coef = (None if factors and rng.random() < 0.4
+                    else int(rng.integers(1, 9)) / 4)
+            terms.append(("-" if rng.random() < 0.5 else "+", coef, factors))
+        if rng.random() < 0.5:
+            # a duplicate term, which merges, or cancels with the other sign
+            sign, coef, factors = terms[rng.integers(len(terms))]
+            if rng.random() < 0.5:
+                sign = "+" if sign == "-" else "-"
+            terms.insert(rng.integers(len(terms) + 1), (sign, coef, factors))
+        return terms
+
+    @staticmethod
+    def render(terms, rng):
+        out = []
+        for k, (sign, coef, factors) in enumerate(terms):
+            tokens = []
+            if coef is not None:
+                text = f"{coef:g}"
+                tokens.append(text[1:] if text.startswith("0.")
+                              and rng.random() < 0.5 else text)
+            for var, exp in factors:
+                # z is an alias for z1
+                name = "z" if var == 1 and rng.random() < 0.5 else f"z{var}"
+                tokens.append(name + ("" if exp is None else f"^{exp}"))
+            # '*' written or left out between tokens (2z, z1z2)
+            body = tokens[0]
+            for tok in tokens[1:]:
+                body += ("*" if rng.random() < 0.5 else "") + tok
+            if k or sign == "-" or rng.random() < 0.3:
+                body = sign + (" " if rng.random() < 0.3 else "") + body
+            out.append(body)
+        return (" " if rng.random() < 0.3 else "").join(out)
+
+    @staticmethod
+    def expected(terms):
+        nv = max((var for _, _, fs in terms for var, _ in fs), default=1)
+        merged = {}
+        for sign, coef, factors in terms:
+            vec = [0] * nv
+            for var, exp in factors:
+                vec[var - 1] += 1 if exp is None else exp
+            c = (-1.0 if sign == "-" else 1.0) * (1.0 if coef is None
+                                                  else coef)
+            merged[tuple(vec)] = merged.get(tuple(vec), 0.0) + c
+        kept = [(e, c) for e, c in merged.items() if c != 0]
+        return LaurentPoly.make(kept) if kept else None
+
+    def test_random_term_lists(self):
+        rng = np.random.default_rng(29)
+        cancelled = 0
+        for _ in range(400):
+            terms = self.random_terms(rng)
+            text = self.render(terms, rng)
+            want = self.expected(terms)
+            if want is None:
+                cancelled += 1
+                with pytest.raises(ValueError):
+                    parse_laurent(text)
+            else:
+                assert repr(parse_laurent(text)) == repr(want), text
+        assert cancelled > 0
+
+    @pytest.mark.parametrize("text", [
+        "", "  ", "1+", "1+-z", "1 + + z", "2*3", "2.5.5", "z+^2", "2^3",
+        "^2", "z0", "1+z00", "q+1", "1+z*y", "z^99999999999999999999"],
+        ids=["empty", "blank", "dangling-sign", "two-signs", "spaced-signs",
+             "two-coefficients", "two-decimal-points",
+             "exponent-after-sign", "exponent-on-coefficient",
+             "exponent-alone", "z0", "z00", "stray-letter",
+             "stray-factor", "exponent-past-int64"])
+    def test_refusals(self, text):
+        with pytest.raises(ValueError):
+            parse_laurent(text)
