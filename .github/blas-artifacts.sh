@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
 # Artifacts do not depend on the BLAS thread count.  A command runs numpy's
 # BLAS on one thread unless OPENBLAS_NUM_THREADS is set; with four, every
-# artifact of the nine commands at defaults must keep its bytes.
+# artifact of the nine commands at defaults must keep its bytes.  Under
+# both settings, each artifact but amoeba.json (whose witness residual is
+# rounding noise) must also equal its reference in tests/golden/; every
+# file that differs is named before the script fails.
 #
 # Run from the repository root, writing into the directory DIR:
 #   bash -eo pipefail .github/blas-artifacts.sh DIR
+# To re-pin the references, copy every file of DIR/blas but amoeba.json to
+# tests/golden/.
 set -eo pipefail
 root="${1:?usage: blas-artifacts.sh DIR}"
 for threads in "" 4; do
@@ -25,3 +30,10 @@ test "$(ls "$root/blas" | wc -l)" -eq 14
 for f in "$root"/blas/*; do
   cmp "$f" "$root/blas4/${f##*/}"
 done
+test "$(ls tests/golden | wc -l)" -eq 13
+status=0
+for f in "$root"/blas/* "$root"/blas4/*; do
+  name="${f##*/}"
+  test "$name" = amoeba.json || cmp "$f" "tests/golden/$name" || status=1
+done
+exit "$status"

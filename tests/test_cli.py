@@ -1,15 +1,20 @@
 import ast
-import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from ghlab import cli
 from ghlab.cli import main
 from ghlab.svgplot import NonFiniteValue, emit_svg
+
+GOLDEN = Path(__file__).parent / "golden"
+# the file suffix of each artifact flag
+SUFFIX = {"out": "json", "csv": "csv", "svg": "svg"}
 
 
 def run_cli(args):
@@ -541,69 +546,18 @@ class TestGoldenOutputs:
                      if e.tag.endswith("polyline")]
         assert len(polylines) == 3
 
-    # sha256 of each artifact at default settings.  The reports print every
-    # check's numbers, so these bytes move only with what a check computes;
-    # a change that only makes the periodic K0 path faster leaves them as
-    # they are
-    PERIODIC_GOLDEN = {
-        "ov": {"out": "f851c9dd3454f9b2f4c264bb094e6bd3"
-                      "528909a14d1e8eaea0fb7d7b09e6e79c",
-               "csv": "a4e0ec87d76faf214412872de495df07"
-                      "5019f6e68e6eabc81f63df9ea27a081e"},
-        "decay": {"out": "dc7b69e4f6adc3fa5ec91019b86c2c31"
-                         "47300b90128e2cbb68fe2ffa513c0e11",
-                  "csv": "4e4a63270e08b1b12988a2839d800527"
-                         "39aaf0640a554112d82756f6ce570561",
-                  "svg": "dc0d1c14e11643bf595942512eac64ee"
-                         "df0abd59a95687044472fc606b1c4976"},
-        "collapse": {"out": "05bd84f0b7964f38e013e1332826e43d"
-                            "072fd4912aa7173b24da2c498ba901c6",
-                     "csv": "616125bb4168b1518218d16fef683bd8"
-                            "d13d19143117370e62a9be1388d81001"},
-    }
-
-    # the ronkin command at defaults: the grid of 1 + z by Jensen's formula
-    # in one variable
-    TROPICAL_GOLDEN = {
-        "ronkin": {"out": "6f1d668c1fe138dbc295cb2943502bfa"
-                          "c05cc74943045cd37d8fb38aaaeacb61",
-                   "csv": "e6368d028750054618661ddc43f8ca79"
-                          "de2aca5af4a4adc87b2b915fed5ecbcf"},
-    }
-
-    # sha256 of the default --out report of each symbolic command: the
-    # reports print every residual, flux and holonomy, so a change that only
-    # evaluates the jets and finite differences faster leaves them as they
-    # are
-    SYMBOLIC_GOLDEN = {
-        "verify-flat": "edaa79647c57d609d58426bf1d32a067"
-                       "94223654dc008b4117c860cc09ffe55f",
-        "verify-taubnut": "d1aee72bdfa168529f9f25f42e3ebe76"
-                          "4cdb33a0424adaf50ff04a93279cbabc",
-        "legendre": "196b067085e33a89e191a439d8ba92cb"
-                    "49194cd0c2755848d453a3263d4910e0",
-        "holonomy": "87e573354e34bd26030759532eb77c70"
-                    "4fc877118504c34018bb0b1e63f26d35",
-    }
-
-    @staticmethod
-    def artifact_hashes(tmp_path, cmd, kinds):
-        paths = {kind: tmp_path / f"{cmd}.{kind}" for kind in kinds}
-        args = [cmd] + [a for kind, path in paths.items()
-                        for a in (f"--{kind}", str(path))]
-        assert run_cli(args) == 0
-        return {kind: hashlib.sha256(path.read_bytes()).hexdigest()
-                for kind, path in paths.items()}
-
-    @pytest.mark.parametrize("cmd", sorted(PERIODIC_GOLDEN))
-    def test_periodic_artifacts_match_golden_hashes(self, tmp_path, cmd):
-        want = self.PERIODIC_GOLDEN[cmd]
-        assert self.artifact_hashes(tmp_path, cmd, want) == want
-
-    @pytest.mark.parametrize("cmd", sorted(TROPICAL_GOLDEN))
-    def test_tropical_artifacts_match_golden_hashes(self, tmp_path, cmd):
-        want = self.TROPICAL_GOLDEN[cmd]
-        assert self.artifact_hashes(tmp_path, cmd, want) == want
+    # every artifact of the nine commands at defaults, byte for byte, except
+    # amoeba.json (below): one file under tests/golden/ each, named
+    # <command>.<suffix>.  README says how to re-pin them
+    @pytest.mark.parametrize("cmd,kind", [
+        pytest.param(cmd, kind, id=f"{cmd}.{suffix}")
+        for cmd, table in cli._COMMANDS.items()
+        for kind, suffix in SUFFIX.items()
+        if kind in {**table, **cli._COMMON} and cmd != "amoeba"])
+    def test_artifact_matches_golden(self, tmp_path, cmd, kind):
+        name = f"{cmd}.{SUFFIX[kind]}"
+        assert run_cli([cmd, f"--{kind}", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_amoeba_report_matches_golden(self, tmp_path):
         # the witness of 1 + z1 + z2 at the origin is a torus point, whose
@@ -619,13 +573,6 @@ class TestGoldenOutputs:
                         "name": "amoeba-membership", "pass": True}],
             "command": "amoeba", "configHash": "bec90fc93d1d70ef",
             "version": "0.1.0"}
-
-    @pytest.mark.parametrize("cmd", sorted(SYMBOLIC_GOLDEN))
-    def test_symbolic_reports_match_golden_hashes(self, tmp_path, cmd):
-        path = tmp_path / f"{cmd}.json"
-        assert run_cli([cmd, "--out", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() \
-            == self.SYMBOLIC_GOLDEN[cmd]
 
     def test_ov_csv_matches_bessel_oracle(self, tmp_path):
         # V = a - log r/(2 pi) + (1/pi) sum_{m <= 40} cos(m y) K0(m r) and
