@@ -280,9 +280,12 @@ def _cmd_ronkin(p, meta):
 
     P = p["poly"]
     grid = ronkin_grid(P, p["range"][:, None], lam=p["lam"], kappa=p["kappa"])
-    if p["csv"]:
-        _write_csv(p["csv"], grid.header(), grid.to_csv_rows(), meta)
     vals = grid.values
+    if p["csv"]:
+        cols = [p["range"], np.full_like(vals, p["lam"]), vals, grid.limits,
+                np.abs(vals - grid.limits)]
+        _write_csv(p["csv"], ["t1", "lambda", "N_lambda", "N_inf", "abs_err"],
+                   np.stack(cols, axis=-1).tolist(), meta)
     second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
     convex = float(np.min(second, initial=0.0))
     checks = [CheckResult("ronkin-convexity", convex > -1e-5,
@@ -411,9 +414,11 @@ def _cmd_holonomy(p, meta):
     checks.append(CheckResult("holonomy-contractible", abs(zero) < 1e-6,
                               {"holonomy": f"{zero:.3e}"}))
     if p["out"]:
-        payload = json.loads(rep.to_json())
-        payload.update(meta)
-        _write_json(p["out"], payload)
+        _write_json(p["out"], {
+            "loop": rep.loop.tolist(), "windings": rep.windings,
+            "holonomyMatrix": rep.holonomy.tolist(),
+            "expectedMatrix": rep.expected.tolist(),
+            "maxAbsError": rep.max_abs_error, **meta})
     return checks
 
 
@@ -454,7 +459,15 @@ def _cmd_decay(p, meta):
         "decay-slope-band", rep.all_passed,
         {"rates": {m: f"{rep.fits[m].rate:.4f}" for m in rep.modes}})]
     if p["csv"]:
-        _write_csv(p["csv"], rep.csv_header(), rep.to_csv_rows(), meta)
+        rows = []
+        for m in rep.modes:
+            fit = rep.fits[m]
+            for beta, mag in zip(rep.betas, rep.magnitudes[m]):
+                rows.append([m, float(beta), float(mag),
+                             math.log(mag) if mag > 0 else -math.inf,
+                             math.log(fit.amplitude) - fit.rate * beta * m])
+        _write_csv(p["csv"], ["m", "beta", "abs_mode", "log_abs_mode",
+                              "fit_pred"], rows, meta)
     if p["svg"]:
         from .svgplot import emit_svg
 
@@ -517,7 +530,8 @@ def _cmd_collapse(p, meta):
                               0.5 <= fd.ratio <= 2.0,
                               {"ratio": f"{fd.ratio:.4f}", "lambda": lam}))
     if p["csv"]:
-        _write_csv(p["csv"], rep_r.csv_header(), rep_r.to_csv_rows(), meta)
+        _write_csv(p["csv"], ["lambda", "sup_distance"],
+                   zip(rep_r.lambdas, rep_r.sup_distances), meta)
     return checks
 
 

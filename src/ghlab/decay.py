@@ -87,20 +87,6 @@ class DecayReport:
     def all_passed(self):
         return all(f.passed for f in self.fits.values())
 
-    def to_csv_rows(self):
-        rows = []
-        for m in self.modes:
-            fit = self.fits[m]
-            for beta, mag in zip(self.betas, self.magnitudes[m]):
-                logm = math.log(mag) if mag > 0 else float("-inf")
-                pred = math.log(fit.amplitude) - fit.rate * beta * abs(m)
-                rows.append([m, float(beta), float(mag), logm, pred])
-        return rows
-
-    @staticmethod
-    def csv_header():
-        return ["m", "beta", "abs_mode", "log_abs_mode", "fit_pred"]
-
 
 def decay_fit(fieldobj, point_grid, M, nodes=256, modes=None, rms_limit=0.1):
     """Per-mode log-linear regression of |V^m| against the decay distance
@@ -145,14 +131,6 @@ class CollapseReport:
     def non_increasing(self):
         return all(b <= a + 1e-6 for a, b in
                    zip(self.sup_distances, self.sup_distances[1:]))
-
-    def to_csv_rows(self):
-        return [[lam, sup] for lam, sup in
-                zip(self.lambdas, self.sup_distances)]
-
-    @staticmethod
-    def csv_header():
-        return ["lambda", "sup_distance"]
 
 
 def collapse_distance(family, split_limit, lambdas, grid, nodes=64,

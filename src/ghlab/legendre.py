@@ -24,7 +24,6 @@ map y -> y + <dv, y> dw.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -311,14 +310,6 @@ class HolonomyReport:
     holonomy: np.ndarray        # (n, l) loop integral of beta
     expected: np.ndarray        # -(sum of windings), unit charges
     max_abs_error: float
-
-    def to_json(self):
-        return json.dumps({
-            "loop": [list(map(float, p)) for p in self.loop],
-            "windings": self.windings,
-            "holonomyMatrix": self.holonomy.tolist(),
-            "expectedMatrix": self.expected.tolist(),
-            "maxAbsError": self.max_abs_error}, sort_keys=True)
 
 
 def beta_holonomy(sol, loop):

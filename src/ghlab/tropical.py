@@ -499,15 +499,6 @@ class RonkinGrid:
     values: np.ndarray        # N(lam t)/lam per point
     limits: np.ndarray        # tropical limit per point
 
-    def to_csv_rows(self):
-        return [list(map(float, p)) +
-                [float(self.lam), float(v), float(t), abs(float(v - t))]
-                for p, v, t in zip(self.points, self.values, self.limits)]
-
-    def header(self):
-        return ([f"t{k + 1}" for k in range(self.points.shape[1])]
-                + ["lambda", "N_lambda", "N_inf", "abs_err"])
-
 
 def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
     """N(lam t)/lam and its tropical limit at each row t of ``points``: in one

@@ -126,15 +126,6 @@ class TestDecayFit:
         assert rep.betas.min() >= 0.2
         assert len(rep.betas) == 12
 
-    def test_csv_rows(self):
-        sol = ooguri_vafa(1.0, 3, a=4.0)
-        rep = decay_fit(sol, self.grid(0.5, 2.0, 9), M=3, nodes=64,
-                        rms_limit=1.0)
-        rows = rep.to_csv_rows()
-        assert len(rows) == 3 * 9
-        assert rep.csv_header() == ["m", "beta", "abs_mode", "log_abs_mode",
-                                    "fit_pred"]
-
 
 class TestCollapse:
     @staticmethod

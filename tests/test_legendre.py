@@ -291,12 +291,3 @@ class TestBetaHolonomy:
         with pytest.raises(LoopHitsSingularity):
             beta_holonomy(sol, np.array([[1.0, 0.0], [-1.0, 0.0],
                                          [0.0, 1.0]]))
-
-    def test_json_report(self):
-        sol = singular_2d(h=1.0)
-        rep = beta_holonomy(sol, circle_loop(radius=1.0, segments=16))
-        import json
-
-        data = json.loads(rep.to_json())
-        assert set(data) == {"loop", "windings", "holonomyMatrix",
-                             "expectedMatrix", "maxAbsError"}

@@ -666,12 +666,6 @@ class TestHessianMass:
 
 
 class TestGridAndParse:
-    def test_grid_rows(self):
-        g = ronkin_grid(P1Z, [[-1.0], [0.5]], lam=2.0, nodes=64)
-        rows = g.to_csv_rows()
-        assert len(rows) == 2
-        assert g.header() == ["t1", "lambda", "N_lambda", "N_inf", "abs_err"]
-
     def test_parse_simple(self):
         P = parse_laurent("1+z")
         assert P.terms == (((0,), 1 + 0j), ((1,), 1 + 0j))
