@@ -245,17 +245,14 @@ def _cmd_ov(p, meta):
     checks = []
     if p["csv"]:
         mshow = min(p["modes"], 8)
-        header = ["u", "x", "y", "V"] + sum(
-            ([f"re_V{m}", f"im_V{m}"] for m in range(1, mshow + 1)), [])
+        header = ["u", "x", "y", "V"] + [f"V{m}" for m in range(1, mshow + 1)]
         # the 8 x 8 (r, y) grid in row order, on the line x = 0
         u = np.repeat(np.linspace(0.25, 2.0, 8), 8)
         y = np.tile(np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False), 8)
         x = np.zeros_like(u)
-        cols = [u, x, y, sol.value(np.stack([u, x, y], axis=-1))]
         # every mode has coefficient 1, so each V^m is real
-        for m in range(1, mshow + 1):
-            vm = sol.mode_value(m, u, x)
-            cols += [vm, np.zeros_like(vm)]
+        cols = [u, x, y, sol.value(np.stack([u, x, y], axis=-1))] + [
+            sol.mode_value(m, u, x) for m in range(1, mshow + 1)]
         _write_csv(p["csv"], header, np.stack(cols, axis=-1).tolist(), meta)
     # the Helmholtz equation of each mode V^m at three radii
     worst = max(float(np.max(np.abs(sol.helmholtz_residual(
