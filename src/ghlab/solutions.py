@@ -305,9 +305,7 @@ class PeriodicFourierSolution(GHSolution):
         rho = self._radii(u, x)
         if abs(m) > self.M:
             return np.zeros_like(rho)
-        # times the rounded 1/(2 pi), where value() divides: the Helmholtz
-        # residuals that ghlab ov reports are rounding noise of these bits
-        return k0(abs(m) * rho) * (1.0 / (2.0 * np.pi))
+        return k0(abs(m) * rho) / (2.0 * np.pi)
 
     def value(self, pts):
         """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order.
