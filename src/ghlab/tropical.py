@@ -258,7 +258,11 @@ def _torus_cuts(P, x):
         collide = _resultant_roots(a, a[:, 1:] * range(1, d2 + 1), w)
     r = np.concatenate([_resultant_roots(
         a, w[:, None] ** d1 * np.conj(a[:, ::-1]), w), collide])
-    return np.angle(r[np.abs(np.log(np.abs(r))) <= 1.0]) % (2.0 * np.pi)
+    # a root at 0 (log -inf) lies off the unit circle, as any root of |log|
+    # above 1 does
+    with np.errstate(divide="ignore"):
+        near = np.abs(np.log(np.abs(r))) <= 1.0
+    return np.angle(r[near]) % (2.0 * np.pi)
 
 
 # a cut and the graded breakpoints on either side of it: panels shrink by 4

@@ -701,6 +701,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "contains=False" in proc.stdout
 
+    def test_root_at_zero_writes_nothing_to_stderr(self):
+        # a resultant root of z1 z2 + 1 at 0 has log -inf: no cut, no
+        # RuntimeWarning
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghlab.cli", "amoeba", "--poly", "z1z2+1",
+             "--point", "0,0"], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("PASS amoeba-membership")
+        assert proc.stderr == ""
+
     def test_ronkin_and_amoeba_load_no_sympy_or_mpmath(self):
         code = ("import sys\n"
                 "from ghlab import cli\n"
