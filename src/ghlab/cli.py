@@ -539,22 +539,21 @@ def _cmd_collapse(p, meta):
 # every field of every subcommand, declared once as name -> (default,
 # converter); the parser, the defaults, config-file merging and the checks
 # of single fields are all derived from these tables (the checks across
-# fields are the first lines of the ov, amoeba and decay runners).  A list
-# default takes that many values after its flag.
+# fields are the first lines of the ov, amoeba and decay runners).
 _COMMON = {"seed": (GHLAB_SEED, _count(0)), "out": (None, _path)}
 
 _COMMANDS = {
     "verify-flat": {"n": (1, _ONE_OR_TWO), "grid": (32, _count(2)),
                     "samples": (200, _count(1)), "step": (1e-4, _POSITIVE),
                     "tol": (1e-6, _POSITIVE),
-                    "flux_radii": ([0.4, 0.7], _RADII)},
+                    "flux_radii": ("0.4,0.7", _RADII)},
     "verify-taubnut": {"ell": (2.0, _POSITIVE),
                        "a": (1.0, _field(float, lambda v: v >= 0,
                                          "must be nonnegative")),
                        "samples": (1000, _count(1)), "tol": (1e-6, _POSITIVE)},
     "ov": {"modes": (40, _count(1)), "a": (5.0, _REAL),
            "helmholtz_modes": (10, _count(1)),
-           "flux_radii": ([0.3, 0.5], _RADII), "csv": (None, _path)},
+           "flux_radii": ("0.3,0.5", _RADII), "csv": (None, _path)},
     "ronkin": {"poly": ("1+z", _poly(1)), "range": ("-3:3:0.1", _range),
                "kappa": (1, _ONE_OR_TWO), "lam": (1.0, _POSITIVE),
                "csv": (None, _path)},
@@ -610,8 +609,7 @@ def _build_parser():
         sp = sub.add_parser(cmd, help=_RUNNERS[cmd].__doc__)
         sp.add_argument("--config", help="JSON config file (flags override)")
         for key, (default, _) in {**table, **_COMMON}.items():
-            sp.add_argument(_flag(key), help=f"default: {default}", nargs=(
-                len(default) if isinstance(default, list) else None))
+            sp.add_argument(_flag(key), help=f"default: {default}")
     return ap
 
 
@@ -652,15 +650,13 @@ def _resolve_config(args):
 
 
 def _merge_negative_values(argv):
-    """Join each single-valued flag with a following value that starts with
-    a minus sign ('--range -3:3:0.1'), which argparse takes for an option."""
-    single = {"--config"} | {
-        _flag(key) for table in (_COMMON, *_COMMANDS.values())
-        for key, (default, _) in table.items()
-        if not isinstance(default, list)}
+    """Join each flag with a following value that starts with a minus sign
+    ('--range -3:3:0.1'), which argparse takes for an option."""
+    flags = {"--config"} | {_flag(key) for key in _COMMON} | {
+        _flag(key) for table in _COMMANDS.values() for key in table}
     out = []
     for tok in argv:
-        if out and out[-1] in single and tok.startswith("-"):
+        if out and out[-1] in flags and tok.startswith("-"):
             out[-1] += "=" + tok
         else:
             out.append(tok)

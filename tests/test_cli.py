@@ -50,7 +50,7 @@ class TestExitCodes:
         ["amoeba", "--poly", "1+z1+z2+z3", "--point", "0,0,0"],
         ["collapse", "--poly", "1+z1+z2"],
         ["decay", "--gate-modes", "4,x"],
-        ["ov", "--flux-radii", "-0.3", "0.5"],
+        ["ov", "--flux-radii", "-0.3,0.5"],
     ], ids=["amoeba-3-vars", "collapse-2-vars", "decay-gate-modes",
             "ov-radius"])
     def test_unsupported_input_is_config_error(self, capsys, args):
@@ -485,6 +485,7 @@ class TestConfigMerging:
         ("verify-flat", "samples", "20", 20),
         ("ov", "a", "1", 1),
         ("decay", "gate_modes", "4,5", [4, 5]),
+        ("ov", "flux_radii", "0.2,0.6", [0.2, 0.6]),
     ])
     def test_flag_and_file_value_hash_alike(self, tmp_path, monkeypatch, cmd,
                                             key, text, value):
