@@ -138,8 +138,6 @@ class TestExitCodes:
         assert "windings=[1]" in capsys.readouterr().out
 
     def test_program_fault_is_not_config_error(self, monkeypatch):
-        from ghlab import cli
-
         def broken(p, meta):
             raise ValueError("bug")
 
@@ -458,8 +456,6 @@ class TestConfigMerging:
     @staticmethod
     def config_hash(monkeypatch, args):
         # the resolved config's hash, without running the checks
-        from ghlab import cli
-
         seen = []
         monkeypatch.setitem(cli._RUNNERS, args[0],
                             lambda p, meta: seen.append(meta["configHash"])
@@ -472,8 +468,6 @@ class TestConfigMerging:
         "holonomy", "decay", "collapse"])
     def test_file_of_defaults_is_a_bare_run(self, tmp_path, monkeypatch,
                                             cmd):
-        from ghlab import cli
-
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             key: default for key, (default, _) in
