@@ -359,8 +359,9 @@ def fd_step(orders):
 FD_SLICE_ROWS = 4096
 
 # pair products per row block of a jet partial (the module docstring gives
-# the rule): 16,384 float64 values are 128 KiB, glibc's default mmap
-# threshold, above which every temporary is mapped and unmapped afresh
+# the rule), and (mode, sum) entries per chunk of the periodic family's mode
+# sum (``solutions``): 16,384 float64 values are 128 KiB, glibc's default
+# mmap threshold, above which every temporary is mapped and unmapped afresh
 JET_BLOCK_TERMS = 16384
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0
-from .fields import JetScalarField, log, sqrt
+from .fields import JET_BLOCK_TERMS, JetScalarField, log, sqrt
 from .ghcore import GHSolution, table_partial
 
 
@@ -191,14 +191,14 @@ def semiflat(ma_potential):
 
 # value() sums the modes of each distinct (radius, y) pair of the batch, or
 # of each point when a zero_mode= function sets the zero mode (only the
-# benchmark passes one), in slices of at most M x this many sums.  A slice
-# takes as many modes at a time as keep its (mode, sum) tables within M x
-# this many entries (one mode at the least), and frees them before the next
-# chunk's k0 call: on a 20,000-point batch at M = 40 the traced peak is
-# 5.7 MiB, against 12.0 MiB with 4,096 and the tables kept.  A sum drops out
-# after the first chunk of modes past which no term can change a bit of it,
-# so no value depends on this size
-_VALUE_BLOCK = 2048
+# benchmark passes one), in slices of at most JET_BLOCK_TERMS // 2 sums,
+# whatever M.  A slice takes as many modes at a time as keep its (mode, sum)
+# tables within JET_BLOCK_TERMS entries (128 KiB of float64; two modes at
+# the least), and frees them before the next chunk's k0 call: on a
+# 20,000-point batch the traced peak is 3.1 MiB at both M = 40 and
+# M = 400, against 5.3 and 27.2 MiB with slices and tables of M x 2,048.
+# A sum drops out after the first chunk of modes past which no term can
+# change a bit of it, so no value depends on these sizes
 
 # the periodic family's domain: these radii rho from the source
 _RHO_MIN, _RHO_MAX = 0.1, 6.0
@@ -224,7 +224,7 @@ def _mode_sums(acc, rho, t_rho, ys, t_y, M):
         ys, t_y = _used(ys, t_y)
     out = np.empty_like(acc)
     live = np.arange(len(acc))
-    k = max(1, M * _VALUE_BLOCK // max(len(acc), 1))
+    k = max(1, JET_BLOCK_TERMS // len(acc))
     for j in range(0, M, k):
         mcol = np.arange(j + 1, min(j + k, M) + 1, dtype=float)[:, None]
         fiber = 2.0 * np.exp(1j * mcol * ys).real
@@ -341,7 +341,7 @@ class PeriodicFourierSolution(GHSolution):
             acc = self.zero_mode(u, x).copy()
             t_rho, t_y, of = rho_of, y_of, slice(None)
         out = np.empty_like(acc)
-        per = self.M * _VALUE_BLOCK
+        per = JET_BLOCK_TERMS // 2
         for start in range(0, len(acc), per):
             part = slice(start, start + per)
             out[part] = _mode_sums(acc[part], rho, t_rho[part], ys, t_y[part],
@@ -395,17 +395,15 @@ def ov_total_flux(sol, radius, center=(0.0, 0.0)):
     if radius <= 0:
         raise ValueError("radius must be positive")
     na, ny = 256, 64
-    alpha = 2.0 * np.pi * np.arange(na) / na
-    ys = 2.0 * np.pi * np.arange(ny) / ny
-    A, Y = np.meshgrid(alpha, ys, indexing="ij")
-    nrm = np.stack([np.cos(A).ravel(), np.sin(A).ravel(),
-                    np.zeros(A.size)], axis=-1)
-    base = np.stack([center[0] + radius * np.cos(A).ravel(),
-                     center[1] + radius * np.sin(A).ravel(),
-                     Y.ravel()], axis=-1)
+    alpha = np.repeat(2.0 * np.pi * np.arange(na) / na, ny)
+    ys = np.tile(2.0 * np.pi * np.arange(ny) / ny, na)
+    c, s = np.cos(alpha), np.sin(alpha)
+    u, x = center[0] + radius * c, center[1] + radius * s
     area = radius * (2.0 * np.pi / na) * (2.0 * np.pi / ny)
-    vplus, vminus = np.split(sol.value(np.concatenate(
-        [base + 1e-6 * nrm, base - 1e-6 * nrm])), 2)
+    # a batch per layer, not one stacked batch, halves value's working
+    # memory; K0 still runs once per mode and distinct radius
+    vplus = sol.value(np.stack([u + 1e-6 * c, x + 1e-6 * s, ys], -1))
+    vminus = sol.value(np.stack([u - 1e-6 * c, x - 1e-6 * s, ys], -1))
     dn = (vplus - vminus) / 2e-6
     if not np.all(np.isfinite(dn)):
         raise QuadratureFailure("non-finite normal derivative on the surface")

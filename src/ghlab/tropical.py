@@ -10,6 +10,7 @@ the tropical slopes equal to the exponent vectors literally).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -28,7 +29,8 @@ class RootFindingFailure(TropicalError):
 
 
 # a term of the mini-grammar is a run of these: a coefficient, a factor
-# z<k>[^e] or "*"; a sign splits terms unless it follows "^"
+# z<k>[^e] or "*", with the coefficient, if any, before every factor; a
+# sign splits terms unless it follows "^"
 _TOKEN = re.compile(r"(?P<coef>\d+(?:\.\d*)?|\.\d+)"
                     r"|z(?P<var>\d*)(?:\^(?P<exp>-?\d+))?|\*")
 _SIGN = re.compile(r"(?<!\^)([+-])")
@@ -95,9 +97,14 @@ def _fiber_roots(P, x1, theta):
     last = P.exponents()[:, -1]
     emin, d = int(last.min()), int(last.max() - last.min())
     coeffs = np.zeros((theta.size, d + 1), dtype=complex)
+    # z1^e1 once per distinct exponent e1 != 0.  At e1 = 0 the term adds c
+    # itself: c * e^0 differs from c at most in the sign of a zero, which a
+    # sum that starts at +0.0 cannot show
+    z1 = ({e1: np.exp(e1 * (x1 + 1j * theta))
+           for e1 in {e[0] for e, _ in P.terms} if e1}
+          if P.nvars == 2 else {})
     for e, c in P.terms:
-        coeffs[:, e[-1] - emin] += (c * np.exp(e[0] * (x1 + 1j * theta))
-                                    if P.nvars == 2 else c)
+        coeffs[:, e[-1] - emin] += c * z1[e[0]] if e[0] in z1 else c
     # a row vanishing at both ends is w^s times a row with a_0 != 0
     shift = np.where((coeffs[:, 0] == 0) & (coeffs[:, -1] == 0),
                      np.argmax(coeffs != 0, axis=1), 0)
@@ -162,8 +169,10 @@ def _ronkin_1d(P, x, kappa):
     return kappa * (emin * x + _fiber_log_mean(coeffs, roots, x[:, None]))
 
 
+@functools.lru_cache(maxsize=None)
 def _split_content(P):
-    """Split a two-variable P = q(z1) * Q(z1, z2), q monic; (roots of q, Q).
+    """Split a two-variable P = q(z1) * Q(z1, z2), q monic; (roots of q, Q),
+    the roots as a tuple; cached per polynomial.
 
     Over a root of q, P vanishes on the whole z2-line: no fiber root shows
     it, and it puts a log singularity into the theta_1 average.  The roots
@@ -172,7 +181,7 @@ def _split_content(P):
     """
     e = P.exponents()
     if np.unique(e[:, 1], return_counts=True)[1].min() < 2:
-        return [], P   # a z2-coefficient is a monomial in z1
+        return (), P   # a z2-coefficient is a monomial in z1
     lo = e.min(axis=0)
     A = np.zeros(tuple(e.max(axis=0) - lo + 1), dtype=complex)
     A[tuple((e - lo).T)] = P.coefficients()
@@ -187,7 +196,7 @@ def _split_content(P):
                 A[i - 1] += r * A[i]
             A = A[1:]
             content.append(complex(r))
-    return content, (LaurentPoly.make(
+    return tuple(content), (LaurentPoly.make(
         [((i + lo[0], k + lo[1]), A[i, k]) for i, k in zip(*np.nonzero(A))])
         if content else P)
 
@@ -550,16 +559,20 @@ def parse_laurent(text):
     for sign, body in zip(parts[1::2], parts[2::2]):
         tokens = list(_TOKEN.finditer(body))
         coefs = [float(m["coef"]) for m in tokens if m["coef"]]
+        kinds = "".join("c" if m["coef"] else "z" for m in tokens
+                        if m[0] != "*")
         exps = {}
         for m in tokens:
             if m["var"] is not None:
                 k = int(m["var"] or 1) - 1
                 exps[k] = exps.get(k, 0) + int(m["exp"] or 1)
-        if ("".join(m[0] for m in tokens) != body or len(coefs) > 1
-                or not (coefs or exps) or min(exps, default=0) < 0):
+        if ("".join(m[0] for m in tokens) != body
+                or not re.fullmatch("cz*|z+", kinds)
+                or min(exps, default=0) < 0):
             raise ValueError(
                 f"cannot parse term {body!r} of {text!r}: a term is a "
-                "coefficient, factors z<k>[^e] with k >= 1, or both")
+                "coefficient, factors z<k>[^e] with k >= 1, or a "
+                "coefficient followed by factors")
         terms.append((exps, (-1.0 if sign == "-" else 1.0)
                       * (coefs or [1.0])[0]))
     nv = max((max(e) + 1 for e, _ in terms if e), default=1)

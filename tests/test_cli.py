@@ -65,6 +65,12 @@ class TestExitCodes:
         assert run_cli(["ronkin", "--poly", poly]) == 2
         assert "config error: config field 'poly'" in capsys.readouterr().err
 
+    def test_coefficient_after_a_factor_is_config_error(self, capsys):
+        # z^2.5 once ran as 0.5 z^2: the coefficient must come first
+        assert run_cli(["ronkin", "--poly", "z^2.5"]) == 2
+        assert ("config error: config field 'poly': cannot parse term "
+                "'z^2.5'") in capsys.readouterr().err
+
     @pytest.mark.parametrize("cmd,given,key", [
         ("legendre", ["--family", "cross", "--b", "nan"], "b"),
         ("collapse", ["--lambdas", "1,inf"], "lambdas"),

@@ -434,6 +434,27 @@ class TestOoguriVafa:
         flux = ov_total_flux(sol, 0.3, center=(2.0, 2.0))
         assert abs(flux) < 1e-4
 
+    @pytest.mark.parametrize("radius, center", [
+        (0.3, (0.0, 0.0)), (0.8718, (0.0, 0.0)), (1.93, (0.0, 0.0)),
+        (0.3, (2.0, -1.5))])
+    def test_flux_has_the_bits_of_one_stacked_batch(self, radius, center):
+        # the two offset layers as one 2 x 16,384-row batch of the base
+        # points plus and minus 1e-6 times the normals: evaluating them
+        # as two batches keeps every bit of the flux
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        A, Y = np.meshgrid(2.0 * np.pi * np.arange(256) / 256,
+                           2.0 * np.pi * np.arange(64) / 64, indexing="ij")
+        nrm = np.stack([np.cos(A).ravel(), np.sin(A).ravel(),
+                        np.zeros(A.size)], axis=-1)
+        base = np.stack([center[0] + radius * np.cos(A).ravel(),
+                         center[1] + radius * np.sin(A).ravel(),
+                         Y.ravel()], axis=-1)
+        vplus, vminus = np.split(sol.value(np.concatenate(
+            [base + 1e-6 * nrm, base - 1e-6 * nrm])), 2)
+        area = radius * (2.0 * np.pi / 256) * (2.0 * np.pi / 64)
+        want = float(np.sum((vplus - vminus) / 2e-6 * area))
+        assert ov_total_flux(sol, radius, center) == want
+
     @staticmethod
     def per_point_value(sol, pts):
         """The mode sum with K0 and e^{i m y} at every point."""
@@ -458,6 +479,21 @@ class TestOoguriVafa:
                             radius * np.sin(A).ravel(), Y.ravel()], -1)
             assert np.array_equal(sol.value(pts),
                                   self.per_point_value(sol, pts))
+
+    @pytest.mark.parametrize("M", [8, 40, 400])
+    @pytest.mark.parametrize("zero_mode", [
+        None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
+    def test_value_equals_the_per_point_sum_at_every_M(self, M, zero_mode):
+        # 9,000 distinct points are two slices of at most 8,192 sums, in
+        # chunks of 2 and of 16,384 // 808 = 20 modes, at every M
+        rng = np.random.default_rng(M)
+        sol = PeriodicFourierSolution(1.0, M, 4.0, zero_mode=zero_mode,
+                                      check_positive=False)
+        rho = rng.uniform(0.05, 6.0, 9000)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 9000)
+        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
+                        rng.uniform(0.0, 2.0 * np.pi, 9000)], -1)
+        assert np.array_equal(sol.value(pts), self.per_point_value(sol, pts))
 
     def test_value_with_repeats_across_the_k0_branches(self):
         # radii across all three K0 branches, each (rho, y) drawn from a
@@ -504,10 +540,10 @@ class TestOoguriVafa:
     @pytest.mark.parametrize("zero_mode", [
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
     def test_value_does_not_depend_on_the_batch(self, zero_mode):
-        # 9,000 points, more than four blocks of 2,048, with each (rho, y)
-        # drawn from a small pool so both repeat within a block; with the
-        # closure each point is its own sum, in chunks of 8 x 2,048 // 9,000
-        # = 1 mode.  Every value has the bits of its one-point call
+        # 9,000 points with each (rho, y) drawn from a small pool, so both
+        # repeat within a slice; with the closure each point is its own
+        # sum, in slices of 8,192 and 808 sums.  Every value has the bits
+        # of its one-point call
         rng = np.random.default_rng(33)
         sol = PeriodicFourierSolution(1.0, 8, 4.0, zero_mode=zero_mode,
                                       check_positive=False)
@@ -518,8 +554,7 @@ class TestOoguriVafa:
         pts = np.stack([rhos[i] * np.cos(ang[i]), rhos[i] * np.sin(ang[i]),
                         ys[k]], -1)
         got = sol.value(pts)
-        edges = [0, 8999] + [i for b in (1, 2, 3, 4)
-                             for i in (b * 2048 - 1, b * 2048)]
+        edges = [0, 8191, 8192, 8999]
         for j in np.union1d(rng.choice(9000, 300, replace=False), edges):
             assert got[j] == sol.value(pts[j:j + 1])[0], j
 
@@ -528,8 +563,9 @@ class TestOoguriVafa:
         # at rho = 1 the zero mode is a itself, and V crosses it: the sum
         # sits on a power of two, where the gap below is half the gap
         # above, while the tail terms K0(m) / pi are near its spacing.
-        # 30,000 distinct (rho, y) pairs make chunks of 60 x 2048 // 30000
-        # = 4 modes.  After mode 36 the bound 4 K0(36) / (2 pi) = 3.1e-17
+        # 30,000 distinct (rho, y) pairs make three slices of 8,192 sums in
+        # chunks of 2 modes and one of 5,424 in chunks of 3, all of which
+        # end at mode 36.  After it the bound 4 K0(36) / (2 pi) = 3.1e-17
         # lies between a quarter of the spacing below 1 (2.8e-17) and
         # above it (5.6e-17): at a = 1 the sums above 1 stop there, and
         # most of those below run on to mode 40
@@ -568,27 +604,28 @@ class TestOoguriVafa:
         assert np.array_equal(got, self.per_point_value(sol, pts))
 
     def test_value_peak_memory_on_the_library_batch(self):
-        # 20,000 distinct points at M = 40, as in the benchmark: each chunk
-        # of modes frees its tables before the next k0 call, and the slices
-        # are at most M x 2,048 sums.  Tables kept alive across the k0 call
-        # in slices of M x 4,096 exceed the bound (12.0 MiB).  Measured with
-        # numpy 2.4: 5.3 MiB
+        # 20,000 distinct points, as in the benchmark, at M = 40 and 400:
+        # slices of at most 8,192 sums and (mode, sum) tables of at most
+        # 16,384 entries, each freed before the next k0 call, whatever M.
+        # Slices and tables of M x 2,048 exceed the bound at both (5.3 and
+        # 27.2 MiB).  Measured with numpy 2.4: 3.1 MiB at both
         import tracemalloc
 
         rng = np.random.default_rng(5)
-        sol = ooguri_vafa(1.0, 40, a=5.5)
         rho = rng.uniform(0.2, 5.0, 20000)
         ang = rng.uniform(0.0, 2.0 * np.pi, 20000)
         pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
                         rng.uniform(0.0, 2.0 * np.pi, 20000)], -1)
-        sol.value(pts[:64])
-        tracemalloc.start()
-        try:
-            sol.value(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * 2 ** 20, peak / 2 ** 20
+        for M in (40, 400):
+            sol = ooguri_vafa(1.0, M, a=5.5)
+            sol.value(pts[:64])
+            tracemalloc.start()
+            try:
+                sol.value(pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 2 ** 20, (M, peak / 2 ** 20)
 
     def test_value_of_empty_and_invalid_batches(self):
         sol = ooguri_vafa(1.0, 40, a=5.0)
@@ -600,9 +637,9 @@ class TestOoguriVafa:
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
     def test_value_tables_stay_within_the_budget(self, monkeypatch,
                                                  zero_mode):
-        # with a budget of 64, 3,000 distinct points at M = 8 make six
-        # slices of at most 8 x 64 sums; no k0 table passes 8 x 64
-        # arguments, and every value keeps its bits
+        # with a budget of 64, 3,000 distinct points make 94 slices of at
+        # most 32 sums, in chunks of 2 modes; at M = 8 and at M = 40 no k0
+        # table passes 64 arguments, and every value keeps its bits
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
 
@@ -613,18 +650,20 @@ class TestOoguriVafa:
             return k0(x)
 
         rng = np.random.default_rng(8)
-        sol = PeriodicFourierSolution(1.0, 8, 4.0, zero_mode=zero_mode,
-                                      check_positive=False)
         rho = rng.uniform(0.05, 6.0, 3000)
         ang = rng.uniform(0.0, 2.0 * np.pi, 3000)
         pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
                         rng.uniform(0.0, 2.0 * np.pi, 3000)], -1)
-        monkeypatch.setattr(solmod, "_VALUE_BLOCK", 64)
-        monkeypatch.setattr(solmod, "k0", counting_k0)
-        got = sol.value(pts)
-        assert len(seen) >= 6 and max(seen) <= 8 * 64, seen
-        monkeypatch.undo()
-        assert np.array_equal(got, self.per_point_value(sol, pts))
+        for M in (8, 40):
+            sol = PeriodicFourierSolution(1.0, M, 4.0, zero_mode=zero_mode,
+                                          check_positive=False)
+            seen.clear()
+            monkeypatch.setattr(solmod, "JET_BLOCK_TERMS", 64)
+            monkeypatch.setattr(solmod, "k0", counting_k0)
+            got = sol.value(pts)
+            assert len(seen) >= 94 and max(seen) <= 64, (M, seen)
+            monkeypatch.undo()
+            assert np.array_equal(got, self.per_point_value(sol, pts)), M
 
     def test_double_precision_path_loads_no_mpmath(self, monkeypatch):
         # the library twin of the CI step that runs the K0 commands without
@@ -641,9 +680,10 @@ class TestOoguriVafa:
         assert abs(res) < 1e-8
 
     def test_flux_evaluates_k0_once_per_distinct_radius(self, monkeypatch):
-        # the 2 x 16,384 surface points of the two torus layers have a few
-        # distinct radii, shared by all 64 fiber points above each angle:
-        # at most one K0 argument per mode and distinct radius
+        # the two torus layers are two batches of 16,384 surface points,
+        # each with a few distinct radii shared by all 64 fiber points
+        # above each angle: at most one K0 argument per mode and distinct
+        # radius of each batch
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
 
@@ -664,6 +704,7 @@ class TestOoguriVafa:
         monkeypatch.setattr(sol, "value", recorded)
         flux = ov_total_flux(sol, 0.5)
         assert abs(flux + 2 * np.pi) < 0.01 * 2 * np.pi
-        (pts,) = batches
-        radii = np.unique(sol._radii(pts[:, 0], pts[:, 1]))
-        assert sum(seen) <= 40 * len(radii), (sum(seen), len(radii))
+        assert len(batches) == 2
+        radii = sum(len(np.unique(sol._radii(pts[:, 0], pts[:, 1])))
+                    for pts in batches)
+        assert sum(seen) <= 40 * radii, (sum(seen), radii)

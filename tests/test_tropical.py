@@ -199,6 +199,59 @@ class TestRonkin2D:
         assert abs(ronkin(P2, (-4.0, -5.0), nodes=64) - 0.0) < 1e-6
 
 
+class TestFiberRows:
+    """The fiber coefficient table takes z1^e1 once per distinct e1, and
+    the content split once per polynomial; neither moves a bit."""
+
+    @staticmethod
+    def per_term_coefficients(P, x1, theta):
+        # one complex exp per term, exponent 0 included
+        last = P.exponents()[:, -1]
+        out = np.zeros((theta.size, int(np.ptp(last)) + 1), dtype=complex)
+        for e, c in P.terms:
+            out[:, e[-1] - last.min()] += c * np.exp(e[0] * (x1 + 1j * theta))
+        return out
+
+    def test_coefficients_are_the_per_term_sum_byte_for_byte(self):
+        # emin, the shift and the roots are functions of this table alone,
+        # so equal bytes here mean equal outputs of _fiber_roots
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            exps = {(int(rng.integers(-2, 4)), int(rng.integers(-1, 3)))
+                    for _ in range(rng.integers(2, 7))}
+            P = LaurentPoly.make([(e, complex(*rng.normal(size=2)))
+                                  for e in exps])
+            x1 = float(rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0)]))
+            theta = np.r_[0.0, -0.0, np.pi,
+                          rng.uniform(-np.pi, 3.0 * np.pi, 13)]
+            _, coeffs, _ = tropical._fiber_roots(P, x1, theta)
+            want = self.per_term_coefficients(P, x1, theta)
+            assert coeffs.tobytes() == want.tobytes(), (P, x1)
+
+    @pytest.mark.parametrize("text", [
+        "1+z1+z2", "1+2z1z2+0.5z2^2-z1^2z2+0.3z1z2^2", "1+z1+z2+z1z2"])
+    def test_a_cached_content_split_keeps_every_bit(self, text):
+        # the same values with the split computed afresh for every call;
+        # (1 + z1)(1 + z2) splits off 1 + z1
+        P = parse_laurent(text)
+        pts = np.random.default_rng(40).uniform(-3.0, 3.0, (40, 2))
+        calls = (ronkin, tropical._amoeba_gap, ronkin_gradient)
+
+        def values(fresh):
+            out = []
+            for x in pts:
+                for f in calls:
+                    if fresh:
+                        tropical._split_content.cache_clear()
+                    v = f(P, x)
+                    out += [np.asarray(t).tobytes()
+                            for t in (v if isinstance(v, tuple) else (v,))]
+            return out
+
+        assert values(False) == values(True)
+        assert len(tropical._split_content(P)[0]) == (text == "1+z1+z2+z1z2")
+
+
 class TestTorusPoints:
     """Two-variable Ronkin values, gradients and amoeba membership from the
     torus points {P = 0} and |z| = e^x, against independent oracles."""
@@ -762,12 +815,22 @@ class TestParserOracle:
 
     @pytest.mark.parametrize("text", [
         "", "  ", "1+", "1+-z", "1 + + z", "2*3", "2.5.5", "z+^2", "2^3",
-        "^2", "z0", "1+z00", "q+1", "1+z*y", "z^99999999999999999999"],
+        "^2", "z0", "1+z00", "q+1", "1+z*y", "z^99999999999999999999",
+        "z^2.5", "z2.5", "z*2", "1+z1*3z2"],
         ids=["empty", "blank", "dangling-sign", "two-signs", "spaced-signs",
              "two-coefficients", "two-decimal-points",
              "exponent-after-sign", "exponent-on-coefficient",
              "exponent-alone", "z0", "z00", "stray-letter",
-             "stray-factor", "exponent-past-int64"])
+             "stray-factor", "exponent-past-int64",
+             "coefficient-after-exponent", "coefficient-after-variable",
+             "coefficient-after-star", "coefficient-between-factors"])
     def test_refusals(self, text):
         with pytest.raises(ValueError):
             parse_laurent(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("2.5z", [((1,), 2.5)]), ("2.5*z^2", [((2,), 2.5)]),
+        ("1 + z + 0.25*z^2", [((0,), 1.0), ((1,), 1.0), ((2,), 0.25)]),
+        (".5z1z2^-1", [((1, -1), 0.5)])])
+    def test_a_coefficient_before_the_factors(self, text, want):
+        assert parse_laurent(text) == LaurentPoly.make(want)
