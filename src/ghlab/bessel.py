@@ -7,7 +7,8 @@ Three double-precision branches, all in-house:
   evaluated in double precision (cancellation loses ~2*x/ln(10) digits, which
   stays below 1e-12 relative here).
 * ``4 < x < 32``: Chebyshev interpolant of log(K0) + x + log(x)/2 in 1/x,
-  a stored table fitted from mpmath's K0 (``k0_mp``).
+  a stored table fitted from mpmath's K0 (``k0_mp``), with no gather on a
+  block of ``k0``'s batch that lies mostly in this branch.
 * ``x >= 32``: Poincare asymptotic series
       K0(x) ~ sqrt(pi/(2x)) e^{-x} sum_k c_k / x^k,
       c_k = (-1)^k (1^2 3^2 ... (2k-1)^2) / (k! 8^k),
@@ -130,12 +131,14 @@ _CHEB_COEFFS = np.array([
 
 
 def _k0_cheb(x):
-    """Chebyshev middle branch on one block (Clenshaw recurrence)."""
+    """Chebyshev middle branch on one block: Clenshaw's recurrence from
+    b1 = t2 c14 + c13, b2 = c14: its first two steps from 0, both exact."""
     lo, hi = _CHEB_LO, _CHEB_HI
     t = (2.0 * (1.0 / x) - (lo + hi)) / (hi - lo)
     t2 = 2.0 * t
-    b1, b2, tmp = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
-    for c in _CHEB_COEFFS[:0:-1]:
+    b2, tmp = np.full_like(t, _CHEB_COEFFS[14]), np.empty_like(t)
+    b1 = t2 * _CHEB_COEFFS[14] + _CHEB_COEFFS[13]
+    for c in _CHEB_COEFFS[12:0:-1]:
         np.multiply(t2, b1, out=tmp)
         tmp -= b2
         tmp += c
@@ -148,11 +151,12 @@ def k0(x):
     """K0(x), scalar or array x > 0; relative error <= 3e-13 for x <= 4, where
     the series cancels, and <= 3e-15 on (4, 700].
 
-    The batch is walked in blocks of ``_BLOCK`` arguments.  The middle and
-    asymptotic branches run on each block, directly on a block that lies in
-    one branch and with a gather and scatter inside the block on one that
-    mixes them; the series runs once about ``_BLOCK`` of its arguments have
-    been gathered.  So the result is the only full-size array."""
+    The batch is walked in blocks of ``_BLOCK`` arguments.  The middle branch
+    runs on all of a block that lies mostly in it, the others overwriting
+    their entries (inf or nan there); else it, like the asymptotic branch,
+    gathers and scatters its entries of a mixed block.  The series runs once
+    about ``_BLOCK`` of its arguments have been gathered, so the result is
+    the only full-size array."""
     arr = _arguments(x)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel()
@@ -161,12 +165,16 @@ def k0(x):
     for start in range(0, flat.size, _BLOCK):
         xb, ob = flat[start:start + _BLOCK], out[start:start + _BLOCK]
         small, large = xb <= _SERIES_MAX, xb >= _ASYM_MIN
-        for mask, branch in ((~(small | large), _k0_cheb),
-                             (large, _k0_asym_double)):
-            if mask.all():
-                ob[...] = branch(xb)
-            elif mask.any():
-                ob[mask] = branch(xb[mask])
+        middle = ~(small | large)
+        if 2 * np.count_nonzero(middle) > xb.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ob[...] = _k0_cheb(xb)
+        elif middle.any():
+            ob[middle] = _k0_cheb(xb[middle])
+        if large.all():
+            ob[...] = _k0_asym_double(xb)
+        elif large.any():
+            ob[large] = _k0_asym_double(xb[large])
         series.append(start + np.flatnonzero(small))
         if start + _BLOCK >= flat.size or sum(map(len, series)) >= _BLOCK:
             idx = np.concatenate(series)

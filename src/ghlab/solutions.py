@@ -39,7 +39,7 @@ import numpy as np
 from . import GHLabError, NotPositive, QuadratureFailure
 from .bessel import k0
 from .fields import JET_BLOCK_TERMS, JetScalarField, log, sqrt
-from .ghcore import GHSolution, table_partial
+from .ghcore import GHSolution, SphereHitsDiscriminant, table_partial
 
 
 class SolutionError(GHLabError):
@@ -189,16 +189,18 @@ def semiflat(ma_potential):
 # periodic Fourier-Bessel family
 # ---------------------------------------------------------------------------
 
-# value() sums the modes of each distinct (radius, y) pair of the batch, or
-# of each point when a zero_mode= function sets the zero mode (only the
-# benchmark passes one), in slices of at most JET_BLOCK_TERMS // 2 sums,
-# whatever M.  A slice takes as many modes at a time as keep its (mode, sum)
-# tables within JET_BLOCK_TERMS entries (128 KiB of float64; two modes at
-# the least), and frees them before the next chunk's k0 call: on a
-# 20,000-point batch the traced peak is 3.1 MiB at both M = 40 and
-# M = 400, against 5.3 and 27.2 MiB with slices and tables of M x 2,048.
-# A sum drops out after the first chunk of modes past which no term can
-# change a bit of it, so no value depends on these sizes
+# value() sorts its batch by radius once and sums it in blocks of at most
+# JET_BLOCK_TERMS // 4 points in that order, each over its own distinct
+# (radius, y) pairs, or its points when a zero_mode= function sets the zero
+# mode (only the benchmark passes one), whatever M and N.  A block takes as
+# many modes at a time as keep its (mode, sum) tables within
+# JET_BLOCK_TERMS entries (128 KiB of float64; four modes at the least),
+# and frees them before the next chunk's k0 call; sums of nearby radii stop
+# at nearby modes, so a block's sums stop together.  Traced peak with numpy
+# 2.4 at both M = 40 and M = 400: 2.0 MiB on 20,000 points and 5.0 MiB on
+# 200,000, against 3.1 and 18.7 MiB with the batch's distinct pairs summed
+# in slices of 8,192.  A sum drops out after the first chunk of modes past
+# which no term can change a bit of it, so no value depends on these sizes
 
 # the periodic family's domain: these radii rho from the source
 _RHO_MIN, _RHO_MAX = 0.1, 6.0
@@ -216,12 +218,6 @@ def _mode_sums(acc, rho, t_rho, ys, t_y, M):
     """acc + t_1 + ... + t_M per sum, with t_m = 2 Re(e^{i m y}) K0(m rho)
     / (2 pi) at rho[t_rho] and ys[t_y].  The sums run in ``acc``'s own
     memory; the stop rule is in ``PeriodicFourierSolution.value``."""
-    # a slice of a larger batch takes only the radii and y it uses, so no
-    # table has more columns than sums
-    if len(rho) > len(acc):
-        rho, t_rho = _used(rho, t_rho)
-    if len(ys) > len(acc):
-        ys, t_y = _used(ys, t_y)
     out = np.empty_like(acc)
     live = np.arange(len(acc))
     k = max(1, JET_BLOCK_TERMS // len(acc))
@@ -266,8 +262,8 @@ class PeriodicFourierSolution(GHSolution):
     """
 
     def __init__(self, lam, M, a, zero_mode=None, check_positive=True):
-        if M < 1:
-            raise ValueError("mode cutoff M must be >= 1")
+        if not (M >= 1 and float(M).is_integer()):
+            raise ValueError(f"mode cutoff M must be an integer >= 1, got {M}")
         self.lam = float(lam)
         self.M = int(M)
         self.a = float(a)
@@ -310,14 +306,14 @@ class PeriodicFourierSolution(GHSolution):
     def value(self, pts):
         """V(u, x, y) on an (N, 3) batch, summed in ascending |m| order.
 
-        The sum z0 + t_1 + t_2 + ... runs once per distinct (radius rho, y)
-        pair of the batch, and each point takes the value of its pair:
+        In blocks of ``JET_BLOCK_TERMS // 4`` points in radius order, the
+        sum z0 + t_1 + ... runs once per distinct (rho, y) pair of the block:
         t_m = 2 Re(e^{i m y}) K0(m rho) / (2 pi) depends on (rho, y) only,
-        and so does the built-in zero mode z0.  A ``zero_mode=`` function,
-        which only the benchmark passes, is a function of (u, x), so then
-        each point has its own sum.  Per chunk of modes, one k0 call fills
-        the (mode, distinct radius) table and one exp call the (mode,
-        distinct y) table, over the sums still running.
+        and so does the built-in zero mode z0.  A ``zero_mode=`` function of
+        (u, x), which only the benchmark passes, gives each point its own
+        sum.  Per chunk of modes, one k0 call fills the (mode, distinct
+        radius) table and one exp call the (mode, distinct y) table, over
+        the block's sums still running.
 
         A sum stops after the last mode m of a chunk once
         2 B < spacing(|acc|) / 4, with B = 2 K0(m rho) / (2 pi).  Computed
@@ -329,24 +325,24 @@ class PeriodicFourierSolution(GHSolution):
         batch it is evaluated in.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        u, x = pts[:, 0], pts[:, 1]
-        rho, rho_of = np.unique(self._radii(u, x), return_inverse=True)
-        ys, y_of = np.unique(pts[:, 2], return_inverse=True)
-        if self._zero_mode is None:
-            pairs, of = np.unique(rho_of * len(ys) + y_of,
-                                  return_inverse=True)
-            t_rho, t_y = np.divmod(pairs, len(ys))
-            acc = self._log_zero_mode(rho)[t_rho]
-        else:
-            acc = self.zero_mode(u, x).copy()
-            t_rho, t_y, of = rho_of, y_of, slice(None)
-        out = np.empty_like(acc)
-        per = JET_BLOCK_TERMS // 2
-        for start in range(0, len(acc), per):
-            part = slice(start, start + per)
-            out[part] = _mode_sums(acc[part], rho, t_rho[part], ys, t_y[part],
-                                   self.M)
-        return out[of]
+        order = np.argsort(self._radii(pts[:, 0], pts[:, 1]), kind="stable")
+        out = np.empty(len(pts))
+        per = JET_BLOCK_TERMS // 4
+        for start in range(0, len(pts), per):
+            at = order[start:start + per]
+            u, x, y = pts[at].T
+            rho, rho_of = np.unique(self._radii(u, x), return_inverse=True)
+            ys, y_of = np.unique(y, return_inverse=True)
+            if self._zero_mode is None:
+                pairs, of = np.unique(rho_of * len(ys) + y_of,
+                                      return_inverse=True)
+                t_rho, t_y = np.divmod(pairs, len(ys))
+                acc = self._log_zero_mode(rho)[t_rho]
+            else:
+                acc = self.zero_mode(u, x).copy()
+                t_rho, t_y, of = rho_of, y_of, slice(None)
+            out[at] = _mode_sums(acc, rho, t_rho, ys, t_y, self.M)[of]
+        return out
 
     def _check_positive(self):
         rs = np.geomspace(_RHO_MIN, _RHO_MAX, 24)
@@ -391,20 +387,31 @@ def ov_total_flux(sol, radius, center=(0.0, 0.0)):
     {|(u,x) - center| = radius} x S^1, which captures the entire periodic
     source for every mode cutoff, on 256 angles x 64 fiber nodes; the normal
     derivative is a central difference at step 1e-6.
+
+    Each offset layer is one ``value`` batch on its distinct radii x the
+    fiber nodes.  Refused: a radius not finite and positive, ``zero_mode=``,
+    and (as in ``chern_flux``) a sampled distance to the source < 0.05 radius.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    if sol._zero_mode is not None:
+        raise ValueError("the flux needs V of (rho, y), not zero_mode=")
     na, ny = 256, 64
-    alpha = np.repeat(2.0 * np.pi * np.arange(na) / na, ny)
-    ys = np.tile(2.0 * np.pi * np.arange(ny) / ny, na)
+    alpha = 2.0 * np.pi * np.arange(na) / na
+    ys = 2.0 * np.pi * np.arange(ny) / ny
     c, s = np.cos(alpha), np.sin(alpha)
     u, x = center[0] + radius * c, center[1] + radius * s
     area = radius * (2.0 * np.pi / na) * (2.0 * np.pi / ny)
-    # a batch per layer, not one stacked batch, halves value's working
-    # memory; K0 still runs once per mode and distinct radius
-    vplus = sol.value(np.stack([u + 1e-6 * c, x + 1e-6 * s, ys], -1))
-    vminus = sol.value(np.stack([u - 1e-6 * c, x - 1e-6 * s, ys], -1))
-    dn = (vplus - vminus) / 2e-6
+    layers = [np.unique(sol._radii(u + h * c, x + h * s), return_inverse=True)
+              for h in (1e-6, -1e-6)]
+    if min(rho[0] for rho, _ in layers) < 0.05 * radius:
+        raise SphereHitsDiscriminant("surface within 0.05 radius of source")
+    # hypot(rho, 0) is rho, so the grid rows have the layer's own radii
+    vplus, vminus = (sol.value(np.stack(
+        [np.repeat(rho, ny), np.zeros(len(rho) * ny), np.tile(ys, len(rho))],
+        -1)).reshape(len(rho), ny)[of].ravel() for rho, of in layers)
+    dn = vplus - vminus
+    dn /= 2e-6
     if not np.all(np.isfinite(dn)):
         raise QuadratureFailure("non-finite normal derivative on the surface")
-    return float(np.sum(dn * area))
+    return float(np.sum(np.multiply(dn, area, out=dn)))

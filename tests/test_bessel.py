@@ -159,6 +159,54 @@ class TestDoublePrecisionReferences:
         for i in checked:
             assert got[i] == k0(xs[i:i + 1])[0], i
 
+    def test_block_composition_keeps_every_bit_without_a_warning(self):
+        # blocks all series, all middle-range and all asymptotic, then two
+        # mixed blocks with exactly half and with one more than half of
+        # their arguments middle-range: the second runs the middle branch
+        # on the whole block, where 1/x overflows at x = 1e-300 and the
+        # recurrence makes inf and nan, and the outer branches overwrite
+        # those entries.  The mixed blocks hold 4, 32 and their neighbours,
+        # which are checked with 1,000 entries of every block
+        import warnings
+
+        from ghlab.bessel import _BLOCK as B
+
+        rng = np.random.default_rng(41)
+
+        def series(n):
+            return np.exp(rng.uniform(math.log(1e-300), math.log(4.0), n))
+
+        def middle(n):
+            return rng.uniform(np.nextafter(4.0, 5.0), 32.0, n)
+
+        def asymptotic(n):
+            return rng.uniform(32.0, 700.0, n)
+
+        # the branch edges and their neighbours, two of them middle-range
+        edges = [np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0),
+                 np.nextafter(32.0, 0.0), 32.0, np.nextafter(32.0, 33.0)]
+
+        def mixed(n_mid):
+            rest = B - n_mid - 4
+            xs = np.concatenate([middle(n_mid - 2), edges, series(rest // 2),
+                                 asymptotic(rest - rest // 2)])
+            rng.shuffle(xs)
+            assert np.count_nonzero((xs > 4.0) & (xs < 32.0)) == n_mid
+            return xs
+
+        xs = np.concatenate([series(B), middle(B), asymptotic(B),
+                             mixed(B // 2), mixed(B // 2 + 1), mixed(7)])
+        at_edge = np.isin(xs, edges)
+        checked = np.union1d(np.flatnonzero(at_edge), np.concatenate(
+            [rng.choice(B, 1000, replace=False) + b * B for b in range(5)]
+            + [np.arange(5 * B, xs.size)]))
+        assert np.count_nonzero(at_edge) == 18
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = k0(xs)
+            one = np.array([k0(x) for x in xs[checked]])
+        assert np.array_equal(got[checked], one)
+
     @pytest.mark.parametrize("lo, hi", [(0.05, 30.0), (1e-3, 4.0),
                                         (32.0, 700.0)],
                              ids=["mixed", "series", "asymptotic"])

@@ -9,8 +9,9 @@ import sympy as sp
 
 from ghlab.bessel import NonpositiveArgument
 from ghlab.fields import SymbolicScalarField
-from ghlab.ghcore import (DomainViolation, GHSolution, chern_flux,
-                          table_partial, verify_closed, verify_compat)
+from ghlab.ghcore import (DomainViolation, GHSolution, SphereHitsDiscriminant,
+                          chern_flux, table_partial, verify_closed,
+                          verify_compat)
 from ghlab.lattice import LatticeSimplex, wall_complex
 from ghlab.solutions import (
     NotConvex,
@@ -324,6 +325,13 @@ class TestOoguriVafa:
         with pytest.raises(NotPositive):
             ooguri_vafa(1.0, 3, a=-1.0)
 
+    @pytest.mark.parametrize("M", [0, 2.5, 1.5, float("nan"), float("inf")])
+    def test_mode_cutoff_must_be_a_positive_integer(self, M):
+        # 2.5 once ran with M = 2
+        with pytest.raises(ValueError, match="integer >= 1"):
+            PeriodicFourierSolution(1.0, M, 5.0)
+        assert PeriodicFourierSolution(1.0, 3.0, 5.0).M == 3
+
     @staticmethod
     def image_sum(a, rho, y):
         """The Poisson dual of the unit-coefficient mode sum: the sources
@@ -434,6 +442,53 @@ class TestOoguriVafa:
         flux = ov_total_flux(sol, 0.3, center=(2.0, 2.0))
         assert abs(flux) < 1e-4
 
+    @pytest.mark.parametrize("radius", [
+        float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_flux_refuses_a_radius_that_is_not_finite_and_positive(self,
+                                                                   radius):
+        sol = ooguri_vafa(1.0, 8, a=5.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ov_total_flux(sol, radius)
+
+    def test_flux_refuses_a_surface_through_the_source(self):
+        # the circle of radius 0.5 about (0.5, 0) passes through the
+        # source, and its flux read -3.13, half the enclosed -2 pi
+        sol = ooguri_vafa(1.0, 8, a=5.0)
+        with pytest.raises(SphereHitsDiscriminant):
+            ov_total_flux(sol, 0.5, center=(0.5, 0.0))
+        with pytest.raises(SphereHitsDiscriminant):
+            ov_total_flux(sol, 0.5, center=(0.52, 0.0))
+        flux = ov_total_flux(sol, 0.5, center=(0.45, 0.0))
+        assert abs(flux + 2 * np.pi) < 0.01 * 2 * np.pi, flux
+
+    def test_flux_refuses_a_zero_mode_function(self):
+        # the flux grid reads V on (rho, 0, y) rows, which a function of
+        # (u, x) need not agree with
+        sol = PeriodicFourierSolution(
+            1.0, 8, 5.0, zero_mode=lambda u, x: 5.0 - np.log(np.hypot(u, x))
+            / (2.0 * np.pi))
+        with pytest.raises(ValueError, match="zero_mode"):
+            ov_total_flux(sol, 0.5)
+
+    @pytest.mark.parametrize("center, most", [((0.0, 0.0), 256),
+                                              ((2.0, -1.5), 16384)])
+    def test_flux_layers_are_grids_of_distinct_radii(self, monkeypatch,
+                                                     center, most):
+        # each offset layer is one value batch of its distinct radii x 64
+        # fiber nodes: a few radii about the source, 256 off centre
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        value, rows = sol.value, []
+
+        def recorded(pts):
+            rho = np.unique(sol._radii(pts[:, 0], pts[:, 1]))
+            rows.append((len(pts), 64 * len(rho)))
+            return value(pts)
+
+        monkeypatch.setattr(sol, "value", recorded)
+        ov_total_flux(sol, 0.3, center)
+        assert len(rows) == 2 and all(n == grid for n, grid in rows), rows
+        assert max(n for n, _ in rows) <= most, rows
+
     @pytest.mark.parametrize("radius, center", [
         (0.3, (0.0, 0.0)), (0.8718, (0.0, 0.0)), (1.93, (0.0, 0.0)),
         (0.3, (2.0, -1.5))])
@@ -484,8 +539,9 @@ class TestOoguriVafa:
     @pytest.mark.parametrize("zero_mode", [
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
     def test_value_equals_the_per_point_sum_at_every_M(self, M, zero_mode):
-        # 9,000 distinct points are two slices of at most 8,192 sums, in
-        # chunks of 2 and of 16,384 // 808 = 20 modes, at every M
+        # 9,000 distinct points are blocks of 4,096, 4,096 and 808 sums in
+        # radius order, in chunks of 4 and of 16,384 // 808 = 20 modes, at
+        # every M
         rng = np.random.default_rng(M)
         sol = PeriodicFourierSolution(1.0, M, 4.0, zero_mode=zero_mode,
                                       check_positive=False)
@@ -541,9 +597,10 @@ class TestOoguriVafa:
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
     def test_value_does_not_depend_on_the_batch(self, zero_mode):
         # 9,000 points with each (rho, y) drawn from a small pool, so both
-        # repeat within a slice; with the closure each point is its own
-        # sum, in slices of 8,192 and 808 sums.  Every value has the bits
-        # of its one-point call
+        # repeat within a block; with the closure each point is its own
+        # sum, in blocks of 4,096, 4,096 and 808 points in radius order.
+        # Every value has the bits of its one-point call, at both sides of
+        # each block edge too
         rng = np.random.default_rng(33)
         sol = PeriodicFourierSolution(1.0, 8, 4.0, zero_mode=zero_mode,
                                       check_positive=False)
@@ -554,7 +611,8 @@ class TestOoguriVafa:
         pts = np.stack([rhos[i] * np.cos(ang[i]), rhos[i] * np.sin(ang[i]),
                         ys[k]], -1)
         got = sol.value(pts)
-        edges = [0, 8191, 8192, 8999]
+        edges = np.argsort(sol._radii(pts[:, 0], pts[:, 1]), kind="stable")[
+            [0, 4095, 4096, 8191, 8192, 8999]]
         for j in np.union1d(rng.choice(9000, 300, replace=False), edges):
             assert got[j] == sol.value(pts[j:j + 1])[0], j
 
@@ -563,8 +621,8 @@ class TestOoguriVafa:
         # at rho = 1 the zero mode is a itself, and V crosses it: the sum
         # sits on a power of two, where the gap below is half the gap
         # above, while the tail terms K0(m) / pi are near its spacing.
-        # 30,000 distinct (rho, y) pairs make three slices of 8,192 sums in
-        # chunks of 2 modes and one of 5,424 in chunks of 3, all of which
+        # 30,000 distinct (rho, y) pairs make seven blocks of 4,096 sums in
+        # chunks of 4 modes and one of 1,328 in chunks of 12, all of which
         # end at mode 36.  After it the bound 4 K0(36) / (2 pi) = 3.1e-17
         # lies between a quarter of the spacing below 1 (2.8e-17) and
         # above it (5.6e-17): at a = 1 the sums above 1 stop there, and
@@ -581,7 +639,11 @@ class TestOoguriVafa:
     def test_stop_rule_on_the_library_batch(self, monkeypatch):
         # 20,000 distinct points with rho in (0.2, 5) at M = 40: a sum stops
         # after about m rho = 33, so k0 takes about half of the M N
-        # arguments of the full table
+        # arguments of the full table.  Whole-batch slices of 8,192 sums in
+        # chunks of 2 modes took 380,170; blocks of 4,096 in radius order,
+        # in chunks of 4, overshoot the stop modes by at most 5 % more.  A
+        # block's sums stop together, in 30 k0 calls; blocks in point order
+        # would all run to their smallest radius's stop mode, in 52
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
 
@@ -600,32 +662,37 @@ class TestOoguriVafa:
         monkeypatch.setattr(solmod, "k0", counting_k0)
         got = sol.value(pts)
         assert sum(seen) < 0.6 * 40 * 20000, sum(seen)
+        assert sum(seen) <= 1.05 * 380170, sum(seen)
+        assert len(seen) <= 36, len(seen)
         monkeypatch.undo()
         assert np.array_equal(got, self.per_point_value(sol, pts))
 
     def test_value_peak_memory_on_the_library_batch(self):
-        # 20,000 distinct points, as in the benchmark, at M = 40 and 400:
-        # slices of at most 8,192 sums and (mode, sum) tables of at most
-        # 16,384 entries, each freed before the next k0 call, whatever M.
-        # Slices and tables of M x 2,048 exceed the bound at both (5.3 and
-        # 27.2 MiB).  Measured with numpy 2.4: 3.1 MiB at both
+        # distinct points drawn as in the benchmark, 20,000 and 200,000 of
+        # them, at M = 40 and 400: blocks of at most 4,096 points in radius
+        # order and (mode, sum) tables of at most 16,384 entries, each freed
+        # before the next k0 call, whatever M; beyond them only the radius
+        # order and the result grow with N.  The batch's distinct pairs
+        # summed in slices of 8,192 exceed both bounds (3.1 and 18.7 MiB).
+        # Measured with numpy 2.4: 2.0 and 5.0 MiB at both M
         import tracemalloc
 
-        rng = np.random.default_rng(5)
-        rho = rng.uniform(0.2, 5.0, 20000)
-        ang = rng.uniform(0.0, 2.0 * np.pi, 20000)
-        pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
-                        rng.uniform(0.0, 2.0 * np.pi, 20000)], -1)
-        for M in (40, 400):
-            sol = ooguri_vafa(1.0, M, a=5.5)
-            sol.value(pts[:64])
-            tracemalloc.start()
-            try:
-                sol.value(pts)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * 2 ** 20, (M, peak / 2 ** 20)
+        for n, mib in ((20000, 2.1), (200000, 5.5)):
+            rng = np.random.default_rng(5)
+            rho = rng.uniform(0.2, 5.0, n)
+            ang = rng.uniform(0.0, 2.0 * np.pi, n)
+            pts = np.stack([rho * np.cos(ang), rho * np.sin(ang),
+                            rng.uniform(0.0, 2.0 * np.pi, n)], -1)
+            for M in (40, 400):
+                sol = ooguri_vafa(1.0, M, a=5.5)
+                sol.value(pts[:64])
+                tracemalloc.start()
+                try:
+                    sol.value(pts)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= mib * 2 ** 20, (n, M, peak / 2 ** 20)
 
     def test_value_of_empty_and_invalid_batches(self):
         sol = ooguri_vafa(1.0, 40, a=5.0)
@@ -637,8 +704,8 @@ class TestOoguriVafa:
         None, lambda u, x: 3.0 - np.log(np.hypot(u, x) / 2.0) / (2.0 * np.pi)])
     def test_value_tables_stay_within_the_budget(self, monkeypatch,
                                                  zero_mode):
-        # with a budget of 64, 3,000 distinct points make 94 slices of at
-        # most 32 sums, in chunks of 2 modes; at M = 8 and at M = 40 no k0
+        # with a budget of 64, 3,000 distinct points make 188 blocks of at
+        # most 16 sums, in chunks of 4 modes; at M = 8 and at M = 40 no k0
         # table passes 64 arguments, and every value keeps its bits
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
@@ -661,7 +728,7 @@ class TestOoguriVafa:
             monkeypatch.setattr(solmod, "JET_BLOCK_TERMS", 64)
             monkeypatch.setattr(solmod, "k0", counting_k0)
             got = sol.value(pts)
-            assert len(seen) >= 94 and max(seen) <= 64, (M, seen)
+            assert len(seen) >= 188 and max(seen) <= 64, (M, seen)
             monkeypatch.undo()
             assert np.array_equal(got, self.per_point_value(sol, pts)), M
 
@@ -680,10 +747,10 @@ class TestOoguriVafa:
         assert abs(res) < 1e-8
 
     def test_flux_evaluates_k0_once_per_distinct_radius(self, monkeypatch):
-        # the two torus layers are two batches of 16,384 surface points,
-        # each with a few distinct radii shared by all 64 fiber points
-        # above each angle: at most one K0 argument per mode and distinct
-        # radius of each batch
+        # the two torus layers are two value batches, each with a few
+        # distinct radii shared by all 64 fiber points above each angle:
+        # at most one K0 argument per mode and distinct radius of each
+        # batch
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
 
