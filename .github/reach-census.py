@@ -85,9 +85,6 @@ KEEP = {
     ("legendre.py", "is_unipotent"): _PAIR,
     ("legendre.py", "AffineChartAtlas.generator"): _PAIR,
     ("legendre.py", "atlas"): _PAIR,
-    ("solutions.py", "PeriodicFourierSolution.__init__.radius"):
-        "item 13: the periodic family's domain and discriminant, which "
-        "closedness and flux on its table read",
     ("solutions.py", "taub_nut_V"): "item 13: the closed-form table of "
                                     "table closedness",
     ("solutions.py", "semiflat"): "north star: the semi-flat family",

@@ -195,12 +195,13 @@ def semiflat(ma_potential):
 # mode (only the benchmark passes one), whatever M and N.  A block takes as
 # many modes at a time as keep its (mode, sum) tables within
 # JET_BLOCK_TERMS entries (128 KiB of float64; four modes at the least),
-# and frees them before the next chunk's k0 call; sums of nearby radii stop
-# at nearby modes, so a block's sums stop together.  Traced peak with numpy
-# 2.4 at both M = 40 and M = 400: 2.0 MiB on 20,000 points and 5.0 MiB on
-# 200,000, against 3.1 and 18.7 MiB with the batch's distinct pairs summed
-# in slices of 8,192.  A sum drops out after the first chunk of modes past
-# which no term can change a bit of it, so no value depends on these sizes
+# and frees them before the next chunk's k0 call.  Sums of nearby radii
+# stop at nearby modes, so in radius order a block's sums stop together,
+# where a block of scattered radii would run to its smallest one's stop.
+# Traced peak with numpy 2.4 at both M = 40 and M = 400: 2.0 MiB on 20,000
+# points and 5.0 MiB on 200,000.  A sum drops out after the first chunk of
+# modes past which no term can change a bit of it, so no value depends on
+# these sizes
 
 # the periodic family's domain: these radii rho from the source
 _RHO_MIN, _RHO_MAX = 0.1, 6.0
@@ -309,11 +310,10 @@ class PeriodicFourierSolution(GHSolution):
         In blocks of ``JET_BLOCK_TERMS // 4`` points in radius order, the
         sum z0 + t_1 + ... runs once per distinct (rho, y) pair of the block:
         t_m = 2 Re(e^{i m y}) K0(m rho) / (2 pi) depends on (rho, y) only,
-        and so does the built-in zero mode z0.  A ``zero_mode=`` function of
-        (u, x), which only the benchmark passes, gives each point its own
-        sum.  Per chunk of modes, one k0 call fills the (mode, distinct
-        radius) table and one exp call the (mode, distinct y) table, over
-        the block's sums still running.
+        and so does the built-in zero mode z0; a ``zero_mode=`` function of
+        (u, x) gives each point its own sum.  Per chunk of modes, one k0
+        call fills the (mode, radius) table and one exp call the (mode, y)
+        table of the block's sums still running.
 
         A sum stops after the last mode m of a chunk once
         2 B < spacing(|acc|) / 4, with B = 2 K0(m rho) / (2 pi).  Computed
@@ -343,6 +343,17 @@ class PeriodicFourierSolution(GHSolution):
                 t_rho, t_y, of = rho_of, y_of, slice(None)
             out[at] = _mode_sums(acc, rho, t_rho, ys, t_y, self.M)[of]
         return out
+
+    def fiber_value(self, u, x, ys):
+        """V on the base points (u, x) times the fiber coordinates ys, shape
+        (len(u), len(ys)), as one ``value`` batch on their distinct radii:
+        V depends on (rho, y) alone, unless ``zero_mode=`` is set."""
+        if self._zero_mode is not None:
+            raise ValueError("V with zero_mode= need not depend on (rho, y)")
+        rho, of = np.unique(self._radii(u, x), return_inverse=True)
+        # the points (rho, 0, y) have radius hypot(rho, 0) = rho exactly
+        grid = np.stack(np.broadcast_arrays(rho[:, None], 0.0, ys), -1)
+        return self.value(grid.reshape(-1, 3)).reshape(len(rho), -1)[of]
 
     def _check_positive(self):
         rs = np.geomspace(_RHO_MIN, _RHO_MAX, 24)
@@ -388,29 +399,23 @@ def ov_total_flux(sol, radius, center=(0.0, 0.0)):
     source for every mode cutoff, on 256 angles x 64 fiber nodes; the normal
     derivative is a central difference at step 1e-6.
 
-    Each offset layer is one ``value`` batch on its distinct radii x the
-    fiber nodes.  Refused: a radius not finite and positive, ``zero_mode=``,
-    and (as in ``chern_flux``) a sampled distance to the source < 0.05 radius.
+    Each offset layer is one ``fiber_value`` grid.  Refused: a radius not
+    finite and positive, or (as in ``chern_flux``) a surface that passes
+    within 0.05 radius of the source.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and positive, got {radius}")
-    if sol._zero_mode is not None:
-        raise ValueError("the flux needs V of (rho, y), not zero_mode=")
     na, ny = 256, 64
     alpha = 2.0 * np.pi * np.arange(na) / na
     ys = 2.0 * np.pi * np.arange(ny) / ny
     c, s = np.cos(alpha), np.sin(alpha)
     u, x = center[0] + radius * c, center[1] + radius * s
     area = radius * (2.0 * np.pi / na) * (2.0 * np.pi / ny)
-    layers = [np.unique(sol._radii(u + h * c, x + h * s), return_inverse=True)
-              for h in (1e-6, -1e-6)]
-    if min(rho[0] for rho, _ in layers) < 0.05 * radius:
-        raise SphereHitsDiscriminant("surface within 0.05 radius of source")
-    # hypot(rho, 0) is rho, so the grid rows have the layer's own radii
-    vplus, vminus = (sol.value(np.stack(
-        [np.repeat(rho, ny), np.zeros(len(rho) * ny), np.tile(ys, len(rho))],
-        -1)).reshape(len(rho), ny)[of].ravel() for rho, of in layers)
-    dn = vplus - vminus
+    dmin = float(np.min(sol.discriminant(np.stack([u, x, np.zeros(na)], -1))))
+    if dmin < 0.05 * radius:
+        raise SphereHitsDiscriminant(f"surface within {dmin} of the source")
+    dn = sol.fiber_value(u + 1e-6 * c, x + 1e-6 * s, ys).ravel()
+    dn -= sol.fiber_value(u - 1e-6 * c, x - 1e-6 * s, ys).ravel()
     dn /= 2e-6
     if not np.all(np.isfinite(dn)):
         raise QuadratureFailure("non-finite normal derivative on the surface")

@@ -462,13 +462,27 @@ class TestOoguriVafa:
         assert abs(flux + 2 * np.pi) < 0.01 * 2 * np.pi, flux
 
     def test_flux_refuses_a_zero_mode_function(self):
-        # the flux grid reads V on (rho, 0, y) rows, which a function of
-        # (u, x) need not agree with
+        # the flux reads V on a grid of (rho, y), and a function of (u, x)
+        # need not be one of rho
         sol = PeriodicFourierSolution(
             1.0, 8, 5.0, zero_mode=lambda u, x: 5.0 - np.log(np.hypot(u, x))
             / (2.0 * np.pi))
         with pytest.raises(ValueError, match="zero_mode"):
             ov_total_flux(sol, 0.5)
+
+    def test_fiber_value_has_the_bits_of_value_on_the_product(self):
+        # 300 base points on 12 radii times 17 fiber coordinates: one value
+        # batch at (rho, 0, y) on the distinct radii has the bits of V at
+        # every point (u, x, y) of the product
+        rng = np.random.default_rng(21)
+        sol = ooguri_vafa(1.0, 40, a=5.0)
+        rho = rng.uniform(0.2, 5.0, 12)[rng.integers(0, 12, 300)]
+        ang = rng.uniform(0.0, 2.0 * np.pi, 300)
+        u, x = rho * np.cos(ang), rho * np.sin(ang)
+        ys = rng.uniform(0.0, 2.0 * np.pi, 17)
+        pts = np.stack(np.broadcast_arrays(u[:, None], x[:, None], ys), -1)
+        want = sol.value(pts.reshape(-1, 3)).reshape(300, 17)
+        assert np.array_equal(sol.fiber_value(u, x, ys), want)
 
     @pytest.mark.parametrize("center, most", [((0.0, 0.0), 256),
                                               ((2.0, -1.5), 16384)])
@@ -639,11 +653,11 @@ class TestOoguriVafa:
     def test_stop_rule_on_the_library_batch(self, monkeypatch):
         # 20,000 distinct points with rho in (0.2, 5) at M = 40: a sum stops
         # after about m rho = 33, so k0 takes about half of the M N
-        # arguments of the full table.  Whole-batch slices of 8,192 sums in
-        # chunks of 2 modes took 380,170; blocks of 4,096 in radius order,
-        # in chunks of 4, overshoot the stop modes by at most 5 % more.  A
-        # block's sums stop together, in 30 k0 calls; blocks in point order
-        # would all run to their smallest radius's stop mode, in 52
+        # arguments of the full table.  Blocks of 4,096 in radius order take
+        # chunks of 4 modes, which run past the stop modes at most 5 % more
+        # than chunks of 2 (380,170 arguments).  A block's sums stop
+        # together, in 30 k0 calls; blocks in point order would all run to
+        # their smallest radius's stop mode, in 52
         import ghlab.solutions as solmod
         from ghlab.bessel import k0
 
@@ -672,9 +686,8 @@ class TestOoguriVafa:
         # them, at M = 40 and 400: blocks of at most 4,096 points in radius
         # order and (mode, sum) tables of at most 16,384 entries, each freed
         # before the next k0 call, whatever M; beyond them only the radius
-        # order and the result grow with N.  The batch's distinct pairs
-        # summed in slices of 8,192 exceed both bounds (3.1 and 18.7 MiB).
-        # Measured with numpy 2.4: 2.0 and 5.0 MiB at both M
+        # order and the result grow with N.  Measured with numpy 2.4: 2.0
+        # and 5.0 MiB at both M
         import tracemalloc
 
         for n, mib in ((20000, 2.1), (200000, 5.5)):
