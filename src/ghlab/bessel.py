@@ -57,7 +57,7 @@ def _k0_series(x):
     sum in ``x``, so that a sum run to more terms keeps its bits.
     """
     # x^2/4 rounds monotonically, so its largest value is that of max(x)
-    xmax = float(np.max(x))
+    xmax = float(x.max())
     tmax, top, h, steps = xmax * xmax / 4.0, 1.0, 0.0, []
     while top * (h + 1.0) >= 1e-19 and len(steps) < 59:
         k = len(steps) + 1
@@ -71,7 +71,12 @@ def _k0_series(x):
         term /= kk
         i0 += term
         s += np.multiply(term, h, out=tmp)
-    return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + s
+    # x / 2 is exact down to x = 2^-1021 = 4.45e-308; below, it is subnormal
+    # and rounds, at 5e-324 to 0, so log x - log 2 takes its place there
+    tiny = 2.0 ** -1021
+    log_half = np.log(x / 2.0) if x.min() >= tiny else np.where(
+        x < tiny, np.log(x) - math.log(2.0), np.log(np.maximum(x, tiny) / 2.0))
+    return s - (log_half + EULER_GAMMA) * i0
 
 
 def k0_mp(x):
@@ -98,7 +103,8 @@ def _k0_asym_double(x):
     for c in _ASYM_COEFFS[-2::-1]:
         s *= z
         s += c
-    return np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * s
+    # (pi / 2) / x has the bits of pi / (2 x), where 2 x overflows past 9e307
+    return np.sqrt(np.pi / 2.0 / x) * np.exp(-x) * s
 
 
 def k0_integral(x):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -126,6 +127,19 @@ class TestDoublePrecisionReferences:
         ref = mpmath_k0(xs)
         assert np.max(np.abs(k0(xs) - ref) / ref) <= 1e-15
 
+    def test_float_extremes_match_mpmath_without_a_warning(self):
+        # x / 2 is subnormal below 2^-1021, and 0 at 5e-324; 2 x overflows
+        # above 9e307, where K0 is 0 in double precision
+        xs = [5e-324, 1.5e-323, 1e-310, np.finfo(float).tiny, 2.0 ** -1021,
+              1e-300, 1.7e308, np.finfo(float).max]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([k0(x) for x in xs])
+            batch = k0(np.array(xs))
+        ref = mpmath_k0(xs)
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref), got - ref
+        assert batch.tobytes() == got.tobytes()
+
     def test_k0_does_not_depend_on_the_batch(self):
         # every branch, and both branch edges: a value has the bits of its
         # one-point call, which blocked callers such as the periodic mode
@@ -167,8 +181,6 @@ class TestDoublePrecisionReferences:
         # recurrence makes inf and nan, and the outer branches overwrite
         # those entries.  The mixed blocks hold 4, 32 and their neighbours,
         # which are checked with 1,000 entries of every block
-        import warnings
-
         from ghlab.bessel import _BLOCK as B
 
         rng = np.random.default_rng(41)
