@@ -88,6 +88,8 @@ KEEP = {
     ("solutions.py", "taub_nut_V"): "item 13: the closed-form table of "
                                     "table closedness",
     ("solutions.py", "semiflat"): "north star: the semi-flat family",
+    ("tropical.py", "_swapped"): "item 19: the swap of the two-variable "
+                                 "ronkin_gradient, which items 3 and 18 call",
     ("tropical.py", "spine"): _PAIR,
     ("tropical.py", "laurent_from_pair"): _PAIR,
 }

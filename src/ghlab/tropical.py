@@ -205,17 +205,42 @@ def _split_content(P):
 # torus points and the theta_1 panels
 # ---------------------------------------------------------------------------
 
-def _resultant_roots(f, g, w):
+@functools.lru_cache(maxsize=None)
+def _torus_plan(P):
+    """What ``_torus_cuts`` needs of P alone, cached: per term (i, j, c, w**i)
+    with shifted exponents, d1, d2, w**d1 and the DFT matrix on w."""
+    e = P.exponents() - P.exponents().min(axis=0)
+    d1, d2 = e.max(axis=0)
+    w = np.exp(2j * np.pi * np.arange(2 * d1 * d2 + 1) / (2 * d1 * d2 + 1))
+    terms = [(i, j, c, w ** i) for (i, j), c in zip(e, P.coefficients())]
+    return terms, d1, d2, w[:, None] ** d1, np.vander(w, w.size, True).conj().T
+
+
+def _roots(p):
+    """``np.roots(p)`` as numpy 1.24 and 2.x compute it, minus the wrapper."""
+    # the companion matrix of p trimmed at both ends, a 0 per trailing zero
+    nz, r = p.nonzero()[0], np.zeros(0)
+    if not nz.size:
+        return r
+    q = p[nz[0]:nz[-1] + 1]
+    if q.size > 1:
+        A = np.diag(np.ones(q.size - 2, q.dtype), -1)
+        A[0] = -q[1:] / q[0]
+        r = np.linalg.eigvals(A)
+    return np.concatenate((r, np.zeros(p.size - 1 - nz[-1], r.dtype)))
+
+
+def _resultant_roots(f, g, dft):
     """Roots in w of Res_v(f, g), from its values at the K roots of unity w.
 
     f and g hold the v-coefficients (lowest first) of two polynomials at each
     w_k.  Res_v is the determinant of their Sylvester matrix, a polynomial of
-    degree < K in w, interpolated by the discrete Fourier transform.  When it
+    degree < K in w, interpolated by the planned DFT matrix ``dft``.  When it
     vanishes identically (to 1e-12 of the Hadamard bound of the matrices),
     f and g share a factor, and the first principal subresultant that does not
     vanish takes its place: its roots are where they share one more root.
     """
-    K, m, n = len(w), f.shape[1] - 1, g.shape[1] - 1
+    K, m, n = len(dft), f.shape[1] - 1, g.shape[1] - 1
     for k in range(min(m, n) + 1):
         s = m + n - 2 * k
         S = np.zeros((K, s, m + n - k), dtype=complex)
@@ -228,10 +253,10 @@ def _resultant_roots(f, g, w):
         if np.abs(R).max() > 1e-12 * np.prod(np.linalg.norm(S, axis=2),
                                              axis=1).max():
             break
-    c = np.vander(w, K, increasing=True).conj().T @ R / K
+    c = dft @ R / K
     # coefficients at rounding level above the true degree are noise
     top = np.flatnonzero(np.abs(c) > 1e-14 * np.abs(c).max())[-1]
-    return np.roots(c[top::-1])
+    return _roots(c[top::-1])
 
 
 def _torus_cuts(P, x):
@@ -243,30 +268,25 @@ def _torus_cuts(P, x):
     conj(p)(1/w, 1/v), the torus points of P are roots w on |w| = 1 of
     Res_v(p, q), and fiber roots collide at the roots of Res_v(p, dp/dv).
     Both have degree at most 2 d1 d2 in w, so K = 2 d1 d2 + 1 roots of unity
-    determine them.  The angles of every root within log-distance 1 of the
-    circle are returned; a tangential torus point is a double root, which
-    rounding splits by about 1e-8.
+    determine them; ``_torus_plan`` holds what depends on P alone.  The
+    angles of every root within log-distance 1 of the circle are returned; a
+    tangential torus point is a double root, which rounding splits by 1e-8.
     """
-    e = P.exponents() - P.exponents().min(axis=0)
-    d1, d2 = e.max(axis=0)
+    terms, d1, d2, wd1, dft = _torus_plan(P)
     if d2 == 0:
         return np.zeros(0)
-    w = np.exp(2j * np.pi * np.arange(2 * d1 * d2 + 1) / (2 * d1 * d2 + 1))
-    a = np.zeros((w.size, d2 + 1), dtype=complex)
-    for (i, j), c in zip(e, P.coefficients()):
-        a[:, j] += c * np.exp(i * x[0] + j * x[1]) * w ** i
+    a, a1 = np.zeros((len(dft), d2 + 1), complex), np.zeros(d1 + 1, complex)
+    for i, j, c, wi in terms:
+        s = c * np.exp(i * x[0] + j * x[1])
+        a[:, j] += s * wi
+        if j and d2 == 1:
+            a1[i] += s
     # on |w| = 1 the v^j coefficient of q is w^{d1} conj(a_{d2 - j}(w)), and
     # dp/dv has coefficients j a_j; at d2 = 1, Res_v(p, dp/dv) is a_1(w)
-    if d2 == 1:
-        a1 = np.zeros(d1 + 1, dtype=complex)
-        for (i, j), c in zip(e, P.coefficients()):
-            if j:
-                a1[i] += c * np.exp(i * x[0] + j * x[1])
-        collide = np.roots(a1[::-1])
-    else:
-        collide = _resultant_roots(a, a[:, 1:] * range(1, d2 + 1), w)
-    r = np.concatenate([_resultant_roots(
-        a, w[:, None] ** d1 * np.conj(a[:, ::-1]), w), collide])
+    collide = (_roots(a1[::-1]) if d2 == 1 else
+               _resultant_roots(a, a[:, 1:] * range(1, d2 + 1), dft))
+    r = np.concatenate(
+        [_resultant_roots(a, wd1 * np.conj(a[:, ::-1]), dft), collide])
     # a root at 0 (log -inf) lies off the unit circle, as any root of |log|
     # above 1 does
     with np.errstate(divide="ignore"):
@@ -275,8 +295,10 @@ def _torus_cuts(P, x):
 
 
 # a cut and the graded breakpoints on either side of it: panels shrink by 4
-# toward the cut, from pi/8 down to 9.4e-8
+# toward the cut, from pi/8 down to 9.4e-8; and the breakpoints that keep
+# every panel at most pi/8 long
 _OFFSETS = np.pi / 8 * np.r_[0, 4.0 ** -np.arange(12), -4.0 ** -np.arange(12)]
+_EIGHTHS = np.arange(16) * np.pi / 8.0
 
 
 def _torus_panels(P, x):
@@ -286,24 +308,27 @@ def _torus_panels(P, x):
     geometrically toward it, and none is longer than pi/8.  Cuts closer
     than the finest offset, such as the two roots that rounding makes of a
     double root, are merged into their mean, also across 0 = 2 pi; a cut
-    that merges with none keeps its bits.  Breakpoints closer than 1e-12
-    are merged.
+    that merges with none keeps its bits.  In floats, a drift sums the close
+    gaps in order, and a cluster adds to its lead the mean of its members'
+    drift past the lead's, summed from 0.0 in order.  Breakpoints closer
+    than 1e-12 are merged.
     """
-    cuts = np.sort(_torus_cuts(P, x))
-    if cuts.size > 1:
+    cuts = np.sort(_torus_cuts(P, x)).tolist()
+    if len(cuts) > 1:
         # the gap after each cut, the last one across 2 pi; starting after
         # the widest, no cluster straddles the end of the list
-        gaps = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
-        shift = -(int(np.argmax(gaps)) + 1)
-        cuts, gaps = np.roll(cuts, shift), np.roll(gaps, shift)[:-1]
-        close = gaps < np.min(np.abs(_OFFSETS[1:]))
-        group = np.r_[0, np.cumsum(~close)]
-        drift = np.r_[0.0, np.cumsum(np.where(close, gaps, 0.0))]
-        lead = np.searchsorted(group, np.arange(group[-1] + 1))
-        cuts = cuts[lead] + (np.bincount(group, drift - drift[lead][group])
-                             / np.bincount(group))
-    cuts = (cuts[:, None] + _OFFSETS).ravel()
-    b = np.sort(np.append(np.arange(16) * np.pi / 8.0, cuts) % (2.0 * np.pi))
+        gaps = [b - a for a, b in zip(cuts, cuts[1:] + [cuts[0] + math.tau])]
+        k = gaps.index(max(gaps))   # at least 2 pi / len(cuts), not close
+        groups, drift = [], 0.0   # [lead cut, drift at lead and members]
+        for c, gap in zip(cuts[k + 1:] + cuts[:k + 1], gaps[k:] + gaps[:k]):
+            if gap < _OFFSETS[12]:   # the finest offset
+                drift += gap
+                groups[-1].append(drift)
+            else:
+                groups.append([c, drift])
+        cuts = [lead + functools.reduce(lambda t, d: t + (d - d0), ds, 0.0)
+                / (1 + len(ds)) for lead, d0, *ds in groups]
+    b = np.sort(np.append(_EIGHTHS, np.add.outer(cuts, _OFFSETS)) % math.tau)
     b = b[np.diff(b, append=b[0] + 2.0 * np.pi) > 1e-12]
     return np.append(b, b[0] + 2.0 * np.pi)
 
@@ -311,6 +336,16 @@ def _torus_panels(P, x):
 # ---------------------------------------------------------------------------
 # Ronkin function
 # ---------------------------------------------------------------------------
+
+def _point(P, x, name):
+    """x as floats, its last axis one entry per variable of P (at most 2)."""
+    if P.nvars > 2:
+        raise ValueError(f"{name} supports at most 2 variables")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape[-1] != P.nvars:
+        raise ValueError("x has wrong length")
+    return x
+
 
 def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     """Torus average of kappa*log|P| at log-modulus x.
@@ -324,13 +359,9 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     Raises QuadratureFailure when the rule of half that order per panel
     differs by ``tol`` or more.
     """
-    if P.nvars > 2:
-        raise ValueError("ronkin supports at most 2 variables")
+    x = _point(P, x, "ronkin")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != P.nvars:
-        raise ValueError("x has wrong length")
 
     if P.nvars == 1:
         return float(_ronkin_1d(P, x, kappa)[0])
@@ -353,6 +384,12 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     return kappa * (base + float(fine))
 
 
+@functools.lru_cache(maxsize=None)
+def _swapped(P):
+    """Two-variable P with its variables swapped; cached per polynomial."""
+    return LaurentPoly.make([(e[::-1], c) for e, c in P.terms])
+
+
 def ronkin_gradient(P, x):
     """Exact gradient of N (kappa = 1) at x.
 
@@ -367,10 +404,10 @@ def ronkin_gradient(P, x):
     variable, x is the log-modulus of a root, the result is the mean of the
     two one-sided derivatives; a double root split by rounding counts 1.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _point(P, x, "ronkin_gradient")
     theta, weights, grad = np.zeros(1), np.ones(1), []
-    swap = [(LaurentPoly.make([(e[::-1], c) for e, c in P.terms]), x[::-1])]
-    for Q, y in (swap if P.nvars == 2 else []) + [(P, x)]:
+    swap = [(_swapped(P), x[::-1])] if P.nvars == 2 else []
+    for Q, y in swap + [(P, x)]:
         if Q.nvars == 2:
             Q = _split_content(Q)[1]
             b = _torus_panels(Q, y)
@@ -415,9 +452,7 @@ def _amoeba_gap(P, x, tol=1e-6):
     |log|r| - x_1|.  The witness is the zero attaining the gap, as an (l,)
     complex array (None when P has no zeros).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if P.nvars > 2:
-        raise ValueError("amoeba_contains supports at most 2 variables")
+    x = _point(P, x, "amoeba_contains")
     best, theta = (math.inf, None), np.zeros(1)
     if P.nvars == 2:
         content, P = _split_content(P)
@@ -520,12 +555,9 @@ def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if P.nvars > 2:
-        raise ValueError("ronkin supports at most 2 variables")
+    _point(P, points, "ronkin")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
-    if points.shape[1] != P.nvars:
-        raise ValueError("x has wrong length")
     vals = (_ronkin_1d(P, lam * points[:, 0], kappa) if P.nvars == 1 else
             np.array([ronkin(P, lam * t, nodes=nodes, kappa=kappa)
                       for t in points])) / lam

@@ -425,6 +425,18 @@ class TestTorusPoints:
         # at the double root's log-modulus log 2, the mean of 0 and 2
         assert ronkin_gradient(PDOUBLE, math.log(2.0))[0] == 1.0
 
+    @pytest.mark.parametrize("f", [amoeba_contains, ronkin_gradient])
+    @pytest.mark.parametrize("text,x,message", [
+        ("1+z", (0.0, 0.5), "x has wrong length"),
+        ("1+z1+z2", (0.1, 0.2, 0.3), "x has wrong length"),
+        ("1+z1+z2", (0.1,), "x has wrong length"),
+        ("1+z1+z2+z3", (0.1, 0.2, 0.3), "at most 2 variables")])
+    def test_refuses_what_ronkin_refuses(self, f, text, x, message):
+        # neither reads a stray x[-1], raises IndexError or returns one slope
+        # for three variables
+        with pytest.raises(ValueError, match=message):
+            f(parse_laurent(text), x)
+
     def test_membership_at_the_boundary(self):
         # seeded points on the three boundary branches of the amoeba of
         # 1 + z1 + z2, pushed 1e-3, 1e-4 and 1e-5 along the normal to
@@ -450,6 +462,148 @@ class TestTorusPoints:
                         assert amoeba_contains(P2, y) == want, (y, want)
                         checked += 1
         assert checked >= 1000
+
+
+class FrozenTorus:
+    """The theta_1 panels as they were computed before the per-polynomial
+    torus plan, the oracle of TestTorusPlan: exponents, roots of unity,
+    their powers and the Vandermonde matrix rebuilt at every point,
+    ``np.roots``, and the cut merge in numpy.  It records the subresultant
+    order that each resultant took and the size of every merged cluster."""
+
+    def __init__(self):
+        self.orders, self.clusters = [], []
+
+    def resultant_roots(self, f, g, w):
+        K, m, n = len(w), f.shape[1] - 1, g.shape[1] - 1
+        for k in range(min(m, n) + 1):
+            s = m + n - 2 * k
+            S = np.zeros((K, s, m + n - k), dtype=complex)
+            for i in range(n - k):
+                S[:, i, i:i + m + 1] = f[:, ::-1]
+            for i in range(m - k):
+                S[:, n - k + i, i:i + n + 1] = g[:, ::-1]
+            S = S[:, :, :s]
+            R = np.linalg.det(S)
+            if np.abs(R).max() > 1e-12 * np.prod(np.linalg.norm(S, axis=2),
+                                                 axis=1).max():
+                break
+        self.orders.append(k)
+        c = np.vander(w, K, increasing=True).conj().T @ R / K
+        top = np.flatnonzero(np.abs(c) > 1e-14 * np.abs(c).max())[-1]
+        return np.roots(c[top::-1])
+
+    def cuts(self, P, x):
+        e = P.exponents() - P.exponents().min(axis=0)
+        d1, d2 = e.max(axis=0)
+        if d2 == 0:
+            return np.zeros(0)
+        w = np.exp(2j * np.pi * np.arange(2 * d1 * d2 + 1)
+                   / (2 * d1 * d2 + 1))
+        a = np.zeros((w.size, d2 + 1), dtype=complex)
+        for (i, j), c in zip(e, P.coefficients()):
+            a[:, j] += c * np.exp(i * x[0] + j * x[1]) * w ** i
+        if d2 == 1:
+            a1 = np.zeros(d1 + 1, dtype=complex)
+            for (i, j), c in zip(e, P.coefficients()):
+                if j:
+                    a1[i] += c * np.exp(i * x[0] + j * x[1])
+            collide = np.roots(a1[::-1])
+        else:
+            collide = self.resultant_roots(a, a[:, 1:] * range(1, d2 + 1), w)
+        r = np.concatenate([self.resultant_roots(
+            a, w[:, None] ** d1 * np.conj(a[:, ::-1]), w), collide])
+        with np.errstate(divide="ignore"):
+            near = np.abs(np.log(np.abs(r))) <= 1.0
+        return np.angle(r[near]) % (2.0 * np.pi)
+
+    def panels(self, P, x):
+        offsets = np.pi / 8 * np.r_[0, 4.0 ** -np.arange(12),
+                                    -4.0 ** -np.arange(12)]
+        cuts = np.sort(self.cuts(P, x))
+        if cuts.size > 1:
+            gaps = np.diff(cuts, append=cuts[0] + 2.0 * np.pi)
+            shift = -(int(np.argmax(gaps)) + 1)
+            cuts, gaps = np.roll(cuts, shift), np.roll(gaps, shift)[:-1]
+            close = gaps < np.min(np.abs(offsets[1:]))
+            group = np.r_[0, np.cumsum(~close)]
+            drift = np.r_[0.0, np.cumsum(np.where(close, gaps, 0.0))]
+            lead = np.searchsorted(group, np.arange(group[-1] + 1))
+            self.clusters += np.bincount(group).tolist()
+            cuts = cuts[lead] + (np.bincount(group, drift - drift[lead][group])
+                                 / np.bincount(group))
+        cuts = (cuts[:, None] + offsets).ravel()
+        b = np.sort(np.append(np.arange(16) * np.pi / 8.0, cuts)
+                    % (2.0 * np.pi))
+        b = b[np.diff(b, append=b[0] + 2.0 * np.pi) > 1e-12]
+        return np.append(b, b[0] + 2.0 * np.pi)
+
+
+def torus_outcomes(P, x):
+    """Bytes of ronkin (or its failure), ronkin_gradient and the gap of
+    _amoeba_gap at x."""
+    try:
+        value = np.float64(ronkin(P, x)).tobytes()
+    except QuadratureFailure as exc:
+        value = str(exc)
+    return [value, ronkin_gradient(P, x).tobytes(),
+            np.float64(tropical._amoeba_gap(P, x)[0]).tobytes()]
+
+
+class TestTorusPlan:
+    """The torus plan moves what depends on P alone out of the per-point
+    path; every panel and every value keeps the bits of FrozenTorus."""
+
+    # d2 = 1, also with a negative exponent; d2 = 2 with negative
+    # exponents, whose reflection fixes it at the origin (the subresultant
+    # branch); the content factor 1 + z1; a tangential torus point at the
+    # origin and Boyd k = 4's double one at theta_1 = pi, split by rounding
+    # and merged
+    CASES = ["1+z1+z2", "1+z1+z2+0.0000454z1z2", "1+z1^-1+z2+2z1^2z2",
+             "1+z1+z1^-1+z2+z2^-1", "4+z1+z1^-1+z2+z2^-1", "1+z1+z2+z1z2",
+             "1+z1+z2+z2^2+z1*z2^2"]
+
+    @staticmethod
+    def points(rng):
+        # the origin, a seeded spread on and off the amoeba, and points
+        # 1e-6 to either side of the boundary 1 = e^x1 + e^x2 of 1 + z1 + z2
+        u = rng.uniform(0.05, 0.95, 4)
+        edge = np.log(np.c_[u, 1.0 - u])
+        return np.r_[np.zeros((1, 2)), rng.uniform(-2.5, 2.5, (16, 2)),
+                     rng.uniform(-0.2, 0.2, (4, 2)), edge + 1e-6, edge - 1e-6]
+
+    def test_every_bit_is_the_frozen_layer(self, monkeypatch):
+        frozen, rng = FrozenTorus(), np.random.default_rng(34)
+        for text in self.CASES:
+            P = parse_laurent(text)
+            Q = tropical._split_content(P)[1]
+            for x in self.points(rng):
+                assert np.array_equal(tropical._torus_panels(Q, x),
+                                      frozen.panels(Q, x)), (text, x)
+                live = torus_outcomes(P, x)
+                with monkeypatch.context() as m:
+                    m.setattr(tropical, "_torus_panels", frozen.panels)
+                    assert torus_outcomes(P, x) == live, (text, x)
+        # the sweep took the subresultant branch and merged a cluster
+        assert max(frozen.orders) > 0 and max(frozen.clusters) > 1
+
+    def test_the_plan_is_built_once_per_polynomial(self):
+        P = parse_laurent("2+z1+z2-0.5z1z2^2")
+        pts = np.random.default_rng(35).uniform(-3.0, 3.0, (100, 2))
+        tropical._torus_plan.cache_clear()
+        tropical._swapped.cache_clear()
+        for x in pts:
+            amoeba_contains(P, x)
+            try:
+                ronkin(P, x)
+            except QuadratureFailure:
+                pass
+        assert tropical._torus_plan.cache_info().misses == 1
+        for x in pts:
+            ronkin_gradient(P, x)
+        # one more plan, that of P with its variables swapped
+        assert tropical._torus_plan.cache_info().misses == 2
+        assert tropical._swapped.cache_info().misses == 1
 
 
 class TestRescaledAndTropical:
