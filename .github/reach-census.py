@@ -74,7 +74,6 @@ KEEP = {
     ("lattice.py", "LatticeSimplex.__repr__"): _PAIR,
     ("lattice.py", "WallComplex.__len__"): _PAIR,
     ("lattice.py", "DualSimplexPair.__init__"): _PAIR,
-    ("lattice.py", "DualSimplexPair.pairing_matrix"): _PAIR,
     ("lattice.py", "validate_dual_pair"): _PAIR,
     ("lattice.py", "_project_to_wall"): _PAIR,
     ("lattice.py", "distance_to_wall_complex"): _PAIR,
@@ -83,8 +82,6 @@ KEEP = {
     ("lattice.py", "pair_current"): _PAIR,
     ("legendre.py", "monodromy_generator"): _PAIR,
     ("legendre.py", "is_unipotent"): _PAIR,
-    ("legendre.py", "AffineChartAtlas.generator"): _PAIR,
-    ("legendre.py", "atlas"): _PAIR,
     ("solutions.py", "taub_nut_V"): "item 13: the closed-form table of "
                                     "table closedness",
     ("solutions.py", "semiflat"): "north star: the semi-flat family",

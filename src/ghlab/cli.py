@@ -314,6 +314,16 @@ def _fiber_windings(P, x, tol):
     x_l -+ tol of the last variable; all equal when no zero of P lies within
     tol of the fiber, since the winding counts the zeros inside the circle.
     """
+    from .tropical import _LN2, LaurentPoly, _scale
+
+    # where the terms c e^{<e, x>} may leave the float range, P(e^x u) 2^-k
+    # takes the place of P(z), a polynomial in u at x = 0 of the same winding;
+    # terms that underflow drop out
+    logs = [math.log(abs(c)) + np.dot(e, x) for e, c in P.terms]
+    if k := _scale(logs, 1):
+        P = LaurentPoly.make([(e, s) for (e, c), y in zip(P.terms, logs)
+                              if (s := c / abs(c) * math.exp(y - k * _LN2))])
+        x = np.zeros_like(x)
     t = 2.0 * np.pi * np.arange(256) / 256
     zl = np.exp((x[-1] + np.array([-tol, tol]))[:, None] + 1j * t)
     if P.nvars == 1:

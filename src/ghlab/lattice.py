@@ -236,10 +236,6 @@ class DualSimplexPair:
         self.fiber_basis = fiber_basis
         self.base_basis = base_basis
 
-    def pairing_matrix(self):
-        return [[sum(a * b for a, b in zip(v, w)) for w in self.tau.vertices]
-                for v in self.sigma.vertices]
-
 
 # ---------------------------------------------------------------------------
 # operations

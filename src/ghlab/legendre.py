@@ -23,9 +23,8 @@ map y -> y + <dv, y> dw.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .fields import (
     unit,
 )
 from .ghcore import BlockSolution, ResidualReport
-from .lattice import _leggauss, wall_complex
+from .lattice import _leggauss
 
 
 class LegendreError(GHLabError):
@@ -237,46 +236,6 @@ def is_unipotent(M):
     """Exact check that (M - I)^2 = 0 in integer arithmetic."""
     N = np.asarray(M, dtype=np.int64) - np.eye(M.shape[0], dtype=np.int64)
     return not np.any(N @ N)
-
-
-@dataclass
-class AffineChartAtlas:
-    """Polyhedral charts of both affine structures plus loop monodromies."""
-    pair: object
-    v_charts: list
-    w_charts: list
-    generators: dict = field(default_factory=dict)
-
-    def generator(self, i1, j1, i2, j2):
-        return self.generators[(i1, j1, i2, j2)]
-
-
-def atlas(pair):
-    base = wall_complex(pair.sigma, basis=pair.base_basis) if pair.l else None
-    fiber = wall_complex(pair.tau, basis=pair.fiber_basis) if pair.n else None
-
-    def cones(simplex, complex_):
-        out = []
-        k = len(simplex.vertices)
-        for i in range(k):
-            ineqs = []
-            if complex_ is not None:
-                for w in complex_.walls:
-                    if w.pair[0] == i:
-                        ineqs.append(tuple(w.equality))
-                    elif w.pair[1] == i:
-                        ineqs.append(tuple(-c for c in w.equality))
-            out.append({"index": i, "cone_ineqs": ineqs})
-        return out
-
-    gens = {}
-    nv = len(pair.sigma.vertices)
-    nw = len(pair.tau.vertices)
-    for i1, i2 in itertools.product(range(nv), repeat=2):
-        for j1, j2 in itertools.product(range(nw), repeat=2):
-            gens[(i1, j1, i2, j2)] = monodromy_generator(pair, i1, i2, j1, j2)
-    return AffineChartAtlas(pair=pair, v_charts=cones(pair.sigma, base),
-                            w_charts=cones(pair.tau, fiber), generators=gens)
 
 
 def circle_loop(center=(0.0, 0.0), radius=1.0, segments=64):

@@ -79,19 +79,48 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
+# the float range
+# ---------------------------------------------------------------------------
+
+# ln 2, and the log of the smallest normal float (-708.4; the largest is
+# e^709.8)
+_LN2, _TINY = math.log(2.0), math.log(np.finfo(float).tiny)
+
+
+def _scale(logs, room):
+    """The k of a power-of-two scale 2^-k of the terms e^logs, or 0."""
+    # 2^-k takes the largest term to about 1, where products of ``room``
+    # factors, each between e^-|top| and room * len(logs) * e^|top|, might
+    # leave the normal floats
+    big = room * (abs(max(logs)) + math.log(room * len(logs))) >= -_TINY
+    return round(max(logs) / _LN2) if big else 0
+
+
+def _exp_scaled(y, k):
+    """e^y 2^-k, for y whose entries share one real part."""
+    if not k:
+        return np.exp(y)
+    # a power of two scales a normal float exactly: where the unscaled
+    # values are in range, no bit moves
+    if abs(np.real(y).flat[0]) < -_TINY and abs(k) < 1022:
+        return np.exp(y) * 2.0 ** -k
+    return np.exp(y - k * _LN2)
+
+
+# ---------------------------------------------------------------------------
 # fiber roots and Jensen's formula
 # ---------------------------------------------------------------------------
 
 def _fiber_roots(P, x1, theta):
     """Coefficients and roots of P in its last variable, batched over theta_1.
 
-    Returns (emin (N,), coeffs (N, d+1), roots (N, d)) with P(e^{x1 + i
-    theta_j}, w) = w^emin_j * sum_k coeffs[j, k] w^k (one row, P itself, in
-    one variable).  Roots come from stacked companion matrices normalized by
-    the larger end coefficient, so a vanishing a_d gives a root at infinity.
-    A multiple root splits into a cluster of width ~eps^{1/m}; clusters of
-    overlapping Newton inclusion disks d*|p(r)|/|p'(r)| (|p(r)| at least its
-    rounding level) are replaced by their well-conditioned centroid.
+    Returns (emin (N,), coeffs (N, d+1), roots (N, d), s) with P(e^{x1 + i
+    theta_j}, w) = 2^s w^emin_j * sum_k coeffs[j, k] w^k (one row, P itself,
+    in one variable).  Roots come from stacked companion matrices normalized
+    by the larger end coefficient, so a vanishing a_d gives a root at
+    infinity.  A multiple root splits into a cluster of width ~eps^{1/m};
+    clusters of overlapping Newton inclusion disks d*|p(r)|/|p'(r)| (|p(r)|
+    at least its rounding level) become their well-conditioned centroid.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     last = P.exponents()[:, -1]
@@ -99,9 +128,12 @@ def _fiber_roots(P, x1, theta):
     coeffs = np.zeros((theta.size, d + 1), dtype=complex)
     # z1^e1 once per distinct exponent e1 != 0.  At e1 = 0 the term adds c
     # itself: c * e^0 differs from c at most in the sign of a zero, which a
-    # sum that starts at +0.0 cannot show
-    z1 = ({e1: np.exp(e1 * (x1 + 1j * theta))
-           for e1 in {e[0] for e, _ in P.terms} if e1}
+    # sum that starts at +0.0 cannot show.  Where the terms c e^{e1 x1} may
+    # leave the float range, a power of two scales each, e1 = 0 included
+    scale = (_scale([math.log(abs(c)) + e[0] * x1 for e, c in P.terms], 1)
+             if P.nvars == 2 else 0)
+    z1 = ({e1: _exp_scaled(e1 * (x1 + 1j * theta), scale)
+           for e1 in {e[0] for e, _ in P.terms} if e1 or scale}
           if P.nvars == 2 else {})
     for e, c in P.terms:
         coeffs[:, e[-1] - emin] += c * z1[e[0]] if e[0] in z1 else c
@@ -144,7 +176,7 @@ def _fiber_roots(P, x1, theta):
         s = (near @ s[..., None])[..., 0] / near.sum(axis=-1)
     inv = np.divide(1.0, s, out=np.full(s.shape, np.inf, dtype=complex),
                     where=s != 0)
-    return emin + shift, coeffs, np.where(flip[:, None], inv, s)
+    return emin + shift, coeffs, np.where(flip[:, None], inv, s), scale
 
 
 def _fiber_log_mean(coeffs, roots, x):
@@ -165,7 +197,7 @@ def _fiber_log_mean(coeffs, roots, x):
 
 def _ronkin_1d(P, x, kappa):
     """kappa * N(x) of one-variable P on a vector x, from one root-finding."""
-    emin, coeffs, roots = _fiber_roots(P, 0.0, np.zeros(1))
+    emin, coeffs, roots, _ = _fiber_roots(P, 0.0, np.zeros(1))
     return kappa * (emin * x + _fiber_log_mean(coeffs, roots, x[:, None]))
 
 
@@ -186,7 +218,7 @@ def _split_content(P):
     A = np.zeros(tuple(e.max(axis=0) - lo + 1), dtype=complex)
     A[tuple((e - lo).T)] = P.coefficients()
     col = min((c for c in map(np.trim_zeros, A.T) if c.size), key=len)
-    _, _, candidates = _fiber_roots(
+    _, _, candidates, _ = _fiber_roots(
         LaurentPoly.make([((i,), c) for i, c in enumerate(col) if c]), 0, 0)
     content = []
     for r in candidates[0]:
@@ -208,12 +240,16 @@ def _split_content(P):
 @functools.lru_cache(maxsize=None)
 def _torus_plan(P):
     """What ``_torus_cuts`` needs of P alone, cached: per term (i, j, c, w**i)
-    with shifted exponents, d1, d2, w**d1 and the DFT matrix on w."""
+    with shifted exponents, d1, d2, w**d1, the DFT matrix on w and span."""
     e = P.exponents() - P.exponents().min(axis=0)
     d1, d2 = e.max(axis=0)
     w = np.exp(2j * np.pi * np.arange(2 * d1 * d2 + 1) / (2 * d1 * d2 + 1))
     terms = [(i, j, c, w ** i) for (i, j), c in zip(e, P.coefficients())]
-    return terms, d1, d2, w[:, None] ** d1, np.vander(w, w.size, True).conj().T
+    # the largest |log|c||, plus the margin log(2 d2 n) of ``_scale``
+    span = max(abs(math.log(abs(c))) + math.log(max(2 * d2, 1) * len(e))
+               for c in P.coefficients())
+    return (terms, int(d1), int(d2), w[:, None] ** d1,
+            np.vander(w, w.size, True).conj().T, span)
 
 
 def _roots(p):
@@ -272,19 +308,28 @@ def _torus_cuts(P, x):
     angles of every root within log-distance 1 of the circle are returned; a
     tangential torus point is a double root, which rounding splits by 1e-8.
     """
-    terms, d1, d2, wd1, dft = _torus_plan(P)
+    terms, d1, d2, wd1, dft, span = _torus_plan(P)
     if d2 == 0:
         return np.zeros(0)
+    # the resultants multiply up to 2 d2 rows of terms, each of |log| at
+    # most span + d1 |x_1| + d2 |x_2| (with the margin of ``_scale``), which
+    # 2^-k keeps in the float range; a_j that underflow drop out of
+    # Res_v(p, dp/dv)
+    safe = 2 * d2 * (span + d1 * abs(x[0]) + d2 * abs(x[1])) < -_TINY
+    k = 0 if safe else _scale([math.log(abs(c)) + i * x[0] + j * x[1]
+                               for i, j, c, _ in terms], 2 * d2)
     a, a1 = np.zeros((len(dft), d2 + 1), complex), np.zeros(d1 + 1, complex)
     for i, j, c, wi in terms:
-        s = c * np.exp(i * x[0] + j * x[1])
+        s = c * _exp_scaled(i * x[0] + j * x[1], k)
         a[:, j] += s * wi
-        if j and d2 == 1:
+        if j == 1:
             a1[i] += s
     # on |w| = 1 the v^j coefficient of q is w^{d1} conj(a_{d2 - j}(w)), and
-    # dp/dv has coefficients j a_j; at d2 = 1, Res_v(p, dp/dv) is a_1(w)
-    collide = (_roots(a1[::-1]) if d2 == 1 else
-               _resultant_roots(a, a[:, 1:] * range(1, d2 + 1), dft))
+    # dp/dv has coefficients j a_j.  b drops the a_j that underflowed; at
+    # degree 1 in v, Res_v(p, dp/dv) is a_1(w), and at degree 0 a1 = 0
+    b = a if safe else a[:, :np.flatnonzero(a.any(axis=0))[-1] + 1]
+    collide = (_roots(a1[::-1]) if b.shape[1] <= 2 else
+               _resultant_roots(b, b[:, 1:] * range(1, b.shape[1]), dft))
     r = np.concatenate(
         [_resultant_roots(a, wd1 * np.conj(a[:, ::-1]), dft), collide])
     # a root at 0 (log -inf) lies off the unit circle, as any root of |log|
@@ -375,13 +420,14 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     # both rules from one fiber evaluation
     (t, w), (tc, wc) = (_gauss_nodes(b[:-1, None], b[1:, None], n)
                         for n in (order, order // 2))
-    emin, coeffs, roots = _fiber_roots(P, x[0], np.r_[t.ravel(), tc.ravel()])
+    emin, coeffs, roots, k = _fiber_roots(P, x[0], np.append(t, tc))
     f = (emin * x[1] + _fiber_log_mean(coeffs, roots, x[1])) / (2.0 * np.pi)
     fine, coarse = w.ravel() @ f[:t.size], wc.ravel() @ f[t.size:]
     if not abs(fine - coarse) < tol:
         raise QuadratureFailure(f"Ronkin: Gauss orders {order} and "
                                 f"{order // 2} differ by {fine - coarse:.1e}")
-    return kappa * (base + float(fine))
+    # the fiber rows were scaled by 2^-k
+    return kappa * (base + float(fine) + k * _LN2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -412,7 +458,7 @@ def ronkin_gradient(P, x):
             Q = _split_content(Q)[1]
             b = _torus_panels(Q, y)
             theta, weights = (b[1:] + b[:-1]) / 2.0, np.diff(b) / (2.0 * np.pi)
-        emin, _, roots = _fiber_roots(Q, y[0], theta)
+        emin, _, roots, _ = _fiber_roots(Q, y[0], theta)
         with np.errstate(divide="ignore"):
             gap = np.log(np.abs(roots)) - y[-1]
         inside = np.where(np.abs(gap) <= 1e-12, 0.5, gap < 0)
@@ -450,7 +496,7 @@ def _amoeba_gap(P, x, tol=1e-6):
     the circle stay there between the collisions that cut the panels.  Each
     root r of a factor q(z1) of P adds the zero (r, e^{x_2}) at gap
     |log|r| - x_1|.  The witness is the zero attaining the gap, as an (l,)
-    complex array (None when P has no zeros).
+    complex array (None when P has no zeros, or for a fiber root past tol).
     """
     x = _point(P, x, "amoeba_contains")
     best, theta = (math.inf, None), np.zeros(1)
@@ -463,13 +509,14 @@ def _amoeba_gap(P, x, tol=1e-6):
     if P.nvars == 2:
         b = _torus_panels(P, x)
         theta = np.concatenate([b[:-1], (b[1:] + b[:-1]) / 2.0])
-    _, _, roots = _fiber_roots(P, x[0], theta)
+    _, _, roots, _ = _fiber_roots(P, x[0], theta)
     with np.errstate(divide="ignore"):
         gaps = np.abs(np.log(np.abs(roots)) - x[-1])
     j, k = np.unravel_index(np.argmin(gaps), gaps.shape)
-    z = [np.exp(x[0] + 1j * theta[j])] if P.nvars == 2 else []
-    return min(best, (float(gaps[j, k]), np.array(z + [roots[j, k]])),
-               key=lambda t: t[0])
+    # the zero is a witness on the amoeba; off it, e^{x_1} may overflow
+    z = (np.append(np.exp(x[:-1] + 1j * theta[j]), roots[j, k])
+         if gaps[j, k] <= tol else None)
+    return min(best, (float(gaps[j, k]), z), key=lambda t: t[0])
 
 
 def amoeba_contains(P, x, tol=1e-6):
@@ -510,29 +557,11 @@ def laurent_from_pair(pair):
 # ---------------------------------------------------------------------------
 
 def ronkin_hessian_mass(P, box):
-    """Total second-derivative mass of N over a box.
-
-    Returns the (l x l) matrix approximating the integral of Hess N, computed
-    as boundary differences of the exact ``ronkin_gradient`` (trapezoid rule
-    on 17 points along each face); for l = 1 this is the slope
-    jump across the interval.
-    """
-    l = P.nvars
-    if l > 2:
-        raise ValueError("supports at most 2 variables")
-    box = np.asarray(box, dtype=float).reshape(l, 2)
-    out = np.zeros((l, l))
-    for p in range(l):
-        face = np.zeros((17 if l == 2 else 1, l))
-        if l == 2:
-            face[:, 1 - p] = np.linspace(*box[1 - p], 17)
-        for end, sign in ((box[p, 1], 1.0), (box[p, 0], -1.0)):
-            face[:, p] = end
-            g = np.array([ronkin_gradient(P, x) for x in face])
-            # trapezoid rule along the face
-            out[p] += sign * (np.diff(face[:, 1 - p]) @ (g[1:] + g[:-1]) / 2.0
-                              if l == 2 else g[0])
-    return out
+    """The slope jump N'(b) - N'(a) over box = (a, b), as a (1, 1) array."""
+    if P.nvars != 1:
+        raise ValueError("ronkin_hessian_mass supports one variable only")
+    a, b = np.asarray(box, dtype=float).reshape(2)
+    return np.array([ronkin_gradient(P, [b]) - ronkin_gradient(P, [a])])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -249,6 +250,22 @@ def test_amoeba_membership_is_certified(monkeypatch, capsys, poly, point):
     monkeypatch.setattr(tropical, "_amoeba_gap", flipped)
     assert run_cli(args) == 1
     assert "FAIL amoeba-membership" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("poly,point,winding", [
+    ("1+z1+z2", "0,800", 1), ("1+z1+z2", "800,0", 0),
+    ("2+z1+z2+z1z2^2", "0,800", 2),
+])
+def test_amoeba_far_from_the_origin(capsys, poly, point, winding):
+    # the largest term is e^800 or e^1600, past the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["amoeba", "--poly", poly, "--point", point]) == 0
+    out, err = capsys.readouterr()
+    coords = [float(v) for v in point.split(",")]
+    assert out.startswith("PASS amoeba-membership (contains=False "
+                          f"point={coords} winding={winding})")
+    assert err == ""
 
 
 @pytest.mark.parametrize("poly", ["1+z1+z2+z1*z2", "1-z1+z2-z1*z2"])

@@ -91,7 +91,8 @@ class TestSimplexAndPair:
         pair = validate_dual_pair(LatticeSimplex(TAU_2D), LatticeSimplex(SIGMA_2D))
         assert pair.n == 1 and pair.l == 1
         assert pair.rho == (0, 0, 1)
-        assert all(v == 1 for row in pair.pairing_matrix() for v in row)
+        assert all(sum(a * b for a, b in zip(v, w)) == 1
+                   for v in pair.sigma.vertices for w in pair.tau.vertices)
 
     def test_standard_simplex_pairs_with_its_certificate(self):
         for n in (1, 2, 3):

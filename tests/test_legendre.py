@@ -10,7 +10,6 @@ from ghlab.legendre import (
     LoopHitsSingularity,
     NotPositive,
     SplitMASolution,
-    atlas,
     beta_holonomy,
     block_determinant_residual,
     circle_loop,
@@ -239,12 +238,6 @@ class TestMonodromy:
         M12 = monodromy_generator(pair, 1, 2, 0, 1)
         assert np.array_equal(M01 @ M12, M02)
         assert np.array_equal(M12 @ M01, M02)
-
-    def test_atlas_contents(self):
-        at = atlas(PAIR)
-        assert len(at.v_charts) == 2 and len(at.w_charts) == 2
-        assert is_unipotent(at.generator(0, 0, 1, 1))
-        assert np.array_equal(at.generator(0, 0, 0, 1), np.eye(3, dtype=int))
 
 
 class TestBetaHolonomy:

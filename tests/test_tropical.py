@@ -224,7 +224,7 @@ class TestFiberRows:
             x1 = float(rng.choice([0.0, -0.0, rng.uniform(-3.0, 3.0)]))
             theta = np.r_[0.0, -0.0, np.pi,
                           rng.uniform(-np.pi, 3.0 * np.pi, 13)]
-            _, coeffs, _ = tropical._fiber_roots(P, x1, theta)
+            _, coeffs, _, _ = tropical._fiber_roots(P, x1, theta)
             want = self.per_term_coefficients(P, x1, theta)
             assert coeffs.tobytes() == want.tobytes(), (P, x1)
 
@@ -854,22 +854,72 @@ class TestHessianMass:
         m = ronkin_hessian_mass(P1Z, (1.0, 2.0))
         assert abs(m[0, 0]) < 1e-3
 
-    def test_2d_mass_matches_spine_weight(self):
-        # mass of Hess N for 1+z1+z2 over a box containing only the
-        # horizontal part of the spine; compare the dominant entry sign
-        m = ronkin_hessian_mass(P2, ((-1.2, 1.2), (-1.2, 1.2)))
-        assert m.shape == (2, 2)
-        assert m[0, 0] > 0.5 and m[1, 1] > 0.5
-        assert abs(m[0, 1] - m[1, 0]) < 1e-4
+    def test_is_the_difference_of_two_gradients(self):
+        rng = np.random.default_rng(36)
+        for text in ("1+z", "1+z+0.25z^2", "2-3z^2+z^5", "z^-2+0.5+z^3"):
+            P = parse_laurent(text)
+            for a, b in rng.uniform(-3.0, 3.0, (20, 2)):
+                m = ronkin_hessian_mass(P, (a, b))
+                want = ronkin_gradient(P, [b]) - ronkin_gradient(P, [a])
+                assert m.shape == (1, 1) and m[0, 0] == want[0], (text, a, b)
 
-    def test_2d_mass_with_factor_in_z1_alone(self):
-        # (1 - z1)(1 + z2): N = max(x1, 0) + max(x2, 0), whose Hessian has
-        # mass 1 per unit length on each axis; the faces x2 = +-1 pass
+    def test_refuses_two_variables(self):
+        with pytest.raises(ValueError, match="one variable"):
+            ronkin_hessian_mass(P2, ((-1.2, 1.2), (-1.2, 1.2)))
+
+    def test_gradient_on_the_box_faces_with_factor_in_z1_alone(self):
+        # (1 - z1)(1 + z2): N = max(x1, 0) + max(x2, 0), so the gradient is
+        # (step(x1), step(x2)) with 1/2 on the axes; the faces x2 = +-1 pass
         # through x1 = 0, whose fiber meets the root z1 = 1 of the factor
         # exactly at theta_1 = 0
         P = parse_laurent("1-z1+z2-z1*z2")
-        m = ronkin_hessian_mass(P, ((-1.0, 1.0), (-1.0, 1.0)))
-        assert np.allclose(m, 2.0 * np.eye(2), atol=1e-12)
+
+        def step(t):
+            return 0.5 if t == 0.0 else float(t > 0.0)
+
+        for side in (-1.0, 1.0):
+            for t in np.linspace(-1.0, 1.0, 17):
+                for x in ((side, t), (t, side)):
+                    want = [step(x[0]), step(x[1])]
+                    assert np.allclose(ronkin_gradient(P, x), want,
+                                       atol=1e-12), x
+
+
+class TestFloatRange:
+    """Far from the origin the terms c e^{<e, x>}, the Sylvester
+    determinants of the torus cuts and the powers of z1 in the fiber rows
+    leave the float range unless they are scaled.  Off the amoeba N is the
+    dominant term's log|c| + <e, x>, and the gradient is its exponent."""
+
+    @pytest.mark.parametrize("x,value,grad", [
+        ((0.0, -800.0), math.log(2.0), [0.0, 0.0]),
+        ((-800.0, 0.0), math.log(2.0), [0.0, 0.0]),
+        ((300.0, -1000.0), 300.0, [1.0, 0.0]),
+        ((0.0, 800.0), 1600.0, [1.0, 2.0]),
+        ((800.0, 10.0), 820.0, [1.0, 2.0]),
+    ])
+    def test_far_points_off_the_amoeba(self, x, value, grad):
+        P = parse_laurent("2+z1+z2+z1z2^2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(ronkin(P, x) - value) <= 1e-12 * abs(value)
+            assert ronkin_gradient(P, x).tolist() == grad
+            assert not amoeba_contains(P, x)
+
+    def test_the_scale_keeps_every_bit_of_values_in_range(self):
+        # at x2 = 38.5 the largest term of 1 + z1^3 + z2^3 + 0.5 z1 z2 is
+        # e^115.5: the 6 x 6 Sylvester determinants stay below e^693, yet
+        # the range test scales them; the cuts keep the unscaled bits
+        P = parse_laurent("1+z1^3+z2^3+0.5z1z2")
+        for x in ([0.0, 38.5], [0.3, 38.5], [38.5, -0.2]):
+            x = np.array(x)
+            assert tropical._scale(
+                [math.log(abs(c)) + np.dot(e, x) for e, c in P.terms],
+                6) != 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.array_equal(tropical._torus_cuts(P, x),
+                                      FrozenTorus().cuts(P, x)), x
 
 
 class TestGridAndParse:
