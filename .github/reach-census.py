@@ -78,8 +78,6 @@ KEEP = {
     ("lattice.py", "_project_to_wall"): _PAIR,
     ("lattice.py", "distance_to_wall_complex"): _PAIR,
     ("lattice.py", "distance_to_discriminant"): _PAIR,
-    ("lattice.py", "_clip_ray_to_box"): _PAIR,
-    ("lattice.py", "pair_current"): _PAIR,
     ("legendre.py", "monodromy_generator"): _PAIR,
     ("legendre.py", "is_unipotent"): _PAIR,
     ("solutions.py", "taub_nut_V"): "item 13: the closed-form table of "

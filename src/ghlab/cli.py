@@ -103,8 +103,8 @@ def _count(lo):
 _REAL = _field(float)
 _ONE_OR_TWO = _field(int, lambda v: v in (1, 2), "must be 1 or 2")
 _POSITIVE = _field(float, lambda v: v > 0, "must be positive")
-_RADII = _field(float, lambda v: len(v) == 2 and min(v) > 0,
-                "expected two positive radii", many=True)
+_RADII = _field(float, lambda v: len(set(v)) == len(v) == 2 and min(v) > 0,
+                "expected two distinct positive radii", many=True)
 
 
 def _range(val):
@@ -585,8 +585,9 @@ _COMMANDS = {
               "svg": (None, _path)},
     "collapse": {"poly": ("1+z+0.25*z^2", _poly(1)),
                  "lambdas": ("1,5,25", _field(
-                     float, lambda v: min(v) > 0 and v == sorted(v),
-                     "lambdas must be positive and ascending", many=True)),
+                     float, lambda v: len(v) > 1 and min(v) > 0
+                     and v == sorted(set(v)), "expected two or more "
+                     "positive, strictly ascending lambdas", many=True)),
                  "trange": ("-2:2:0.25", _range), "nodes": (128, _count(16)),
                  "a": (4.0, _POSITIVE), "csv": (None, _path)},
 }

@@ -35,6 +35,9 @@ step ``fd_step`` of each multi-index.  ``fd_partial`` stacks the shifted
 copies of every stencil point of both grids, for one multi-index or several,
 and evaluates the function once on the stack, in slices of at most
 ``FD_SLICE_ROWS`` rows.
+
+``_leggauss`` builds each order's Gauss-Legendre rule once, read-only, for
+``ghcore``, ``legendre`` and ``tropical``; ``_gauss_nodes`` maps it to [a, b].
 """
 
 from __future__ import annotations
@@ -522,3 +525,20 @@ def hessian_block(field, orders, rows, cols, pts):
             else:
                 out[:, i, j] = field.partial_value(shifted(orders, r, c), pts)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(npts):
+    """Gauss-Legendre nodes and weights of order npts on [-1, 1], built once
+    per order; read-only, since every later call shares them."""
+    rule = np.polynomial.legendre.leggauss(npts)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _gauss_nodes(a, b, npts):
+    """Gauss-Legendre nodes and weights of order npts on [a, b] (arrays
+    broadcast, one rule per panel)."""
+    x, w = _leggauss(npts)
+    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import GHLabError
-from .fields import fd_partial, fd_step, hessian_block, unit
+from .fields import _leggauss, fd_partial, fd_step, hessian_block, unit
 
 
 class GHError(GHLabError):
@@ -354,9 +354,6 @@ def verify_compat(sol, grid_pts, tolerance=1e-10):
 
 
 def _sphere_grid(nphi, ntheta):
-    # a local import: the commands that need no sphere do not load lattice
-    from .lattice import _leggauss
-
     nodes, weights = _leggauss(nphi)
     phi = 0.5 * np.pi * (nodes + 1.0)
     wphi = 0.5 * np.pi * weights

@@ -1,7 +1,6 @@
-"""Integer-lattice simplices, dual pairs, wall complexes and current pairing.
+"""Integer-lattice simplices, dual pairs and wall complexes.
 
-All lattice computations are exact (python integers, Hermite normal form);
-floating point enters only in the metric operations (distances, quadrature).
+All lattice computations are exact (python integers); distances are floats.
 
 Conventions
 -----------
@@ -14,14 +13,13 @@ ordering (i, j).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import GHLabError, QuadratureFailure
+from . import GHLabError
 
 
 class LatticeError(GHLabError):
@@ -354,100 +352,3 @@ def distance_to_discriminant(point, pi_tau, pi_sigma):
     du = distance_to_wall_complex(point[:n], pi_tau)
     dx = distance_to_wall_complex(point[n:], pi_sigma)
     return math.hypot(du, dx)
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(npts):
-    """Gauss-Legendre nodes and weights of order npts on [-1, 1], built once
-    per order; read-only, since every later call shares them."""
-    rule = np.polynomial.legendre.leggauss(npts)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
-def _gauss_nodes(a, b, npts):
-    """Gauss-Legendre nodes and weights of order npts on [a, b] (arrays
-    broadcast, one rule per panel)."""
-    x, w = _leggauss(npts)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
-
-
-def _clip_ray_to_box(origin, direction, box):
-    """Parameter interval of {origin + t*direction, t >= 0} inside a box."""
-    lo, hi = 0.0, math.inf
-    for k, (a, b) in enumerate(box):
-        d = direction[k]
-        o = origin[k]
-        if abs(d) < 1e-15:
-            if not (a - 1e-12 <= o <= b + 1e-12):
-                return None
-            continue
-        t0, t1 = (a - o) / d, (b - o) / d
-        if t0 > t1:
-            t0, t1 = t1, t0
-        lo, hi = max(lo, t0), min(hi, t1)
-    if hi <= lo:
-        return None
-    return lo, hi
-
-
-def pair_current(complex_, test_form, region, nodes=64):
-    """Pair the weighted wall complex with a sampled test form over a box.
-
-    ``test_form`` is a callable on points of R^d giving the density of the
-    form against the Euclidean surface measure of each wall (orientation
-    taken with the stored (i, j) ordering).  Supports d <= 2: point walls are
-    evaluated, ray/line walls are integrated by Gauss-Legendre quadrature
-    after clipping to the box.  Returns the weight-valued total as a float
-    vector in quotient-basis coordinates.
-    """
-    d = complex_.ambient_dim
-    if d == 0 or not complex_.walls:
-        return np.zeros(max(d, 1))
-    if d > 2:
-        raise ValueError("pair_current supports quotient dimension <= 2")
-    region = [(float(a), float(b)) for a, b in region]
-    total = np.zeros(d, dtype=float)
-    for wall in complex_.walls:
-        weight = np.array(wall.weight, dtype=float)
-        if d == 1:
-            pt = np.zeros(1)
-            if region[0][0] <= 0.0 <= region[0][1]:
-                val = float(test_form(pt))
-                if not math.isfinite(val):
-                    raise QuadratureFailure("test form not finite on wall")
-                total += val * weight
-            continue
-        # d == 2: wall is {u : eq.u = 0 (, g.u >= 0)}: a line or ray through 0
-        eq = np.array(wall.equality, dtype=float)
-        direction = np.array([-eq[1], eq[0]]) / np.linalg.norm(eq)
-        halves = []
-        if wall.inequalities:
-            G = np.array(wall.inequalities, dtype=float)
-            s = G @ direction
-            if np.all(s >= -1e-12):
-                halves = [direction]
-            elif np.all(s <= 1e-12):
-                halves = [-direction]
-            else:
-                continue   # empty cone (cannot happen for simplex fans)
-        else:
-            halves = [direction, -direction]
-        for vdir in halves:
-            span = _clip_ray_to_box(np.zeros(2), vdir, region)
-            if span is None:
-                continue
-            # composite Gauss-Legendre: robust for localized test forms
-            per_panel = 16
-            panels = max(1, int(round(nodes / per_panel)))
-            edges = np.linspace(span[0], span[1], panels + 1)
-            acc = 0.0
-            for a, b in zip(edges[:-1], edges[1:]):
-                ts, ws = _gauss_nodes(a, b, per_panel)
-                vals = np.array([test_form(t * vdir) for t in ts], dtype=float)
-                if not np.all(np.isfinite(vals)):
-                    raise QuadratureFailure("test form not finite on wall")
-                acc += float(np.dot(vals, ws))
-            total += acc * weight
-    return total

@@ -32,6 +32,7 @@ from . import GHLabError, NotPositive
 from .fields import (
     JetScalarField,
     SymbolicScalarField,
+    _leggauss,
     cos,
     exp,
     hessian_block,
@@ -39,7 +40,6 @@ from .fields import (
     unit,
 )
 from .ghcore import BlockSolution, ResidualReport
-from .lattice import _leggauss
 
 
 class LegendreError(GHLabError):

@@ -351,12 +351,13 @@ def _torus_panels(P, x):
 
     Every cut of ``_torus_cuts`` is a breakpoint, the panels are graded
     geometrically toward it, and none is longer than pi/8.  Cuts closer
-    than the finest offset, such as the two roots that rounding makes of a
-    double root, are merged into their mean, also across 0 = 2 pi; a cut
-    that merges with none keeps its bits.  In floats, a drift sums the close
-    gaps in order, and a cluster adds to its lead the mean of its members'
-    drift past the lead's, summed from 0.0 in order.  Breakpoints closer
-    than 1e-12 are merged.
+    than the finest offset, 9.4e-8, are merged into their mean, also across
+    0 = 2 pi; a cut that merges with none keeps its bits.  Where fiber roots
+    of equal modulus cross the circle together, rounding splits the cuts up
+    to about 1e-5 apart, and they stay apart.  In floats, a drift sums the
+    close gaps in order, and a cluster adds to its lead the mean of its
+    members' drift past the lead's, summed from 0.0 in order.  Breakpoints
+    closer than 1e-12 are merged.
     """
     cuts = np.sort(_torus_cuts(P, x)).tolist()
     if len(cuts) > 1:
@@ -410,7 +411,7 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
 
     if P.nvars == 1:
         return float(_ronkin_1d(P, x, kappa)[0])
-    from .lattice import _gauss_nodes
+    from .fields import _gauss_nodes
 
     # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
     content, P = _split_content(P)
@@ -437,7 +438,7 @@ def _swapped(P):
 
 
 def ronkin_gradient(P, x):
-    """Exact gradient of N (kappa = 1) at x.
+    """Gradient of N (kappa = 1) at x.
 
     dN/dx_l is the theta_1-average of emin plus the number of fiber roots
     inside |z_l| = e^{x_l} (Jensen's formula, differentiated).  The count is
@@ -449,6 +450,8 @@ def ronkin_gradient(P, x):
     not differentiable, because the torus points form a curve or, in one
     variable, x is the log-modulus of a root, the result is the mean of the
     two one-sided derivatives; a double root split by rounding counts 1.
+    Between cuts that rounding split (``_torus_panels``) a panel takes one
+    side's count: the gradient is off there, and ``ronkin`` is not.
     """
     x = _point(P, x, "ronkin_gradient")
     theta, weights, grad = np.zeros(1), np.ones(1), []

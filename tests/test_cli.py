@@ -52,8 +52,17 @@ class TestExitCodes:
         ["collapse", "--poly", "1+z1+z2"],
         ["decay", "--gate-modes", "4,x"],
         ["ov", "--flux-radii", "-0.3,0.5"],
+        # equal radii once passed the radius-independence checks with a
+        # spread of 0, equal lambdas the nonincreasing checks of collapse;
+        # one lambda leaves nothing to compare
+        ["ov", "--flux-radii", "0.3,0.3"],
+        ["verify-flat", "--flux-radii", "0.4,0.4"],
+        ["collapse", "--lambdas", "1,1"],
+        ["collapse", "--lambdas", "1,5,5"],
+        ["collapse", "--lambdas", "5"],
     ], ids=["amoeba-3-vars", "collapse-2-vars", "decay-gate-modes",
-            "ov-radius"])
+            "ov-radius", "ov-equal-radii", "flat-equal-radii",
+            "equal-lambdas", "repeated-lambda", "one-lambda"])
     def test_unsupported_input_is_config_error(self, capsys, args):
         assert run_cli(args) == 2
         assert "config error" in capsys.readouterr().err
@@ -462,10 +471,12 @@ class TestConfigMerging:
         ("legendre", {"samples": "ten"}),
         ("amoeba", {"tol": None}),
         ("ov", {"flux_radii": 0.5}),
+        ("ov", {"flux_radii": [0.5, 0.5]}),
         ("collapse", {"nodes": 64.5}),
+        ("collapse", {"lambdas": [5.0]}),
         ("decay", {"gate_modes": []}),
-    ], ids=["samples-text", "tol-null", "radii-scalar", "nodes-fraction",
-            "no-gate-modes"])
+    ], ids=["samples-text", "tol-null", "radii-scalar", "radii-equal",
+            "nodes-fraction", "one-lambda", "no-gate-modes"])
     def test_bad_file_value_is_config_error(self, tmp_path, capsys, cmd,
                                             values):
         # a file value is converted and checked just like a flag's text
@@ -741,8 +752,8 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_ronkin_and_amoeba_load_no_lattice_ghcore_or_fields(self):
-        # lattice serves only two-variable ronkin and spine, and ghcore only
-        # decay's domain errors; fields comes in with ghcore
+        # lattice serves verify-flat's wall weight and the dual-pair layer,
+        # and ghcore only decay's domain errors; fields comes in with ghcore
         code = ("import sys\n"
                 "from ghlab import cli\n"
                 "heavy = {'ghlab.lattice', 'ghlab.ghcore', 'ghlab.fields'}\n"
@@ -755,6 +766,22 @@ class TestEntryPoint:
         loaded = [line for line in proc.stdout.splitlines()
                   if line.startswith("loaded ")]
         assert loaded == ["loaded ronkin []", "loaded amoeba []"]
+
+    def test_legendre_and_holonomy_load_no_lattice(self):
+        # their Gauss-Legendre rule lives in fields; verify-flat, run last,
+        # reads its wall weight from lattice and shows that the probe sees it
+        code = ("import sys\n"
+                "from ghlab import cli\n"
+                "for cmd in ('legendre', 'holonomy', 'verify-flat'):\n"
+                "    assert cli.main([cmd]) == 0\n"
+                "    print('loaded', cmd, 'ghlab.lattice' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines()
+                  if line.startswith("loaded ")]
+        assert loaded == ["loaded legendre False", "loaded holonomy False",
+                          "loaded verify-flat True"]
 
     def test_decay_ov_and_collapse_load_no_sympy(self):
         # none of them builds a symbolic field, and every K0 they take is a

@@ -3,7 +3,7 @@ import pytest
 import sympy as sp
 
 from ghlab import ghcore
-from ghlab.fields import SymbolicScalarField, fd_partial
+from ghlab.fields import SymbolicScalarField, _leggauss, fd_partial
 from ghlab.ghcore import (
     DomainViolation,
     GHError,
@@ -14,7 +14,6 @@ from ghlab.ghcore import (
     verify_closed,
     verify_compat,
 )
-from ghlab.lattice import _leggauss
 from ghlab.solutions import taub_nut
 
 

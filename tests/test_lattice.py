@@ -16,7 +16,6 @@ from ghlab.lattice import (
     distance_to_wall_complex,
     integer_solve,
     kernel_basis,
-    pair_current,
     row_hnf,
     saturation_basis,
     validate_dual_pair,
@@ -228,58 +227,3 @@ class TestDistance:
         pi1 = wall_complex(LatticeSimplex([(0,), (1,)]))
         empty = wall_complex(LatticeSimplex([(2, 5)]))
         assert math.isinf(distance_to_discriminant([1.0], pi1, empty))
-
-
-class TestPairCurrent:
-    def test_point_wall_evaluates_form(self):
-        pi = wall_complex(LatticeSimplex([(0,), (1,)]))
-        out = pair_current(pi, lambda p: 1.0, [(-1.0, 1.0)])
-        w = np.array(pi.walls[0].weight, dtype=float)
-        assert np.allclose(out, w)
-
-    def test_bump_mass_on_one_ray(self):
-        from scipy.integrate import quad
-
-        wc = wall_complex(LatticeSimplex(np.eye(3, dtype=int).tolist()))
-        target = wc.walls[0]
-        eq = np.array(target.equality, dtype=float)
-        v = np.array([-eq[1], eq[0]])
-        g = np.array(target.inequalities[0], dtype=float)
-        if g @ v < 0:
-            v = -v
-        v = v / np.linalg.norm(v)
-        center, width = 0.8, 0.15
-
-        def bump(p):
-            t = float(np.dot(p, v))
-            s = (t - center) / width
-            if abs(np.linalg.norm(p - t * v)) > 1e-9 or not (-1 < s < 1):
-                return 0.0
-            return math.exp(-1.0 / (1.0 - s * s)) / width
-
-        # oracle: 1D quadrature of the bump profile along the ray
-        mass, _ = quad(lambda t: bump(np.array([t * v[0], t * v[1]])),
-                       center - width, center + width, limit=200)
-        out = pair_current(wc, bump, [(-2.0, 2.0), (-2.0, 2.0)], nodes=512)
-        expected = mass * np.array(target.weight, dtype=float)
-        assert np.allclose(out, expected, atol=5e-8)
-
-    def test_nonfinite_form_rejected(self):
-        from ghlab.lattice import QuadratureFailure
-
-        pi = wall_complex(LatticeSimplex([(0,), (1,)]))
-        with pytest.raises(QuadratureFailure):
-            pair_current(pi, lambda p: float("nan"), [(-1.0, 1.0)])
-
-    def test_zero_form_and_disjoint_region(self):
-        wc = wall_complex(LatticeSimplex(np.eye(3, dtype=int).tolist()))
-        assert np.allclose(pair_current(wc, lambda p: 0.0, [(-1, 1), (-1, 1)]), 0.0)
-        # find a region provably away from the (unbounded) cones
-        rng = np.random.default_rng(9)
-        while True:
-            p = rng.uniform(-1, 1, size=2)
-            if distance_to_wall_complex(p, wc) > 0.3:
-                break
-        c = 10.0 * p
-        region = [(c[0] - 1.0, c[0] + 1.0), (c[1] - 1.0, c[1] + 1.0)]
-        assert np.allclose(pair_current(wc, lambda q: 1.0, region), 0.0)
