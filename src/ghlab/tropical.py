@@ -6,6 +6,14 @@ exactly from the roots r_k of the fiber polynomial sum_k a_k w^k, as
 log|a_d| + sum_k max(x_l, log|r_k|); two variables leave a periodic average
 over theta_1.  ``kappa`` in {1, 2} selects the normalization (kappa=1 makes
 the tropical slopes equal to the exponent vectors literally).
+
+Off the amoeba one term often outweighs the sum of all the others on the
+whole fiber torus, with a margin that covers the rounding of the term
+logs (``_dominant``).  There the answers are exact and need no roots:
+the torus fiber holds no zero, grad N is the term's exponent vector (the
+order of the complement component), and where the term is a vertex of the
+Newton polytope, N is the term's log-modulus, the tropical polynomial
+itself (Forsberg-Passare-Tsikh; Passare-Rullgard).
 """
 
 from __future__ import annotations
@@ -108,6 +116,77 @@ def _exp_scaled(y, k):
 
 
 # ---------------------------------------------------------------------------
+# the term table and the dominant term
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _term_table(P):
+    """What the dominant-term test and the fiber rows need of P alone, in
+    Python numbers; cached per polynomial.  Per term (in the order of
+    P.terms) its exponents padded to two, log|c| and whether it is a vertex
+    of the Newton polytope; then max_i |log|c_i||, per variable (padded to
+    two) max_i |e_ik|, and the least exponent and the degree span of the
+    last variable."""
+    exps = [tuple(e) + (0,) * (2 - P.nvars) for e, _ in P.terms]
+
+    def turn(o, p, q):   # twice the signed area of the triangle o, p, q
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    # Andrew's monotone chain in exact ints keeps only strict turns, so a
+    # term inside an edge (in one variable, between the ends) is no vertex
+    hull, pts = set(), sorted(exps)
+    for seq in (pts, pts[::-1]):   # the lower hull, then the upper
+        chain = []
+        for q in seq:
+            while len(chain) > 1 and turn(chain[-2], chain[-1], q) <= 0:
+                chain.pop()
+            chain.append(q)
+        hull.update(chain)
+    logc = [math.log(abs(c)) for _, c in P.terms]
+    last = [e[P.nvars - 1] for e in exps]
+    return (exps, logc, [e in hull for e in exps], max(map(abs, logc)),
+            [float(max(abs(e[k]) for e in exps)) for k in (0, 1)],
+            min(last), max(last) - min(last))
+
+
+def _dominant(P, x, tol):
+    """The term a = argmax_i L_i, L_i = log|c_i| + <e_i, x>, when it
+    outweighs all other terms on every fiber within ``tol`` of x in each
+    coordinate; else None.
+
+    ``P`` is the polynomial, ``x`` a finite point of length l and ``tol``
+    the half-width of the box of log-moduli y with |y_k - x_k| <= tol for
+    every k (0 for the point alone).  On that box |c_i z^e_i| / |c_a z^e_a|
+    is at most exp(L_i - L_a + tol |e_i - e_a|_1), so where these sum to
+    less than 1 over i != a, |P| >= |c_a z^e_a| - sum_i |c_i z^e_i| > 0 on
+    every fiber of the box.  The test asks for less than 1 - delta, with
+    delta = (32 (1 + M) + n) 2^-53 and M = max|log|c_i|| + sum_k max_i
+    |e_ik| |x_k| >= |L_i|.  Why that covers the rounding, with u = 2^-53:
+    each computed L_i is within (6 M + 2) u of the exact one (|c_i| and its
+    log, the conversion and product of each e_ik x_k, two sums), so each
+    difference L_i - L_a is within (12 M + 4) u.  Its own rounding, that of
+    tol |e_i - e_a|_1 and that of their sum add at most 8 M u where every
+    term is below 1 (then tol |e_i - e_a|_1 < L_a - L_i <= 2 M).  exp rounds
+    within 4 u, and the sum of the n - 1 terms within (n - 1) u.  So the
+    exact sum is at most the computed one times 1 + delta, which is below
+    1.
+    """
+    exps, logc, _, lmax, reach, _, _ = _term_table(P)
+    x0, x1 = (x.tolist() + [0.0])[:2]
+    L = [c + (e0 * x0 + e1 * x1) for (e0, e1), c in zip(exps, logc)]
+    a = L.index(max(L))
+    (a0, a1), rest = exps[a], 0.0
+    for i, (li, (e0, e1)) in enumerate(zip(L, exps)):
+        if i != a:
+            y = li - L[a] + tol * (abs(e0 - a0) + abs(e1 - a1))
+            if y >= 0.0:   # a term of the sum is 1 or more (or inf)
+                return None
+            rest += math.exp(y)   # a NaN y leaves the sum NaN
+    M = lmax + reach[0] * abs(x0) + reach[1] * abs(x1)
+    return a if rest < 1.0 - (32.0 * (1.0 + M) + len(L)) * 2.0 ** -53 else None
+
+
+# ---------------------------------------------------------------------------
 # fiber roots and Jensen's formula
 # ---------------------------------------------------------------------------
 
@@ -123,15 +202,18 @@ def _fiber_roots(P, x1, theta):
     at least its rounding level) become their well-conditioned centroid.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    last = P.exponents()[:, -1]
-    emin, d = int(last.min()), int(last.max() - last.min())
+    _, _, _, lmax, reach, emin, d = _term_table(P)
     coeffs = np.zeros((theta.size, d + 1), dtype=complex)
     # z1^e1 once per distinct exponent e1 != 0.  At e1 = 0 the term adds c
     # itself: c * e^0 differs from c at most in the sign of a zero, which a
     # sum that starts at +0.0 cannot show.  Where the terms c e^{e1 x1} may
-    # leave the float range, a power of two scales each, e1 = 0 included
-    scale = (_scale([math.log(abs(c)) + e[0] * x1 for e, c in P.terms], 1)
-             if P.nvars == 2 else 0)
+    # leave the float range, a power of two scales each, e1 = 0 included.
+    # The term table bounds what ``_scale`` tests; below its threshold
+    # ``_scale`` returns 0, and the term logs are not needed
+    scale = 0
+    if (P.nvars == 2 and lmax + reach[0] * abs(x1)
+            + math.log(len(P.terms)) >= -_TINY):
+        scale = _scale([math.log(abs(c)) + e[0] * x1 for e, c in P.terms], 1)
     z1 = ({e1: _exp_scaled(e1 * (x1 + 1j * theta), scale)
            for e1 in {e[0] for e, _ in P.terms} if e1 or scale}
           if P.nvars == 2 else {})
@@ -384,12 +466,15 @@ def _torus_panels(P, x):
 # ---------------------------------------------------------------------------
 
 def _point(P, x, name):
-    """x as floats, its last axis one entry per variable of P (at most 2)."""
+    """x as floats, its last axis one entry per variable of P (at most 2),
+    every entry finite."""
     if P.nvars > 2:
         raise ValueError(f"{name} supports at most 2 variables")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape[-1] != P.nvars:
         raise ValueError("x has wrong length")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     return x
 
 
@@ -397,13 +482,18 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
     """Torus average of kappa*log|P| at log-modulus x.
 
     One variable: Jensen's formula, exact up to rounding.  Two variables:
-    a factor q(z1) of P is split off (its N is exact), and Jensen's formula
-    in z2 for the rest is averaged over theta_1 by composite Gauss-Legendre
-    quadrature on the panels of ``_torus_panels``, which are cut and graded
-    where the integrand is not analytic or nearly so.  The ``nodes`` points
-    of the rule are spread evenly over the panels, at least 16 to each.
-    Raises QuadratureFailure when the rule of half that order per panel
-    differs by ``tol`` or more.
+    where a term a that is a vertex of the Newton polytope outweighs all
+    the others on the fiber torus, with the margin of ``_dominant``, N is
+    log|c_a| + <e_a, x> exactly (kappa times it is ``tropical_limit`` at
+    x), and ``nodes`` and ``tol`` are not used: log|P| = L_a + Re log(1 +
+    u) with |u| < 1, and no power of u = sum_{i != a} (c_i/c_a) z^{e_i -
+    e_a} has a constant term.  Elsewhere a factor q(z1) of P is split off (its N is
+    exact), and Jensen's formula in z2 for the rest is averaged over
+    theta_1 by composite Gauss-Legendre quadrature on the panels of
+    ``_torus_panels``, which are cut and graded where the integrand is not
+    analytic or nearly so.  The ``nodes`` points of the rule are spread
+    evenly over the panels, at least 16 to each.  Raises QuadratureFailure
+    when the rule of half that order per panel differs by ``tol`` or more.
     """
     x = _point(P, x, "ronkin")
     if nodes < 16:
@@ -411,6 +501,9 @@ def ronkin(P, x, nodes=64, kappa=1, tol=1e-6):
 
     if P.nvars == 1:
         return float(_ronkin_1d(P, x, kappa)[0])
+    a = _dominant(P, x, 0.0)
+    if a is not None and _term_table(P)[2][a]:
+        return float(tropical_limit(P, x[None], kappa)[0])
     from .fields import _gauss_nodes
 
     # N_P = N_q + N_Q, and the monic one-variable q is exact by Jensen
@@ -440,6 +533,10 @@ def _swapped(P):
 def ronkin_gradient(P, x):
     """Gradient of N (kappa = 1) at x.
 
+    Where one term a outweighs all the others on the fiber torus, with the
+    margin of ``_dominant``, it is e_a exactly: by Rouche's theorem every
+    fiber polynomial has as many roots inside each circle as its term a,
+    and Jensen's formula turns that count into the derivative.  Elsewhere
     dN/dx_l is the theta_1-average of emin plus the number of fiber roots
     inside |z_l| = e^{x_l} (Jensen's formula, differentiated).  The count is
     constant between torus points, so with two variables it is taken at the
@@ -454,6 +551,9 @@ def ronkin_gradient(P, x):
     side's count: the gradient is off there, and ``ronkin`` is not.
     """
     x = _point(P, x, "ronkin_gradient")
+    a = _dominant(P, x, 0.0)
+    if a is not None:
+        return np.array(P.terms[a][0], dtype=float)
     theta, weights, grad = np.zeros(1), np.ones(1), []
     swap = [(_swapped(P), x[::-1])] if P.nvars == 2 else []
     for Q, y in swap + [(P, x)]:
@@ -507,7 +607,7 @@ def _amoeba_gap(P, x, tol=1e-6):
         content, P = _split_content(P)
         best = min(((abs(math.log(abs(r)) - x[0]), np.array([r, np.exp(x[1])]))
                     for r in content), key=lambda t: t[0], default=best)
-    if best[0] <= tol or np.ptp(P.exponents()[:, -1]) == 0:
+    if best[0] <= tol or _term_table(P)[-1] == 0:   # no fiber roots
         return best
     if P.nvars == 2:
         b = _torus_panels(P, x)
@@ -523,7 +623,17 @@ def _amoeba_gap(P, x, tol=1e-6):
 
 
 def amoeba_contains(P, x, tol=1e-6):
-    """Does the torus fiber log|z| = x meet the zero set of P?"""
+    """Does the torus fiber log|z| = x meet the zero set of P, to ``tol``?
+
+    False without roots where one term outweighs all the others on every
+    fiber within ``tol`` of x in each coordinate, with the margin of
+    ``_dominant``: there |P| > 0, and ``_amoeba_gap`` measures in x_l the
+    fiber roots and in x_1 the roots of a factor q(z1).  Elsewhere it is
+    whether the gap of ``_amoeba_gap`` is at most ``tol``.
+    """
+    x = _point(P, x, "amoeba_contains")
+    if _dominant(P, x, tol) is not None:
+        return False
     return bool(_amoeba_gap(P, x, tol=tol)[0] <= tol)
 
 
@@ -585,9 +695,10 @@ def ronkin_grid(P, points, lam=1.0, nodes=64, kappa=1):
     variable Jensen's formula on the whole vector lam t, P's roots found once;
     in two, ``ronkin`` per row."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    _point(P, points, "ronkin")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
+    with np.errstate(over="ignore"):
+        _point(P, lam * points, "ronkin")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
     vals = (_ronkin_1d(P, lam * points[:, 0], kappa) if P.nvars == 1 else

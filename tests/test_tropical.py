@@ -636,6 +636,113 @@ class TestTorusPlan:
         assert tropical._swapped.cache_info().misses == 1
 
 
+class TestDominantTerm:
+    """Where one term outweighs all the others on the fiber torus, the
+    values, gradients and membership come from that term alone; with the
+    certificate switched off, the torus path gives the same answers."""
+
+    # negative exponents; a content factor in z1; Boyd k = 4; the term 3 z1
+    # of 1 + 3 z1 + z1^2 + 0.01 z2 and the constant 5 inside a triangle are
+    # dominant terms that are no vertex
+    CASES = ["1+z1+z2", "1+z1+z2+0.0000454z1z2", "1+z1^-1+z2+2z1^2z2",
+             "z1^-2+3+z2^-1+z1z2", "z2+z1*z2", "1-z1+z2-z1*z2",
+             "4+z1+z1^-1+z2+z2^-1", "1+3z1+z1^2+0.01z2",
+             "5+z1^2z2+z1z2^2+z1^-1z2^-1", "2+z1+z2+z1z2^2",
+             "1+z1^3+z2^3+0.5z1z2"]
+
+    @staticmethod
+    def vertex(P, a):
+        return tropical._term_table(P)[2][a]
+
+    def test_agrees_with_the_torus_path(self, monkeypatch):
+        rng, seen = np.random.default_rng(38), {"vertex": 0, "inner": 0}
+        for text in self.CASES:
+            P = parse_laurent(text)
+            certified = []
+            for x in rng.uniform(-4.0, 4.0, (40, 2)):
+                a = tropical._dominant(P, x, 0.0)
+                if a is not None:
+                    seen["vertex" if self.vertex(P, a) else "inner"] += 1
+                    certified.append((x, ronkin(P, x), ronkin_gradient(P, x),
+                                      amoeba_contains(P, x)))
+            assert len(certified) >= 5, text
+            with monkeypatch.context() as m:
+                m.setattr(tropical, "_dominant", lambda P, x, tol: None)
+                for x, value, grad, inside in certified:
+                    assert abs(ronkin(P, x) - value) <= 1e-12, (text, x)
+                    assert np.allclose(ronkin_gradient(P, x), grad,
+                                       rtol=0.0, atol=1e-12), (text, x)
+                    assert amoeba_contains(P, x) == inside, (text, x)
+        assert seen["vertex"] >= 200 and seen["inner"] >= 10, seen
+
+    def test_a_vertex_term_gives_the_tropical_polynomial_bit_for_bit(self):
+        rng, checked = np.random.default_rng(39), 0
+        for text in self.CASES:
+            P = parse_laurent(text)
+            for kappa in (1, 2):
+                for x in rng.uniform(-6.0, 6.0, (30, 2)):
+                    a = tropical._dominant(P, x, 0.0)
+                    if a is not None and self.vertex(P, a):
+                        assert ronkin(P, x, kappa=kappa) == tropical_limit(
+                            P, [x], kappa)[0], (text, x)
+                        checked += 1
+        assert checked >= 300
+
+    def test_an_inner_dominant_term_gives_the_gradient_not_the_value(self):
+        # 3 z1 outweighs 1 + z1^2 + 0.01 z2 on the unit torus, but it is no
+        # vertex: N(0) is the Mahler measure of 1 + 3 z1 + z1^2, the log of
+        # its larger root modulus (3 + sqrt 5) / 2, not log 3
+        P = parse_laurent("1+3z1+z1^2+0.01z2")
+        a = tropical._dominant(P, np.zeros(2), 0.0)
+        assert P.terms[a][0] == (1, 0) and not self.vertex(P, a)
+        assert ronkin_gradient(P, (0.0, 0.0)).tolist() == [1.0, 0.0]
+        want = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+        assert abs(want - 0.96242365) < 1e-8
+        assert abs(ronkin(P, (0.0, 0.0)) - want) < 1e-12
+
+    def test_no_roots_at_certified_points(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("torus path taken")
+
+        monkeypatch.setattr(tropical, "_torus_panels", refuse)
+        monkeypatch.setattr(tropical, "_fiber_roots", refuse)
+        P = parse_laurent("1+z1+z2+0.0000454z1z2")
+        for x, order in (((3.0, 0.5), [1, 0]), ((-2.0, -3.0), [0, 0]),
+                         ((8.0, 9.0), [0, 1]), ((12.0, 12.0), [1, 1])):
+            assert ronkin(P, x) == tropical_limit(P, [x])[0]
+            assert ronkin_gradient(P, x).tolist() == order
+            assert not amoeba_contains(P, x)
+        assert ronkin_gradient(PDOUBLE, 2.0).tolist() == [2.0]
+        assert not amoeba_contains(PDOUBLE, -1.0)
+
+    def test_a_margin_below_the_rounding_is_not_certified(self):
+        # at |x| = 1e8 one ulp is 1.5e-8, and the L_i are known only to a
+        # few of them: a term 1.5e-8 below the largest is truly outweighed,
+        # but the certificate cannot tell; 1e-5 below, it can
+        x1 = 1e8
+        near = np.array([x1, np.nextafter(x1, math.inf)])
+        # the computed sum of the other terms is below 1, by 1.5e-8
+        assert math.exp(near[0] - near[1]) + math.exp(-near[1]) < 1.0
+        assert tropical._dominant(P2, near, 0.0) is None
+        a = tropical._dominant(P2, np.array([x1, x1 + 1e-5]), 0.0)
+        assert P2.terms[a][0] == (0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_are_refused(self, bad):
+        for P, x in ((P1Z, [bad]), (P2, [0.5, bad]), (P2, [bad, 0.5])):
+            for f in (ronkin, ronkin_gradient, amoeba_contains):
+                with pytest.raises(ValueError, match="x must be finite"):
+                    f(P, x)
+            with pytest.raises(ValueError, match="x must be finite"):
+                ronkin_grid(P, [[0.0] * P.nvars, x])
+        # lam t must be finite too
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                ronkin_grid(P1Z, [[0.5]], lam=lam)
+        with pytest.raises(ValueError, match="x must be finite"):
+            ronkin_grid(P1Z, [[1e300]], lam=1e10)
+
+
 class TestRescaledAndTropical:
     def test_rescaled_simple(self):
         assert abs(ronkin_grid(P1Z, [[1.0]], lam=10.0).values[0] - 1.0) < 1e-6
