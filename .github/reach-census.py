@@ -53,6 +53,7 @@ EXTRA_RUNS = [
     ("legendre", ["--family", "cross"]),
     ("ronkin", ["--kappa", "2"]),
     ("amoeba", ["--point", "3,0"]),
+    ("amoeba", ["--poly", "1-z1+z2-z1z2", "--point", "0,800"]),
     ("collapse", ["--poly", "1+z+z^2"]),
     ("holonomy", ["--loop-file", None]),
 ]

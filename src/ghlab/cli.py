@@ -345,17 +345,20 @@ def _cmd_amoeba(p, meta):
     P, x, tol = p["poly"], np.asarray(p["point"]), p["tol"]
     _require(len(x) == P.nvars, "point",
              "length must match the number of variables")
-    gap, z = _amoeba_gap(P, x, tol=tol)
+    gap, w = _amoeba_gap(P, x, tol=tol)
     inside = bool(gap <= tol)
     details = {"point": p["point"], "contains": inside}
     if inside:
-        # certificate: a zero of P on the fiber, to tol in log-modulus
-        ok = z is not None
+        # certificate: a zero of P on the fiber, to tol in log-modulus; P's
+        # terms at the witness (log|z|, arg z), each scaled by the largest
+        ok = w is not None
         if ok:
-            scale = sum(abs(c) * np.prod(np.abs(z) ** np.array(e))
-                        for e, c in P.terms)
-            res = float(abs(P.evaluate(z)) / scale)
-            off = float(np.max(np.abs(np.log(np.abs(z)) - x)))
+            c, e = P.coefficients(), P.exponents()
+            L = np.log(np.abs(c)) + e @ w[0]
+            L = L - np.max(L)
+            terms = c / np.abs(c) * np.exp(L + 1j * (e @ w[1]))
+            res = float(abs(np.sum(terms)) / np.sum(np.exp(L)))
+            off = float(np.max(np.abs(w[0] - x)))
             ok = off <= tol and res <= 1e-8
             details["witnessResidual"] = f"{res:.1e}"
     else:

@@ -20,15 +20,11 @@ import numpy as np
 from . import GHLabError
 
 
-class DecayError(GHLabError):
-    pass
-
-
-class AliasingDetected(DecayError):
+class AliasingDetected(GHLabError):
     fault = "numerical"
 
 
-class InsufficientPoints(DecayError):
+class InsufficientPoints(GHLabError):
     pass
 
 

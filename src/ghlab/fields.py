@@ -11,11 +11,11 @@ a-coefficient of a product needs only the b <= a of its factors.  The
 coefficients are stored coefficient-major, as one (N,) row per multi-index,
 so a product gathers and sums whole rows and an (N,) array broadcasts
 against a jet as it is.  Each coefficient of a product sums its L pair
-products t_0, ..., t_{L-1} (the first factor's multi-index rising) as
-t_0 + pairwise(t_1, ..., t_{L-1}), numpy's pairwise summation: the order
-of ``np.add.reduceat`` along the coefficient axis.  Every golden bit of a
-potential-backed result rests on that order, so it is a contract of the
-product, which keeps it while adding whole rows (``_product_plan``).
+products t_0, ..., t_{L-1} (the first factor's multi-index rising) in one
+order, t_0 + (((t_1 + t_2) + t_3) + ... + t_{L-1}), adding whole rows
+(``_product_plan``).  Every golden bit of a potential-backed result rests
+on that order; up to 8 terms, as in every box a command uses, it is also
+the order of ``np.add.reduceat`` along the coefficient axis.
 Jets support +, -, *, / and ``**``, and ``log``,
 ``exp``, ``sqrt``, ``sin`` and ``cos`` by univariate Taylor composition
 (Horner's rule in h = g - g(x0)).
@@ -65,56 +65,24 @@ sp = _LazySympy()
 # truncated Taylor jets
 # ---------------------------------------------------------------------------
 
-def _pairwise_slots(n):
-    """numpy's pairwise sum of n >= 8 terms as moves between slots.
-
-    Returns (order, steps): with term order[s] in slot s, the moves
-    slot[dst:dst + k] += slot[src:src + k] for (dst, src, k) in steps leave
-    in slot 0 the sum numpy's pairwise summation gives: up to 128 terms,
-    eight running sums r0..r7 over the blocks of 8, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in
-    order; above 128, the sum of the two halves, split at a multiple of 8.
-    (Below 8 terms numpy sums in order; ``_product_plan`` does that part.)
-    Each block of 8 is laid out in bit-reversed order, so that the pairs of
-    every combining level are two contiguous runs of slots.
-    """
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        low, low_steps = _pairwise_slots(half)
-        high, high_steps = _pairwise_slots(n - half)
-        return (low + [half + i for i in high],
-                low_steps + [(d + half, s + half, k) for d, s, k in high_steps]
-                + [(0, half, 1)])
-    full = n - n % 8
-    order = [b + j for b in range(0, full, 8)
-             for j in (0, 4, 2, 6, 1, 5, 3, 7)] + list(range(full, n))
-    steps = [(0, b, 8) for b in range(8, full, 8)] \
-        + [(0, 4, 4), (0, 2, 2), (0, 1, 1)] \
-        + [(0, s, 1) for s in range(full, n)]
-    return order, steps
-
-
 @functools.lru_cache(maxsize=None)
 def _product_plan(shape):
     """Row plan of the box product over a flattened coefficient box.
 
     Coefficient k of a product sums the pair products a[i] * b[j] over the
     L pairs of multi-indices with i + j = k, i ascending: t_0, ..., t_{L-1}.
-    The sum is t_0 + pairwise(t_1, ..., t_{L-1}) in numpy's pairwise
-    summation (``_pairwise_slots``), the order in which ``np.add.reduceat``
-    sums a segment along axis 0.  The golden bits of the potential route
-    rest on this order, so the product keeps it exactly.
+    The sum is t_0 + (((t_1 + t_2) + t_3) + ... + t_{L-1}), for every L.
+    Up to 8 terms this is the order in which ``np.add.reduceat`` sums a
+    segment along axis 0; above 8, numpy sums pairwise and the two differ.
 
     Returns (left, right, steps, inv).  The rows t = a[left] * b[right]
     hold, in this order: t_0 of every coefficient, by rising L; for p = 2
-    to 7, t_p of every coefficient with p < L <= 8, which are the last of
-    those with 1 < L <= 8; t_1 of those; and for each L > 8, the t_1 to
-    t_{L-1} of its g coefficients in the slots of ``_pairwise_slots``, g
-    rows a slot.  The moves t[dst:dst + k] += t[src:src + k] for
-    (dst, src, k) in steps leave every coefficient in its t_0 row, and
-    t[inv] is the product.  Each move adds whole rows, and their number is
-    set by the box alone: up to 8 terms, the running sums of all the
-    coefficients take one move per term.
+    to max L - 1, t_p of every coefficient with L > p, which are the last
+    of those with L > 1; t_1 of those.  The moves t[dst:dst + k] +=
+    t[src:src + k] for (dst, src, k) in steps add each t_p to the running
+    sums in the t_1 rows, then those to the t_0 rows, which then hold every
+    coefficient, and t[inv] is the product.  Each move adds whole rows, one
+    move per term: their number is set by the box alone.
     """
     idx = np.indices(shape).reshape(len(shape), -1).T
     total = idx[:, None, :] + idx[None, :, :]
@@ -126,10 +94,8 @@ def _product_plan(shape):
     starts = np.searchsorted(target[order], np.arange(idx.shape[0]))
     length = np.diff(starts, append=len(left))
     rank = np.argsort(length, kind="stable")
-    short = rank[length[rank] <= 8]
-    # up to 8 terms a sum runs in order, in the t_1 row of its coefficient;
-    # the coefficients with L > p are the last of the short ones
-    runs = [short[length[short] > p] for p in range(1, 8)]
+    # the coefficients with L > p are the last of rank
+    runs = [rank[length[rank] > p] for p in range(1, max(length.max(), 2))]
     summed = len(runs[0])
     first = len(rank) + sum(len(run) for run in runs[1:])
     rows, steps, at = [starts[rank]], [], len(rank)
@@ -138,24 +104,7 @@ def _product_plan(shape):
         steps.append((first + summed - len(run), at, len(run)))
         at += len(run)
     rows.append(starts[runs[0]] + 1)
-    finals = [[len(short) - summed, first, summed]]
-    at, head = first + summed, len(short)
-    # not np.unique: without return_inverse, numpy 2 imports numpy.ma there
-    for L in sorted(set(length[length > 8].tolist())):
-        g = int(np.count_nonzero(length == L))
-        slots, moves = _pairwise_slots(L - 1)
-        rows.append((starts[rank[head:head + g]]
-                     + 1 + np.array(slots)[:, None]).ravel())
-        steps += [(at + d * g, at + s * g, k * g) for d, s, k in moves]
-        if head == len(short):
-            # the first group's sums follow the t_1 rows, and its t_0 rows
-            # the short ones': one move adds t_0 to both
-            finals[0][2] += g
-        else:
-            finals.append([head, at, g])
-        at += (L - 1) * g
-        head += g
-    steps += [tuple(f) for f in finals]
+    steps.append((len(rank) - summed, first, summed))
     rows = np.concatenate(rows)
     return (left[rows], right[rows], tuple(m for m in steps if m[2]),
             np.argsort(rank))

@@ -22,19 +22,15 @@ import numpy as np
 from . import GHLabError
 
 
-class LatticeError(GHLabError):
-    pass
-
-
-class NoCertificate(LatticeError):
+class NoCertificate(GHLabError):
     """No integral vector pairs to 1 with every vertex."""
 
 
-class PairingViolation(LatticeError):
+class PairingViolation(GHLabError):
     """Some <v_i, w_j> differs from 1."""
 
 
-class DegenerateSimplex(LatticeError):
+class DegenerateSimplex(GHLabError):
     pass
 
 

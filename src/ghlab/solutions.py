@@ -42,15 +42,11 @@ from .fields import JET_BLOCK_TERMS, JetScalarField, log, sqrt
 from .ghcore import GHSolution, SphereHitsDiscriminant, table_partial
 
 
-class SolutionError(GHLabError):
+class OnDiscriminant(GHLabError):
     pass
 
 
-class OnDiscriminant(SolutionError):
-    pass
-
-
-class NotConvex(SolutionError):
+class NotConvex(GHLabError):
     pass
 
 

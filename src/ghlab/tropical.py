@@ -598,14 +598,18 @@ def _amoeba_gap(P, x, tol=1e-6):
     is in the amoeba; where the torus points form a curve, the fiber roots on
     the circle stay there between the collisions that cut the panels.  Each
     root r of a factor q(z1) of P adds the zero (r, e^{x_2}) at gap
-    |log|r| - x_1|.  The witness is the zero attaining the gap, as an (l,)
-    complex array (None when P has no zeros, or for a fiber root past tol).
+    |log|r| - x_1|.  The witness is the zero z attaining the gap, as the
+    pair (log|z|, arg z) of (l,) arrays, so that it stays in the float range
+    where z does not (None when P has no zeros, or for a fiber root past
+    tol).
     """
     x = _point(P, x, "amoeba_contains")
     best, theta = (math.inf, None), np.zeros(1)
     if P.nvars == 2:
         content, P = _split_content(P)
-        best = min(((abs(math.log(abs(r)) - x[0]), np.array([r, np.exp(x[1])]))
+        best = min(((abs(math.log(abs(r)) - x[0]),
+                     (np.array([math.log(abs(r)), x[1]]),
+                      np.array([np.angle(r), 0.0])))
                     for r in content), key=lambda t: t[0], default=best)
     if best[0] <= tol or _term_table(P)[-1] == 0:   # no fiber roots
         return best
@@ -616,10 +620,11 @@ def _amoeba_gap(P, x, tol=1e-6):
     with np.errstate(divide="ignore"):
         gaps = np.abs(np.log(np.abs(roots)) - x[-1])
     j, k = np.unravel_index(np.argmin(gaps), gaps.shape)
-    # the zero is a witness on the amoeba; off it, e^{x_1} may overflow
-    z = (np.append(np.exp(x[:-1] + 1j * theta[j]), roots[j, k])
+    root = roots[j, k]
+    w = ((np.append(x[:-1], np.log(np.abs(root))),
+          np.append(np.full(len(x) - 1, theta[j]), np.angle(root)))
          if gaps[j, k] <= tol else None)
-    return min(best, (float(gaps[j, k]), z), key=lambda t: t[0])
+    return min(best, (float(gaps[j, k]), w), key=lambda t: t[0])
 
 
 def amoeba_contains(P, x, tol=1e-6):

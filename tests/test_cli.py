@@ -277,6 +277,41 @@ def test_amoeba_far_from_the_origin(capsys, poly, point, winding):
     assert err == ""
 
 
+def test_amoeba_witness_far_from_the_origin(capsys):
+    # (1 - z1)(1 + z2) vanishes at (1, e^800), past the largest float: the
+    # witness is checked in log-modulus, and its terms cancel exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["amoeba", "--poly", "1-z1+z2-z1z2",
+                        "--point", "0,800"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("PASS amoeba-membership (contains=True "
+                          "point=[0.0, 800.0] witnessResidual=0.0e+00)")
+    assert err == ""
+
+
+@pytest.mark.parametrize("poly,point", [
+    ("1-z1+z2-z1z2", "0,800"), ("1+z1+z2", "0,0"), ("1+z", "0"),
+])
+@pytest.mark.parametrize("tol", ["1e-6", "1e-4"])
+def test_amoeba_shifted_witness_fails(monkeypatch, capsys, poly, point, tol):
+    # a witness 1e-5 off in log-modulus: past tol at 1e-6, and within tol
+    # at 1e-4, where its terms no longer cancel to 1e-8
+    from ghlab import tropical
+
+    real = tropical._amoeba_gap
+
+    def shifted(P, x, tol, **kw):
+        gap, (logmod, arg) = real(P, x, tol=tol, **kw)
+        return gap, (logmod + 1e-5, arg)
+
+    args = ["amoeba", "--poly", poly, "--point", point, "--tol", tol]
+    assert run_cli(args) == 0
+    monkeypatch.setattr(tropical, "_amoeba_gap", shifted)
+    assert run_cli(args) == 1
+    assert "FAIL amoeba-membership (contains=True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("poly", ["1+z1+z2+z1*z2", "1-z1+z2-z1*z2"])
 def test_amoeba_factor_in_z1_alone(capsys, poly):
     # the factor 1 +- z1 vanishes on the fiber circle |z1| = 1, so every

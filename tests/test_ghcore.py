@@ -9,12 +9,11 @@ from ghlab.ghcore import (
     GHError,
     GHSolution,
     curvature_form,
-    potential_identity_residual,
     table_partial,
     verify_closed,
     verify_compat,
 )
-from ghlab.solutions import taub_nut
+from ghlab.solutions import taub_nut, taub_nut_V
 
 
 def quadratic_potential():
@@ -206,10 +205,32 @@ class TestVerifiers:
         assert rep.extra["richardson"] > 1e-5
         assert rep.extra["richardsonPoint"] in pts.tolist()
 
-    def test_identity_residual_is_fourth_order_consistency(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-0.5, 0.5, size=(10, 3))
-        assert potential_identity_residual(coupled_potential(), pts) < 1e-6
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_table_closedness_ties_w_to_v(self, eps):
+        # Taub-NUT tables with W = (1 + eps) V: dF_uxy = W_uu + V_xx + V_yy
+        # = eps V_uu for the harmonic V = ell/(2r) + a, so dF alone reads
+        # eps max|d^2 V/du^2| = eps max|(ell/2)(3u^2 - r^2)/r^5|
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(64, 3))
+        pts *= rng.uniform(0.5, 2.0, size=(64, 1)) \
+            / np.linalg.norm(pts, axis=1, keepdims=True)
+
+        ell = 2.0
+
+        def V(q):
+            return taub_nut_V(ell, 1.0, q)[:, None, None]
+
+        good = GHSolution(1, 1, table_partial(V), table_partial(V))
+        assert verify_closed(good, pts).passed
+        bad = GHSolution(1, 1, table_partial(V),
+                         table_partial(lambda q: (1.0 + eps) * V(q)))
+        rep = verify_closed(bad, pts)
+        assert not rep.passed
+        assert rep.max_residual == rep.extra["dF"]
+        r = np.linalg.norm(pts, axis=1)
+        vuu = 0.5 * ell * (3.0 * pts[:, 0] ** 2 - r ** 2) / r ** 5
+        assert rep.extra["dF"] == pytest.approx(eps * np.max(np.abs(vuu)),
+                                                rel=1e-3)
 
     def test_one_curvature_form_call_per_residual(self, monkeypatch):
         # dF needs 3 axes x 2 stencil points x 2 Richardson grids of F: one

@@ -1043,6 +1043,17 @@ class TestFloatRange:
             assert ronkin_gradient(P, x).tolist() == grad
             assert not amoeba_contains(P, x)
 
+    def test_content_root_witness_far_from_the_origin(self):
+        # z2 (1 + z1) vanishes at (-1, e^720), past the largest float
+        P = parse_laurent("z2+z1*z2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert amoeba_contains(P, (0.0, 720.0))
+            gap, (logmod, arg) = tropical._amoeba_gap(P, (0.0, 720.0))
+        assert gap == 0.0
+        assert logmod.tolist() == [0.0, 720.0]
+        assert arg.tolist() == [math.pi, 0.0]
+
     def test_the_scale_keeps_every_bit_of_values_in_range(self):
         # at x2 = 38.5 the largest term of 1 + z1^3 + z2^3 + 0.5 z1 z2 is
         # e^115.5: the 6 x 6 Sylvester determinants stay below e^693, yet
